@@ -236,27 +236,27 @@ def required_arities(plan: TreatmentPlan, data: PanelDataset) -> tuple[int, ...]
 
 
 def _build_feature_maps(
-    cfg: dict, path: str, data: PanelDataset, arities: Sequence[int]
+    cfg: dict, path: str, states: Sequence[np.ndarray], arities: Sequence[int]
 ) -> tuple[FeatureMap, ...]:
+    """One feature map per state sample: tabular over its distinct rows, or
+    polynomial / Fourier features of its dimension."""
     kind = cfg.get("features", ["tabular"])[0]
     maps: list[FeatureMap] = []
-    for t in range(1, data.num_periods + 1):
-        dim = data.period_dims[t - 1]
+    for t, (s, k) in enumerate(zip(states, arities), start=1):
         if kind == "tabular":
-            grid = np.unique(data.states[t - 1], axis=0)
-            maps.append(TabularFeatures(grid=grid, arity=arities[t - 1]))
+            maps.append(TabularFeatures(grid=np.unique(s, axis=0), arity=k))
         elif kind == "polynomial":
             maps.append(
                 PolynomialFeatures(
-                    state_dim=dim, degree=_get_int(cfg, "degree", path, 2), arity=arities[t - 1]
+                    state_dim=s.shape[1], degree=_get_int(cfg, "degree", path, 2), arity=k
                 )
             )
         elif kind == "fourier":
             maps.append(
                 RandomFourierFeatures(
-                    state_dim=dim,
+                    state_dim=s.shape[1],
                     n_features=_get_int(cfg, "n_features", path, 32),
-                    arity=arities[t - 1],
+                    arity=k,
                     lengthscale=_get_float(cfg, "lengthscale", path, 1.0),
                     seed=_get_int(cfg, "seed", path, 0) + t,
                 )
@@ -328,6 +328,11 @@ def _resolved_env_default(name: str, fallback: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     dgp = load_dgp(args.dgp)
     if args.n < 1:
@@ -358,15 +363,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if arities != data.treatment_arities:
         data = PanelDataset(data.states, data.treatments, data.outcome, arities)
     cfg_raw = parse_config_file(args.config) if args.config else {}
-    maps = _build_feature_maps(cfg_raw, args.config or "<defaults>", data, arities)
+    maps = _build_feature_maps(cfg_raw, args.config or "<defaults>", data.states, arities)
     run = resolve_run_config(
         cfg_raw, args.config or "<defaults>", maps, args.Q, args.seed,
         clever=args.clever_covariate,
     )
     report = dml_estimate(data, plan, run.fit, run.q_folds, run.seed, clever=run.clever)
-    with open(args.out, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_text(args.out, report.to_json())
     print(
         f"theta_hat={report.theta_hat:.10g} sigma_hat={report.sigma_hat:.10g} "
         f"ci=[{report.ci_lower:.10g}, {report.ci_upper:.10g}] n={report.n} Q={report.Q}"
@@ -390,9 +393,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "f_tables": [f.tolist() for f in f_tabs],
             "a_tables": [a.tolist() for a in a_tabs],
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -506,9 +507,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     payload = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        _write_text(args.out, text)
     print(text)
     return 0
 
@@ -531,7 +530,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             TabularFeatures(grid=grids[t], arity=arities[t]) for t in range(dgp.num_periods)
         )
     else:
-        maps = _build_feature_maps(cfg_raw, args.config or "<defaults>", probe, arities)
+        maps = _build_feature_maps(cfg_raw, args.config or "<defaults>", probe.states, arities)
     run = resolve_run_config(
         cfg_raw, args.config or "<defaults>", maps, args.Q, seed, jobs=args.jobs
     )
@@ -547,39 +546,15 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
     data = read_surrogate_csvs(args.short, args.long)
     cfg_raw = parse_config_file(args.config) if args.config else {}
     path = args.config or "<defaults>"
-    kind = cfg_raw.get("features", ["tabular"])[0]
-    p = data.short_x.shape[1]
-    q = data.short_s.shape[1]
-    if kind == "tabular":
-        maps: tuple[FeatureMap, ...] = (
-            TabularFeatures(grid=np.unique(np.vstack([data.short_x, data.long_x]), axis=0), arity=2),
-            TabularFeatures(
-                grid=np.unique(np.vstack([data.short_sx, data.long_sx]), axis=0), arity=1
-            ),
-        )
-    elif kind == "polynomial":
-        deg = _get_int(cfg_raw, "degree", path, 2)
-        maps = (
-            PolynomialFeatures(state_dim=p, degree=deg, arity=2),
-            PolynomialFeatures(state_dim=p + q, degree=deg, arity=1),
-        )
-    elif kind == "fourier":
-        nf = _get_int(cfg_raw, "n_features", path, 32)
-        ls = _get_float(cfg_raw, "lengthscale", path, 1.0)
-        sd = _get_int(cfg_raw, "seed", path, 0)
-        maps = (
-            RandomFourierFeatures(state_dim=p, n_features=nf, arity=2, lengthscale=ls, seed=sd + 1),
-            RandomFourierFeatures(
-                state_dim=p + q, n_features=nf, arity=1, lengthscale=ls, seed=sd + 2
-            ),
-        )
-    else:
-        raise ValidationError(f"{path}: unknown feature kind {kind!r}")
+    maps = _build_feature_maps(
+        cfg_raw,
+        path,
+        (np.vstack([data.short_x, data.long_x]), np.vstack([data.short_sx, data.long_sx])),
+        (2, 1),
+    )
     run = resolve_run_config(cfg_raw, path, maps, args.Q, args.seed)
     report = surrogate_estimate(data, run.fit, run.q_folds, run.seed)
-    with open(args.out, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_text(args.out, report.to_json())
     print(
         f"theta_hat={report.theta_hat:.10g} sigma_hat={report.sigma_hat:.10g} "
         f"ci=[{report.ci_lower:.10g}, {report.ci_upper:.10g}] "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
 
@@ -96,10 +97,12 @@ class PanelDataset:
         for t, s in enumerate(self.states):
             if s.ndim != 2 or s.shape[0] != n:
                 raise ValidationError(f"state matrix for period {t + 1} must be (n, d_t)")
+            _check_finite(s, lambda j: f"period {t + 1} state s{t + 1}_{j + 1}")
         if self.treatments.shape != (n, m):
             raise ValidationError("treatments must have shape (n, M)")
         if self.outcome.shape != (n,):
             raise ValidationError("outcome must have shape (n,)")
+        _check_finite(self.outcome, lambda j: "outcome y")
         for t, k in enumerate(self.treatment_arities):
             col = self.treatments[:, t]
             if col.min() < 0 or col.max() >= k:
@@ -158,6 +161,14 @@ class PanelDataset:
         return cls(states, treatments, outcome, tuple(treatment_arities))
 
 
+def _check_finite(values: NDArray, column: Callable[[int], str]) -> None:
+    """Reject NaN and inf, naming the first offending column (by index) and row."""
+    if np.isfinite(values).all():
+        return
+    row, *col = np.argwhere(~np.isfinite(values))[0]
+    raise ValidationError(f"non-finite value in {column(col[0] if col else 0)}, row {row}")
+
+
 # ---------------------------------------------------------------------------
 # Counterfactual plans
 # ---------------------------------------------------------------------------
@@ -196,15 +207,6 @@ class EvalTerm:
         )
 
 
-def _const_term(code: int) -> EvalTerm:
-    return EvalTerm(
-        weight=lambda p: 1.0,
-        target=lambda p: code,
-        weight_batch=lambda d: np.ones(d.n_units),
-        target_batch=lambda d: np.full(d.n_units, code, dtype=np.int64),
-    )
-
-
 @dataclass(frozen=True)
 class FixedSequence:
     """Static counterfactual plan: treat with tau_t in every period."""
@@ -224,7 +226,7 @@ class FixedSequence:
 
     def period_terms(self, period: int) -> tuple[EvalTerm, ...]:
         _check_period(period, self.num_periods)
-        return (_const_term(self.treatments[period - 1]),)
+        return (_prefix_term(1.0, (), self.treatments[period - 1]),)
 
 
 Policy = Callable[[NDArray], int]
@@ -450,8 +452,28 @@ def _check_codes(codes: NDArray, arity: int, where: str) -> None:
         raise PlanError(f"{where}: treatment code {bad} outside 0..{arity - 1}")
 
 
+def _by_treatment(basis: NDArray, codes: NDArray, arity: int, where: str) -> NDArray:
+    """Interact a state basis with treatment indicators: row i's basis fills the
+    column block of its code."""
+    codes = np.asarray(codes, dtype=np.int64)
+    _check_codes(codes, arity, where)
+    n, q = basis.shape
+    out = np.zeros((n, q * arity))
+    for k in range(arity):
+        rows = codes == k
+        out[rows, k * q : (k + 1) * q] = basis[rows]
+    return out
+
+
+class _OneRow:
+    """Evaluation of a feature map at one (state, code): the one-row case of `batch`."""
+
+    def __call__(self, state: NDArray, code: int) -> NDArray:
+        return self.batch(np.atleast_2d(state), np.array([code]))[0]
+
+
 @dataclass(frozen=True, eq=False)
-class TabularFeatures:
+class TabularFeatures(_OneRow):
     """One-hot over a finite grid of (state, treatment) cells; exact on discrete processes.
 
     States are matched to the nearest grid row, so integer-embedded discrete
@@ -486,9 +508,6 @@ class TabularFeatures:
         out[np.arange(cell.shape[0]), cell] = 1.0
         return out
 
-    def __call__(self, state: NDArray, code: int) -> NDArray:
-        return self.batch(np.atleast_2d(state), np.array([code]))[0]
-
 
 def _monomial_exponents(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     exps = []
@@ -502,7 +521,7 @@ def _monomial_exponents(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class PolynomialFeatures:
+class PolynomialFeatures(_OneRow):
     """State monomials up to a total degree, interacted with treatment indicators."""
 
     state_dim: int
@@ -524,22 +543,11 @@ class PolynomialFeatures:
         return np.stack(cols, axis=1)
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        codes = np.asarray(codes, dtype=np.int64)
-        _check_codes(codes, self.arity, "polynomial features")
-        mono = self._monomials(states)
-        n, q = mono.shape
-        out = np.zeros((n, q * self.arity))
-        for k in range(self.arity):
-            rows = codes == k
-            out[rows, k * q : (k + 1) * q] = mono[rows]
-        return out
-
-    def __call__(self, state: NDArray, code: int) -> NDArray:
-        return self.batch(np.atleast_2d(state), np.array([code]))[0]
+        return _by_treatment(self._monomials(states), codes, self.arity, "polynomial features")
 
 
 @dataclass(frozen=True, eq=False)
-class RandomFourierFeatures:
+class RandomFourierFeatures(_OneRow):
     """Seeded cosine features of the state, interacted with treatment indicators.
 
     Frequencies and phases are drawn once at construction from the given
@@ -576,22 +584,11 @@ class RandomFourierFeatures:
         return z
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        codes = np.asarray(codes, dtype=np.int64)
-        _check_codes(codes, self.arity, "random Fourier features")
-        basis = self._basis(states)
-        n, q = basis.shape
-        out = np.zeros((n, q * self.arity))
-        for k in range(self.arity):
-            rows = codes == k
-            out[rows, k * q : (k + 1) * q] = basis[rows]
-        return out
-
-    def __call__(self, state: NDArray, code: int) -> NDArray:
-        return self.batch(np.atleast_2d(state), np.array([code]))[0]
+        return _by_treatment(self._basis(states), codes, self.arity, "random Fourier features")
 
 
 @dataclass(frozen=True, eq=False)
-class ExtendedFeatures:
+class ExtendedFeatures(_OneRow):
     """A base feature map with one extra column given by an arbitrary function.
 
     Used by the clever-covariate regression, whose design gains the fitted
@@ -613,9 +610,6 @@ class ExtendedFeatures:
         x = self.base.batch(states, codes)
         e = self.extra.batch(states, codes)
         return np.hstack([x, np.asarray(e, dtype=float)[:, None]])
-
-    def __call__(self, state: NDArray, code: int) -> NDArray:
-        return self.batch(np.atleast_2d(state), np.array([code]))[0]
 
 
 class Fn(Protocol):
@@ -649,7 +643,11 @@ class LinearFn:
         return self.features.arity
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        v = self.features.batch(states, codes) @ self.weights
+        return self.at_features(self.features.batch(states, codes))
+
+    def at_features(self, x: NDArray) -> NDArray:
+        """Values at rows whose feature matrix x = features.batch(...) is already evaluated."""
+        v = x @ self.weights
         if self.clip is not None:
             v = np.clip(v, -self.clip, self.clip)
         return v
@@ -713,52 +711,104 @@ class NuisanceSet:
 
 
 # ---------------------------------------------------------------------------
-# Moment evaluation
+# Moment evaluation and the orthogonal score
 # ---------------------------------------------------------------------------
 
+# A lone trajectory carries no treatment arities, so its one-row dataset leaves
+# them unbounded: only the evaluated function's own arity bounds plan targets.
+_UNBOUNDED_ARITY = int(np.iinfo(np.int64).max)
 
-def evaluate_moment(plan: TreatmentPlan, period: int, z: Trajectory, g: Fn) -> float:
-    """m_period(z; g) = sum_k w_k(z) * g(S_period, d_k(z)); linear in g."""
+
+def _one_row(z: Trajectory) -> PanelDataset:
+    return PanelDataset.from_trajectories([z], (_UNBOUNDED_ARITY,) * z.num_periods)
+
+
+def _term_sum(
+    plan: TreatmentPlan, period: int, data: PanelDataset, batch: Callable[..., NDArray],
+    arity: int | None, width: tuple[int, ...] = (),
+) -> NDArray:
+    """sum_k w_k(Z_i) * batch(S_period, d_k(Z_i)) over the period's plan terms.
+
+    `batch` returns one value per row, or a row of shape `width`. Rows whose
+    weight is zero are not evaluated. Targets must lie in 0..arity-1 (the
+    data's arity for the period when `arity` is None).
+    """
     _check_period(period, plan.num_periods)
-    if period > z.num_periods:
-        raise PlanError(f"trajectory has {z.num_periods} periods, plan asks for {period}")
-    prefix = z.prefix(period)
-    total = 0.0
-    arity = getattr(g, "arity", None)
-    for j, term in enumerate(plan.period_terms(period)):
-        code = int(term.target(prefix))
-        if code < 0 or (arity is not None and code >= arity):
-            raise PlanError(
-                f"period {period}, term {j}: target code {code} outside the function domain"
-            )
-        w = float(term.weight(prefix))
-        if w != 0.0:
-            total += w * g(prefix.states[period - 1], code)
-    return total
-
-
-def moment_batch(plan: TreatmentPlan, period: int, data: PanelDataset, g: Fn) -> NDArray:
-    """Vectorized m_period(Z_i; g) over a dataset."""
-    _check_period(period, plan.num_periods)
+    if period > data.num_periods:
+        raise PlanError(f"data has {data.num_periods} periods, plan asks for {period}")
     s = data.states[period - 1]
-    out = np.zeros(data.n_units)
-    arity = getattr(g, "arity", None)
     bound = data.treatment_arities[period - 1] if arity is None else arity
+    expand = (slice(None),) + (None,) * len(width)  # a row weight scales a whole row
+    out = np.zeros((data.n_units, *width))
     for j, term in enumerate(plan.period_terms(period)):
         w = term.weights(data, period)
         d = term.targets(data, period)
-        if d.size and (d.min() < 0 or d.max() >= bound):
-            raise PlanError(
-                f"period {period}, term {j}: target code outside 0..{bound - 1}"
-            )
+        _check_codes(d, bound, f"period {period}, term {j}")
         live = w != 0.0
         if live.all():
-            out += w * g.batch(s, d)
+            out += w[expand] * batch(s, d)
         elif live.any():
-            vals = np.zeros(data.n_units)
-            vals[live] = g.batch(s[live], d[live])
-            out += w * vals
+            out[live] += w[live][expand] * batch(s[live], d[live])
     return out
+
+
+def moment_batch(plan: TreatmentPlan, period: int, data: PanelDataset, g: Fn) -> NDArray:
+    """Vectorized m_period(Z_i; g) = sum_k w_k(Z_i) * g(S_period, d_k(Z_i)); linear in g."""
+    return _term_sum(plan, period, data, g.batch, getattr(g, "arity", None))
+
+
+def evaluate_moment(plan: TreatmentPlan, period: int, z: Trajectory, g: Fn) -> float:
+    """m_period(z; g) for one trajectory: the one-row view of `moment_batch`."""
+    return float(moment_batch(plan, period, _one_row(z), g)[0])
+
+
+@dataclass(frozen=True)
+class MomentValue:
+    """Score of one trajectory with its plug-in/correction decomposition."""
+
+    value: float
+    plug_in: float
+    corrections: tuple[float, ...]
+
+
+def moment_scores(
+    data: PanelDataset, plan: TreatmentPlan, nuisances: NuisanceSet
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Vectorized scores: (values, plug-ins, corrections (M, n)).
+
+    The score is the plug-in m_1(Z; f_1) plus one correction per period,
+    a_t(S_t, T_t) * (u_t - f_t(S_t, T_t)), where the pseudo-outcome u_t is
+    m_{t+1}(Z; f_{t+1}), or Y at the horizon. Summation order is fixed
+    (plug-in first, then periods 1..M) so the decomposition is bit-reproducible.
+    """
+    m = plan.num_periods
+    if nuisances.num_periods != m:
+        raise ValidationError("nuisance set does not cover every period")
+    plug = moment_batch(plan, 1, data, nuisances.regressions[0])
+    corrections = np.zeros((m, data.n_units))
+    for t in range(1, m + 1):
+        a_vals = nuisances.representers[t - 1].batch(
+            data.states[t - 1], data.treatments[:, t - 1]
+        )
+        if t == m:
+            u = data.outcome
+        else:
+            u = moment_batch(plan, t + 1, data, nuisances.regressions[t])
+        f_vals = nuisances.regressions[t - 1].batch(
+            data.states[t - 1], data.treatments[:, t - 1]
+        )
+        corrections[t - 1] = a_vals * (u - f_vals)
+    values = plug.copy()
+    for t in range(m):
+        values += corrections[t]
+    return values, plug, corrections
+
+
+def orthogonal_moment(z: Trajectory, plan: TreatmentPlan, nuisances: NuisanceSet) -> MomentValue:
+    """m_M(z; f-bar, a-bar) with the correction ladder retained: the one-row view
+    of `moment_scores`."""
+    values, plug, corrections = moment_scores(_one_row(z), plan, nuisances)
+    return MomentValue(float(values[0]), float(plug[0]), tuple(float(c) for c in corrections[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -777,38 +827,79 @@ def write_panel_csv(data: PanelDataset, path: str) -> None:
         header.extend(f"s{t}_{j}" for j in range(1, d + 1))
     header.extend(f"t{t}" for t in range(1, data.num_periods + 1))
     header.append("y")
+    _write_csv(path, header, [*data.states, data.treatments, data.outcome])
+
+
+def _write_csv(path: str, header: list[str], blocks: Sequence[NDArray]) -> None:
+    """Rows made of the blocks' columns side by side: integer blocks as integers,
+    the rest in round-trip-exact decimal."""
+    blocks = [b.reshape(b.shape[0], -1) for b in blocks]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(data.n_units):
-            row: list[str] = []
-            for t in range(data.num_periods):
-                row.extend(_fmt(v) for v in data.states[t][i])
-            row.extend(str(int(c)) for c in data.treatments[i])
-            row.append(_fmt(data.outcome[i]))
-            w.writerow(row)
+        for i in range(blocks[0].shape[0]):
+            w.writerow([str(int(v)) if b.dtype.kind == "i" else _fmt(v) for b in blocks for v in b[i]])
+
+
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Stripped header names and data rows; every row must be as wide as the header."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    body = rows[1:]
+    if set(map(len, body)) - {len(header)}:
+        line, row = next((i, r) for i, r in enumerate(body, start=2) if len(r) != len(header))
+        raise ValidationError(
+            f"{path}: line {line} has {len(row)} fields, the header has {len(header)}"
+        )
+    return header, body
+
+
+def _parse_rows(path: str, header: list[str], body: list[list[str]], parse: Callable) -> tuple:
+    """Run the row parser `parse`; when a cell does not parse, raise ValidationError
+    naming its file, line and column. Treatment columns (named t...) hold
+    integers, every other column a number."""
+    try:
+        return parse()
+    except ValueError:
+        for line, row in enumerate(body, start=2):
+            for name, cell in zip(header, row):
+                kind = int if name.startswith("t") else float
+                try:
+                    kind(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: line {line}, column {name!r}: {cell!r} is not "
+                        + ("an integer" if kind is int else "a number")
+                    ) from None
+        raise
+
+
+_PANEL_COLUMN = re.compile(r"s(\d+)_(\d+)|t(\d+)|y")
 
 
 def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) -> PanelDataset:
     """Load the wide schema; arities default to max observed code + 1 per period."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header, body = _read_csv(path)
     state_cols: dict[int, list[tuple[int, int]]] = {}
     treat_cols: dict[int, int] = {}
     y_col = None
     for i, name in enumerate(header):
+        match = _PANEL_COLUMN.fullmatch(name)
+        if match is None:
+            raise ValidationError(f"{path}: unrecognized column {name!r}")
+        s_period, s_index, t_period = match.groups()
         if name == "y":
             y_col = i
-        elif name.startswith("s") and "_" in name:
-            t_part, j_part = name[1:].split("_", 1)
-            state_cols.setdefault(int(t_part), []).append((int(j_part), i))
-        elif name.startswith("t"):
-            treat_cols[int(name[1:])] = i
+        elif t_period is not None:
+            treat_cols[int(t_period)] = i
         else:
-            raise ValidationError(f"{path}: unrecognized column {name!r}")
+            state_cols.setdefault(int(s_period), []).append((int(s_index), i))
     if y_col is None:
         raise ValidationError(f"{path}: missing column y")
     m = max(treat_cols) if treat_cols else 0
@@ -817,15 +908,16 @@ def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) ->
             raise ValidationError(f"{path}: missing column t{t}")
         if t not in state_cols:
             raise ValidationError(f"{path}: missing columns s{t}_*")
-    body = rows[1:]
     if not body:
         raise ValidationError(f"{path}: no data rows")
     ordered = {t: [i for _, i in sorted(cols)] for t, cols in state_cols.items()}
-    states = tuple(
-        np.array([[float(r[c]) for c in ordered[t]] for r in body]) for t in range(1, m + 1)
-    )
-    treatments = np.array([[int(r[treat_cols[t]]) for t in range(1, m + 1)] for r in body])
-    outcome = np.array([float(r[y_col]) for r in body])
+    states, treatments, outcome = _parse_rows(path, header, body, lambda: (
+        tuple(
+            np.array([[float(r[c]) for c in ordered[t]] for r in body]) for t in range(1, m + 1)
+        ),
+        np.array([[int(r[treat_cols[t]]) for t in range(1, m + 1)] for r in body]),
+        np.array([float(r[y_col]) for r in body]),
+    ))
     if treatment_arities is None:
         treatment_arities = tuple(int(treatments[:, t].max()) + 1 for t in range(m))
     return PanelDataset(states, treatments, outcome, tuple(treatment_arities))

@@ -168,9 +168,16 @@ class EstimateReport:
         per_fold: list[dict],
         config: dict,
     ) -> "EstimateReport":
-        n = scores.shape[0]
         theta = float(scores.mean())
         sigma = float(np.sqrt(np.mean((scores - theta) ** 2)))
+        return cls._with_interval(theta, sigma, scores.shape[0], q_folds, seed, per_fold, config)
+
+    @classmethod
+    def _with_interval(
+        cls, theta: float, sigma: float, n: int, q_folds: int, seed: int,
+        per_fold: list[dict], config: dict, **sample_sizes: int,
+    ) -> "EstimateReport":
+        """Report carrying the conventional interval theta +- 1.96 sigma / sqrt(n)."""
         half = Z_95 * sigma / math.sqrt(n)
         return cls(
             theta_hat=theta,
@@ -182,22 +189,27 @@ class EstimateReport:
             seed=seed,
             per_fold=per_fold,
             config=config,
+            **sample_sizes,
         )
 
 
-def _config_echo(cfg: FitConfig, clever: bool) -> dict:
-    maps = []
-    for fm in cfg.feature_maps:
-        entry = {"kind": type(fm).__name__, "dim": fm.dim, "arity": fm.arity}
-        maps.append(entry)
-    ridge = cfg.ridge if not isinstance(cfg.ridge, tuple) else list(cfg.ridge)
+def _config_echo(cfg: FitConfig, **extra) -> dict:
+    """The estimator settings a report echoes, plus estimator-specific entries."""
     return {
-        "feature_maps": maps,
-        "ridge": ridge,
-        "ridge_default": "1e-3 * n^-0.5 * trace-normalized" if cfg.ridge is None else None,
+        "feature_maps": [
+            {"kind": type(fm).__name__, "dim": fm.dim, "arity": fm.arity}
+            for fm in cfg.feature_maps
+        ],
+        "ridge": cfg.ridge if not isinstance(cfg.ridge, tuple) else list(cfg.ridge),
         "clip": cfg.clip,
-        "clever_covariate": clever,
+        **extra,
     }
+
+
+def _check_fold_scores(q: int, *scores: NDArray) -> None:
+    """Held-out scores must be finite; a blow-up is a numerical failure of fold q."""
+    if not all(np.isfinite(s).all() for s in scores):
+        raise SolverError(f"fold {q}: non-finite held-out scores")
 
 
 def dml_estimate(
@@ -227,9 +239,10 @@ def dml_estimate(
             try:
                 regs, reps = fit_nuisances(train, plan, cfg, clever=clever)
             except (SolverError, ValidationError) as exc:
-                raise SolverError(f"fold {q}: {exc}") from exc
+                raise type(exc)(f"fold {q}: {exc}") from exc
             bundle = NuisanceSet(regressions=tuple(regs), representers=tuple(reps))
         vals, _, corrections = moment_scores(data.subset(idx), plan, bundle)
+        _check_fold_scores(q, vals)
         scores[idx] = vals
         fold_info = {
             "fold": q,
@@ -243,9 +256,12 @@ def dml_estimate(
             _, _, train_corr = moment_scores(train, plan, bundle)
             fold_info["clever_correction_means"] = [float(c.mean()) for c in train_corr]
         per_fold.append(fold_info)
-    return EstimateReport.from_scores(
-        scores, q_folds, seed, per_fold, _config_echo(cfg, clever)
+    config = _config_echo(
+        cfg,
+        ridge_default="1e-3 * n^-0.5 * trace-normalized" if cfg.ridge is None else None,
+        clever_covariate=clever,
     )
+    return EstimateReport.from_scores(scores, q_folds, seed, per_fold, config)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +339,9 @@ def mc_experiment(
     """Run `reps` independent seed-mixed replicates of dml_estimate.
 
     Replicate r simulates with mix_seed(seed, r) and folds with a further
-    derived seed, so results are identical for any jobs count; failures are
-    flagged rows excluded from the coverage summary, never aborts.
+    derived seed, so results are identical for any jobs count. Numerical
+    failures (SolverError, PositivityError) are flagged rows excluded from the
+    coverage summary; invalid inputs (ValidationError) abort the experiment.
     """
     if reps < 1:
         raise ValidationError("need at least one replicate")
@@ -336,7 +353,7 @@ def mc_experiment(
         try:
             data = simulate(dgp, n, rep_seed)
             report = dml_estimate(data, plan, cfg, q_folds, mix_seed(rep_seed, 1), clever=clever)
-        except (SolverError, PositivityError, ValidationError) as exc:
+        except (SolverError, PositivityError) as exc:
             return MCRow(rep=r, failed=1, message=str(exc))
         covered = int(report.ci_lower <= theta_true <= report.ci_upper)
         return MCRow(

@@ -1,12 +1,12 @@
-"""The debiased moment and its diagnostic machinery.
+"""Diagnostics of the debiased moment.
 
-The per-trajectory score is the plug-in evaluation of the period-1 moment
-plus one correction per period: the representer times the residual of the
-regression against its pseudo-outcome (the next period's moment, or Y at the
-horizon). Summation order is fixed (plug-in first, then periods 1..M) so
-the decomposition identity is bit-reproducible. Diagnostics evaluate the
-score's population expectation exactly on enumerable processes: mixed-bias
-equality, numerical orthogonality slopes, double-robustness probes.
+The per-trajectory score lives in `core` and is re-exported here.
+`moment_scores` is its one implementation: the scalar form
+`orthogonal_moment` is its one-row view, and the population form
+`oracle.population_moment` is its probability-weighted mean over the
+enumerated path table. Diagnostics evaluate the score's population expectation exactly on
+enumerable processes: mixed-bias equality, numerical orthogonality slopes,
+double-robustness probes.
 """
 
 from __future__ import annotations
@@ -20,72 +20,15 @@ from numpy.typing import NDArray
 
 from .core import (
     Fn,
+    MomentValue,
     NuisanceSet,
     PanelDataset,
-    Trajectory,
     TreatmentPlan,
     ValidationError,
-    evaluate_moment,
-    moment_batch,
+    moment_scores,
+    orthogonal_moment,
 )
 from .oracle import DiscreteDGP, oracle_nuisances, oracle_theta, population_moment
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    """Score of one trajectory with its plug-in/correction decomposition."""
-
-    value: float
-    plug_in: float
-    corrections: tuple[float, ...]
-
-
-def orthogonal_moment(z: Trajectory, plan: TreatmentPlan, nuisances: NuisanceSet) -> MomentValue:
-    """m_M(z; f-bar, a-bar) with the correction ladder retained."""
-    m = plan.num_periods
-    if nuisances.num_periods != m:
-        raise ValidationError("nuisance set does not cover every period")
-    plug = evaluate_moment(plan, 1, z, nuisances.regressions[0])
-    corrections: list[float] = []
-    for t in range(1, m + 1):
-        a_val = nuisances.representers[t - 1](z.states[t - 1], z.treatments[t - 1])
-        if t == m:
-            u = z.outcome
-        else:
-            u = evaluate_moment(plan, t + 1, z, nuisances.regressions[t])
-        f_val = nuisances.regressions[t - 1](z.states[t - 1], z.treatments[t - 1])
-        corrections.append(a_val * (u - f_val))
-    value = plug
-    for c in corrections:
-        value += c
-    return MomentValue(value=value, plug_in=plug, corrections=tuple(corrections))
-
-
-def moment_scores(
-    data: PanelDataset, plan: TreatmentPlan, nuisances: NuisanceSet
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Vectorized scores: (values, plug-ins, corrections (M, n))."""
-    m = plan.num_periods
-    if nuisances.num_periods != m:
-        raise ValidationError("nuisance set does not cover every period")
-    plug = moment_batch(plan, 1, data, nuisances.regressions[0])
-    corrections = np.zeros((m, data.n_units))
-    for t in range(1, m + 1):
-        a_vals = nuisances.representers[t - 1].batch(
-            data.states[t - 1], data.treatments[:, t - 1]
-        )
-        if t == m:
-            u = data.outcome
-        else:
-            u = moment_batch(plan, t + 1, data, nuisances.regressions[t])
-        f_vals = nuisances.regressions[t - 1].batch(
-            data.states[t - 1], data.treatments[:, t - 1]
-        )
-        corrections[t - 1] = a_vals * (u - f_vals)
-    values = plug.copy()
-    for t in range(m):
-        values += corrections[t]
-    return values, plug, corrections
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +59,6 @@ class CombinedFn:
 
     def __call__(self, state: NDArray, code: int) -> float:
         return float(self.batch(np.atleast_2d(state), np.array([code]))[0])
-
-
-@dataclass(frozen=True)
-class ZeroFn:
-    arity: None = None
-
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        return np.zeros(np.atleast_2d(states).shape[0])
-
-    def __call__(self, state: NDArray, code: int) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -179,26 +111,15 @@ def mixed_bias(
 ) -> tuple[float, float]:
     """(direct, formula): the population bias of `alt` against `truth`, and
     the exact second-order expansion sum_t E[a-diff_t * (next-moment diff -
-    f-diff_t)]; the horizon's next-moment difference is 0 because f_{M+1} is
-    pinned at Y on both sides."""
+    f-diff_t)]: the summed corrections of `moment_scores` with the difference
+    nuisances on the path table with a zero outcome, because the horizon's
+    next-moment difference is 0 (f_{M+1} is pinned at Y on both sides)."""
     direct = population_moment(dgp, plan, alt) - population_moment(dgp, plan, truth)
-    diff = nuisance_difference(alt, truth)
     paths = dgp.paths()
-    m = dgp.num_periods
-    formula = 0.0
-    for t in range(1, m + 1):
-        a_vals = diff.representers[t - 1].batch(
-            paths.data.states[t - 1], paths.treatments[:, t - 1]
-        )
-        if t == m:
-            u = np.zeros(paths.prob.shape[0])
-        else:
-            u = moment_batch(plan, t + 1, paths.data, diff.regressions[t])
-        f_vals = diff.regressions[t - 1].batch(
-            paths.data.states[t - 1], paths.treatments[:, t - 1]
-        )
-        formula += float(paths.prob @ (a_vals * (u - f_vals)))
-    return direct, formula
+    d = paths.data
+    zero_outcome = PanelDataset(d.states, d.treatments, np.zeros(d.n_units), d.treatment_arities)
+    _, _, corrections = moment_scores(zero_outcome, plan, nuisance_difference(alt, truth))
+    return direct, sum(float(paths.prob @ c) for c in corrections)
 
 
 _BIAS_FLOOR = 1e-13

@@ -12,7 +12,7 @@ form, so acceptance tests see no optimizer noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,6 +26,7 @@ from .core import (
     SolverError,
     TreatmentPlan,
     ValidationError,
+    _term_sum,
     moment_batch,
 )
 
@@ -103,12 +104,58 @@ def _solve_spd(a: NDArray, b: NDArray, lam: float) -> NDArray:
     return np.linalg.solve(chol.T, z)
 
 
-def _stage_matrices(
-    data: PanelDataset, cfg: FitConfig, period: int
-) -> tuple[FeatureMap, NDArray]:
-    phi = cfg.feature_maps[period - 1]
-    x = phi.batch(data.states[period - 1], data.treatments[:, period - 1])
-    return phi, x
+def _ridge_stage(x: NDArray, cfg: FitConfig, period: int) -> Callable[..., NDArray]:
+    """One penalized quadratic stage over design x: returns solve(rhs, where,
+    border=None) for (G + lam I) beta = rhs, with the normalized Gram G = X'X/n
+    formed once and lam resolved from it by cfg.stage_ridge. A border
+    (X'c/n, c'c/n) appends one unpenalized design column c, and `rhs` then ends
+    with its entry. The design itself is not retained."""
+    n = x.shape[0]
+    gram = x.T @ x / n
+    lam = cfg.stage_ridge(period, gram, n)
+
+    def solve(
+        rhs: NDArray, where: str, border: tuple[NDArray, float] | None = None
+    ) -> NDArray:
+        a = gram + lam * np.eye(gram.shape[0])
+        if border is not None:
+            cross, corner = border[0][:, None], np.array([[border[1]]])
+            a = np.block([[a, cross], [cross.T, corner]])
+        try:
+            return _solve_spd(a, rhs, lam)
+        except SolverError as exc:
+            raise SolverError(f"{where}: {exc}") from exc
+
+    return solve
+
+
+def _backward_pass(
+    data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, representers: Sequence[Fn] | None
+) -> list[LinearFn]:
+    """Regress t = M..1 the pseudo-outcome (Y at the horizon, else the next
+    period's moment at the already-fitted regression) on phi_t(S_t, T_t); with
+    `representers`, each period's representer joins the design unpenalized."""
+    m = data.num_periods
+    n = data.n_units
+    fitted: list[LinearFn | None] = [None] * m
+    for t in range(m, 0, -1):
+        phi = cfg.feature_maps[t - 1]
+        x = phi.batch(data.states[t - 1], data.treatments[:, t - 1])
+        u = data.outcome if t == m else moment_batch(plan, t + 1, data, fitted[t])
+        solve = _ridge_stage(x, cfg, t)
+        rhs = x.T @ u / n
+        if representers is None:
+            fitted[t - 1] = LinearFn(phi, solve(rhs, f"period {t}"))
+            continue
+        a_vals = representers[t - 1].batch(data.states[t - 1], data.treatments[:, t - 1])
+        if np.any(a_vals):
+            border = (x.T @ a_vals / n, a_vals @ a_vals / n)
+            beta = solve(np.append(rhs, a_vals @ u / n), f"period {t}", border)
+        else:
+            # Degenerate clever column: keep the plain fit, coefficient 0.
+            beta = np.append(solve(rhs, f"period {t}"), 0.0)
+        fitted[t - 1] = LinearFn(ExtendedFeatures(phi, representers[t - 1]), beta)
+    return fitted  # type: ignore[return-value]
 
 
 def fit_nested_regressions(
@@ -117,22 +164,7 @@ def fit_nested_regressions(
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
     _check_setup(data, plan, cfg)
-    m = data.num_periods
-    n = data.n_units
-    fitted: list[LinearFn | None] = [None] * m
-    for t in range(m, 0, -1):
-        phi, x = _stage_matrices(data, cfg, t)
-        if t == m:
-            u = data.outcome
-        else:
-            u = moment_batch(plan, t + 1, data, fitted[t])
-        lam = cfg.stage_ridge(t, x.T @ x / n, n)
-        try:
-            beta = fit_ridge(x, u, lam * n)
-        except SolverError as exc:
-            raise SolverError(f"period {t}: {exc}") from exc
-        fitted[t - 1] = LinearFn(phi, beta)
-    return fitted  # type: ignore[return-value]
+    return _backward_pass(data, plan, cfg, None)
 
 
 def riesz_loss(
@@ -141,13 +173,20 @@ def riesz_loss(
     """Empirical representer loss
     E_n[a(S_t, T_t)^2 - 2 prev(S_{t-1}, T_{t-1}) m_t(Z; a)]; prev is the
     previous period's representer, or the constant 1 when t == 1."""
+    return float(np.mean(_riesz_loss_rows(candidate, data, plan, period, prev)))
+
+
+def _riesz_loss_rows(
+    candidate: Fn, data: PanelDataset, plan: TreatmentPlan, period: int, prev: Fn | None
+) -> NDArray:
+    """Per-row representer loss a(S_t, T_t)^2 - 2 prev(S_{t-1}, T_{t-1}) m_t(Z; a)."""
     a_obs = candidate.batch(data.states[period - 1], data.treatments[:, period - 1])
-    prev_vals = _prev_values(data, period, prev)
     m_vals = moment_batch(plan, period, data, candidate)
-    return float(np.mean(a_obs**2 - 2.0 * prev_vals * m_vals))
+    return a_obs**2 - 2.0 * _prev_values(data, period, prev) * m_vals
 
 
 def _prev_values(data: PanelDataset, period: int, prev: Fn | None) -> NDArray:
+    """prev(S_{t-1}, T_{t-1}) per row, or the constant 1 when t == 1."""
     if period == 1 or prev is None:
         if period > 1:
             raise ValidationError("periods after the first need the previous representer")
@@ -155,47 +194,24 @@ def _prev_values(data: PanelDataset, period: int, prev: Fn | None) -> NDArray:
     return prev.batch(data.states[period - 2], data.treatments[:, period - 2])
 
 
-def _moment_feature_combination(
-    data: PanelDataset, plan: TreatmentPlan, period: int, phi: FeatureMap
-) -> NDArray:
-    """Phi_t(Z_i) = sum_k w_k(Z_i) phi_t(S_t, d_k(Z_i)): the feature image of the
-    period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
-    s = data.states[period - 1]
-    out = np.zeros((data.n_units, phi.dim))
-    for term in plan.period_terms(period):
-        w = term.weights(data, period)
-        d = term.targets(data, period)
-        live = w != 0.0
-        if live.all():
-            out += w[:, None] * phi.batch(s, d)
-        elif live.any():
-            out[live] += w[live, None] * phi.batch(s[live], d[live])
-    return out
-
-
 def fit_recursive_riesz(
     data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig
 ) -> list[LinearFn]:
     """Forward pass t = 1..M: minimize the penalized representer loss in
-    closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)]."""
+    closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)], where
+    Phi_t(Z) = sum_k w_k(Z) phi_t(S_t, d_k(Z)) is the feature image of the
+    period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
     _check_setup(data, plan, cfg)
-    m = data.num_periods
-    n = data.n_units
     fitted: list[LinearFn] = []
-    prev_vals = np.ones(n)
-    for t in range(1, m + 1):
-        phi, x = _stage_matrices(data, cfg, t)
-        gram = x.T @ x / n
-        combo = _moment_feature_combination(data, plan, t, phi)
+    prev_vals = np.ones(data.n_units)
+    for t in range(1, data.num_periods + 1):
+        phi = cfg.feature_maps[t - 1]
+        x = phi.batch(data.states[t - 1], data.treatments[:, t - 1])
+        combo = _term_sum(plan, t, data, phi.batch, phi.arity, (phi.dim,))
         rhs = (combo * prev_vals[:, None]).mean(axis=0)
-        lam = cfg.stage_ridge(t, gram, n)
-        try:
-            beta = _solve_spd(gram + lam * np.eye(phi.dim), rhs, lam)
-        except SolverError as exc:
-            raise SolverError(f"period {t}: {exc}") from exc
-        a_t = LinearFn(phi, beta, clip=cfg.clip)
+        a_t = LinearFn(phi, _ridge_stage(x, cfg, t)(rhs, f"period {t}"), clip=cfg.clip)
         fitted.append(a_t)
-        prev_vals = a_t.batch(data.states[t - 1], data.treatments[:, t - 1])
+        prev_vals = a_t.at_features(x)
     return fitted
 
 
@@ -210,31 +226,9 @@ def fit_clever_covariate(
     empirical mean zero by the normal equations and plug-in estimation
     already equals the debiased estimate."""
     _check_setup(data, plan, cfg)
-    m = data.num_periods
-    if len(representers) != m:
+    if len(representers) != data.num_periods:
         raise ValidationError("need one representer per period")
-    n = data.n_units
-    fitted: list[LinearFn | None] = [None] * m
-    for t in range(m, 0, -1):
-        phi, x = _stage_matrices(data, cfg, t)
-        a_vals = representers[t - 1].batch(data.states[t - 1], data.treatments[:, t - 1])
-        if t == m:
-            u = data.outcome
-        else:
-            u = moment_batch(plan, t + 1, data, fitted[t])
-        lam = cfg.stage_ridge(t, x.T @ x / n, n)
-        try:
-            if not np.any(a_vals):
-                # Degenerate clever column: keep the plain fit, coefficient 0.
-                beta = np.append(fit_ridge(x, u, lam * n), 0.0)
-            else:
-                design = np.hstack([x, a_vals[:, None]])
-                penalty = np.diag(np.append(np.full(phi.dim, lam * n), 0.0))
-                beta = _solve_spd(design.T @ design + penalty, design.T @ u, lam)
-        except SolverError as exc:
-            raise SolverError(f"period {t}: {exc}") from exc
-        fitted[t - 1] = LinearFn(ExtendedFeatures(phi, representers[t - 1]), beta)
-    return fitted  # type: ignore[return-value]
+    return _backward_pass(data, plan, cfg, representers)
 
 
 def fit_nuisances(

@@ -4,7 +4,11 @@ States live on small integer grids embedded in R^1, so every population
 quantity (the target, the nested regressions, the Riesz representers, the
 orthogonal moment's expectation) can be computed exactly by enumerating the
 joint law of (S_1, T_1, ..., S_M, T_M). Outcome noise is Gaussian and
-integrates out of every oracle.
+integrates out of every oracle. The population forms reuse the sample code on
+the enumerated path table, whose outcome is each path's mean: the moment's
+expectation `population_moment` is the probability-weighted mean of
+`moment_scores`, and `population_riesz_loss` weights the per-row loss of
+`riesz_loss`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from .core import (
     TreatmentPlan,
     ValidationError,
     moment_batch,
+    moment_scores,
     tabular_fn,
 )
+from .nuisance import _prev_values, _riesz_loss_rows
 
 _ROW_SUM_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
@@ -256,10 +262,8 @@ def oracle_nested_regressions(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDA
     for t in range(m - 1, 0, -1):
         vals = moment_batch(plan, t + 1, paths.data, tabular_fn(tables[t]))
         num = np.zeros((dgp.state_arities[t - 1], dgp.treatment_arities[t - 1]))
-        den = np.zeros_like(num)
-        cells = (paths.states[:, t - 1], paths.treatments[:, t - 1])
-        np.add.at(num, cells, paths.prob * vals)
-        np.add.at(den, cells, paths.prob)
+        np.add.at(num, (paths.states[:, t - 1], paths.treatments[:, t - 1]), paths.prob * vals)
+        den = paths.cell_mass(t, *num.shape)
         with np.errstate(invalid="ignore", divide="ignore"):
             tbl = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
         tables[t - 1] = tbl
@@ -319,16 +323,16 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
     _check_plan(dgp, plan)
     paths = dgp.paths()
     g_s, k_s = dgp.state_arities[period - 1], dgp.treatment_arities[period - 1]
-    if period == 1:
-        prev_vals = np.ones(paths.prob.shape[0])
-    else:
-        prev_vals = prev.batch(paths.data.states[period - 2], paths.treatments[:, period - 2])
+    prev_vals = _prev_values(paths.data, period, prev)
     num = np.zeros((g_s, k_s))
+    targeted = np.zeros((g_s, k_s), dtype=bool)
     s_col = paths.states[:, period - 1]
-    for j, term in enumerate(plan.period_terms(period)):
+    for term in plan.period_terms(period):
         w = term.weights(paths.data, period)
         d = term.targets(paths.data, period)
         np.add.at(num, (s_col, d), paths.prob * prev_vals * w)
+        live = w != 0.0
+        targeted[s_col[live], d[live]] = True
     den = paths.cell_mass(period, g_s, k_s)
     table = np.zeros((g_s, k_s))
     zero_mass: list[tuple[int, int]] = []
@@ -341,7 +345,7 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
                     f"positivity violation at period {period}, state {s}: targeted treatment "
                     f"{k} has zero probability"
                 )
-            elif num[s, k] != 0.0 or _cell_targeted(paths, plan, period, s, k):
+            elif targeted[s, k]:
                 zero_mass.append((s, k))
     if zero_mass:
         warnings.warn(
@@ -350,15 +354,6 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
             stacklevel=2,
         )
     return table
-
-
-def _cell_targeted(paths: PathLaw, plan: TreatmentPlan, period: int, s: int, k: int) -> bool:
-    for term in plan.period_terms(period):
-        d = term.targets(paths.data, period)
-        w = term.weights(paths.data, period)
-        if np.any((paths.states[:, period - 1] == s) & (d == k) & (w != 0.0)):
-            return True
-    return False
 
 
 def oracle_riesz(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDArray]:
@@ -385,10 +380,7 @@ def _riesz_fixed_step(dgp: DiscreteDGP, tau: int, period: int, prev: Fn | None) 
     g_s, k_s = dgp.state_arities[period - 1], dgp.treatment_arities[period - 1]
     if tau >= k_s:
         raise ValidationError(f"plan targets code {tau} outside 0..{k_s - 1} in period {period}")
-    if period == 1:
-        prev_vals = np.ones(paths.prob.shape[0])
-    else:
-        prev_vals = prev.batch(paths.data.states[period - 2], paths.treatments[:, period - 2])
+    prev_vals = _prev_values(paths.data, period, prev)
     s_col = paths.states[:, period - 1]
     num = np.zeros(g_s)
     mass = np.zeros(g_s)
@@ -409,26 +401,11 @@ def _riesz_fixed_step(dgp: DiscreteDGP, tau: int, period: int, prev: Fn | None) 
 
 
 def population_moment(dgp: DiscreteDGP, plan: TreatmentPlan, nuisances: NuisanceSet) -> float:
-    """Exact E[m_M(Z; f-bar, a-bar)] under the enumerated law (noise integrates out)."""
+    """Exact E[m_M(Z; f-bar, a-bar)] under the enumerated law: the probability-
+    weighted `moment_scores` of the path table (noise integrates out)."""
     _check_plan(dgp, plan)
-    if nuisances.num_periods != dgp.num_periods:
-        raise ValidationError("nuisance set does not cover every period")
     paths = dgp.paths()
-    m = dgp.num_periods
-    total = moment_batch(plan, 1, paths.data, nuisances.regressions[0])
-    for t in range(1, m + 1):
-        a_vals = nuisances.representers[t - 1].batch(
-            paths.data.states[t - 1], paths.treatments[:, t - 1]
-        )
-        if t == m:
-            u = paths.mu
-        else:
-            u = moment_batch(plan, t + 1, paths.data, nuisances.regressions[t])
-        f_vals = nuisances.regressions[t - 1].batch(
-            paths.data.states[t - 1], paths.treatments[:, t - 1]
-        )
-        total = total + a_vals * (u - f_vals)
-    return float(paths.prob @ total)
+    return float(paths.prob @ moment_scores(paths.data, plan, nuisances)[0])
 
 
 def oracle_nuisances(dgp: DiscreteDGP, plan: TreatmentPlan) -> NuisanceSet:
@@ -448,13 +425,7 @@ def population_riesz_loss(
     E[a(S_t,T_t)^2 - 2 prev(S_{t-1},T_{t-1}) m_t(Z; a)]."""
     _check_plan(dgp, plan)
     paths = dgp.paths()
-    a_obs = candidate.batch(paths.data.states[period - 1], paths.treatments[:, period - 1])
-    if period == 1:
-        prev_vals = np.ones(paths.prob.shape[0])
-    else:
-        prev_vals = prev.batch(paths.data.states[period - 2], paths.treatments[:, period - 2])
-    m_vals = moment_batch(plan, period, paths.data, candidate)
-    return float(paths.prob @ (a_obs**2 - 2.0 * prev_vals * m_vals))
+    return float(paths.prob @ _riesz_loss_rows(candidate, paths.data, plan, period, prev))
 
 
 def population_l2(dgp: DiscreteDGP, period: int, fn_a: Fn, fn_b: Fn | None = None) -> float:

@@ -13,16 +13,25 @@ sample.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import Fn, LinearFn, SolverError, ValidationError
-from .inference import EstimateReport, Z_95, make_folds
-from .nuisance import FitConfig, _solve_spd, fit_ridge
+from .core import (
+    Fn,
+    LinearFn,
+    SolverError,
+    ValidationError,
+    _check_finite,
+    _parse_rows,
+    _read_csv,
+    _write_csv,
+)
+from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
+from .nuisance import FitConfig, _ridge_stage
 from .oracle import mix_seed
 
 _DUMMY_CODE = 0  # h and a2 are functions of (S, X) only; arity-1 treatment slot
@@ -56,6 +65,11 @@ class SurrogatePair:
             raise ValidationError("treatment must be binary codes 0/1")
         if self.long_y.shape != (self.n_long,):
             raise ValidationError("long outcome must be one value per record")
+        _check_finite(self.short_x, lambda j: f"short sample x_{j + 1}")
+        _check_finite(self.short_s, lambda j: f"short sample s_{j + 1}")
+        _check_finite(self.long_x, lambda j: f"long sample x_{j + 1}")
+        _check_finite(self.long_s, lambda j: f"long sample s_{j + 1}")
+        _check_finite(self.long_y, lambda j: "long sample y")
 
     @property
     def n_short(self) -> int:
@@ -116,43 +130,28 @@ def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
     _check_cfg(cfg)
     phi_tx, phi_sx = cfg.feature_maps
     n_s, n_l = data.n_short, data.n_long
-    dummy_l = np.zeros(n_l, dtype=np.int64)
     dummy_s = np.zeros(n_s, dtype=np.int64)
 
-    x_sx_long = phi_sx.batch(data.long_sx, dummy_l)
-    lam_h = cfg.stage_ridge(2, x_sx_long.T @ x_sx_long / n_l, n_l)
-    try:
-        h = LinearFn(phi_sx, fit_ridge(x_sx_long, data.long_y, lam_h * n_l))
-    except SolverError as exc:
-        raise SolverError(f"h (long-sample regression): {exc}") from exc
+    x_sx_long = phi_sx.batch(data.long_sx, np.zeros(n_l, dtype=np.int64))
+    solve_sx = _ridge_stage(x_sx_long, cfg, 2)
+    h = LinearFn(
+        phi_sx, solve_sx(x_sx_long.T @ data.long_y / n_l, "h (long-sample regression)")
+    )
 
-    h_short = h.batch(data.short_sx, dummy_s)
     x_tx = phi_tx.batch(data.short_x, data.short_t)
-    lam_g = cfg.stage_ridge(1, x_tx.T @ x_tx / n_s, n_s)
-    try:
-        g = LinearFn(phi_tx, fit_ridge(x_tx, h_short, lam_g * n_s))
-    except SolverError as exc:
-        raise SolverError(f"g (short-sample projection): {exc}") from exc
-
-    gram_tx = x_tx.T @ x_tx / n_s
+    solve_tx = _ridge_stage(x_tx, cfg, 1)
     rhs_a1 = (
         phi_tx.batch(data.short_x, np.ones(n_s, dtype=np.int64))
-        - phi_tx.batch(data.short_x, np.zeros(n_s, dtype=np.int64))
+        - phi_tx.batch(data.short_x, dummy_s)
     ).mean(axis=0)
-    try:
-        beta1 = _solve_spd(gram_tx + lam_g * np.eye(phi_tx.dim), rhs_a1, lam_g)
-    except SolverError as exc:
-        raise SolverError(f"a1 (treatment representer): {exc}") from exc
-    a1 = LinearFn(phi_tx, beta1, clip=cfg.clip)
+    a1 = LinearFn(phi_tx, solve_tx(rhs_a1, "a1 (treatment representer)"), clip=cfg.clip)
 
-    gram_sx = x_sx_long.T @ x_sx_long / n_l
-    a1_short = a1.batch(data.short_x, data.short_t)
-    rhs_a2 = (a1_short[:, None] * phi_sx.batch(data.short_sx, dummy_s)).mean(axis=0)
-    try:
-        beta2 = _solve_spd(gram_sx + lam_h * np.eye(phi_sx.dim), rhs_a2, lam_h)
-    except SolverError as exc:
-        raise SolverError(f"a2 (surrogate score): {exc}") from exc
-    a2 = LinearFn(phi_sx, beta2, clip=cfg.clip)
+    x_sx_short = phi_sx.batch(data.short_sx, dummy_s)
+    h_short = h.at_features(x_sx_short)
+    g = LinearFn(phi_tx, solve_tx(x_tx.T @ h_short / n_s, "g (short-sample projection)"))
+
+    rhs_a2 = (a1.at_features(x_tx)[:, None] * x_sx_short).mean(axis=0)
+    a2 = LinearFn(phi_sx, solve_sx(rhs_a2, "a2 (surrogate score)"), clip=cfg.clip)
 
     return SurrogateNuisances(h=h, g=g, a1=a1, a2=a2)
 
@@ -198,9 +197,10 @@ def surrogate_estimate(
         try:
             nus = surrogate_fit(train, cfg)
         except (SolverError, ValidationError) as exc:
-            raise SolverError(f"fold {q}: {exc}") from exc
+            raise type(exc)(f"fold {q}: {exc}") from exc
         hold = data.subset(folds_s.folds[q], folds_l.folds[q])
         s_term, l_term = surrogate_scores(hold, nus)
+        _check_fold_scores(q, s_term, l_term)
         short_scores[folds_s.folds[q]] = s_term
         long_scores[folds_l.folds[q]] = l_term
         per_fold.append(
@@ -216,28 +216,12 @@ def surrogate_estimate(
     v_short = float(np.mean((short_scores - short_scores.mean()) ** 2))
     v_long = float(np.mean((long_scores - long_scores.mean()) ** 2))
     sigma = math.sqrt(v_short + v_long * data.n_short / data.n_long)
-    half = Z_95 * sigma / math.sqrt(data.n_short)
-    config = {
-        "feature_maps": [
-            {"kind": type(fm).__name__, "dim": fm.dim, "arity": fm.arity}
-            for fm in cfg.feature_maps
-        ],
-        "ridge": cfg.ridge if not isinstance(cfg.ridge, tuple) else list(cfg.ridge),
-        "clip": cfg.clip,
-        "variance_convention": "sigma^2 = V_short + V_long * n_short/n_long; n = n_short",
-    }
-    return EstimateReport(
-        theta_hat=theta,
-        sigma_hat=sigma,
-        ci_lower=theta - half,
-        ci_upper=theta + half,
-        n=data.n_short,
-        Q=q_folds,
-        seed=seed,
-        per_fold=per_fold,
-        config=config,
-        n_short=data.n_short,
-        n_long=data.n_long,
+    config = _config_echo(
+        cfg, variance_convention="sigma^2 = V_short + V_long * n_short/n_long; n = n_short"
+    )
+    return EstimateReport._with_interval(
+        theta, sigma, data.n_short, q_folds, seed, per_fold, config,
+        n_short=data.n_short, n_long=data.n_long,
     )
 
 
@@ -246,73 +230,51 @@ def surrogate_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_surrogate_csvs(data: SurrogatePair, short_path: str, long_path: str) -> None:
     p, q = data.short_x.shape[1], data.short_s.shape[1]
-    with open(short_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x_{j}" for j in range(1, p + 1)] + ["t"] + [f"s_{j}" for j in range(1, q + 1)])
-        for i in range(data.n_short):
-            w.writerow(
-                [_fmt(v) for v in data.short_x[i]]
-                + [str(int(data.short_t[i]))]
-                + [_fmt(v) for v in data.short_s[i]]
-            )
-    with open(long_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [f"x_{j}" for j in range(1, p + 1)]
-            + [f"s_{j}" for j in range(1, q + 1)]
-            + ["y"]
-        )
-        for i in range(data.n_long):
-            w.writerow(
-                [_fmt(v) for v in data.long_x[i]]
-                + [_fmt(v) for v in data.long_s[i]]
-                + [_fmt(data.long_y[i])]
-            )
+    xs, ss = [f"x_{j}" for j in range(1, p + 1)], [f"s_{j}" for j in range(1, q + 1)]
+    _write_csv(short_path, xs + ["t"] + ss, [data.short_x, data.short_t, data.short_s])
+    _write_csv(long_path, xs + ss + ["y"], [data.long_x, data.long_s, data.long_y])
+
+
+_SURROGATE_COLUMN = re.compile(r"([xs])_(\d+)|t|y")
 
 
 def _split_columns(header: list[str], path: str) -> tuple[list[int], list[int], int | None, int | None]:
-    x_cols: list[tuple[int, int]] = []
-    s_cols: list[tuple[int, int]] = []
+    cols: dict[str, list[tuple[int, int]]] = {"x": [], "s": []}
     t_col = y_col = None
-    for i, name in enumerate(h.strip() for h in header):
-        if name.startswith("x_"):
-            x_cols.append((int(name[2:]), i))
-        elif name.startswith("s_"):
-            s_cols.append((int(name[2:]), i))
-        elif name == "t":
+    for i, name in enumerate(header):
+        match = _SURROGATE_COLUMN.fullmatch(name)
+        if match is None:
+            raise ValidationError(f"{path}: unrecognized column {name!r}")
+        if name == "t":
             t_col = i
         elif name == "y":
             y_col = i
         else:
-            raise ValidationError(f"{path}: unrecognized column {name!r}")
-    return [i for _, i in sorted(x_cols)], [i for _, i in sorted(s_cols)], t_col, y_col
+            cols[match.group(1)].append((int(match.group(2)), i))
+    return [i for _, i in sorted(cols["x"])], [i for _, i in sorted(cols["s"])], t_col, y_col
 
 
 def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
-    with open(short_path, newline="") as fh:
-        short_rows = list(csv.reader(fh))
-    with open(long_path, newline="") as fh:
-        long_rows = list(csv.reader(fh))
-    if len(short_rows) < 2 or len(long_rows) < 2:
+    short_header, sb = _read_csv(short_path)
+    long_header, lb = _read_csv(long_path)
+    if not sb or not lb:
         raise ValidationError("surrogate samples must be nonempty")
-    xs, ss, t_col, _ = _split_columns(short_rows[0], short_path)
+    xs, ss, t_col, _ = _split_columns(short_header, short_path)
     if t_col is None:
         raise ValidationError(f"{short_path}: missing column t")
-    xl, sl, _, y_col = _split_columns(long_rows[0], long_path)
+    xl, sl, _, y_col = _split_columns(long_header, long_path)
     if y_col is None:
         raise ValidationError(f"{long_path}: missing column y")
-    sb, lb = short_rows[1:], long_rows[1:]
-    return SurrogatePair(
-        short_x=np.array([[float(r[c]) for c in xs] for r in sb]),
-        short_t=np.array([int(r[t_col]) for r in sb]),
-        short_s=np.array([[float(r[c]) for c in ss] for r in sb]),
-        long_x=np.array([[float(r[c]) for c in xl] for r in lb]),
-        long_s=np.array([[float(r[c]) for c in sl] for r in lb]),
-        long_y=np.array([float(r[y_col]) for r in lb]),
-    )
+    short_x, short_t, short_s = _parse_rows(short_path, short_header, sb, lambda: (
+        np.array([[float(r[c]) for c in xs] for r in sb]),
+        np.array([int(r[t_col]) for r in sb]),
+        np.array([[float(r[c]) for c in ss] for r in sb]),
+    ))
+    long_x, long_s, long_y = _parse_rows(long_path, long_header, lb, lambda: (
+        np.array([[float(r[c]) for c in xl] for r in lb]),
+        np.array([[float(r[c]) for c in sl] for r in lb]),
+        np.array([float(r[y_col]) for r in lb]),
+    ))
+    return SurrogatePair(short_x, short_t, short_s, long_x, long_s, long_y)

@@ -409,3 +409,52 @@ class TestPlanFiles:
         rc = main(["oracle", "--dgp", files["dgp1"], "--plan", str(bad)])
         assert rc == 2
         assert "banana" in capsys.readouterr().err
+
+
+class TestCsvSchemaErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s1_1,treat,y\n0,1,2\n", "unrecognized column 'treat'"),
+            ("s1_1,t1,y\n0,1,2\n1,0,abc\n", "line 3, column 'y': 'abc' is not a number"),
+            ("s1_1,t1,y\n0,1.5,2\n", "line 2, column 't1': '1.5' is not an integer"),
+            ("s1_1,t1,y\n0,1,2\n1,0\n", "line 3 has 2 fields, the header has 3"),
+            ("s1_1,t1,y\n0,1,2\n1,0,nan\n", "non-finite value in outcome y, row 1"),
+        ],
+    )
+    def test_panel_schema_errors_exit_2(self, files, capsys, text, message):
+        panel = files["dir"] / "bad_panel.csv"
+        panel.write_text(text)
+        argv = ["estimate", "--data", str(panel), "--plan", files["plan1"], "--out", "r.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "non-finite" not in message:
+            assert str(panel) in err
+
+    @pytest.mark.parametrize(
+        "short_text, long_text, bad, message",
+        [
+            ("x_a,t,s_1\n0,1,2\n", "x_1,s_1,y\n0,1,2\n", "short", "unrecognized column 'x_a'"),
+            ("x_1,t,s_1\n0,1,2\n", "x_1,s_1,y\n0,1,oops\n", "long", "line 2, column 'y'"),
+            ("x_1,t,s_1\n0,1,2,3\n", "x_1,s_1,y\n0,1,2\n", "short", "line 2 has 4 fields"),
+        ],
+    )
+    def test_surrogate_schema_errors_exit_2(self, files, capsys, short_text, long_text, bad, message):
+        paths = {"short": files["dir"] / "short.csv", "long": files["dir"] / "long.csv"}
+        paths["short"].write_text(short_text)
+        paths["long"].write_text(long_text)
+        argv = ["surrogate-estimate", "--short", str(paths["short"]), "--long", str(paths["long"]),
+                "--out", "r.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(paths[bad]) in err
+
+    @pytest.mark.parametrize("content", [None, b"s1_1,t1,y\n0,1,\xff\n"])
+    def test_unreadable_data_file_exit_2(self, files, capsys, content):
+        panel = files["dir"] / "panel.csv"
+        if content is not None:
+            panel.write_bytes(content)
+        argv = ["estimate", "--data", str(panel), "--plan", files["plan1"], "--out", "r.json"]
+        assert main(argv) == 2
+        assert f"cannot read {panel}" in capsys.readouterr().err

@@ -61,6 +61,21 @@ class TestDataModel:
                 treatment_arities=(2,),
             )
 
+    @pytest.mark.parametrize(
+        "period, col, value, named",
+        [(None, None, np.nan, "outcome y"), (1, 1, np.inf, "period 2 state s2_2"),
+         (0, 0, -np.inf, "period 1 state s1_1")],
+    )
+    def test_dataset_rejects_non_finite_values(self, period, col, value, named):
+        states = [np.zeros((4, 1)), np.zeros((4, 2))]
+        outcome = np.zeros(4)
+        if period is None:
+            outcome[2] = value
+        else:
+            states[period][2, col] = value
+        with pytest.raises(ValidationError, match=f"non-finite value in {named}, row 2"):
+            PanelDataset(tuple(states), np.zeros((4, 2), dtype=int), outcome, (2, 2))
+
     def test_from_trajectories_round_trip(self):
         zs = [traj([0.0, 1.0], [1, 0], 2.5), traj([1.0, 0.0], [0, 1], -1.0)]
         data = PanelDataset.from_trajectories(zs, (2, 2))

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import tabular_config
 from dyndml import (
+    ConstantFn,
     Contrast,
     DiscreteDGP,
     DynamicPolicy,
     FixedSequence,
+    NuisanceSet,
+    PlanError,
+    SolverError,
     ValidationError,
     dml_estimate,
     grid_policy,
@@ -315,3 +319,24 @@ class TestRateDiagnostics:
     def test_requires_oracle(self, plan1, dgp1):
         with pytest.raises(ValidationError, match="oracle"):
             rate_diagnostics(None, plan1, tabular_config(dgp1), (100, 200), 0)
+
+
+class TestTypedFoldErrors:
+    def test_plan_error_keeps_its_type_with_fold_prefix(self, dgp2):
+        data = simulate(dgp2, 200, 1)
+        message = "^fold 0: period 1, term 0: treatment code 2 outside 0..1"
+        with pytest.raises(PlanError, match=message):
+            dml_estimate(data, FixedSequence((2, 2)), tabular_config(dgp2), 4, 0)
+
+    def test_non_finite_scores_are_a_numerical_failure(self, dgp2, plan2):
+        data = simulate(dgp2, 50, 2)
+        blowup = NuisanceSet(
+            regressions=(ConstantFn(np.inf), ConstantFn(0.0)),
+            representers=(ConstantFn(1.0), ConstantFn(1.0)),
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="^fold 0: non-finite"):
+            dml_estimate(data, plan2, tabular_config(dgp2), 3, 0, nuisances=blowup)
+
+    def test_mc_raises_caller_mistakes(self, dgp2, plan2):
+        with pytest.raises(ValidationError, match="cannot split 3 observations into 5 folds"):
+            mc_experiment(dgp2, plan2, tabular_config(dgp2), 3, 3, 5, seed=0)

@@ -53,6 +53,20 @@ class TestSurrogatePair:
             )
 
 
+    @pytest.mark.parametrize(
+        "field, row, col, named",
+        [("short_x", 3, 0, "short sample x_1"), ("short_s", 0, 0, "short sample s_1"),
+         ("long_s", 5, 0, "long sample s_1"), ("long_y", 2, None, "long sample y")],
+    )
+    def test_non_finite_rejected_naming_sample_and_column(self, tsd, field, row, col, named):
+        data = tsd.simulate(10, 10, 0)
+        arrays = {f: getattr(data, f).copy() for f in
+                  ("short_x", "short_t", "short_s", "long_x", "long_s", "long_y")}
+        arrays[field][(row,) if col is None else (row, col)] = np.nan if row % 2 else np.inf
+        with pytest.raises(ValidationError, match=f"non-finite value in {named}, row {row}"):
+            SurrogatePair(**arrays)
+
+
 class TestSurrogateFit:
     def test_a1_matches_inverse_propensities(self, tsd):
         data = tsd.simulate(60_000, 60_000, 3)
@@ -192,6 +206,12 @@ class TestSurrogateEstimate:
         d_report = dml_estimate(panel, ate_plan, tabular_config(dgp, ridge=0.0), 5, 31)
         assert s_report.theta_hat == pytest.approx(d_report.theta_hat, abs=1e-8)
         assert s_report.sigma_hat == pytest.approx(d_report.sigma_hat, abs=1e-8)
+
+    def test_validation_error_keeps_its_type_with_fold_prefix(self, tsd):
+        data = tsd.simulate(100, 100, 5)
+        cfg = FitConfig(feature_maps=tsd.feature_maps()[:1])
+        with pytest.raises(ValidationError, match="^fold 0: surrogate fits need two feature maps"):
+            surrogate_estimate(data, cfg, 3, 0)
 
     def test_scores_split_by_sample(self, tsd):
         data = tsd.simulate(300, 200, 7)
