@@ -2,7 +2,9 @@
 
 Config files use a plain key-value grammar, one `key = value` pair per line
 (`#` starts a comment; list values are whitespace-separated); a file whose
-first non-blank character is `{` is parsed as JSON with the same keys.
+first non-blank character is `{` is parsed as JSON with the same keys. An
+empty value counts as an absent key, and an int key takes integral values
+only (`3` or `3.0`, not `0.6`).
 
 Process spec keys (`--dgp`):
     periods        int
@@ -32,8 +34,9 @@ Estimator config keys (`--config`):
     Q            folds (default 5)
     seed         fold/simulation seed (default 0)
 
-Defaults for --seed, --jobs and Q may also come from the environment via the
-prefix DYNDML_ (DYNDML_SEED, DYNDML_JOBS, DYNDML_Q); explicit flags win.
+An omitted --seed, --Q or --jobs is read from DYNDML_SEED, DYNDML_Q or
+DYNDML_JOBS, only by the commands that take the flag, before the config file
+and the default; a malformed value exits 2.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -42,9 +45,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +98,7 @@ def parse_config_file(path: str) -> dict[str, list[str]]:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -122,62 +125,72 @@ def parse_config_file(path: str) -> dict[str, list[str]]:
     return out
 
 
-def _get_int(cfg: dict, key: str, path: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is not None:
+_REQUIRED = object()
+
+
+def _parse_token(token: str, kind: type, where: str):
+    """One token as `kind`. An int token is exact when int() accepts it, and
+    otherwise must be an integral number (`3.0` is 3, `0.6` an error)."""
+    try:
+        return kind(token)
+    except ValueError:
+        pass
+    if kind is int:
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if value.is_integer():
+            return int(value)
+    raise ValidationError(
+        f"{where}: {token!r} is not " + ("an integer" if kind is int else "a number")
+    )
+
+
+class Config:
+    """A config file's tokens read as typed values. An empty value counts as an
+    absent key; every error names the file and the key."""
+
+    def __init__(self, path: str | None) -> None:
+        self.path = path or "<defaults>"
+        self.tokens = parse_config_file(path) if path else {}
+
+    def values(self, key: str, kind: type = float, count: int | None = None,
+               default=_REQUIRED) -> list:
+        tokens = self.tokens.get(key)
+        if not tokens:
+            if default is _REQUIRED:
+                raise ValidationError(f"{self.path}: missing key {key!r}")
             return default
-        raise ValidationError(f"{path}: missing key {key!r}")
-    try:
-        return int(cfg[key][0])
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"{path}: key {key!r} must be an integer") from exc
+        if count is not None and len(tokens) != count:
+            raise ValidationError(
+                f"{self.path}: key {key!r} needs {count} values, got {len(tokens)}"
+            )
+        return [_parse_token(tok, kind, f"{self.path}: key {key!r}") for tok in tokens]
 
-
-def _get_float(cfg: dict, key: str, path: str, default: float | None = None) -> float:
-    if key not in cfg or not cfg[key]:
-        if default is not None:
+    def value(self, key: str, kind: type = float, default=_REQUIRED):
+        if default is not _REQUIRED and not self.tokens.get(key):
             return default
-        raise ValidationError(f"{path}: missing key {key!r}")
-    try:
-        return float(cfg[key][0])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: key {key!r} must be a number") from exc
-
-
-def _get_floats(cfg: dict, key: str, path: str, count: int | None = None) -> list[float]:
-    if key not in cfg:
-        raise ValidationError(f"{path}: missing key {key!r}")
-    try:
-        vals = [float(v) for v in cfg[key]]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: key {key!r} must list numbers") from exc
-    if count is not None and len(vals) != count:
-        raise ValidationError(f"{path}: key {key!r} needs {count} values, got {len(vals)}")
-    return vals
-
-
-def _get_ints(cfg: dict, key: str, path: str, count: int | None = None) -> list[int]:
-    vals = _get_floats(cfg, key, path, count)
-    return [int(v) for v in vals]
+        return self.values(key, kind, 1)[0]
 
 
 def load_dgp(path: str) -> DiscreteDGP:
-    cfg = parse_config_file(path)
-    m = _get_int(cfg, "periods", path)
+    cfg = Config(path)
+    m = cfg.value("periods", int)
     if m < 1:
         raise ValidationError(f"{path}: periods must be >= 1")
-    s_ar = _get_ints(cfg, "state_arity", path, m)
-    t_ar = _get_ints(cfg, "treatment_arity", path, m)
-    initial = np.array(_get_floats(cfg, "initial", path, s_ar[0]))
+    s_ar = cfg.values("state_arity", int, m)
+    t_ar = cfg.values("treatment_arity", int, m)
+    initial = np.array(cfg.values("initial", float, s_ar[0]))
     props = []
     for t in range(1, m + 1):
-        vals = _get_floats(cfg, f"propensity_{t}", path, s_ar[t - 1] * t_ar[t - 1])
+        vals = cfg.values(f"propensity_{t}", float, s_ar[t - 1] * t_ar[t - 1])
         props.append(np.array(vals).reshape(s_ar[t - 1], t_ar[t - 1]))
     trans = []
     for t in range(1, m):
-        vals = _get_floats(cfg, f"transition_{t}", path, s_ar[t - 1] * t_ar[t - 1] * s_ar[t])
+        vals = cfg.values(f"transition_{t}", float, s_ar[t - 1] * t_ar[t - 1] * s_ar[t])
         trans.append(np.array(vals).reshape(s_ar[t - 1], t_ar[t - 1], s_ar[t]))
-    outcome = np.array(_get_floats(cfg, "outcome", path, s_ar[-1] * t_ar[-1])).reshape(
+    outcome = np.array(cfg.values("outcome", float, s_ar[-1] * t_ar[-1])).reshape(
         s_ar[-1], t_ar[-1]
     )
     return DiscreteDGP(
@@ -185,32 +198,28 @@ def load_dgp(path: str) -> DiscreteDGP:
         propensities=tuple(props),
         transitions=tuple(trans),
         outcome_mean=outcome,
-        sigma_y=_get_float(cfg, "sigma_y", path, 0.0),
-        seed=_get_int(cfg, "seed", path, 0),
+        sigma_y=cfg.value("sigma_y", float, 0.0),
+        seed=cfg.value("seed", int, 0),
     )
 
 
 def load_plan(path: str) -> TreatmentPlan:
-    cfg = parse_config_file(path)
-    if "kind" not in cfg:
-        raise ValidationError(f"{path}: missing key 'kind'")
-    kind = cfg["kind"][0]
+    cfg = Config(path)
+    kind = cfg.value("kind", str)
     if kind == "fixed":
-        return FixedSequence(tuple(_get_ints(cfg, "treatments", path)))
+        return FixedSequence(tuple(cfg.values("treatments", int)))
     if kind == "policy":
         policies = []
         t = 1
-        while f"policy_{t}" in cfg:
-            policies.append(grid_policy(_get_ints(cfg, f"policy_{t}", path)))
+        while f"policy_{t}" in cfg.tokens:
+            policies.append(grid_policy(cfg.values(f"policy_{t}", int)))
             t += 1
         if not policies:
             raise ValidationError(f"{path}: policy plan needs policy_1, policy_2, ...")
         return DynamicPolicy(tuple(policies))
     if kind == "contrast":
-        coefs = _get_floats(cfg, "coefficients", path)
-        seqs = []
-        for j in range(1, len(coefs) + 1):
-            seqs.append(_get_ints(cfg, f"sequence_{j}", path))
+        coefs = cfg.values("coefficients", float)
+        seqs = [cfg.values(f"sequence_{j}", int) for j in range(1, len(coefs) + 1)]
         return Contrast.of_sequences(coefs, seqs)
     raise ValidationError(f"{path}: unknown plan kind {kind!r}")
 
@@ -236,11 +245,11 @@ def required_arities(plan: TreatmentPlan, data: PanelDataset) -> tuple[int, ...]
 
 
 def _build_feature_maps(
-    cfg: dict, path: str, states: Sequence[np.ndarray], arities: Sequence[int]
+    cfg: Config, states: Sequence[np.ndarray], arities: Sequence[int]
 ) -> tuple[FeatureMap, ...]:
     """One feature map per state sample: tabular over its distinct rows, or
     polynomial / Fourier features of its dimension."""
-    kind = cfg.get("features", ["tabular"])[0]
+    kind = cfg.value("features", str, "tabular")
     maps: list[FeatureMap] = []
     for t, (s, k) in enumerate(zip(states, arities), start=1):
         if kind == "tabular":
@@ -248,79 +257,48 @@ def _build_feature_maps(
         elif kind == "polynomial":
             maps.append(
                 PolynomialFeatures(
-                    state_dim=s.shape[1], degree=_get_int(cfg, "degree", path, 2), arity=k
+                    state_dim=s.shape[1], degree=cfg.value("degree", int, 2), arity=k
                 )
             )
         elif kind == "fourier":
             maps.append(
                 RandomFourierFeatures(
                     state_dim=s.shape[1],
-                    n_features=_get_int(cfg, "n_features", path, 32),
+                    n_features=cfg.value("n_features", int, 32),
                     arity=k,
-                    lengthscale=_get_float(cfg, "lengthscale", path, 1.0),
-                    seed=_get_int(cfg, "seed", path, 0) + t,
+                    lengthscale=cfg.value("lengthscale", float, 1.0),
+                    seed=cfg.value("seed", int, 0) + t,
                 )
             )
         else:
-            raise ValidationError(f"{path}: unknown feature kind {kind!r}")
+            raise ValidationError(f"{cfg.path}: unknown feature kind {kind!r}")
     return tuple(maps)
 
 
-def _fit_config(cfg: dict, path: str, maps: tuple[FeatureMap, ...]) -> FitConfig:
-    ridge = None
-    if "ridge" in cfg and cfg["ridge"]:
-        vals = _get_floats(cfg, "ridge", path)
-        ridge = vals[0] if len(vals) == 1 else tuple(vals)
-    clip = None
-    if "clip" in cfg and cfg["clip"]:
-        clip = _get_float(cfg, "clip", path)
-    return FitConfig(feature_maps=maps, ridge=ridge, clip=clip)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved estimation settings; built by parse-validate so that a
-    malformed file or flag never reaches estimation. Every field defaults."""
-
-    fit: FitConfig
-    q_folds: int = 5
-    seed: int = 0
-    clever: bool = False
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.q_folds < 2:
-            raise ValidationError("need at least two folds")
-        if self.jobs < 1:
-            raise ValidationError("jobs must be >= 1")
-
-
-def resolve_run_config(
-    cfg_raw: dict,
-    path: str,
-    maps: tuple[FeatureMap, ...],
-    q_flag: int | None,
-    seed_flag: int | None,
-    clever: bool = False,
-    jobs: int = 1,
-) -> RunConfig:
-    return RunConfig(
-        fit=_fit_config(cfg_raw, path, maps),
-        q_folds=q_flag if q_flag is not None else _get_int(cfg_raw, "Q", path, 5),
-        seed=seed_flag if seed_flag is not None else _get_int(cfg_raw, "seed", path, 0),
-        clever=clever,
-        jobs=jobs,
+def _fit_settings(
+    args: argparse.Namespace, states: Sequence[np.ndarray], arities: Sequence[int]
+) -> tuple[FitConfig, int, int]:
+    """FitConfig over `states` from --config, with Q and the seed resolved as
+    flag (or its DYNDML_* variable) > config file > default."""
+    cfg = Config(args.config)
+    ridge = cfg.values("ridge", float, default=None)
+    fit = FitConfig(
+        feature_maps=_build_feature_maps(cfg, states, arities),
+        ridge=ridge[0] if ridge is not None and len(ridge) == 1 else ridge,
+        clip=cfg.value("clip", float, None),
     )
+    q_folds = cfg.value("Q", int, 5) if args.Q is None else args.Q
+    seed = cfg.value("seed", int, 0) if args.seed is None else args.seed
+    return fit, q_folds, seed
 
 
-def _resolved_env_default(name: str, fallback: int) -> int:
-    raw = os.environ.get(f"DYNDML_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"environment DYNDML_{name} must be an integer") from exc
+def _apply_environment(args: argparse.Namespace) -> None:
+    """Fill each integer flag the command takes but was not given from its
+    DYNDML_<NAME> variable."""
+    for name in ("seed", "Q", "jobs"):
+        var = f"DYNDML_{name.upper()}"
+        if getattr(args, name, 0) is None and var in os.environ:
+            setattr(args, name, _parse_token(os.environ[var], int, f"environment {var}"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +340,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     arities = required_arities(plan, data)
     if arities != data.treatment_arities:
         data = PanelDataset(data.states, data.treatments, data.outcome, arities)
-    cfg_raw = parse_config_file(args.config) if args.config else {}
-    maps = _build_feature_maps(cfg_raw, args.config or "<defaults>", data.states, arities)
-    run = resolve_run_config(
-        cfg_raw, args.config or "<defaults>", maps, args.Q, args.seed,
-        clever=args.clever_covariate,
-    )
-    report = dml_estimate(data, plan, run.fit, run.q_folds, run.seed, clever=run.clever)
+    fit, q_folds, seed = _fit_settings(args, data.states, arities)
+    report = dml_estimate(data, plan, fit, q_folds, seed, clever=args.clever_covariate)
     _write_text(args.out, report.to_json())
     print(
         f"theta_hat={report.theta_hat:.10g} sigma_hat={report.sigma_hat:.10g} "
@@ -515,28 +488,14 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     dgp = load_dgp(args.dgp)
     plan = load_plan(args.plan)
-    if args.reps < 1:
-        raise ValidationError("reps must be >= 1")
     if args.n < 1:
         raise ValidationError("n must be >= 1")
     seed = dgp.seed if args.seed is None else args.seed
-    cfg_raw = parse_config_file(args.config) if args.config else {}
-    probe = simulate(dgp, min(args.n, 256), seed)
-    arities = required_arities(plan, probe)
+    arities = required_arities(plan, simulate(dgp, min(args.n, 256), seed))
     grids = [np.arange(g, dtype=float)[:, None] for g in dgp.state_arities]
-    kind = cfg_raw.get("features", ["tabular"])[0]
-    if kind == "tabular":
-        maps: tuple[FeatureMap, ...] = tuple(
-            TabularFeatures(grid=grids[t], arity=arities[t]) for t in range(dgp.num_periods)
-        )
-    else:
-        maps = _build_feature_maps(cfg_raw, args.config or "<defaults>", probe.states, arities)
-    run = resolve_run_config(
-        cfg_raw, args.config or "<defaults>", maps, args.Q, seed, jobs=args.jobs
-    )
-    result = mc_experiment(
-        dgp, plan, run.fit, args.reps, args.n, run.q_folds, run.seed, jobs=run.jobs
-    )
+    fit, q_folds, _ = _fit_settings(args, grids, arities)
+    jobs = 1 if args.jobs is None else args.jobs
+    result = mc_experiment(dgp, plan, fit, args.reps, args.n, q_folds, seed, jobs=jobs)
     result.write_csv(args.out)
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
     return 0
@@ -544,16 +503,14 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 def _cmd_surrogate(args: argparse.Namespace) -> int:
     data = read_surrogate_csvs(args.short, args.long)
-    cfg_raw = parse_config_file(args.config) if args.config else {}
-    path = args.config or "<defaults>"
-    maps = _build_feature_maps(
-        cfg_raw,
-        path,
+    # The stacked samples are built inside the call so that they are freed
+    # once the feature maps exist.
+    fit, q_folds, seed = _fit_settings(
+        args,
         (np.vstack([data.short_x, data.long_x]), np.vstack([data.short_sx, data.long_sx])),
         (2, 1),
     )
-    run = resolve_run_config(cfg_raw, path, maps, args.Q, args.seed)
-    report = surrogate_estimate(data, run.fit, run.q_folds, run.seed)
+    report = surrogate_estimate(data, fit, q_folds, seed)
     _write_text(args.out, report.to_json())
     print(
         f"theta_hat={report.theta_hat:.10g} sigma_hat={report.sigma_hat:.10g} "
@@ -570,70 +527,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_seed = os.environ.get("DYNDML_SEED")
-    default_seed = int(env_seed) if env_seed is not None else None
-    default_jobs = _resolved_env_default("JOBS", 1)
-    env_q = os.environ.get("DYNDML_Q")
-    default_q = int(env_q) if env_q is not None else None
+    shared = {"dgp": {"required": True}, "plan": {"required": True}, "config": {},
+              "Q": {"type": int}, "seed": {"type": int}}
 
-    p = sub.add_parser("simulate", help="draw trajectories from a process spec into a CSV")
-    p.add_argument("--dgp", required=True)
+    def command(name, func, help_text, *flags, out_required=True):
+        """A subcommand taking --out and the named shared flags; an omitted
+        optional flag is None."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
+        p.add_argument("--out", required=out_required)
+        return p
+
+    p = command("simulate", _cmd_simulate, "draw trajectories from a process spec into a CSV",
+                "dgp", "seed")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("estimate", help="cross-fitted debiased estimate from a CSV")
+    p = command("estimate", _cmd_estimate, "cross-fitted debiased estimate from a CSV",
+                "plan", "config", "Q", "seed")
     p.add_argument("--data", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--Q", type=int, default=default_q)
-    p.add_argument("--seed", type=int, default=default_seed)
     p.add_argument("--clever-covariate", action="store_true")
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("oracle", help="print exact theta and nuisance tables for a process")
-    p.add_argument("--dgp", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("diagnose", help="orthogonality/mixed-bias/robustness checks")
-    p.add_argument("--dgp", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_diagnose)
-
-    p = sub.add_parser("mc", help="Monte Carlo coverage experiment")
-    p.add_argument("--dgp", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--config", default=None)
+    command("oracle", _cmd_oracle, "print exact theta and nuisance tables for a process",
+            "dgp", "plan", out_required=False)
+    command("diagnose", _cmd_diagnose, "orthogonality/mixed-bias/robustness checks",
+            "dgp", "plan", "seed", out_required=False)
+    p = command("mc", _cmd_mc, "Monte Carlo coverage experiment",
+                "dgp", "plan", "config", "Q", "seed")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--Q", type=int, default=default_q)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--jobs", type=int, default=default_jobs)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("surrogate-estimate", help="two-sample long-term effect estimate")
+    p.add_argument("--jobs", type=int)
+    p = command("surrogate-estimate", _cmd_surrogate, "two-sample long-term effect estimate",
+                "config", "Q", "seed")
     p.add_argument("--short", required=True)
     p.add_argument("--long", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--Q", type=int, default=default_q)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_surrogate)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _apply_environment(args)
         return args.func(args)
     except (ValidationError, PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -252,12 +252,14 @@ class DynamicPolicy:
 
         def target_batch(data: PanelDataset, pi=pi, t=period) -> NDArray:
             s = data.states[t - 1]
+            # A policy written for one state may fail or give one value on the
+            # whole batch; it is then called row by row.
             try:
                 out = np.asarray(pi(s))
-                if out.shape == (data.n_units,):
-                    return out.astype(np.int64)
-            except Exception:
-                pass
+            except (TypeError, ValueError, IndexError):
+                out = None
+            if out is not None and out.shape == (data.n_units,):
+                return out.astype(np.int64)
             return np.array([int(pi(s[i])) for i in range(s.shape[0])], dtype=np.int64)
 
         return (
@@ -701,14 +703,6 @@ class NuisanceSet:
     def num_periods(self) -> int:
         return len(self.regressions)
 
-    @property
-    def a0(self) -> ConstantFn:
-        return ConstantFn(1.0)
-
-    def representer_before(self, period: int) -> Fn:
-        """a_{t-1} for a 1-based period t (the constant 1 when t == 1)."""
-        return self.a0 if period == 1 else self.representers[period - 2]
-
 
 # ---------------------------------------------------------------------------
 # Moment evaluation and the orthogonal score
@@ -830,7 +824,7 @@ def write_panel_csv(data: PanelDataset, path: str) -> None:
     _write_csv(path, header, [*data.states, data.treatments, data.outcome])
 
 
-def _write_csv(path: str, header: list[str], blocks: Sequence[NDArray]) -> None:
+def _write_csv(path: str, header: Sequence[str], blocks: Sequence[NDArray]) -> None:
     """Rows made of the blocks' columns side by side: integer blocks as integers,
     the rest in round-trip-exact decimal."""
     blocks = [b.reshape(b.shape[0], -1) for b in blocks]
@@ -888,6 +882,7 @@ def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) ->
     header, body = _read_csv(path)
     state_cols: dict[int, list[tuple[int, int]]] = {}
     treat_cols: dict[int, int] = {}
+    periods: dict[str, int] = {}
     y_col = None
     for i, name in enumerate(header):
         match = _PANEL_COLUMN.fullmatch(name)
@@ -896,18 +891,23 @@ def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) ->
         s_period, s_index, t_period = match.groups()
         if name == "y":
             y_col = i
-        elif t_period is not None:
+            continue
+        periods[name] = int(t_period or s_period)
+        if t_period is not None:
             treat_cols[int(t_period)] = i
         else:
             state_cols.setdefault(int(s_period), []).append((int(s_index), i))
     if y_col is None:
         raise ValidationError(f"{path}: missing column y")
-    m = max(treat_cols) if treat_cols else 0
-    for t in range(1, m + 1):
+    m = max(treat_cols, default=0)
+    for t in range(1, max(m, 1) + 1):
         if t not in treat_cols:
             raise ValidationError(f"{path}: missing column t{t}")
         if t not in state_cols:
             raise ValidationError(f"{path}: missing columns s{t}_*")
+    for name, period in periods.items():
+        if not 1 <= period <= m:
+            raise ValidationError(f"{path}: column {name!r} is outside the file's periods 1..{m}")
     if not body:
         raise ValidationError(f"{path}: no data rows")
     ordered = {t: [i for _, i in sorted(cols)] for t, cols in state_cols.items()}

@@ -11,7 +11,6 @@ a built-in Gaussian quantile.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +27,7 @@ from .core import (
     SolverError,
     TreatmentPlan,
     ValidationError,
+    _write_csv,
 )
 from .moment import moment_scores
 from .nuisance import FitConfig, fit_nuisances
@@ -297,21 +297,13 @@ class MCResult:
     rows: list[MCRow] = field(repr=False, default_factory=list)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(MC_CSV_HEADER)
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.rep,
-                        format(r.theta_hat, ".17g"),
-                        format(r.sigma_hat, ".17g"),
-                        format(r.ci_lower, ".17g"),
-                        format(r.ci_upper, ".17g"),
-                        r.covered,
-                        r.failed,
-                    ]
-                )
+        rows = self.rows
+        blocks = [
+            np.array([r.rep for r in rows], dtype=np.int64),
+            np.array([[r.theta_hat, r.sigma_hat, r.ci_lower, r.ci_upper] for r in rows]),
+            np.array([[r.covered, r.failed] for r in rows], dtype=np.int64),
+        ]
+        _write_csv(path, MC_CSV_HEADER, blocks)
 
     def summary_dict(self) -> dict:
         return {
@@ -345,6 +337,8 @@ def mc_experiment(
     """
     if reps < 1:
         raise ValidationError("need at least one replicate")
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
     theta_true = oracle_theta(dgp, plan)
     rows: list[MCRow | None] = [None] * reps
 
@@ -365,7 +359,7 @@ def mc_experiment(
             covered=covered,
         )
 
-    if jobs <= 1:
+    if jobs == 1:
         for r in range(reps):
             rows[r] = run(r)
     else:

@@ -30,6 +30,7 @@ from .core import (
     PositivityError,
     TreatmentPlan,
     ValidationError,
+    _check_codes,
     moment_batch,
     moment_scores,
     tabular_fn,
@@ -327,9 +328,10 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
     num = np.zeros((g_s, k_s))
     targeted = np.zeros((g_s, k_s), dtype=bool)
     s_col = paths.states[:, period - 1]
-    for term in plan.period_terms(period):
+    for j, term in enumerate(plan.period_terms(period)):
         w = term.weights(paths.data, period)
         d = term.targets(paths.data, period)
+        _check_codes(d, k_s, f"period {period}, term {j}")
         np.add.at(num, (s_col, d), paths.prob * prev_vals * w)
         live = w != 0.0
         targeted[s_col[live], d[live]] = True
@@ -378,8 +380,7 @@ def oracle_riesz(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDArray]:
 def _riesz_fixed_step(dgp: DiscreteDGP, tau: int, period: int, prev: Fn | None) -> NDArray:
     paths = dgp.paths()
     g_s, k_s = dgp.state_arities[period - 1], dgp.treatment_arities[period - 1]
-    if tau >= k_s:
-        raise ValidationError(f"plan targets code {tau} outside 0..{k_s - 1} in period {period}")
+    _check_codes(np.array([tau]), k_s, f"period {period}, term 0")
     prev_vals = _prev_values(paths.data, period, prev)
     s_col = paths.states[:, period - 1]
     num = np.zeros(g_s)

@@ -5,7 +5,7 @@ import pytest
 
 from helpers_surrogate import two_sample_ref
 from dyndml import write_surrogate_csvs
-from dyndml.cli import main
+from dyndml.cli import load_dgp, main
 
 DGP1 = """\
 # one-period reference process
@@ -420,6 +420,7 @@ class TestCsvSchemaErrors:
             ("s1_1,t1,y\n0,1.5,2\n", "line 2, column 't1': '1.5' is not an integer"),
             ("s1_1,t1,y\n0,1,2\n1,0\n", "line 3 has 2 fields, the header has 3"),
             ("s1_1,t1,y\n0,1,2\n1,0,nan\n", "non-finite value in outcome y, row 1"),
+            ("s1_1,s3_1,t0,t1,y\n0,1,1,1,2\n", "column 's3_1' is outside the file's periods 1..1"),
         ],
     )
     def test_panel_schema_errors_exit_2(self, files, capsys, text, message):
@@ -458,3 +459,73 @@ class TestCsvSchemaErrors:
         argv = ["estimate", "--data", str(panel), "--plan", files["plan1"], "--out", "r.json"]
         assert main(argv) == 2
         assert f"cannot read {panel}" in capsys.readouterr().err
+
+
+class TestSettings:
+    def mc_argv(self, files, plan=None, config=None):
+        return ["mc", "--reps", "2", "--n", "100", "--out", str(files["dir"] / "mc.csv"),
+                "--dgp", files["dgp2"], "--plan", plan or files["plan11"],
+                "--config", config or files["config"]]
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--plan", "kind =\n", "missing key 'kind'"),
+            ("--plan", "kind = policy\npolicy_1 = 1 0.6\npolicy_2 = 1 1\n",
+             "key 'policy_1': '0.6' is not an integer"),
+            ("--plan", "kind = fixed\ntreatments = 1.7 1\n",
+             "key 'treatments': '1.7' is not an integer"),
+            ("--config", "Q = 3 4\n", "key 'Q' needs 1 values, got 2"),
+        ],
+    )
+    def test_malformed_file_exit_2(self, files, capsys, flag, text, message):
+        bad = files["dir"] / "bad.cfg"
+        bad.write_text(text)
+        argv = self.mc_argv(files, **{flag[2:]: str(bad)})
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+
+    @pytest.mark.parametrize(
+        "env, extra, message",
+        [
+            ({"DYNDML_SEED": "abc"}, [], "environment DYNDML_SEED: 'abc' is not an integer"),
+            ({"DYNDML_Q": "abc"}, [], "environment DYNDML_Q: 'abc' is not an integer"),
+            ({"DYNDML_JOBS": "abc"}, [], "environment DYNDML_JOBS: 'abc' is not an integer"),
+            ({}, ["--jobs", "0"], "jobs must be >= 1"),
+        ],
+    )
+    def test_malformed_jobs_or_environment_exit_2(
+        self, files, capsys, monkeypatch, env, extra, message
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(self.mc_argv(files) + extra) == 2
+        assert message in capsys.readouterr().err
+
+    def test_precedence_and_empty_values(self, files, capsys, monkeypatch):
+        data = files["dir"] / "d.csv"
+        main(["simulate", "--dgp", files["dgp1"], "--n", "400", "--seed", "2", "--out", str(data)])
+        empty = files["dir"] / "empty.cfg"
+        empty.write_text("features =\nclip =\n" + CONFIG_TAB)
+
+        def estimate(config, *flags):
+            out = files["dir"] / "r.json"
+            argv = ["estimate", "--data", str(data), "--plan", files["plan1"],
+                    "--config", config, "--out", str(out), *flags]
+            assert main(argv) == 0
+            return out.read_bytes()
+
+        assert estimate(str(empty)) == estimate(files["config"])
+        # DYNDML_JOBS applies only to commands that take --jobs.
+        monkeypatch.setenv("DYNDML_JOBS", "abc")
+        monkeypatch.setenv("DYNDML_Q", "3")
+        assert json.loads(estimate(files["config"]))["Q"] == 3
+        assert json.loads(estimate(files["config"], "--Q", "4"))["Q"] == 4
+
+    def test_integer_tokens_parsed_exactly(self, files):
+        big = files["dir"] / "big.cfg"
+        big.write_text(DGP1.replace("periods = 1", "periods = 1.0").replace(
+            "seed = 3", "seed = 9007199254740993"))
+        dgp = load_dgp(str(big))
+        assert dgp.num_periods == 1 and dgp.seed == 9007199254740993

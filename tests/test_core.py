@@ -166,6 +166,28 @@ class TestPlans:
         expected = g.batch(data.states[0], codes)
         np.testing.assert_allclose(vals, expected)
 
+    def test_policy_error_surfaces_after_one_call(self, dgp2):
+        calls = []
+
+        def broken(s):
+            calls.append(np.shape(s))
+            raise RuntimeError("policy table unavailable")
+
+        policy = DynamicPolicy((broken, grid_policy([1, 1])))
+        g = tabular_fn(np.arange(4.0).reshape(2, 2))
+        with pytest.raises(RuntimeError, match="policy table unavailable"):
+            moment_batch(policy, 1, simulate(dgp2, 20, 1), g)
+        assert len(calls) == 1
+
+    def test_scalar_policy_falls_back_to_rows(self, dgp2):
+        data = simulate(dgp2, 30, 2)
+        g = tabular_fn(np.arange(4.0).reshape(2, 2))
+        scalar = DynamicPolicy((lambda s: int(s[0] > 0), grid_policy([1, 1])))
+        grid = DynamicPolicy((grid_policy([0, 1]), grid_policy([1, 1])))
+        np.testing.assert_array_equal(
+            moment_batch(scalar, 1, data, g), moment_batch(grid, 1, data, g)
+        )
+
     @pytest.mark.parametrize(
         "coefs,seqs",
         [

@@ -263,6 +263,10 @@ class TestMonteCarlo:
         assert failed_rows and all(math.isnan(r.theta_hat) for r in failed_rows)
         assert len(result.rows) == 30
 
+    def test_jobs_must_be_positive(self, dgp2, plan2):
+        with pytest.raises(ValidationError, match="jobs must be >= 1"):
+            mc_experiment(dgp2, plan2, tabular_config(dgp2), 2, 100, 2, seed=1, jobs=0)
+
     def test_csv_schema(self, dgp2, plan2, tmp_path):
         result = mc_experiment(dgp2, plan2, tabular_config(dgp2), 3, 300, 3, seed=1)
         out = tmp_path / "mc.csv"

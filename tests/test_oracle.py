@@ -8,6 +8,7 @@ from dyndml import (
     DiscreteDGP,
     FixedSequence,
     NuisanceSet,
+    PlanError,
     PositivityError,
     ValidationError,
     mix_seed,
@@ -212,6 +213,16 @@ class TestRiesz:
             prev = None if t == 1 else tabular_fn(oracle_riesz(dgp2, plan2)[t - 2])
             general = riesz_step(dgp2, wrapped, t, prev)
             np.testing.assert_allclose(general, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_out_of_range_target_is_plan_error(self, dgp2, wrap):
+        plan = FixedSequence((1, 2))
+        plan = Contrast.of_plan(plan) if wrap else plan
+        with pytest.raises(PlanError, match="period 2, term 0: treatment code 2 outside 0..1"):
+            oracle_riesz(dgp2, plan)
+        prev = tabular_fn(oracle_riesz(dgp2, FixedSequence((1, 1)))[0])
+        with pytest.raises(PlanError, match="period 2, term 0"):
+            riesz_step(dgp2, Contrast.of_plan(FixedSequence((1, 2))), 2, prev)
 
     def test_zero_mass_cells_flagged(self):
         # state 2 at period 2 is unreachable; its cells carry no mass
