@@ -256,6 +256,8 @@ class DynamicPolicy:
             # whole batch; it is then called row by row.
             try:
                 out = np.asarray(pi(s))
+            except PlanError:
+                raise
             except (TypeError, ValueError, IndexError):
                 out = None
             if out is not None and out.shape == (data.n_units,):
@@ -273,14 +275,26 @@ class DynamicPolicy:
 
 
 def grid_policy(codes: Sequence[int]) -> Policy:
-    """Policy over integer-embedded scalar states: state value s maps to codes[round(s)]."""
+    """Policy over integer-embedded scalar states: state value s maps to codes[round(s)].
+
+    A state whose rounded value lies outside 0..len(codes)-1 is a PlanError."""
     table = np.asarray(codes, dtype=np.int64)
+
+    def lookup(s: NDArray) -> NDArray:
+        cell = np.rint(s)
+        outside = (cell < 0) | (cell >= table.shape[0])
+        if outside.any():
+            raise PlanError(
+                f"policy table of length {table.shape[0]} has no code for state "
+                f"value {float(s[outside][0]):g}"
+            )
+        return table[cell.astype(np.int64)]
 
     def pi(s: NDArray) -> int | NDArray:
         s = np.asarray(s, dtype=float)
         if s.ndim == 2:
-            return table[np.rint(s[:, 0]).astype(int)]
-        return int(table[int(round(float(np.atleast_1d(s)[0])))])
+            return lookup(s[:, 0])
+        return int(lookup(np.atleast_1d(s)[:1])[0])
 
     return pi
 
@@ -434,7 +448,9 @@ def _check_period(period: int, m: int) -> None:
 
 @runtime_checkable
 class FeatureMap(Protocol):
-    """Deterministic map from (period-t state vector, treatment code) to R^p."""
+    """Deterministic map from (period-t state vector, treatment code) to R^p.
+
+    `batch` returns a new array, which its caller may modify."""
 
     @property
     def dim(self) -> int: ...
@@ -460,11 +476,9 @@ def _by_treatment(basis: NDArray, codes: NDArray, arity: int, where: str) -> NDA
     codes = np.asarray(codes, dtype=np.int64)
     _check_codes(codes, arity, where)
     n, q = basis.shape
-    out = np.zeros((n, q * arity))
-    for k in range(arity):
-        rows = codes == k
-        out[rows, k * q : (k + 1) * q] = basis[rows]
-    return out
+    out = np.zeros((n, arity, q))
+    out[np.arange(n), codes] = basis
+    return out.reshape(n, arity * q)
 
 
 class _OneRow:
@@ -478,8 +492,8 @@ class _OneRow:
 class TabularFeatures(_OneRow):
     """One-hot over a finite grid of (state, treatment) cells; exact on discrete processes.
 
-    States are matched to the nearest grid row, so integer-embedded discrete
-    states resolve exactly.
+    States are matched to the nearest grid row (the lowest grid index on a
+    tie), so integer-embedded discrete states resolve exactly.
     """
 
     grid: NDArray                       # (G, d) representative state points
@@ -499,8 +513,27 @@ class TabularFeatures(_OneRow):
 
     def state_index(self, states: NDArray) -> NDArray:
         s = np.atleast_2d(np.asarray(states, dtype=float))
+        if self.grid.shape[1] == 1:
+            return self._scalar_index(s[:, 0])
         d2 = ((s[:, None, :] - self.grid[None, :, :]) ** 2).sum(axis=2)
         return d2.argmin(axis=1)
+
+    def _scalar_index(self, s: NDArray) -> NDArray:
+        """Nearest grid row of scalar states by binary search over the sorted
+        grid values, the first index of a repeated value standing for it. A
+        state equal to a grid value takes that value; any other takes the
+        nearer of the two values around it by squared distance, the lower grid
+        index on a tie, which is what argmin over all distances returns."""
+        values, first = np.unique(self.grid[:, 0], return_index=True)
+        pos = np.minimum(np.searchsorted(values, s), values.shape[0] - 1)
+        off = values[pos] != s
+        if off.any():
+            s_off, hi = s[off], pos[off]
+            lo = np.maximum(hi - 1, 0)
+            d_lo, d_hi = (s_off - values[lo]) ** 2, (s_off - values[hi]) ** 2
+            take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (first[hi] < first[lo]))
+            pos[off] = np.where(take_hi, hi, lo)
+        return first[pos]
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
         codes = np.asarray(codes, dtype=np.int64)
@@ -511,15 +544,18 @@ class TabularFeatures(_OneRow):
         return out
 
 
-def _monomial_exponents(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    exps = []
-    for total in range(degree + 1):
+def _monomial_steps(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """Monomials of total degree <= `degree` in graded order after the constant:
+    step j builds monomial j + 1 as (index of its parent monomial, coordinate),
+    the parent being the monomial with the highest coordinate's power lowered
+    by one."""
+    index = {(): 0}
+    steps = []
+    for total in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(range(dim), total):
-            e = [0] * dim
-            for i in combo:
-                e[i] += 1
-            exps.append(tuple(e))
-    return tuple(exps)
+            steps.append((index[combo[:-1]], combo[-1]))
+            index[combo] = len(index)
+    return tuple(steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,16 +569,21 @@ class PolynomialFeatures(_OneRow):
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.degree < 0 or self.arity < 1:
             raise ValidationError("bad polynomial feature configuration")
-        object.__setattr__(self, "_exponents", _monomial_exponents(self.state_dim, self.degree))
+        object.__setattr__(self, "_steps", _monomial_steps(self.state_dim, self.degree))
 
     @property
     def dim(self) -> int:
-        return len(self._exponents) * self.arity
+        return (len(self._steps) + 1) * self.arity
 
     def _monomials(self, states: NDArray) -> NDArray:
-        s = np.atleast_2d(np.asarray(states, dtype=float))
-        cols = [np.prod(s ** np.array(e), axis=1) for e in self._exponents]
-        return np.stack(cols, axis=1)
+        """Each monomial is its parent monomial times one coordinate, built in a
+        (monomial, row) buffer so every product runs over contiguous rows."""
+        s = np.atleast_2d(np.asarray(states, dtype=float)).T.copy()
+        out = np.empty((len(self._steps) + 1, s.shape[1]))
+        out[0] = 1.0
+        for j, (parent, coord) in enumerate(self._steps, start=1):
+            np.multiply(out[parent], s[coord], out=out[j])
+        return out.T
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
         return _by_treatment(self._monomials(states), codes, self.arity, "polynomial features")
@@ -723,7 +764,8 @@ def _term_sum(
 ) -> NDArray:
     """sum_k w_k(Z_i) * batch(S_period, d_k(Z_i)) over the period's plan terms.
 
-    `batch` returns one value per row, or a row of shape `width`. Rows whose
+    `batch` returns one value per row, or a row of shape `width`; a batch of
+    rows is a feature map's fresh array and is scaled in place. Rows whose
     weight is zero are not evaluated. Targets must lie in 0..arity-1 (the
     data's arity for the period when `arity` is None).
     """
@@ -739,10 +781,15 @@ def _term_sum(
         d = term.targets(data, period)
         _check_codes(d, bound, f"period {period}, term {j}")
         live = w != 0.0
-        if live.all():
-            out += w[expand] * batch(s, d)
-        elif live.any():
-            out[live] += w[live][expand] * batch(s[live], d[live])
+        if not live.any():
+            continue
+        rows = slice(None) if live.all() else live
+        part = batch(s[rows], d[rows])
+        if width:
+            part *= w[rows][expand]
+        else:
+            part = w[rows] * part
+        out[rows] += part
     return out
 
 

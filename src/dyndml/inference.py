@@ -7,6 +7,10 @@ grand mean of held-out scores and sigma^2 is the mean squared centered score
 (the moment is affine in theta with unit slope, so no Jacobian correction is
 needed). The 95% interval uses the conventional 1.96; other levels come from
 a built-in Gaussian quantile.
+
+Cross-fitting runs stage-major: `nuisance.cross_fit` builds each period's
+design once on the whole panel and solves it for every fold's training rows,
+scoring the held-out rows from the same designs (see the `nuisance` module).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .core import (
     _write_csv,
 )
 from .moment import moment_scores
-from .nuisance import FitConfig, fit_nuisances
+from .nuisance import FitConfig, cross_fit, fit_nuisances
 from .oracle import (
     DiscreteDGP,
     mix_seed,
@@ -224,37 +228,35 @@ def dml_estimate(
     """Cross-fitted debiased estimate.
 
     Per fold, nuisances are fitted on the complement (unless an explicit
-    `nuisances` bundle is injected, e.g. the enumeration oracle's truth) and
-    scores are evaluated out of fold. Deterministic given all inputs.
+    `nuisances` bundle is injected, e.g. the enumeration oracle's truth, which
+    then scores every fold) and scores are evaluated out of fold.
+    Deterministic given all inputs.
     """
-    plan_folds = make_folds(data.n_units, q_folds, seed)
-    scores = np.empty(data.n_units)
+    folds = make_folds(data.n_units, q_folds, seed).folds
+    if nuisances is not None:
+        scores, _, corrections = moment_scores(data, plan, nuisances)
+        correction_means = np.array([corrections[:, idx].mean(axis=1) for idx in folds])
+    else:
+        try:
+            scores, correction_means, train_means = cross_fit(data, plan, cfg, folds, clever)
+        except ValidationError as exc:
+            # An error building the whole-panel designs stops every fold's
+            # fit; it is reported as fold 0's, the first of them.
+            raise type(exc)(f"fold 0: {exc}") from exc
     per_fold: list[dict] = []
-    for q, idx in enumerate(plan_folds.folds):
-        train = None
-        if nuisances is not None:
-            bundle = nuisances
-        else:
-            train = data.subset(plan_folds.complement(q))
-            try:
-                regs, reps = fit_nuisances(train, plan, cfg, clever=clever)
-            except (SolverError, ValidationError) as exc:
-                raise type(exc)(f"fold {q}: {exc}") from exc
-            bundle = NuisanceSet(regressions=tuple(regs), representers=tuple(reps))
-        vals, _, corrections = moment_scores(data.subset(idx), plan, bundle)
+    for q, idx in enumerate(folds):
+        vals = scores[idx]
         _check_fold_scores(q, vals)
-        scores[idx] = vals
         fold_info = {
             "fold": q,
             "size": int(idx.shape[0]),
             "score_mean": float(vals.mean()),
-            "correction_means": [float(c.mean()) for c in corrections],
+            "correction_means": [float(c) for c in correction_means[q]],
         }
-        if clever and train is not None:
+        if clever and nuisances is None:
             # The unpenalized clever column zeroes the corrections on the
             # sample the regressions were fitted on; report that residual.
-            _, _, train_corr = moment_scores(train, plan, bundle)
-            fold_info["clever_correction_means"] = [float(c.mean()) for c in train_corr]
+            fold_info["clever_correction_means"] = [float(c) for c in train_means[q]]
         per_fold.append(fold_info)
     config = _config_echo(
         cfg,

@@ -1,18 +1,26 @@
 """Fitting the two recursive nuisance sequences over a linear function class.
 
-Backward pass: nested regressions, each period ridge-regressing a
-pseudo-outcome (the next period's moment evaluation, or Y at the horizon) on
-features of the observed (state, treatment). Forward pass: Riesz
-representers, each period minimizing the quadratic representer loss whose
-evaluation term reuses the previous period's fitted representer. Both
-problems are convex quadratics over a linear class and are solved in closed
-form, so acceptance tests see no optimizer noise.
+Forward pass: Riesz representers, each period minimizing the quadratic
+representer loss whose evaluation term reuses the previous period's fitted
+representer. Backward pass: nested regressions, each period ridge-regressing
+a pseudo-outcome (the next period's moment evaluation, or Y at the horizon)
+on features of the observed (state, treatment). Both problems are convex
+quadratics over a linear class and are solved in closed form, so acceptance
+tests see no optimizer noise.
+
+Both passes run stage-major in one implementation, `_Stages`: each period's
+design X_t = phi_t(S_t, T_t) and moment image Phi_t = sum_k w_k phi_t(S_t, d_k)
+are built once on the whole panel and solved for every training set. A
+training set enters through a 0/1 row mask on the right-hand sides, and its
+Gram is the sum of the Grams of the fold blocks it contains. Cross-fitting
+(`cross_fit`) solves one training set per fold and scores the held-out rows
+from the same designs; the public fits are the one-training-set case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -104,14 +112,11 @@ def _solve_spd(a: NDArray, b: NDArray, lam: float) -> NDArray:
     return np.linalg.solve(chol.T, z)
 
 
-def _ridge_stage(x: NDArray, cfg: FitConfig, period: int) -> Callable[..., NDArray]:
-    """One penalized quadratic stage over design x: returns solve(rhs, where,
-    border=None) for (G + lam I) beta = rhs, with the normalized Gram G = X'X/n
-    formed once and lam resolved from it by cfg.stage_ridge. A border
-    (X'c/n, c'c/n) appends one unpenalized design column c, and `rhs` then ends
-    with its entry. The design itself is not retained."""
-    n = x.shape[0]
-    gram = x.T @ x / n
+def _ridge_stage(gram: NDArray, n: int, cfg: FitConfig, period: int) -> Callable[..., NDArray]:
+    """One penalized quadratic stage over a normalized Gram G = X'X/n of n rows:
+    returns solve(rhs, where, border=None) for (G + lam I) beta = rhs, with lam
+    resolved from G by cfg.stage_ridge. A border (X'c/n, c'c/n) appends one
+    unpenalized design column c, and `rhs` then ends with its entry."""
     lam = cfg.stage_ridge(period, gram, n)
 
     def solve(
@@ -129,33 +134,185 @@ def _ridge_stage(x: NDArray, cfg: FitConfig, period: int) -> Callable[..., NDArr
     return solve
 
 
-def _backward_pass(
-    data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, representers: Sequence[Fn] | None
-) -> list[LinearFn]:
-    """Regress t = M..1 the pseudo-outcome (Y at the horizon, else the next
-    period's moment at the already-fitted regression) on phi_t(S_t, T_t); with
-    `representers`, each period's representer joins the design unpenalized."""
-    m = data.num_periods
-    n = data.n_units
-    fitted: list[LinearFn | None] = [None] * m
-    for t in range(m, 0, -1):
-        phi = cfg.feature_maps[t - 1]
-        x = phi.batch(data.states[t - 1], data.treatments[:, t - 1])
-        u = data.outcome if t == m else moment_batch(plan, t + 1, data, fitted[t])
-        solve = _ridge_stage(x, cfg, t)
-        rhs = x.T @ u / n
-        if representers is None:
-            fitted[t - 1] = LinearFn(phi, solve(rhs, f"period {t}"))
-            continue
-        a_vals = representers[t - 1].batch(data.states[t - 1], data.treatments[:, t - 1])
-        if np.any(a_vals):
-            border = (x.T @ a_vals / n, a_vals @ a_vals / n)
-            beta = solve(np.append(rhs, a_vals @ u / n), f"period {t}", border)
+class HeldOutScores(NamedTuple):
+    """Cross-fitted scores: the held-out score of every row, and per fold and
+    period the mean correction a_t (u_t - f_t) over the fold's held-out rows
+    and, with the clever covariate, over its training rows."""
+
+    values: NDArray
+    correction_means: NDArray        # (Q, M)
+    train_correction_means: NDArray  # (Q, M)
+
+
+class _Stages:
+    """Both nuisance passes over one panel, solved for several training sets.
+
+    With `folds`, training set q is every row outside folds[q]; without, the
+    one training set is the whole panel. Each pass visits the periods once:
+    it builds the period's design X_t and moment image Phi_t on the full panel
+    and solves that stage for every training set, whose rows enter the
+    right-hand sides through a 0/1 mask. The Gram of a training set is the sum
+    of its folds' Grams, so an exactly empty design column stays exactly zero.
+    At most two full-panel matrices are live besides the one being built: the
+    forward pass keeps X_{t-1} until Phi_t has served every right-hand side,
+    the backward pass keeps Phi_{t+1} until X_t has, and the forward pass
+    hands its last X_M and Phi_M to the backward pass.
+    """
+
+    def __init__(
+        self, data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig,
+        folds: Sequence[NDArray] | None = None,
+    ) -> None:
+        _check_setup(data, plan, cfg)
+        self.data, self.plan, self.cfg = data, plan, cfg
+        n = data.n_units
+        # Sorted, a fold's rows are gathered in memory order.
+        self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
+        if self.folds is None:
+            self.label = None
+            self.sizes = [n]
         else:
-            # Degenerate clever column: keep the plain fit, coefficient 0.
-            beta = np.append(solve(rhs, f"period {t}"), 0.0)
-        fitted[t - 1] = LinearFn(ExtendedFeatures(phi, representers[t - 1]), beta)
-    return fitted  # type: ignore[return-value]
+            self.label = np.empty(n, dtype=np.intp)
+            for q, idx in enumerate(self.folds):
+                self.label[idx] = q
+            self.sizes = [n - idx.shape[0] for idx in self.folds]
+        self._handover: tuple | None = None   # the forward pass's last X_M, Phi_M, solvers
+
+    def _where(self, q: int, t: int) -> str:
+        return f"period {t}" if self.folds is None else f"fold {q}: period {t}"
+
+    def _train(self, q: int, v: NDArray) -> NDArray:
+        """v on the rows of training set q, zero elsewhere."""
+        return v if self.label is None else np.where(self.label != q, v, 0.0)
+
+    def _design(self, t: int) -> NDArray:
+        phi = self.cfg.feature_maps[t - 1]
+        return phi.batch(self.data.states[t - 1], self.data.treatments[:, t - 1])
+
+    def _image(self, t: int) -> NDArray:
+        phi = self.cfg.feature_maps[t - 1]
+        return _term_sum(self.plan, t, self.data, phi.batch, phi.arity, (phi.dim,))
+
+    def _solvers(self, x: NDArray, t: int) -> list[Callable[..., NDArray]]:
+        if self.folds is None:
+            grams = [x.T @ x]
+        else:
+            blocks = [xb.T @ xb for xb in (x[idx] for idx in self.folds)]
+            grams = [sum(g for r, g in enumerate(blocks) if r != q) for q in range(len(blocks))]
+        return [_ridge_stage(g / n_q, n_q, self.cfg, t) for g, n_q in zip(grams, self.sizes)]
+
+    def _evaluate(self, t: int, g: Fn, m: NDArray, observed: bool) -> NDArray:
+        """g per row, read off a full-panel matrix m where g is linear in phi_t:
+        with `observed`, g(S_t, T_t) from the design X_t; else the period
+        moment m_t(Z; g) from the image Phi_t, which a clip does not pass
+        through. Any other g is evaluated directly."""
+        phi = self.cfg.feature_maps[t - 1]
+        if isinstance(g, LinearFn) and g.features is phi and (observed or g.clip is None):
+            return g.at_features(m)
+        if isinstance(g, LinearFn) and g.clip is None and isinstance(g.features, ExtendedFeatures) \
+                and g.features.base is phi:
+            base, gamma = m @ g.weights[:-1], g.weights[-1]
+            if gamma == 0.0:
+                return base
+            return base + gamma * self._evaluate(t, g.features.extra, m, observed)
+        if observed:
+            return g.batch(self.data.states[t - 1], self.data.treatments[:, t - 1])
+        return moment_batch(self.plan, t, self.data, g)
+
+    def riesz(self) -> list[list[LinearFn]]:
+        """The forward pass of `fit_recursive_riesz` for every training set; the
+        previous representer's values come from the design X_{t-1} it was
+        fitted on."""
+        cfg, m = self.cfg, self.data.num_periods
+        fitted: list[list[LinearFn]] = [[] for _ in self.sizes]
+        x = None
+        for t in range(1, m + 1):
+            image = None  # Phi_{t-1} has served; release it before Phi_t is built
+            image = self._image(t)
+            rhs = []
+            for q, n_q in enumerate(self.sizes):
+                prev = np.ones(self.data.n_units) if x is None else fitted[q][-1].at_features(x)
+                rhs.append(image.T @ self._train(q, prev) / n_q)
+            x = None  # X_{t-1} has served; release it before X_t is built
+            x = self._design(t)
+            solvers = self._solvers(x, t)
+            for q, solve in enumerate(solvers):
+                beta = solve(rhs[q], self._where(q, t))
+                fitted[q].append(LinearFn(cfg.feature_maps[t - 1], beta, clip=cfg.clip))
+        self._handover = (x, image, solvers)
+        return fitted
+
+    def regressions(
+        self, representers: Sequence[Sequence[Fn]] | None, clever: bool,
+        scores: HeldOutScores | None = None,
+    ) -> list[list[LinearFn]]:
+        """The backward pass of `fit_nested_regressions` for every training set.
+        With `clever`, training set q's representer for the period joins its
+        design as an unpenalized column (`fit_clever_covariate`). With
+        `scores`, each fold's held-out rows are scored with its nuisances
+        (`representers` per fold) while the designs are live: the correction
+        a_t (u_t - f_t) of every period, then the plug-in m_1(Z; f_1)."""
+        m = self.data.num_periods
+        fitted: list[list[LinearFn]] = [[None] * m for _ in self.sizes]  # type: ignore[list-item]
+        x, image, solvers = self._handover or (None, None, None)
+        self._handover = None
+        next_image = None
+        for t in range(m, 0, -1):
+            phi = self.cfg.feature_maps[t - 1]
+            if x is None:
+                x = self._design(t)
+                solvers = self._solvers(x, t)
+            for q, solve in enumerate(solvers):
+                n_q, where = self.sizes[q], self._where(q, t)
+                if t == m:
+                    u = self.data.outcome
+                else:
+                    u = self._evaluate(t + 1, fitted[q][t], next_image, observed=False)
+                u_train = self._train(q, u)
+                rhs = x.T @ u_train / n_q
+                rep = None if representers is None else representers[q][t - 1]
+                a = None if rep is None else self._evaluate(t, rep, x, observed=True)
+                if not clever:
+                    f = LinearFn(phi, solve(rhs, where))
+                else:
+                    a_train = self._train(q, a)
+                    if np.any(a_train):
+                        border = (x.T @ a_train / n_q, a_train @ a_train / n_q)
+                        beta = solve(np.append(rhs, a_train @ u_train / n_q), where, border)
+                    else:
+                        # Degenerate clever column: keep the plain fit, coefficient 0.
+                        beta = np.append(solve(rhs, where), 0.0)
+                    f = LinearFn(ExtendedFeatures(phi, rep), beta)
+                fitted[q][t - 1] = f
+                if scores is not None:
+                    corr = a * (u - self._evaluate(t, f, x, observed=True))
+                    idx = self.folds[q]
+                    scores.values[idx] += corr[idx]
+                    scores.correction_means[q, t - 1] = corr[idx].mean()
+                    if clever:
+                        scores.train_correction_means[q, t - 1] = self._train(q, corr).sum() / n_q
+            x = next_image = None  # X_t and Phi_{t+1} have served
+            if t > 1 or scores is not None:
+                next_image = self._image(t) if image is None else image
+            image = None
+        if scores is not None:
+            for q, idx in enumerate(self.folds):
+                plug = self._evaluate(1, fitted[q][0], next_image, observed=False)
+                scores.values[idx] += plug[idx]
+        return fitted
+
+
+def cross_fit(
+    data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, folds: Sequence[NDArray],
+    clever: bool = False,
+) -> HeldOutScores:
+    """Fit both nuisance sequences once per fold on the rows outside it, and
+    score the fold's rows with them."""
+    stages = _Stages(data, plan, cfg, folds)
+    shape = (len(folds), data.num_periods)
+    scores = HeldOutScores(np.zeros(data.n_units), np.zeros(shape), np.zeros(shape))
+    stages.regressions(stages.riesz(), clever, scores)
+    return scores
 
 
 def fit_nested_regressions(
@@ -163,8 +320,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    _check_setup(data, plan, cfg)
-    return _backward_pass(data, plan, cfg, None)
+    return _Stages(data, plan, cfg).regressions(None, clever=False)[0]
 
 
 def riesz_loss(
@@ -201,18 +357,7 @@ def fit_recursive_riesz(
     closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)], where
     Phi_t(Z) = sum_k w_k(Z) phi_t(S_t, d_k(Z)) is the feature image of the
     period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
-    _check_setup(data, plan, cfg)
-    fitted: list[LinearFn] = []
-    prev_vals = np.ones(data.n_units)
-    for t in range(1, data.num_periods + 1):
-        phi = cfg.feature_maps[t - 1]
-        x = phi.batch(data.states[t - 1], data.treatments[:, t - 1])
-        combo = _term_sum(plan, t, data, phi.batch, phi.arity, (phi.dim,))
-        rhs = (combo * prev_vals[:, None]).mean(axis=0)
-        a_t = LinearFn(phi, _ridge_stage(x, cfg, t)(rhs, f"period {t}"), clip=cfg.clip)
-        fitted.append(a_t)
-        prev_vals = a_t.at_features(x)
-    return fitted
+    return _Stages(data, plan, cfg).riesz()[0]
 
 
 def fit_clever_covariate(
@@ -225,21 +370,19 @@ def fit_clever_covariate(
     unpenalized design column, so every debiasing correction term has
     empirical mean zero by the normal equations and plug-in estimation
     already equals the debiased estimate."""
-    _check_setup(data, plan, cfg)
+    stages = _Stages(data, plan, cfg)
     if len(representers) != data.num_periods:
         raise ValidationError("need one representer per period")
-    return _backward_pass(data, plan, cfg, representers)
+    return stages.regressions([tuple(representers)], clever=True)[0]
 
 
 def fit_nuisances(
     data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, clever: bool = False
 ):
     """Fit both sequences on one sample; returns (regressions, representers)."""
-    representers = fit_recursive_riesz(data, plan, cfg)
-    if clever:
-        regressions = fit_clever_covariate(data, plan, representers, cfg)
-    else:
-        regressions = fit_nested_regressions(data, plan, cfg)
+    stages = _Stages(data, plan, cfg)
+    (representers,) = stages.riesz()
+    (regressions,) = stages.regressions([representers], clever)
     return regressions, representers
 
 

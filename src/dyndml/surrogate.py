@@ -133,13 +133,13 @@ def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
     dummy_s = np.zeros(n_s, dtype=np.int64)
 
     x_sx_long = phi_sx.batch(data.long_sx, np.zeros(n_l, dtype=np.int64))
-    solve_sx = _ridge_stage(x_sx_long, cfg, 2)
+    solve_sx = _ridge_stage(x_sx_long.T @ x_sx_long / n_l, n_l, cfg, 2)
     h = LinearFn(
         phi_sx, solve_sx(x_sx_long.T @ data.long_y / n_l, "h (long-sample regression)")
     )
 
     x_tx = phi_tx.batch(data.short_x, data.short_t)
-    solve_tx = _ridge_stage(x_tx, cfg, 1)
+    solve_tx = _ridge_stage(x_tx.T @ x_tx / n_s, n_s, cfg, 1)
     rhs_a1 = (
         phi_tx.batch(data.short_x, np.ones(n_s, dtype=np.int64))
         - phi_tx.batch(data.short_x, dummy_s)

@@ -403,6 +403,23 @@ class TestPlanFiles:
         rc = main(["oracle", "--dgp", files["dgp2"], "--plan", str(contrast)])
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["oracle", "estimate"])
+    def test_policy_table_shorter_than_state_grid_exit_2(self, files, capsys, command):
+        policy = files["dir"] / "short.cfg"
+        policy.write_text("kind = policy\npolicy_1 = 1\npolicy_2 = 1 1\n")
+        if command == "oracle":
+            argv = ["oracle", "--dgp", files["dgp2"], "--plan", str(policy)]
+        else:
+            data = files["dir"] / "d.csv"
+            main(["simulate", "--dgp", files["dgp2"], "--n", "200", "--out", str(data)])
+            argv = ["estimate", "--data", str(data), "--plan", str(policy),
+                    "--out", str(files["dir"] / "r.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "policy table of length 1 has no code for state value 1" in err
+        assert "Traceback" not in err
+
     def test_unknown_kind_exit_2(self, files, capsys):
         bad = files["dir"] / "bad.cfg"
         bad.write_text("kind = banana\n")

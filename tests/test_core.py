@@ -179,6 +179,36 @@ class TestPlans:
             moment_batch(policy, 1, simulate(dgp2, 20, 1), g)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "table,state,message",
+        [
+            ([1], 1.0, "policy table of length 1 has no code for state value 1"),
+            ([0, 1], -1.0, "policy table of length 2 has no code for state value -1"),
+            ([0, 1], 1.6, "policy table of length 2 has no code for state value 1.6"),
+        ],
+    )
+    def test_grid_policy_rejects_states_outside_its_table(self, table, state, message):
+        pi = grid_policy(table)
+        with pytest.raises(PlanError, match=message):
+            pi(np.array([[0.0], [state]]))
+        with pytest.raises(PlanError, match=message):
+            pi(np.array([state]))
+        assert pi(np.array([0.4])) == table[0]
+
+    def test_short_policy_table_surfaces_after_one_call(self, dgp2):
+        calls = []
+        inner = grid_policy([1])
+
+        def short(s):
+            calls.append(np.shape(s))
+            return inner(s)
+
+        policy = DynamicPolicy((short, grid_policy([1, 1])))
+        g = tabular_fn(np.arange(4.0).reshape(2, 2))
+        with pytest.raises(PlanError, match="length 1 has no code for state value 1"):
+            moment_batch(policy, 1, simulate(dgp2, 20, 1), g)
+        assert len(calls) == 1
+
     def test_scalar_policy_falls_back_to_rows(self, dgp2):
         data = simulate(dgp2, 30, 2)
         g = tabular_fn(np.arange(4.0).reshape(2, 2))
@@ -343,3 +373,51 @@ class TestCsvRoundTrip:
         data = read_panel_csv(str(path))
         np.testing.assert_array_equal(data.states[0], [[5.0, 9.0]])
         assert data.outcome[0] == 1.5
+
+
+class TestScalarGridLookup:
+    @staticmethod
+    def brute_force(grid, states):
+        g = np.asarray(grid, dtype=float)[:, None]
+        s = np.asarray(states, dtype=float)[:, None]
+        return ((s[:, None, :] - g[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [0.0, 1.0, 2.0, 3.0],
+            [3.0, -1.0, 0.5, 2.0, 0.0],          # unsorted
+            [2.0, 0.0, 2.0, 1.0, 0.0],           # unsorted with repeats
+            [0.1, 0.7, 0.3, -2.2, 5.9],          # midpoints not exact in binary
+            [4.0],
+        ],
+    )
+    def test_matches_argmin_on_random_states_and_midpoints(self, grid):
+        fmap = TabularFeatures(grid=np.array(grid), arity=1)
+        rng = np.random.Generator(np.random.PCG64(len(grid)))
+        values = np.unique(grid)
+        mids = (values[:-1] + values[1:]) / 2.0
+        states = np.concatenate([
+            rng.uniform(min(grid) - 2.0, max(grid) + 2.0, 500),
+            mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+            np.asarray(grid), [-1e6, 1e6],
+        ])
+        np.testing.assert_array_equal(
+            fmap.state_index(states[:, None]), self.brute_force(grid, states)
+        )
+
+    def test_exact_midpoint_takes_the_lower_grid_index(self):
+        fmap = TabularFeatures(grid=np.array([2.0, 0.0, 1.0]), arity=1)
+        # 0.5 ties grid rows 1 and 2, 1.5 ties rows 2 and 0
+        np.testing.assert_array_equal(fmap.state_index(np.array([[0.5], [1.5]])), [1, 0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        grid=st.lists(st.integers(-6, 6).map(lambda v: v / 2.0), min_size=1, max_size=8),
+        states=st.lists(st.integers(-16, 16).map(lambda v: v / 4.0), min_size=1, max_size=20),
+    )
+    def test_property_matches_argmin(self, grid, states):
+        fmap = TabularFeatures(grid=np.array(grid), arity=1)
+        np.testing.assert_array_equal(
+            fmap.state_index(np.array(states)[:, None]), self.brute_force(grid, states)
+        )

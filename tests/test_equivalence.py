@@ -3,7 +3,13 @@ score and of plan-term evaluation must agree with the batch code they view.
 
 The reference loops below are the per-period ladders that the population and
 mixed-bias forms used to spell out; they must stay bit-equal to `moment_scores`.
+The stage-major cross-fit is pinned to the per-fold definition of cross-fitting
+(refit on each complement, score each fold), and the incremental monomials to
+their closed form.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,13 +19,18 @@ from dyndml import (
     ConstantFn,
     Contrast,
     DynamicPolicy,
+    FitConfig,
     FixedSequence,
     LinearFn,
     NuisanceSet,
     PanelDataset,
+    PolynomialFeatures,
+    RandomFourierFeatures,
     TabularFeatures,
+    dml_estimate,
     evaluate_moment,
     grid_policy,
+    make_folds,
     mixed_bias,
     moment_batch,
     moment_scores,
@@ -32,6 +43,7 @@ from dyndml import (
 )
 from dyndml.core import _term_sum
 from dyndml.moment import nuisance_difference
+from dyndml.nuisance import fit_nuisances
 
 PLANS = {
     "fixed": FixedSequence((1, 1)),
@@ -167,3 +179,122 @@ def test_public_names_pinned():
         "surrogate_fit", "surrogate_scores", "tabular_fn", "write_panel_csv",
         "write_surrogate_csvs",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Stage-major cross-fitting against the per-fold definition
+# ---------------------------------------------------------------------------
+
+
+def per_fold_reference(data, plan, cfg, q_folds, seed, clever):
+    """Cross-fitting as defined: per fold, fit both sequences on a subset
+    holding the complement, then score a subset holding the fold."""
+    folds = make_folds(data.n_units, q_folds, seed)
+    scores = np.empty(data.n_units)
+    per_fold = []
+    for q, idx in enumerate(folds.folds):
+        train = data.subset(folds.complement(q))
+        regs, reps = fit_nuisances(train, plan, cfg, clever=clever)
+        bundle = NuisanceSet(regressions=tuple(regs), representers=tuple(reps))
+        vals, _, corrections = moment_scores(data.subset(idx), plan, bundle)
+        scores[idx] = vals
+        info = {
+            "fold": q,
+            "size": int(idx.shape[0]),
+            "score_mean": float(vals.mean()),
+            "correction_means": [float(c.mean()) for c in corrections],
+        }
+        if clever:
+            info["clever_correction_means"] = [
+                float(c.mean()) for c in moment_scores(train, plan, bundle)[2]
+            ]
+        per_fold.append(info)
+    theta = float(scores.mean())
+    return theta, float(np.sqrt(np.mean((scores - theta) ** 2))), per_fold
+
+
+def continuous_panel(n, seed, periods=2, dim=2):
+    """Gaussian states with logistic binary treatments and a linear outcome."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    s = rng.standard_normal((n, dim))
+    states, codes = [], np.empty((n, periods), dtype=np.int64)
+    for t in range(periods):
+        states.append(s)
+        codes[:, t] = rng.random(n) < 1.0 / (1.0 + np.exp(-0.5 * s[:, 0]))
+        s = 0.5 * s + 0.4 * codes[:, t, None] + 0.5 * rng.standard_normal(s.shape)
+    outcome = s.sum(axis=1) + codes[:, -1] + rng.standard_normal(n)
+    return PanelDataset(tuple(states), codes, outcome, (2,) * periods)
+
+
+def equivalence_case(features, plan_kind):
+    if features == "tabular":
+        dgp = random_dgp(np.random.Generator(np.random.PCG64(11)), periods=2)
+        data = simulate(dgp, 400, 12)
+        maps = tuple(
+            TabularFeatures(grid=np.arange(float(g)), arity=k)
+            for g, k in zip(dgp.state_arities, dgp.treatment_arities)
+        )
+        policy = DynamicPolicy(
+            tuple(grid_policy([(i + t) % 2 for i in range(g)]) for t, g in enumerate(dgp.state_arities))
+        )
+    else:
+        data = continuous_panel(400, 13)
+        if features == "polynomial":
+            maps = (PolynomialFeatures(2, 2, 2),) * 2
+        else:
+            maps = tuple(RandomFourierFeatures(2, 6, 2, seed=t) for t in range(2))
+
+        def sign(s):
+            return (s[:, 0] > 0).astype(np.int64)
+
+        policy = DynamicPolicy((sign, sign))
+    plans = {
+        "fixed": FixedSequence((1, 1)),
+        "policy": policy,
+        "contrast": Contrast.of_sequences([1.0, -1.0], [(1, 1), (0, 0)]),
+    }
+    return data, maps, plans[plan_kind]
+
+
+@pytest.mark.parametrize("ridge", [None, (1e-3, 1e-2)], ids=["default-ridge", "per-period-ridge"])
+@pytest.mark.parametrize("clip", [None, 2.5], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+@pytest.mark.parametrize("features", ["tabular", "polynomial", "fourier"])
+@pytest.mark.parametrize("plan_kind", sorted(PLANS))
+def test_stage_major_cross_fit_matches_per_fold_refits(plan_kind, features, clever, clip, ridge):
+    data, maps, plan = equivalence_case(features, plan_kind)
+    cfg = FitConfig(feature_maps=maps, ridge=ridge, clip=clip)
+    report = dml_estimate(data, plan, cfg, 3, 5, clever=clever)
+    theta, sigma, per_fold = per_fold_reference(data, plan, cfg, 3, 5, clever)
+    tol = 1e-10 * (1.0 + abs(theta))
+    assert abs(report.theta_hat - theta) <= tol
+    assert abs(report.sigma_hat - sigma) <= tol
+    assert [sorted(f) for f in report.per_fold] == [sorted(f) for f in per_fold]
+    for got, want in zip(report.per_fold, per_fold):
+        assert (got["fold"], got["size"]) == (want["fold"], want["size"])
+        for key in set(want) - {"fold", "size"}:
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=tol)
+
+
+def test_clip_is_active_in_the_equivalence_cases():
+    # The clipped cases must exercise representer values beyond the bound.
+    for features in ("tabular", "polynomial", "fourier"):
+        data, maps, plan = equivalence_case(features, "contrast")
+        reps = fit_nuisances(data, plan, FitConfig(feature_maps=maps))[1]
+        assert max(float(np.abs(a.at_features(m.batch(data.states[t], data.treatments[:, t]))).max())
+                   for t, (a, m) in enumerate(zip(reps, maps))) > 2.5
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+@pytest.mark.parametrize("degree", range(0, 5))
+def test_incremental_monomials_match_powers(dim, degree):
+    s = np.random.Generator(np.random.PCG64(dim * 10 + degree)).uniform(-2.0, 2.0, (50, dim))
+    exponents = [
+        np.bincount(np.array(combo, dtype=np.int64), minlength=dim)
+        for total in range(degree + 1)
+        for combo in itertools.combinations_with_replacement(range(dim), total)
+    ]
+    want = np.stack([np.prod(s ** e, axis=1) for e in exponents], axis=1)
+    got = PolynomialFeatures(dim, degree, 1)._monomials(s)
+    assert got.shape == want.shape == (50, math.comb(dim + degree, degree))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -12,8 +12,13 @@ from dyndml import (
     Contrast,
     DiscreteDGP,
     DynamicPolicy,
+    FitConfig,
     FixedSequence,
     NuisanceSet,
+    PanelDataset,
+    PolynomialFeatures,
+    RandomFourierFeatures,
+    TabularFeatures,
     PlanError,
     SolverError,
     ValidationError,
@@ -344,3 +349,63 @@ class TestTypedFoldErrors:
     def test_mc_raises_caller_mistakes(self, dgp2, plan2):
         with pytest.raises(ValidationError, match="cannot split 3 observations into 5 folds"):
             mc_experiment(dgp2, plan2, tabular_config(dgp2), 3, 3, 5, seed=0)
+
+
+class TestCrossFitSchedule:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dgp_seed=st.integers(0, 2**16),
+        periods=st.integers(1, 3),
+        n=st.integers(10, 150),
+        q=st.integers(2, 5),
+        seed=st.integers(0, 2**31),
+        clever=st.booleans(),
+    )
+    def test_rerun_is_bit_identical(self, dgp_seed, periods, n, q, seed, clever):
+        dgp = random_dgp(np.random.Generator(np.random.PCG64(dgp_seed)), periods=periods)
+        data = simulate(dgp, n, seed)
+        plan = FixedSequence((1,) * periods)
+
+        def run():
+            try:
+                return dml_estimate(data, plan, tabular_config(dgp), q, seed, clever=clever).to_json()
+            except SolverError as exc:
+                return f"SolverError: {exc}"
+
+        assert run() == run()
+
+    @staticmethod
+    def panel_treated_in_one_fold(folds, held, n, seed):
+        """Continuous 1-d states; period-1 treatment 1 only on rows of fold `held`."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        codes = np.zeros((n, 2), dtype=np.int64)
+        codes[folds[held], 0] = 1
+        codes[:, 1] = rng.integers(0, 2, n)
+        states = (rng.uniform(0.0, 1.0, (n, 1)), rng.uniform(0.0, 1.0, (n, 1)))
+        return PanelDataset(states, codes, rng.standard_normal(n), (2, 2))
+
+    @pytest.mark.parametrize("kind", ["tabular", "polynomial", "fourier"])
+    def test_zero_ridge_empty_block_names_its_fold(self, kind):
+        # The rows of fold 1 are the only ones treated in period 1, so fold 1's
+        # training rows leave the treatment-1 block of the design empty: its
+        # Gram block must be exactly zero, and a zero penalty cannot solve it.
+        # The one-column Fourier block has no constant to give it away; on its
+        # panel (seed 8) the full Gram minus fold 1's Gram leaves a positive
+        # residue of a few ulps there, which a zero penalty would solve.
+        n, q = 240, 3
+        folds = make_folds(n, q, 4).folds
+        data = self.panel_treated_in_one_fold(folds, 1, n, 8 if kind == "fourier" else 5)
+        if kind == "tabular":
+            data = PanelDataset(
+                tuple(np.floor(3 * s) for s in data.states), data.treatments, data.outcome, (2, 2)
+            )
+            maps = (TabularFeatures(grid=np.arange(3.0), arity=2),) * 2
+        elif kind == "polynomial":
+            maps = (PolynomialFeatures(1, 3, 2),) * 2
+        else:
+            maps = (RandomFourierFeatures(1, 1, 2, include_constant=False),) * 2
+        cfg = FitConfig(feature_maps=maps, ridge=0.0)
+        with pytest.raises(SolverError, match="^fold 1: period 1: singular system with zero penalty"):
+            dml_estimate(data, FixedSequence((1, 1)), cfg, q, 4)
+        # a penalty repairs it
+        dml_estimate(data, FixedSequence((1, 1)), FitConfig(feature_maps=maps, ridge=1e-6), q, 4)
