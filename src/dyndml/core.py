@@ -883,7 +883,8 @@ def _write_csv(path: str, header: Sequence[str], blocks: Sequence[NDArray]) -> N
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header names and data rows; every row must be as wide as the header."""
+    """Stripped header names, each once, and data rows; every row must be as wide
+    as the header."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -893,6 +894,9 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
         raise ValidationError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     body = rows[1:]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValidationError(f"{path}: repeated column {repeated[0]!r}")
     if set(map(len, body)) - {len(header)}:
         line, row = next((i, r) for i, r in enumerate(body, start=2) if len(r) != len(header))
         raise ValidationError(
@@ -921,48 +925,51 @@ def _parse_rows(path: str, header: list[str], body: list[list[str]], parse: Call
         raise
 
 
-_PANEL_COLUMN = re.compile(r"s(\d+)_(\d+)|t(\d+)|y")
+def _indexed_columns(path: str, header: list[str], prefix: str) -> list[int]:
+    """Positions of the columns `prefix`1..`prefix`p in index order; the indices
+    of the columns named `prefix` and a number must run from 1 without a gap."""
+    found = [name for name in header if re.fullmatch(re.escape(prefix) + r"\d+", name)]
+    names = [f"{prefix}{j}" for j in range(1, len(found) + 1)]
+    for name in found:
+        if name not in names:
+            raise ValidationError(
+                f"{path}: column {name!r}: indices of {prefix}* must run from 1 without gaps"
+            )
+    return [header.index(name) for name in names]
+
+
+_PANEL_COLUMN = re.compile(r"s([1-9]\d*|0)_\d+|t([1-9]\d*|0)|y")
 
 
 def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) -> PanelDataset:
     """Load the wide schema; arities default to max observed code + 1 per period."""
     header, body = _read_csv(path)
-    state_cols: dict[int, list[tuple[int, int]]] = {}
-    treat_cols: dict[int, int] = {}
     periods: dict[str, int] = {}
-    y_col = None
-    for i, name in enumerate(header):
+    for name in header:
         match = _PANEL_COLUMN.fullmatch(name)
         if match is None:
             raise ValidationError(f"{path}: unrecognized column {name!r}")
-        s_period, s_index, t_period = match.groups()
-        if name == "y":
-            y_col = i
-            continue
-        periods[name] = int(t_period or s_period)
-        if t_period is not None:
-            treat_cols[int(t_period)] = i
-        else:
-            state_cols.setdefault(int(s_period), []).append((int(s_index), i))
-    if y_col is None:
+        if name != "y":
+            periods[name] = int(match.group(1) or match.group(2))
+    if "y" not in header:
         raise ValidationError(f"{path}: missing column y")
-    m = max(treat_cols, default=0)
-    for t in range(1, max(m, 1) + 1):
-        if t not in treat_cols:
+    m = max((p for name, p in periods.items() if name[0] == "t"), default=0)
+    state_cols = [_indexed_columns(path, header, f"s{t}_") for t in range(1, max(m, 1) + 1)]
+    for t, cols in enumerate(state_cols, start=1):
+        if f"t{t}" not in periods:
             raise ValidationError(f"{path}: missing column t{t}")
-        if t not in state_cols:
+        if not cols:
             raise ValidationError(f"{path}: missing columns s{t}_*")
     for name, period in periods.items():
         if not 1 <= period <= m:
             raise ValidationError(f"{path}: column {name!r} is outside the file's periods 1..{m}")
     if not body:
         raise ValidationError(f"{path}: no data rows")
-    ordered = {t: [i for _, i in sorted(cols)] for t, cols in state_cols.items()}
+    treat_cols = [header.index(f"t{t}") for t in range(1, m + 1)]
+    y_col = header.index("y")
     states, treatments, outcome = _parse_rows(path, header, body, lambda: (
-        tuple(
-            np.array([[float(r[c]) for c in ordered[t]] for r in body]) for t in range(1, m + 1)
-        ),
-        np.array([[int(r[treat_cols[t]]) for t in range(1, m + 1)] for r in body]),
+        tuple(np.array([[float(r[c]) for c in cols] for r in body]) for cols in state_cols),
+        np.array([[int(r[c]) for c in treat_cols] for r in body]),
         np.array([float(r[y_col]) for r in body]),
     ))
     if treatment_arities is None:

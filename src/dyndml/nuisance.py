@@ -10,9 +10,10 @@ tests see no optimizer noise.
 
 Both passes run stage-major in one implementation, `_Stages`: each period's
 design X_t = phi_t(S_t, T_t) and moment image Phi_t = sum_k w_k phi_t(S_t, d_k)
-are built once on the whole panel and solved for every training set. A
-training set enters through a 0/1 row mask on the right-hand sides, and its
-Gram is the sum of the Grams of the fold blocks it contains. Cross-fitting
+are built once on the whole panel and solved for every training set. The
+training sets are `_TrainingSets`, which the surrogate estimator shares: a
+set enters through a 0/1 row mask on the right-hand sides, and its Gram is
+the sum of the Grams of the fold blocks it contains. Cross-fitting
 (`cross_fit`) solves one training set per fold and scores the held-out rows
 from the same designs; the public fits are the one-training-set case.
 """
@@ -102,21 +103,22 @@ def _solve_spd(a: NDArray, b: NDArray, lam: float) -> NDArray:
                 "has no mass (rank deficient)"
             )
     try:
-        chol = np.linalg.cholesky(a)
+        np.linalg.cholesky(a)  # the positive-definiteness check only
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "singular normal equations (rank-deficient design); "
             "set a positive ridge penalty"
         ) from exc
-    z = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, z)
+    return np.linalg.solve(a, b)
 
 
-def _ridge_stage(gram: NDArray, n: int, cfg: FitConfig, period: int) -> Callable[..., NDArray]:
+def _ridge_stage(gram: NDArray, n: int, cfg: FitConfig, period: int,
+                 prefix: str = "") -> Callable[..., NDArray]:
     """One penalized quadratic stage over a normalized Gram G = X'X/n of n rows:
     returns solve(rhs, where, border=None) for (G + lam I) beta = rhs, with lam
-    resolved from G by cfg.stage_ridge. A border (X'c/n, c'c/n) appends one
-    unpenalized design column c, and `rhs` then ends with its entry."""
+    resolved from G by cfg.stage_ridge; a SolverError names prefix + where. A
+    border (X'c/n, c'c/n) appends one unpenalized design column c, and `rhs`
+    then ends with its entry."""
     lam = cfg.stage_ridge(period, gram, n)
 
     def solve(
@@ -129,7 +131,7 @@ def _ridge_stage(gram: NDArray, n: int, cfg: FitConfig, period: int) -> Callable
         try:
             return _solve_spd(a, rhs, lam)
         except SolverError as exc:
-            raise SolverError(f"{where}: {exc}") from exc
+            raise SolverError(f"{prefix}{where}: {exc}") from exc
 
     return solve
 
@@ -144,19 +146,50 @@ class HeldOutScores(NamedTuple):
     train_correction_means: NDArray  # (Q, M)
 
 
-class _Stages:
-    """Both nuisance passes over one panel, solved for several training sets.
+class _TrainingSets:
+    """Training sets over n rows: with `folds`, set q is every row outside
+    folds[q]; without, the one set is every row. A set's rows enter the
+    right-hand sides through a 0/1 mask, and its Gram is the sum of the Grams
+    of the fold blocks it contains, each computed once on sorted fold rows, so
+    an exactly empty design column stays exactly zero."""
 
-    With `folds`, training set q is every row outside folds[q]; without, the
-    one training set is the whole panel. Each pass visits the periods once:
-    it builds the period's design X_t and moment image Phi_t on the full panel
-    and solves that stage for every training set, whose rows enter the
-    right-hand sides through a 0/1 mask. The Gram of a training set is the sum
-    of its folds' Grams, so an exactly empty design column stays exactly zero.
-    At most two full-panel matrices are live besides the one being built: the
-    forward pass keeps X_{t-1} until Phi_t has served every right-hand side,
-    the backward pass keeps Phi_{t+1} until X_t has, and the forward pass
-    hands its last X_M and Phi_M to the backward pass.
+    def __init__(self, n: int, folds: Sequence[NDArray] | None = None) -> None:
+        # Sorted, a fold's rows are gathered in memory order.
+        self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
+        self.label = None if folds is None else np.empty(n, dtype=np.intp)
+        for q, idx in enumerate(self.folds or ()):
+            self.label[idx] = q
+        self.sizes = [n] if folds is None else [n - idx.shape[0] for idx in self.folds]
+
+    def train(self, q: int, v: NDArray) -> NDArray:
+        """v on the rows of set q, zero elsewhere."""
+        return v if self.label is None else np.where(self.label != q, v, 0.0)
+
+    def mean(self, q: int, x: NDArray, v: NDArray) -> NDArray:
+        """The mean of v x over the rows of set q, x' v / n_q."""
+        return x.T @ self.train(q, v) / self.sizes[q]
+
+    def solvers(self, x: NDArray, cfg: FitConfig, period: int) -> list[Callable[..., NDArray]]:
+        """Per set, the `_ridge_stage` over design x restricted to its rows;
+        with folds, set q's errors name fold q."""
+        if self.folds is None:
+            return [_ridge_stage(x.T @ x / self.sizes[0], self.sizes[0], cfg, period)]
+        blocks = [xb.T @ xb for xb in (x[idx] for idx in self.folds)]
+        grams = (sum(g for r, g in enumerate(blocks) if r != q) for q in range(len(blocks)))
+        return [_ridge_stage(g / n_q, n_q, cfg, period, f"fold {q}: ")
+                for q, (g, n_q) in enumerate(zip(grams, self.sizes))]
+
+
+class _Stages:
+    """Both nuisance passes over one panel, solved for several training sets
+    (`_TrainingSets`; with `folds`, one per fold).
+
+    Each pass visits the periods once: it builds the period's design X_t and
+    moment image Phi_t on the full panel and solves that stage for every
+    training set. At most two full-panel matrices are live besides the one
+    being built: the forward pass keeps X_{t-1} until Phi_t has served every
+    right-hand side, the backward pass keeps Phi_{t+1} until X_t has, and the
+    forward pass hands its last X_M and Phi_M to the backward pass.
     """
 
     def __init__(
@@ -165,25 +198,8 @@ class _Stages:
     ) -> None:
         _check_setup(data, plan, cfg)
         self.data, self.plan, self.cfg = data, plan, cfg
-        n = data.n_units
-        # Sorted, a fold's rows are gathered in memory order.
-        self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
-        if self.folds is None:
-            self.label = None
-            self.sizes = [n]
-        else:
-            self.label = np.empty(n, dtype=np.intp)
-            for q, idx in enumerate(self.folds):
-                self.label[idx] = q
-            self.sizes = [n - idx.shape[0] for idx in self.folds]
+        self.sets = _TrainingSets(data.n_units, folds)
         self._handover: tuple | None = None   # the forward pass's last X_M, Phi_M, solvers
-
-    def _where(self, q: int, t: int) -> str:
-        return f"period {t}" if self.folds is None else f"fold {q}: period {t}"
-
-    def _train(self, q: int, v: NDArray) -> NDArray:
-        """v on the rows of training set q, zero elsewhere."""
-        return v if self.label is None else np.where(self.label != q, v, 0.0)
 
     def _design(self, t: int) -> NDArray:
         phi = self.cfg.feature_maps[t - 1]
@@ -192,14 +208,6 @@ class _Stages:
     def _image(self, t: int) -> NDArray:
         phi = self.cfg.feature_maps[t - 1]
         return _term_sum(self.plan, t, self.data, phi.batch, phi.arity, (phi.dim,))
-
-    def _solvers(self, x: NDArray, t: int) -> list[Callable[..., NDArray]]:
-        if self.folds is None:
-            grams = [x.T @ x]
-        else:
-            blocks = [xb.T @ xb for xb in (x[idx] for idx in self.folds)]
-            grams = [sum(g for r, g in enumerate(blocks) if r != q) for q in range(len(blocks))]
-        return [_ridge_stage(g / n_q, n_q, self.cfg, t) for g, n_q in zip(grams, self.sizes)]
 
     def _evaluate(self, t: int, g: Fn, m: NDArray, observed: bool) -> NDArray:
         """g per row, read off a full-panel matrix m where g is linear in phi_t:
@@ -223,21 +231,21 @@ class _Stages:
         """The forward pass of `fit_recursive_riesz` for every training set; the
         previous representer's values come from the design X_{t-1} it was
         fitted on."""
-        cfg, m = self.cfg, self.data.num_periods
-        fitted: list[list[LinearFn]] = [[] for _ in self.sizes]
+        cfg, m, sets = self.cfg, self.data.num_periods, self.sets
+        fitted: list[list[LinearFn]] = [[] for _ in sets.sizes]
         x = None
         for t in range(1, m + 1):
             image = None  # Phi_{t-1} has served; release it before Phi_t is built
             image = self._image(t)
             rhs = []
-            for q, n_q in enumerate(self.sizes):
-                prev = np.ones(self.data.n_units) if x is None else fitted[q][-1].at_features(x)
-                rhs.append(image.T @ self._train(q, prev) / n_q)
+            for q, reps in enumerate(fitted):
+                prev = np.ones(self.data.n_units) if x is None else reps[-1].at_features(x)
+                rhs.append(sets.mean(q, image, prev))
             x = None  # X_{t-1} has served; release it before X_t is built
             x = self._design(t)
-            solvers = self._solvers(x, t)
+            solvers = sets.solvers(x, cfg, t)
             for q, solve in enumerate(solvers):
-                beta = solve(rhs[q], self._where(q, t))
+                beta = solve(rhs[q], f"period {t}")
                 fitted[q].append(LinearFn(cfg.feature_maps[t - 1], beta, clip=cfg.clip))
         self._handover = (x, image, solvers)
         return fitted
@@ -252,8 +260,8 @@ class _Stages:
         `scores`, each fold's held-out rows are scored with its nuisances
         (`representers` per fold) while the designs are live: the correction
         a_t (u_t - f_t) of every period, then the plug-in m_1(Z; f_1)."""
-        m = self.data.num_periods
-        fitted: list[list[LinearFn]] = [[None] * m for _ in self.sizes]  # type: ignore[list-item]
+        m, sets = self.data.num_periods, self.sets
+        fitted: list[list[LinearFn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
         x, image, solvers = self._handover or (None, None, None)
         self._handover = None
         next_image = None
@@ -261,21 +269,21 @@ class _Stages:
             phi = self.cfg.feature_maps[t - 1]
             if x is None:
                 x = self._design(t)
-                solvers = self._solvers(x, t)
+                solvers = sets.solvers(x, self.cfg, t)
             for q, solve in enumerate(solvers):
-                n_q, where = self.sizes[q], self._where(q, t)
+                n_q, where = sets.sizes[q], f"period {t}"
                 if t == m:
                     u = self.data.outcome
                 else:
                     u = self._evaluate(t + 1, fitted[q][t], next_image, observed=False)
-                u_train = self._train(q, u)
+                u_train = sets.train(q, u)
                 rhs = x.T @ u_train / n_q
                 rep = None if representers is None else representers[q][t - 1]
                 a = None if rep is None else self._evaluate(t, rep, x, observed=True)
                 if not clever:
                     f = LinearFn(phi, solve(rhs, where))
                 else:
-                    a_train = self._train(q, a)
+                    a_train = sets.train(q, a)
                     if np.any(a_train):
                         border = (x.T @ a_train / n_q, a_train @ a_train / n_q)
                         beta = solve(np.append(rhs, a_train @ u_train / n_q), where, border)
@@ -286,17 +294,17 @@ class _Stages:
                 fitted[q][t - 1] = f
                 if scores is not None:
                     corr = a * (u - self._evaluate(t, f, x, observed=True))
-                    idx = self.folds[q]
+                    idx = sets.folds[q]
                     scores.values[idx] += corr[idx]
                     scores.correction_means[q, t - 1] = corr[idx].mean()
                     if clever:
-                        scores.train_correction_means[q, t - 1] = self._train(q, corr).sum() / n_q
+                        scores.train_correction_means[q, t - 1] = sets.train(q, corr).sum() / n_q
             x = next_image = None  # X_t and Phi_{t+1} have served
             if t > 1 or scores is not None:
                 next_image = self._image(t) if image is None else image
             image = None
         if scores is not None:
-            for q, idx in enumerate(self.folds):
+            for q, idx in enumerate(sets.folds):
                 plug = self._evaluate(1, fitted[q][0], next_image, observed=False)
                 scores.values[idx] += plug[idx]
         return fitted

@@ -9,6 +9,12 @@ debiased moment adds two corrections: the treatment representer a1(T, X) on
 the short sample, and the change-of-measure representer a2(S, X), trained
 under the long-sample norm against a short-sample functional, on the long
 sample.
+
+`surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`, on
+a `nuisance._TrainingSets` per sample: it builds phi_sx(long S, X),
+phi_tx(X, T), phi_tx(X, 1) - phi_tx(X, 0) and phi_sx(short S, X) once per
+call, solves h, a1, g and a2 for each pair of training sets (rows masked,
+Grams summed from fold blocks) and scores held-out records from them.
 """
 
 from __future__ import annotations
@@ -23,18 +29,16 @@ from numpy.typing import NDArray
 from .core import (
     Fn,
     LinearFn,
-    SolverError,
     ValidationError,
     _check_finite,
+    _indexed_columns,
     _parse_rows,
     _read_csv,
     _write_csv,
 )
 from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
-from .nuisance import FitConfig, _ridge_stage
+from .nuisance import FitConfig, _TrainingSets
 from .oracle import mix_seed
-
-_DUMMY_CODE = 0  # h and a2 are functions of (S, X) only; arity-1 treatment slot
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +91,6 @@ class SurrogatePair:
     def long_sx(self) -> NDArray:
         return np.hstack([self.long_s, self.long_x])
 
-    def subset(self, short_idx: NDArray, long_idx: NDArray) -> "SurrogatePair":
-        return SurrogatePair(
-            short_x=self.short_x[short_idx],
-            short_t=self.short_t[short_idx],
-            short_s=self.short_s[short_idx],
-            long_x=self.long_x[long_idx],
-            long_s=self.long_s[long_idx],
-            long_y=self.long_y[long_idx],
-        )
-
 
 @dataclass(frozen=True)
 class SurrogateNuisances:
@@ -110,7 +104,18 @@ class SurrogateNuisances:
     a2: Fn
 
 
-def _check_cfg(cfg: FitConfig) -> None:
+def _cross_fit(
+    data: SurrogatePair, cfg: FitConfig, short: _TrainingSets, long: _TrainingSets,
+    scores: tuple[NDArray, NDArray] | None = None,
+) -> list[SurrogateNuisances]:
+    """All four nuisances for every pair (short set q, long set q) of training
+    sets, solved from four designs built once on the whole samples; with
+    `scores` (short, long), each fold's held-out records are scored from them.
+
+    a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))]; a2 minimizes the
+    cross-sample risk E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a
+    ridge penalty on the normalized Gram.
+    """
     if len(cfg.feature_maps) != 2:
         raise ValidationError(
             "surrogate fits need two feature maps: (controls, binary treatment) "
@@ -118,42 +123,37 @@ def _check_cfg(cfg: FitConfig) -> None:
         )
     if cfg.feature_maps[0].arity != 2:
         raise ValidationError("the (T, X) feature map must have treatment arity 2")
+    phi_tx, phi_sx = cfg.feature_maps
+    zeros, ones = (np.full(data.n_short, c, dtype=np.int64) for c in (0, 1))
+    x_long = phi_sx.batch(data.long_sx, np.zeros(data.n_long, dtype=np.int64))
+    x_tx = phi_tx.batch(data.short_x, data.short_t)
+    contrast = phi_tx.batch(data.short_x, ones) - phi_tx.batch(data.short_x, zeros)
+    x_short = phi_sx.batch(data.short_sx, zeros)
+    fitted = []
+    for q, (solve_sx, solve_tx) in enumerate(zip(long.solvers(x_long, cfg, 2),
+                                                 short.solvers(x_tx, cfg, 1))):
+        h = LinearFn(phi_sx, solve_sx(long.mean(q, x_long, data.long_y),
+                                      "h (long-sample regression)"))
+        a1 = LinearFn(phi_tx, solve_tx(short.mean(q, contrast, ones),
+                                       "a1 (treatment representer)"), clip=cfg.clip)
+        h_short = h.at_features(x_short)
+        g = LinearFn(phi_tx, solve_tx(short.mean(q, x_tx, h_short), "g (short-sample projection)"))
+        a1_vals = a1.at_features(x_tx)
+        a2 = LinearFn(phi_sx, solve_sx(short.mean(q, x_short, a1_vals),
+                                       "a2 (surrogate score)"), clip=cfg.clip)
+        fitted.append(SurrogateNuisances(h=h, g=g, a1=a1, a2=a2))
+        if scores is not None:
+            idx_s, idx_l = short.folds[q], long.folds[q]
+            g1_g0, g_obs = contrast[idx_s] @ g.weights, x_tx[idx_s] @ g.weights
+            scores[0][idx_s] = g1_g0 + a1_vals[idx_s] * (h_short[idx_s] - g_obs)
+            x_held = x_long[idx_l]
+            scores[1][idx_l] = a2.at_features(x_held) * (data.long_y[idx_l] - h.at_features(x_held))
+    return fitted
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
-    """Fit all four nuisances on the given samples.
-
-    a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))]; a2 minimizes the
-    cross-sample risk E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a
-    ridge penalty on the normalized Gram.
-    """
-    _check_cfg(cfg)
-    phi_tx, phi_sx = cfg.feature_maps
-    n_s, n_l = data.n_short, data.n_long
-    dummy_s = np.zeros(n_s, dtype=np.int64)
-
-    x_sx_long = phi_sx.batch(data.long_sx, np.zeros(n_l, dtype=np.int64))
-    solve_sx = _ridge_stage(x_sx_long.T @ x_sx_long / n_l, n_l, cfg, 2)
-    h = LinearFn(
-        phi_sx, solve_sx(x_sx_long.T @ data.long_y / n_l, "h (long-sample regression)")
-    )
-
-    x_tx = phi_tx.batch(data.short_x, data.short_t)
-    solve_tx = _ridge_stage(x_tx.T @ x_tx / n_s, n_s, cfg, 1)
-    rhs_a1 = (
-        phi_tx.batch(data.short_x, np.ones(n_s, dtype=np.int64))
-        - phi_tx.batch(data.short_x, dummy_s)
-    ).mean(axis=0)
-    a1 = LinearFn(phi_tx, solve_tx(rhs_a1, "a1 (treatment representer)"), clip=cfg.clip)
-
-    x_sx_short = phi_sx.batch(data.short_sx, dummy_s)
-    h_short = h.at_features(x_sx_short)
-    g = LinearFn(phi_tx, solve_tx(x_tx.T @ h_short / n_s, "g (short-sample projection)"))
-
-    rhs_a2 = (a1.at_features(x_tx)[:, None] * x_sx_short).mean(axis=0)
-    a2 = LinearFn(phi_sx, solve_sx(rhs_a2, "a2 (surrogate score)"), clip=cfg.clip)
-
-    return SurrogateNuisances(h=h, g=g, a1=a1, a2=a2)
+    """Fit all four nuisances on the given samples: `_cross_fit`'s one-set case."""
+    return _cross_fit(data, cfg, _TrainingSets(data.n_short), _TrainingSets(data.n_long))[0]
 
 
 def surrogate_scores(
@@ -182,39 +182,31 @@ def surrogate_estimate(
 
     Each sample is split into Q folds independently (the samples share no
     units); fold q of the short sample reuses the h trained on the
-    complement of fold q of the long sample. The two samples are treated as
+    complement of fold q of the long sample; the designs are built once and
+    solved for every fold (`_cross_fit`). The two samples are treated as
     independent for the variance: the reported sigma^2 is
     V_short + V_long * n_short/n_long under the single-sqrt(n_short) report
     convention, so sigma^2 / n_short = V_s/n_s + V_l/n_l.
     """
-    folds_s = make_folds(data.n_short, q_folds, seed)
-    folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1))
-    short_scores = np.empty(data.n_short)
-    long_scores = np.empty(data.n_long)
+    folds_s = make_folds(data.n_short, q_folds, seed).folds
+    folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1)).folds
+    short_scores, long_scores = np.empty(data.n_short), np.empty(data.n_long)
+    sets = (_TrainingSets(data.n_short, folds_s), _TrainingSets(data.n_long, folds_l))
+    try:
+        _cross_fit(data, cfg, *sets, scores=(short_scores, long_scores))
+    except ValidationError as exc:
+        # A design error stops every fold's fit; it is reported as fold 0's.
+        raise type(exc)(f"fold 0: {exc}") from exc
     per_fold: list[dict] = []
-    for q in range(q_folds):
-        train = data.subset(folds_s.complement(q), folds_l.complement(q))
-        try:
-            nus = surrogate_fit(train, cfg)
-        except (SolverError, ValidationError) as exc:
-            raise type(exc)(f"fold {q}: {exc}") from exc
-        hold = data.subset(folds_s.folds[q], folds_l.folds[q])
-        s_term, l_term = surrogate_scores(hold, nus)
+    for q, (idx_s, idx_l) in enumerate(zip(folds_s, folds_l)):
+        s_term, l_term = short_scores[idx_s], long_scores[idx_l]
         _check_fold_scores(q, s_term, l_term)
-        short_scores[folds_s.folds[q]] = s_term
-        long_scores[folds_l.folds[q]] = l_term
-        per_fold.append(
-            {
-                "fold": q,
-                "short_size": int(folds_s.folds[q].shape[0]),
-                "long_size": int(folds_l.folds[q].shape[0]),
-                "short_mean": float(s_term.mean()),
-                "long_mean": float(l_term.mean()),
-            }
-        )
+        per_fold.append({
+            "fold": q, "short_size": int(idx_s.shape[0]), "long_size": int(idx_l.shape[0]),
+            "short_mean": float(s_term.mean()), "long_mean": float(l_term.mean()),
+        })
     theta = float(short_scores.mean() + long_scores.mean())
-    v_short = float(np.mean((short_scores - short_scores.mean()) ** 2))
-    v_long = float(np.mean((long_scores - long_scores.mean()) ** 2))
+    v_short, v_long = float(short_scores.var()), float(long_scores.var())
     sigma = math.sqrt(v_short + v_long * data.n_short / data.n_long)
     config = _config_echo(
         cfg, variance_convention="sigma^2 = V_short + V_long * n_short/n_long; n = n_short"
@@ -237,23 +229,16 @@ def write_surrogate_csvs(data: SurrogatePair, short_path: str, long_path: str) -
     _write_csv(long_path, xs + ss + ["y"], [data.long_x, data.long_s, data.long_y])
 
 
-_SURROGATE_COLUMN = re.compile(r"([xs])_(\d+)|t|y")
-
-
-def _split_columns(header: list[str], path: str) -> tuple[list[int], list[int], int | None, int | None]:
-    cols: dict[str, list[tuple[int, int]]] = {"x": [], "s": []}
-    t_col = y_col = None
-    for i, name in enumerate(header):
-        match = _SURROGATE_COLUMN.fullmatch(name)
-        if match is None:
+def _split_columns(path: str, header: list[str], other: str) -> tuple[list[int], list[int], int]:
+    """Positions of the x_* and s_* columns in index order and of the one other
+    column, t in the short file and y in the long one."""
+    for name in header:
+        if name != other and re.fullmatch(r"[xs]_\d+", name) is None:
             raise ValidationError(f"{path}: unrecognized column {name!r}")
-        if name == "t":
-            t_col = i
-        elif name == "y":
-            y_col = i
-        else:
-            cols[match.group(1)].append((int(match.group(2)), i))
-    return [i for _, i in sorted(cols["x"])], [i for _, i in sorted(cols["s"])], t_col, y_col
+    if other not in header:
+        raise ValidationError(f"{path}: missing column {other}")
+    xs, ss = (_indexed_columns(path, header, prefix) for prefix in ("x_", "s_"))
+    return xs, ss, header.index(other)
 
 
 def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
@@ -261,12 +246,8 @@ def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
     long_header, lb = _read_csv(long_path)
     if not sb or not lb:
         raise ValidationError("surrogate samples must be nonempty")
-    xs, ss, t_col, _ = _split_columns(short_header, short_path)
-    if t_col is None:
-        raise ValidationError(f"{short_path}: missing column t")
-    xl, sl, _, y_col = _split_columns(long_header, long_path)
-    if y_col is None:
-        raise ValidationError(f"{long_path}: missing column y")
+    xs, ss, t_col = _split_columns(short_path, short_header, "t")
+    xl, sl, y_col = _split_columns(long_path, long_header, "y")
     short_x, short_t, short_s = _parse_rows(short_path, short_header, sb, lambda: (
         np.array([[float(r[c]) for c in xs] for r in sb]),
         np.array([int(r[t_col]) for r in sb]),

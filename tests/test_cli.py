@@ -438,6 +438,9 @@ class TestCsvSchemaErrors:
             ("s1_1,t1,y\n0,1,2\n1,0\n", "line 3 has 2 fields, the header has 3"),
             ("s1_1,t1,y\n0,1,2\n1,0,nan\n", "non-finite value in outcome y, row 1"),
             ("s1_1,s3_1,t0,t1,y\n0,1,1,1,2\n", "column 's3_1' is outside the file's periods 1..1"),
+            ("s1_1,t1,t1,y,y\n0,1,0,2,3\n", "repeated column 't1'"),
+            ("s1_1,s1_3,t1,y\n0,1,1,2\n", "column 's1_3': indices of s1_* must run from 1"),
+            ("s1_1,t01,y\n0,1,2\n", "unrecognized column 't01'"),
         ],
     )
     def test_panel_schema_errors_exit_2(self, files, capsys, text, message):
@@ -456,6 +459,11 @@ class TestCsvSchemaErrors:
             ("x_a,t,s_1\n0,1,2\n", "x_1,s_1,y\n0,1,2\n", "short", "unrecognized column 'x_a'"),
             ("x_1,t,s_1\n0,1,2\n", "x_1,s_1,y\n0,1,oops\n", "long", "line 2, column 'y'"),
             ("x_1,t,s_1\n0,1,2,3\n", "x_1,s_1,y\n0,1,2\n", "short", "line 2 has 4 fields"),
+            ("x_1,t,s_1,t\n0,1,2,0\n", "x_1,s_1,y\n0,1,2\n", "short", "repeated column 't'"),
+            ("x_1,x_1,t,s_1\n0,0,1,2\n", "x_1,s_1,y\n0,1,2\n", "short", "repeated column 'x_1'"),
+            ("x_1,x_2,t,s_1\n0,0,1,2\n", "x_1,x_3,s_1,y\n0,0,1,2\n", "long",
+             "column 'x_3': indices of x_* must run from 1"),
+            ("x_1,t,s_1,y\n0,1,2,3\n", "x_1,s_1,y\n0,1,2\n", "short", "unrecognized column 'y'"),
         ],
     )
     def test_surrogate_schema_errors_exit_2(self, files, capsys, short_text, long_text, bad, message):

@@ -3,9 +3,9 @@ score and of plan-term evaluation must agree with the batch code they view.
 
 The reference loops below are the per-period ladders that the population and
 mixed-bias forms used to spell out; they must stay bit-equal to `moment_scores`.
-The stage-major cross-fit is pinned to the per-fold definition of cross-fitting
-(refit on each complement, score each fold), and the incremental monomials to
-their closed form.
+The stage-major cross-fits of the panel and the two-sample estimators are
+pinned to the per-fold definition of cross-fitting (refit on each complement,
+score each fold), and the incremental monomials to their closed form.
 """
 
 import itertools
@@ -26,11 +26,14 @@ from dyndml import (
     PanelDataset,
     PolynomialFeatures,
     RandomFourierFeatures,
+    SolverError,
+    SurrogatePair,
     TabularFeatures,
     dml_estimate,
     evaluate_moment,
     grid_policy,
     make_folds,
+    mix_seed,
     mixed_bias,
     moment_batch,
     moment_scores,
@@ -39,11 +42,15 @@ from dyndml import (
     population_moment,
     random_dgp,
     simulate,
+    surrogate_estimate,
+    surrogate_fit,
+    surrogate_scores,
     tabular_fn,
 )
 from dyndml.core import _term_sum
 from dyndml.moment import nuisance_difference
 from dyndml.nuisance import fit_nuisances
+from helpers_surrogate import two_sample_ref
 
 PLANS = {
     "fixed": FixedSequence((1, 1)),
@@ -298,3 +305,106 @@ def test_incremental_monomials_match_powers(dim, degree):
     got = PolynomialFeatures(dim, degree, 1)._monomials(s)
     assert got.shape == want.shape == (50, math.comb(dim + degree, degree))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The two-sample cross-fit against the per-fold definition
+# ---------------------------------------------------------------------------
+
+
+def sample_pair(data, idx_s, idx_l):
+    """The records idx_s of the short sample and idx_l of the long one."""
+    return SurrogatePair(
+        data.short_x[idx_s], data.short_t[idx_s], data.short_s[idx_s],
+        data.long_x[idx_l], data.long_s[idx_l], data.long_y[idx_l],
+    )
+
+
+def surrogate_per_fold_reference(data, cfg, q_folds, seed):
+    """Two-sample cross-fitting as defined: per fold, fit on a pair holding both
+    complements, then score a pair holding both folds."""
+    folds_s = make_folds(data.n_short, q_folds, seed)
+    folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1))
+    short_scores, long_scores = np.empty(data.n_short), np.empty(data.n_long)
+    per_fold = []
+    for q, (idx_s, idx_l) in enumerate(zip(folds_s.folds, folds_l.folds)):
+        nus = surrogate_fit(sample_pair(data, folds_s.complement(q), folds_l.complement(q)), cfg)
+        s_term, l_term = surrogate_scores(sample_pair(data, idx_s, idx_l), nus)
+        short_scores[idx_s], long_scores[idx_l] = s_term, l_term
+        per_fold.append({
+            "fold": q, "short_size": int(idx_s.shape[0]), "long_size": int(idx_l.shape[0]),
+            "short_mean": float(s_term.mean()), "long_mean": float(l_term.mean()),
+        })
+    theta = float(short_scores.mean() + long_scores.mean())
+    v_short = np.mean((short_scores - short_scores.mean()) ** 2)
+    v_long = np.mean((long_scores - long_scores.mean()) ** 2)
+    return theta, float(np.sqrt(v_short + v_long * data.n_short / data.n_long)), per_fold
+
+
+def continuous_pair(n_short, n_long, seed):
+    """Gaussian controls, a logistic treatment, a surrogate shifted by it, and a
+    long sample whose outcome is linear in (S, X)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.standard_normal((n_short, 1))
+    t = (rng.random(n_short) < 1.0 / (1.0 + np.exp(-1.5 * x[:, 0]))).astype(np.int64)
+    s = 0.5 * x + t[:, None] + 0.5 * rng.standard_normal((n_short, 1))
+    x_long = rng.standard_normal((n_long, 1))
+    s_long = 0.5 * x_long + 0.5 + 0.7 * rng.standard_normal((n_long, 1))
+    y = 2.0 * s_long[:, 0] - x_long[:, 0] + rng.standard_normal(n_long)
+    return SurrogatePair(x, t, s, x_long, s_long, y)
+
+
+def surrogate_case(features):
+    if features == "tabular":
+        tsd = two_sample_ref()
+        return tsd.simulate(600, 500, 3), tsd.feature_maps()
+    return continuous_pair(600, 500, 4), (PolynomialFeatures(1, 2, 2), PolynomialFeatures(2, 2, 1))
+
+
+SURROGATE_CLIP = 1.25
+
+
+@pytest.mark.parametrize("ridge", [None, (1e-3, 1e-2)], ids=["default-ridge", "per-stage-ridge"])
+@pytest.mark.parametrize("clip", [None, SURROGATE_CLIP], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("features", ["tabular", "polynomial"])
+def test_surrogate_cross_fit_matches_per_fold_refits(features, clip, ridge):
+    data, maps = surrogate_case(features)
+    cfg = FitConfig(feature_maps=maps, ridge=ridge, clip=clip)
+    report = surrogate_estimate(data, cfg, 3, 5)
+    theta, sigma, per_fold = surrogate_per_fold_reference(data, cfg, 3, 5)
+    tol = 1e-10 * (1.0 + abs(theta))
+    assert abs(report.theta_hat - theta) <= tol
+    assert abs(report.sigma_hat - sigma) <= tol
+    assert [sorted(f) for f in report.per_fold] == [sorted(f) for f in per_fold]
+    for got, want in zip(report.per_fold, per_fold):
+        for key in ("fold", "short_size", "long_size"):
+            assert got[key] == want[key]
+        for key in ("short_mean", "long_mean"):
+            assert abs(got[key] - want[key]) <= tol
+
+
+@pytest.mark.parametrize("features", ["tabular", "polynomial"])
+def test_surrogate_clip_is_active_in_the_equivalence_cases(features):
+    # Both clipped representers must take values beyond the bound.
+    data, maps = surrogate_case(features)
+    nus = surrogate_fit(data, FitConfig(feature_maps=maps))
+    a1 = nus.a1.batch(data.short_x, data.short_t)
+    a2 = nus.a2.batch(data.long_sx, np.zeros(data.n_long, dtype=np.int64))
+    assert np.abs(a1).max() > SURROGATE_CLIP and np.abs(a2).max() > SURROGATE_CLIP
+
+
+def test_surrogate_zero_ridge_fails_the_fold_missing_a_long_cell():
+    # Every long record of one (S, X) cell falls in long fold 1, so fold 1's
+    # complement has no mass on that cell's column and its h stage is singular.
+    tsd = two_sample_ref()
+    data = tsd.simulate(600, 500, 3)
+    fold = np.zeros(data.n_long, dtype=bool)
+    fold[make_folds(data.n_long, 3, mix_seed(5, 1)).folds[1]] = True
+    long_s = data.long_s.copy()
+    cell = (data.long_s[:, 0] == 2.0) & (data.long_x[:, 0] == 1.0)
+    assert (cell & fold).any()
+    long_s[cell & ~fold] = 1.0
+    data = SurrogatePair(data.short_x, data.short_t, data.short_s, data.long_x, long_s, data.long_y)
+    cfg = FitConfig(feature_maps=tsd.feature_maps(), ridge=0.0)
+    with pytest.raises(SolverError, match=r"^fold 1: h \(long-sample regression\): singular"):
+        surrogate_estimate(data, cfg, 3, 5)
