@@ -244,6 +244,15 @@ def required_arities(plan: TreatmentPlan, data: PanelDataset) -> tuple[int, ...]
     return tuple(arities)
 
 
+def _distinct_rows(s: np.ndarray) -> np.ndarray:
+    """The sorted distinct rows of `s`, as `np.unique(s, axis=0)` gives them,
+    from one lexsort and a compare of neighbours."""
+    s = s[np.lexsort(s.T[::-1])]
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return s[keep]
+
+
 def _build_feature_maps(
     cfg: Config, states: Sequence[np.ndarray], arities: Sequence[int]
 ) -> tuple[FeatureMap, ...]:
@@ -253,7 +262,7 @@ def _build_feature_maps(
     maps: list[FeatureMap] = []
     for t, (s, k) in enumerate(zip(states, arities), start=1):
         if kind == "tabular":
-            maps.append(TabularFeatures(grid=np.unique(s, axis=0), arity=k))
+            maps.append(TabularFeatures(grid=_distinct_rows(s), arity=k))
         elif kind == "polynomial":
             maps.append(
                 PolynomialFeatures(

@@ -873,18 +873,21 @@ def write_panel_csv(data: PanelDataset, path: str) -> None:
 
 def _write_csv(path: str, header: Sequence[str], blocks: Sequence[NDArray]) -> None:
     """Rows made of the blocks' columns side by side: integer blocks as integers,
-    the rest in round-trip-exact decimal."""
-    blocks = [b.reshape(b.shape[0], -1) for b in blocks]
+    the rest in round-trip-exact decimal. Each column is formatted whole."""
+    columns = [
+        map(str if b.dtype.kind == "i" else _fmt, col.tolist())
+        for b in blocks
+        for col in b.reshape(b.shape[0], -1).T
+    ]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(blocks[0].shape[0]):
-            w.writerow([str(int(v)) if b.dtype.kind == "i" else _fmt(v) for b in blocks for v in b[i]])
+        w.writerows(zip(*columns))
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header names, each once, and data rows; every row must be as wide
-    as the header."""
+    """Stripped header names, each once, and the data rows as unparsed cells
+    (`_columns` parses them); every row must be as wide as the header."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -905,29 +908,42 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
-def _parse_rows(path: str, header: list[str], body: list[list[str]], parse: Callable) -> tuple:
-    """Run the row parser `parse`; when a cell does not parse, raise ValidationError
-    naming its file, line and column. Treatment columns (named t...) hold
-    integers, every other column a number."""
+def _columns(path: str, header: list[str], body: list[list[str]]) -> dict[str, NDArray]:
+    """Each column parsed once, by name: treatment columns (named t...) with
+    Python's `int()` into int64, every other column with `float()`, so a cell is
+    accepted exactly when that call accepts it and the code fits in int64. Only
+    when a column fails are the rows walked in order, to raise ValidationError
+    naming the file, line and column of the first bad cell."""
+    kinds = [(int, np.int64) if name.startswith("t") else (float, np.float64) for name in header]
     try:
-        return parse()
-    except ValueError:
+        return {
+            name: np.fromiter(map(kind, cells), dtype, len(body))
+            for name, (kind, dtype), cells in zip(header, kinds, zip(*body))
+        }
+    except (ValueError, OverflowError):
         for line, row in enumerate(body, start=2):
-            for name, cell in zip(header, row):
-                kind = int if name.startswith("t") else float
+            for name, (kind, dtype), cell in zip(header, kinds, row):
                 try:
-                    kind(cell)
-                except ValueError:
+                    dtype(kind(cell))
+                except (ValueError, OverflowError) as exc:
+                    problem = (
+                        "outside the int64 range" if isinstance(exc, OverflowError)
+                        else "not an integer" if kind is int else "not a number"
+                    )
                     raise ValidationError(
-                        f"{path}: line {line}, column {name!r}: {cell!r} is not "
-                        + ("an integer" if kind is int else "a number")
+                        f"{path}: line {line}, column {name!r}: {cell!r} is {problem}"
                     ) from None
         raise
 
 
-def _indexed_columns(path: str, header: list[str], prefix: str) -> list[int]:
-    """Positions of the columns `prefix`1..`prefix`p in index order; the indices
-    of the columns named `prefix` and a number must run from 1 without a gap."""
+def _block(columns: dict[str, NDArray], names: Sequence[str], rows: int) -> NDArray:
+    """The named columns side by side; (rows, 0) when there are none."""
+    return np.column_stack([columns[name] for name in names]) if names else np.empty((rows, 0))
+
+
+def _indexed_columns(path: str, header: list[str], prefix: str) -> list[str]:
+    """The columns `prefix`1..`prefix`p in index order; the indices of the
+    columns named `prefix` and a number must run from 1 without a gap."""
     found = [name for name in header if re.fullmatch(re.escape(prefix) + r"\d+", name)]
     names = [f"{prefix}{j}" for j in range(1, len(found) + 1)]
     for name in found:
@@ -935,7 +951,7 @@ def _indexed_columns(path: str, header: list[str], prefix: str) -> list[int]:
             raise ValidationError(
                 f"{path}: column {name!r}: indices of {prefix}* must run from 1 without gaps"
             )
-    return [header.index(name) for name in names]
+    return names
 
 
 _PANEL_COLUMN = re.compile(r"s([1-9]\d*|0)_\d+|t([1-9]\d*|0)|y")
@@ -965,13 +981,10 @@ def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) ->
             raise ValidationError(f"{path}: column {name!r} is outside the file's periods 1..{m}")
     if not body:
         raise ValidationError(f"{path}: no data rows")
-    treat_cols = [header.index(f"t{t}") for t in range(1, m + 1)]
-    y_col = header.index("y")
-    states, treatments, outcome = _parse_rows(path, header, body, lambda: (
-        tuple(np.array([[float(r[c]) for c in cols] for r in body]) for cols in state_cols),
-        np.array([[int(r[c]) for c in treat_cols] for r in body]),
-        np.array([float(r[y_col]) for r in body]),
-    ))
+    columns = _columns(path, header, body)
+    states = tuple(_block(columns, names, len(body)) for names in state_cols)
+    treatments = _block(columns, [f"t{t}" for t in range(1, m + 1)], len(body))
+    outcome = columns["y"]
     if treatment_arities is None:
         treatment_arities = tuple(int(treatments[:, t].max()) + 1 for t in range(m))
     return PanelDataset(states, treatments, outcome, tuple(treatment_arities))

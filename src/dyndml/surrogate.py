@@ -31,8 +31,9 @@ from .core import (
     LinearFn,
     ValidationError,
     _check_finite,
+    _block,
+    _columns,
     _indexed_columns,
-    _parse_rows,
     _read_csv,
     _write_csv,
 )
@@ -229,16 +230,16 @@ def write_surrogate_csvs(data: SurrogatePair, short_path: str, long_path: str) -
     _write_csv(long_path, xs + ss + ["y"], [data.long_x, data.long_s, data.long_y])
 
 
-def _split_columns(path: str, header: list[str], other: str) -> tuple[list[int], list[int], int]:
-    """Positions of the x_* and s_* columns in index order and of the one other
-    column, t in the short file and y in the long one."""
+def _split_columns(path: str, header: list[str], other: str) -> tuple[list[str], list[str]]:
+    """The x_* and s_* columns in index order; the one other column is t in the
+    short file and y in the long one."""
     for name in header:
         if name != other and re.fullmatch(r"[xs]_\d+", name) is None:
             raise ValidationError(f"{path}: unrecognized column {name!r}")
     if other not in header:
         raise ValidationError(f"{path}: missing column {other}")
     xs, ss = (_indexed_columns(path, header, prefix) for prefix in ("x_", "s_"))
-    return xs, ss, header.index(other)
+    return xs, ss
 
 
 def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
@@ -246,16 +247,10 @@ def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
     long_header, lb = _read_csv(long_path)
     if not sb or not lb:
         raise ValidationError("surrogate samples must be nonempty")
-    xs, ss, t_col = _split_columns(short_path, short_header, "t")
-    xl, sl, y_col = _split_columns(long_path, long_header, "y")
-    short_x, short_t, short_s = _parse_rows(short_path, short_header, sb, lambda: (
-        np.array([[float(r[c]) for c in xs] for r in sb]),
-        np.array([int(r[t_col]) for r in sb]),
-        np.array([[float(r[c]) for c in ss] for r in sb]),
-    ))
-    long_x, long_s, long_y = _parse_rows(long_path, long_header, lb, lambda: (
-        np.array([[float(r[c]) for c in xl] for r in lb]),
-        np.array([[float(r[c]) for c in sl] for r in lb]),
-        np.array([float(r[y_col]) for r in lb]),
-    ))
-    return SurrogatePair(short_x, short_t, short_s, long_x, long_s, long_y)
+    xs, ss = _split_columns(short_path, short_header, "t")
+    xl, sl = _split_columns(long_path, long_header, "y")
+    short, long_ = _columns(short_path, short_header, sb), _columns(long_path, long_header, lb)
+    return SurrogatePair(
+        _block(short, xs, len(sb)), short["t"], _block(short, ss, len(sb)),
+        _block(long_, xl, len(lb)), _block(long_, sl, len(lb)), long_["y"],
+    )

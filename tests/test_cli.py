@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_surrogate import two_sample_ref
 from dyndml import write_surrogate_csvs
-from dyndml.cli import load_dgp, main
+from dyndml.cli import _distinct_rows, load_dgp, main
 
 DGP1 = """\
 # one-period reference process
@@ -441,6 +443,8 @@ class TestCsvSchemaErrors:
             ("s1_1,t1,t1,y,y\n0,1,0,2,3\n", "repeated column 't1'"),
             ("s1_1,s1_3,t1,y\n0,1,1,2\n", "column 's1_3': indices of s1_* must run from 1"),
             ("s1_1,t01,y\n0,1,2\n", "unrecognized column 't01'"),
+            ("s1_1,t1,y\n0,123456789012345678901234567890,1.0\n",
+             "line 2, column 't1': '123456789012345678901234567890' is outside the int64 range"),
         ],
     )
     def test_panel_schema_errors_exit_2(self, files, capsys, text, message):
@@ -464,6 +468,8 @@ class TestCsvSchemaErrors:
             ("x_1,x_2,t,s_1\n0,0,1,2\n", "x_1,x_3,s_1,y\n0,0,1,2\n", "long",
              "column 'x_3': indices of x_* must run from 1"),
             ("x_1,t,s_1,y\n0,1,2,3\n", "x_1,s_1,y\n0,1,2\n", "short", "unrecognized column 'y'"),
+            ("x_1,t,s_1\n0,99999999999999999999,2\n", "x_1,s_1,y\n0,1,2\n", "short",
+             "line 2, column 't': '99999999999999999999' is outside the int64 range"),
         ],
     )
     def test_surrogate_schema_errors_exit_2(self, files, capsys, short_text, long_text, bad, message):
@@ -485,6 +491,16 @@ class TestCsvSchemaErrors:
         assert main(argv) == 2
         assert f"cannot read {panel}" in capsys.readouterr().err
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0]), min_size=d, max_size=d),
+    min_size=1, max_size=30,
+)))
+def test_distinct_rows_match_numpy_unique(rows):
+    s = np.array(rows)
+    np.testing.assert_array_equal(_distinct_rows(s), np.unique(s, axis=0))
 
 class TestSettings:
     def mc_argv(self, files, plan=None, config=None):

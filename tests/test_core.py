@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from dyndml import (
     PlanError,
     PolynomialFeatures,
     RandomFourierFeatures,
+    SurrogatePair,
     TabularFeatures,
     Trajectory,
     ValidationError,
@@ -24,6 +27,7 @@ from dyndml import (
     oracle_theta_potential,
     random_dgp,
     read_panel_csv,
+    read_surrogate_csvs,
     simulate,
     tabular_fn,
     write_panel_csv,
@@ -373,6 +377,137 @@ class TestCsvRoundTrip:
         data = read_panel_csv(str(path))
         np.testing.assert_array_equal(data.states[0], [[5.0, 9.0]])
         assert data.outcome[0] == 1.5
+
+
+_WEIRD_CELLS = st.sampled_from([
+    "", " ", "nan", "-NaN", "inf", "+inf", "-Infinity", "1_0", "1__0", "_1", "1_", "0x10",
+    "１２", "３.５", "3.0", "-0", "+0", "-0.0", ".5", "5.", "1e5", "-1E-3",
+    "1e400", "-1e400", "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "123456789012345678901234567890", '"', '"3"', "1,5", "abc", "1 2",
+])
+_PADDING = st.sampled_from(["", " ", "\t", "  "])
+
+
+def _cells(valid):
+    core = st.one_of(
+        valid,
+        _WEIRD_CELLS,
+        st.floats().map(repr),
+        st.integers(-(2**70), 2**70).map(str),
+        st.text(alphabet="0123456789+-._eE ", max_size=6),
+    )
+    return st.tuples(_PADDING, core, _PADDING).map("".join)
+
+
+_FLOAT_CELLS = _cells(st.floats(-1e6, 1e6).map(repr))
+_CODE_CELLS = _cells(st.integers(0, 1).map(str))
+
+
+def _table(header):
+    row = st.tuples(*(_CODE_CELLS if name.startswith("t") else _FLOAT_CELLS for name in header))
+    return st.lists(row, min_size=1, max_size=4)
+
+
+def _write_cells(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _reference_columns(path, header, rows):
+    """Per-cell int()/float() in row-major order: the parsed columns by name, or
+    the message naming the first bad cell."""
+    for line, row in enumerate(rows, start=2):
+        for name, cell in zip(header, row):
+            kind = int if name.startswith("t") else float
+            try:
+                value = kind(cell)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                return f"{path}: line {line}, column {name!r}: {cell!r} is not {what}"
+            if kind is int and not -(2**63) <= value < 2**63:
+                return f"{path}: line {line}, column {name!r}: {cell!r} is outside the int64 range"
+    return {
+        name: np.array([(int if name.startswith("t") else float)(r[j]) for r in rows],
+                       dtype=np.int64 if name.startswith("t") else float)
+        for j, name in enumerate(header)
+    }
+
+
+def _outcome(build):
+    """What `build` returns, or the message of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bitwise: signs of zero included
+
+
+class TestCsvCellParsing:
+    """Both readers accept a cell exactly when Python's int()/float() does, give
+    the same bits, and name the first bad cell in row-major order."""
+
+    PANEL = ["s1_1", "s1_2", "t1", "s2_1", "t2", "y"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_table(PANEL))
+    def test_panel_reader_matches_per_cell_reference(self, tmp_path_factory, rows):
+        path = str(tmp_path_factory.mktemp("cells") / "panel.csv")
+        _write_cells(path, self.PANEL, rows)
+        ref = _reference_columns(path, self.PANEL, rows)
+        got = _outcome(lambda: read_panel_csv(path, (2, 2)))
+        if isinstance(ref, str):
+            assert got == ref
+            return
+        want = _outcome(lambda: PanelDataset(
+            (np.column_stack([ref["s1_1"], ref["s1_2"]]), ref["s2_1"][:, None]),
+            np.column_stack([ref["t1"], ref["t2"]]), ref["y"], (2, 2),
+        ))
+        if isinstance(want, str):
+            assert got == want
+            return
+        _assert_same_arrays(
+            (*got.states, got.treatments, got.outcome),
+            (*want.states, want.treatments, want.outcome),
+        )
+
+    SHORT, LONG = ["x_1", "t", "s_1"], ["x_1", "s_1", "y"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(short_rows=_table(SHORT), long_rows=_table(LONG))
+    def test_surrogate_reader_matches_per_cell_reference(
+        self, tmp_path_factory, short_rows, long_rows
+    ):
+        folder = tmp_path_factory.mktemp("cells")
+        short, long_ = str(folder / "short.csv"), str(folder / "long.csv")
+        _write_cells(short, self.SHORT, short_rows)
+        _write_cells(long_, self.LONG, long_rows)
+        got = _outcome(lambda: read_surrogate_csvs(short, long_))
+        refs = (_reference_columns(short, self.SHORT, short_rows),
+                _reference_columns(long_, self.LONG, long_rows))
+        bad = [ref for ref in refs if isinstance(ref, str)]
+        if bad:
+            assert got == bad[0]
+            return
+        s, l = refs
+        want = _outcome(lambda: SurrogatePair(
+            s["x_1"][:, None], s["t"], s["s_1"][:, None], l["x_1"][:, None], l["s_1"][:, None],
+            l["y"],
+        ))
+        if isinstance(want, str):
+            assert got == want
+            return
+        fields = ("short_x", "short_t", "short_s", "long_x", "long_s", "long_y")
+        _assert_same_arrays(
+            [getattr(got, f) for f in fields], [getattr(want, f) for f in fields]
+        )
 
 
 class TestScalarGridLookup:
