@@ -246,8 +246,10 @@ def required_arities(plan: TreatmentPlan, data: PanelDataset) -> tuple[int, ...]
 
 def _distinct_rows(s: np.ndarray) -> np.ndarray:
     """The sorted distinct rows of `s`, as `np.unique(s, axis=0)` gives them,
-    from one lexsort and a compare of neighbours."""
-    s = s[np.lexsort(s.T[::-1])]
+    from one lexsort and a compare of neighbours (rows with no columns are all
+    equal, and keep one)."""
+    if s.shape[1]:
+        s = s[np.lexsort(s.T[::-1])]
     keep = np.ones(len(s), dtype=bool)
     keep[1:] = (s[1:] != s[:-1]).any(axis=1)
     return s[keep]

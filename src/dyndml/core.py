@@ -871,18 +871,22 @@ def write_panel_csv(data: PanelDataset, path: str) -> None:
     _write_csv(path, header, [*data.states, data.treatments, data.outcome])
 
 
-def _write_csv(path: str, header: Sequence[str], blocks: Sequence[NDArray]) -> None:
+def _write_csv(
+    path: str, header: Sequence[str], blocks: Sequence[NDArray], chunk: int = 65536
+) -> None:
     """Rows made of the blocks' columns side by side: integer blocks as integers,
-    the rest in round-trip-exact decimal. Each column is formatted whole."""
+    the rest in round-trip-exact decimal. Columns are formatted whole, `chunk`
+    rows at a time, so only one chunk's cells are Python objects at once."""
     columns = [
-        map(str if b.dtype.kind == "i" else _fmt, col.tolist())
+        (str if b.dtype.kind == "i" else _fmt, col)
         for b in blocks
         for col in b.reshape(b.shape[0], -1).T
     ]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*columns))
+        for lo in range(0, blocks[0].shape[0], chunk):
+            w.writerows(zip(*(map(f, col[lo : lo + chunk].tolist()) for f, col in columns)))
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:

@@ -391,6 +391,25 @@ class TestSurrogateCommand:
         np.testing.assert_array_equal(back.long_y, data.long_y)
         np.testing.assert_array_equal(back.short_s, data.short_s)
 
+    def test_files_without_controls(self, files):
+        """No x_* columns: one tabular cell for the controls, so the estimate
+        is a plain treatment contrast of the surrogate index."""
+        rng = np.random.default_rng(5)
+        t = rng.integers(0, 2, 200)
+        s = (rng.random(200) < 0.3 + 0.4 * t).astype(int)
+        s_long = rng.integers(0, 2, 200)
+        short = files["dir"] / "short.csv"
+        long_ = files["dir"] / "long.csv"
+        short.write_text("t,s_1\n" + "".join(f"{a},{b}\n" for a, b in zip(t, s)))
+        long_.write_text("s_1,y\n" + "".join(f"{b},{2.0 * b}\n" for b in s_long))
+        out = files["dir"] / "sur.json"
+        argv = ["surrogate-estimate", "--short", str(short), "--long", str(long_),
+                "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["feature_maps"][0]["dim"] == 2
+        assert report["n_short"] == 200 and np.isfinite(report["theta_hat"])
+
 
 class TestPlanFiles:
     def test_policy_and_contrast_plans(self, files, capsys):
@@ -492,15 +511,15 @@ class TestCsvSchemaErrors:
         assert f"cannot read {panel}" in capsys.readouterr().err
 
 
-
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+@given(st.integers(0, 3).flatmap(lambda d: st.lists(
     st.lists(st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.0]), min_size=d, max_size=d),
     min_size=1, max_size=30,
 )))
 def test_distinct_rows_match_numpy_unique(rows):
     s = np.array(rows)
     np.testing.assert_array_equal(_distinct_rows(s), np.unique(s, axis=0))
+
 
 class TestSettings:
     def mc_argv(self, files, plan=None, config=None):

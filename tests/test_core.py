@@ -32,6 +32,7 @@ from dyndml import (
     tabular_fn,
     write_panel_csv,
 )
+from dyndml.core import _write_csv
 
 
 def traj(states, treatments, y=0.0):
@@ -377,6 +378,14 @@ class TestCsvRoundTrip:
         data = read_panel_csv(str(path))
         np.testing.assert_array_equal(data.states[0], [[5.0, 9.0]])
         assert data.outcome[0] == 1.5
+
+    def test_chunked_write_is_byte_identical(self, dgp2, tmp_path):
+        data = simulate(dgp2, 50, 9)
+        whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
+        write_panel_csv(data, str(whole))
+        header = whole.read_text().splitlines()[0].split(",")
+        _write_csv(str(pieces), header, [*data.states, data.treatments, data.outcome], chunk=7)
+        assert pieces.read_bytes() == whole.read_bytes()
 
 
 _WEIRD_CELLS = st.sampled_from([
