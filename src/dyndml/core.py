@@ -448,9 +448,19 @@ def _check_period(period: int, m: int) -> None:
 
 @runtime_checkable
 class FeatureMap(Protocol):
-    """Deterministic map from (period-t state vector, treatment code) to R^p.
+    """Deterministic map from (period-t state vector, treatment code) to R^p: a
+    state basis times treatment indicators.
 
-    `batch` returns a new array, which its caller may modify."""
+    `basis(states)` is the (n, q) state basis, q = dim / arity. `batch(states,
+    codes)` is that basis with row i moved into the column block of code
+    codes[i] and zeros elsewhere. `state_major` names the column order both
+    `batch` and `LinearFn.weights` keep: code-major (False: column c*q + j,
+    polynomial and Fourier maps) or state-major (True: column j*arity + c,
+    tabular maps, whose weights read as a (G, arity) table). `basis` and
+    `batch` return new arrays, which their caller may modify. The estimators
+    (`FitConfig`) take only maps with a `basis`."""
+
+    state_major: bool
 
     @property
     def dim(self) -> int: ...
@@ -460,6 +470,8 @@ class FeatureMap(Protocol):
 
     def __call__(self, state: NDArray, code: int) -> NDArray: ...
 
+    def basis(self, states: NDArray) -> NDArray: ...
+
     def batch(self, states: NDArray, codes: NDArray) -> NDArray: ...
 
 
@@ -468,6 +480,15 @@ def _check_codes(codes: NDArray, arity: int, where: str) -> None:
     if codes.size and (codes.min() < 0 or codes.max() >= arity):
         bad = int(codes[(codes < 0) | (codes >= arity)][0])
         raise PlanError(f"{where}: treatment code {bad} outside 0..{arity - 1}")
+
+
+def _one_hot(index: NDArray, width: int) -> NDArray:
+    """Row i is the unit vector e_{index[i]} of length `width`."""
+    out = np.zeros((index.shape[0], width))
+    cells = np.arange(index.shape[0]) * width
+    cells += index
+    out.ravel()[cells] = 1.0
+    return out
 
 
 def _by_treatment(basis: NDArray, codes: NDArray, arity: int, where: str) -> NDArray:
@@ -498,6 +519,7 @@ class TabularFeatures(_OneRow):
 
     grid: NDArray                       # (G, d) representative state points
     arity: int
+    state_major = True
 
     def __post_init__(self) -> None:
         g = np.asarray(self.grid, dtype=float)
@@ -535,13 +557,14 @@ class TabularFeatures(_OneRow):
             pos[off] = np.where(take_hi, hi, lo)
         return first[pos]
 
+    def basis(self, states: NDArray) -> NDArray:
+        """The one-hot (n, G) indicator of each state's grid row."""
+        return _one_hot(self.state_index(states), self.grid.shape[0])
+
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
         codes = np.asarray(codes, dtype=np.int64)
         _check_codes(codes, self.arity, "tabular features")
-        cell = self.state_index(states) * self.arity + codes
-        out = np.zeros((cell.shape[0], self.dim))
-        out[np.arange(cell.shape[0]), cell] = 1.0
-        return out
+        return _one_hot(self.state_index(states) * self.arity + codes, self.dim)
 
 
 def _monomial_steps(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
@@ -565,6 +588,7 @@ class PolynomialFeatures(_OneRow):
     state_dim: int
     degree: int
     arity: int
+    state_major = False
 
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.degree < 0 or self.arity < 1:
@@ -585,8 +609,11 @@ class PolynomialFeatures(_OneRow):
             np.multiply(out[parent], s[coord], out=out[j])
         return out.T
 
+    def basis(self, states: NDArray) -> NDArray:
+        return self._monomials(states)
+
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        return _by_treatment(self._monomials(states), codes, self.arity, "polynomial features")
+        return _by_treatment(self.basis(states), codes, self.arity, "polynomial features")
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,6 +630,7 @@ class RandomFourierFeatures(_OneRow):
     lengthscale: float = 1.0
     seed: int = 0
     include_constant: bool = True
+    state_major = False
 
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.n_features < 1 or self.arity < 1:
@@ -619,7 +647,7 @@ class RandomFourierFeatures(_OneRow):
     def dim(self) -> int:
         return (self.n_features + int(self.include_constant)) * self.arity
 
-    def _basis(self, states: NDArray) -> NDArray:
+    def basis(self, states: NDArray) -> NDArray:
         s = np.atleast_2d(np.asarray(states, dtype=float))
         z = np.sqrt(2.0 / self.n_features) * np.cos(s @ self._omega.T + self._phase)
         if self.include_constant:
@@ -627,7 +655,7 @@ class RandomFourierFeatures(_OneRow):
         return z
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        return _by_treatment(self._basis(states), codes, self.arity, "random Fourier features")
+        return _by_treatment(self.basis(states), codes, self.arity, "random Fourier features")
 
 
 @dataclass(frozen=True, eq=False)
@@ -790,6 +818,23 @@ def _term_sum(
         else:
             part = w[rows] * part
         out[rows] += part
+    return out
+
+
+def _code_weights(plan: TreatmentPlan, period: int, data: PanelDataset, arity: int) -> NDArray:
+    """The (n, arity) code weights W_c = sum of w_k over the terms with d_k = c,
+    so that m_period(Z; g) = sum_c W_c(Z) g(S_period, c) for any g: the plan
+    terms' weights and targets alone, no function evaluated. Targets must lie
+    in 0..arity-1, as in `_term_sum`. Every row is accumulated whatever its
+    weight: with nothing evaluated, `_term_sum`'s skipping of zero-weight rows
+    would only add gathers."""
+    _check_period(period, plan.num_periods)
+    out = np.zeros((data.n_units, arity))
+    cells = np.arange(data.n_units) * arity
+    for j, term in enumerate(plan.period_terms(period)):
+        d = term.targets(data, period)
+        _check_codes(d, arity, f"period {period}, term {j}")
+        out.ravel()[cells + d] += term.weights(data, period)
     return out
 
 
@@ -962,7 +1007,8 @@ _PANEL_COLUMN = re.compile(r"s([1-9]\d*|0)_\d+|t([1-9]\d*|0)|y")
 
 
 def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) -> PanelDataset:
-    """Load the wide schema; arities default to max observed code + 1 per period."""
+    """Load the wide schema; arities default to max observed code + 1 per period,
+    which may not exceed the number of rows."""
     header, body = _read_csv(path)
     periods: dict[str, int] = {}
     for name in header:
@@ -991,4 +1037,12 @@ def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) ->
     outcome = columns["y"]
     if treatment_arities is None:
         treatment_arities = tuple(int(treatments[:, t].max()) + 1 for t in range(m))
+        for t, k in enumerate(treatment_arities, start=1):
+            # Every code level below the largest is a column of the feature
+            # maps; more levels than rows cannot all be observed.
+            if k > len(body):
+                raise ValidationError(
+                    f"{path}: column t{t}: treatment code {k - 1} implies {k} treatment "
+                    f"levels, more than the file's {len(body)} rows"
+                )
     return PanelDataset(states, treatments, outcome, tuple(treatment_arities))

@@ -8,14 +8,17 @@ on features of the observed (state, treatment). Both problems are convex
 quadratics over a linear class and are solved in closed form, so acceptance
 tests see no optimizer noise.
 
-Both passes run stage-major in one implementation, `_Stages`: each period's
-design X_t = phi_t(S_t, T_t) and moment image Phi_t = sum_k w_k phi_t(S_t, d_k)
-are built once on the whole panel and solved for every training set. The
-training sets are `_TrainingSets`, which the surrogate estimator shares: a
-set enters through a 0/1 row mask on the right-hand sides, and its Gram is
-the sum of the Grams of the fold blocks it contains. Cross-fitting
-(`cross_fit`) solves one training set per fold and scores the held-out rows
-from the same designs; the public fits are the one-training-set case.
+Both passes run stage-major in one implementation, `_Stages`, on factored
+designs (`_Design`): a feature map is a state basis times treatment
+indicators, so per period the engine keeps one basis B_t = phi_t.basis(S_t)
+and the code weights W_t of the plan's terms (m_t(Z; g) = sum_c W_c g(S_t, c))
+and never builds the n x p design or moment image. Grams are block-diagonal
+by code: each (fold, code) block is computed once, a training set's Gram is
+the sum of the other folds' blocks, and each stage's set x code systems are
+solved in one batched call. The training sets are `_TrainingSets`, which the
+surrogate estimator shares. Cross-fitting (`cross_fit`) solves one training
+set per fold and scores the held-out rows from the same bases; the public
+fits are the one-training-set case.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .core import (
     SolverError,
     TreatmentPlan,
     ValidationError,
-    _term_sum,
+    _check_codes,
+    _code_weights,
     moment_batch,
 )
 
@@ -46,7 +50,8 @@ DEFAULT_RIDGE_SCALE = 1e-3
 class FitConfig:
     """Estimator settings shared by the regression and representer passes.
 
-    feature_maps: one map per period, used for both f_t and a_t.
+    feature_maps: one map per period, used for both f_t and a_t; each must
+        factor as a state basis times treatment indicators (`FeatureMap`).
     ridge: penalty added to the n-normalized Gram (comparable across n);
         a scalar applies to every stage, a sequence sets one value per
         period, None selects the scale-free default
@@ -71,15 +76,22 @@ class FitConfig:
         for r in ridges:
             if r is not None and r < 0:
                 raise ValidationError("ridge penalty must be nonnegative")
+        for t, phi in enumerate(self.feature_maps, start=1):
+            if not (callable(getattr(phi, "basis", None)) and hasattr(phi, "state_major")):
+                raise ValidationError(
+                    f"feature map {t} ({type(phi).__name__}) is not a state basis times "
+                    "treatment indicators: it needs basis() and state_major"
+                )
 
     def stage_ridge(self, period: int, gram: NDArray, n: int) -> float:
-        """Resolved normalized-Gram penalty for a 1-based period."""
+        """Resolved normalized-Gram penalty for a 1-based period; `gram` is the
+        p x p Gram or its (K, q, q) diagonal blocks (p = K q)."""
         if isinstance(self.ridge, tuple):
             return self.ridge[period - 1]
         if self.ridge is not None:
             return float(self.ridge)
-        p = gram.shape[0]
-        return DEFAULT_RIDGE_SCALE * n ** -0.5 * float(np.trace(gram)) / p
+        p = gram.size // gram.shape[-1]
+        return DEFAULT_RIDGE_SCALE * n ** -0.5 * float(np.trace(gram, axis1=-2, axis2=-1).sum()) / p
 
 
 def fit_ridge(features: NDArray, targets: NDArray, lam: float) -> NDArray:
@@ -94,46 +106,47 @@ def fit_ridge(features: NDArray, targets: NDArray, lam: float) -> NDArray:
     return _solve_spd(a, x.T @ y, lam)
 
 
-def _solve_spd(a: NDArray, b: NDArray, lam: float) -> NDArray:
-    if lam == 0.0:
-        diag = np.diag(a)
-        if diag.size and diag.min() <= 0.0:
-            raise SolverError(
-                f"singular system with zero penalty: design column {int(diag.argmin())} "
-                "has no mass (rank deficient)"
-            )
+def _solve_spd(
+    a: NDArray, b: NDArray, lam: float | NDArray, columns: NDArray | None = None,
+    name: Callable[[tuple], str] = lambda index: "",
+) -> NDArray:
+    """x with a x = b for symmetric positive definite systems stacked on the
+    leading axes: a (..., m, m), b (..., m), lam each system's penalty. One
+    Cholesky call checks every system and one call solves them. The first
+    failing system, at index i in C order, raises SolverError prefixed by
+    name(i): under a zero penalty for its first column with no mass (numbered
+    by columns[i], if given), else for failing the Cholesky check."""
+    stack = a.shape[:-2]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    empty = (np.broadcast_to(lam, stack)[..., None] == 0.0) & (diag <= 0.0)
+    if empty.any() or not _positive_definite(a):
+        cols = np.broadcast_to(np.arange(a.shape[-1]) if columns is None else columns, diag.shape)
+        for i in np.ndindex(stack):
+            if empty[i].any():
+                raise SolverError(
+                    f"{name(i)}singular system with zero penalty: design column "
+                    f"{int(cols[i][empty[i]].min())} has no mass (rank deficient)"
+                )
+            if not _positive_definite(a[i]):
+                raise SolverError(f"{name(i)}singular normal equations (rank-deficient design); "
+                                  "set a positive ridge penalty")
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _positive_definite(a: NDArray) -> bool:
+    """Whether every stacked matrix has a Cholesky factor."""
     try:
-        np.linalg.cholesky(a)  # the positive-definiteness check only
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            "singular normal equations (rank-deficient design); "
-            "set a positive ridge penalty"
-        ) from exc
-    return np.linalg.solve(a, b)
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _ridge_stage(gram: NDArray, n: int, cfg: FitConfig, period: int,
-                 prefix: str = "") -> Callable[..., NDArray]:
-    """One penalized quadratic stage over a normalized Gram G = X'X/n of n rows:
-    returns solve(rhs, where, border=None) for (G + lam I) beta = rhs, with lam
-    resolved from G by cfg.stage_ridge; a SolverError names prefix + where. A
-    border (X'c/n, c'c/n) appends one unpenalized design column c, and `rhs`
-    then ends with its entry."""
-    lam = cfg.stage_ridge(period, gram, n)
-
-    def solve(
-        rhs: NDArray, where: str, border: tuple[NDArray, float] | None = None
-    ) -> NDArray:
-        a = gram + lam * np.eye(gram.shape[0])
-        if border is not None:
-            cross, corner = border[0][:, None], np.array([[border[1]]])
-            a = np.block([[a, cross], [cross.T, corner]])
-        try:
-            return _solve_spd(a, rhs, lam)
-        except SolverError as exc:
-            raise SolverError(f"{prefix}{where}: {exc}") from exc
-
-    return solve
+def _layout(phi: FeatureMap) -> NDArray:
+    """The (K, q) design columns of phi's code blocks: entry (c, j) is the column
+    of basis column j under code c, in the order `phi.state_major` names."""
+    columns = np.arange(phi.dim)
+    return columns.reshape(-1, phi.arity).T if phi.state_major else columns.reshape(phi.arity, -1)
 
 
 class HeldOutScores(NamedTuple):
@@ -147,49 +160,148 @@ class HeldOutScores(NamedTuple):
 
 
 class _TrainingSets:
-    """Training sets over n rows: with `folds`, set q is every row outside
-    folds[q]; without, the one set is every row. A set's rows enter the
-    right-hand sides through a 0/1 mask, and its Gram is the sum of the Grams
-    of the fold blocks it contains, each computed once on sorted fold rows, so
-    an exactly empty design column stays exactly zero."""
+    """Training sets over n rows, held in fold-major order (`rows` permutes an
+    array into it): with `folds`, set s is every row outside folds[s], the two
+    runs around fold s's run `held(s)`; without, the one set is every row."""
 
     def __init__(self, n: int, folds: Sequence[NDArray] | None = None) -> None:
         # Sorted, a fold's rows are gathered in memory order.
         self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
-        self.label = None if folds is None else np.empty(n, dtype=np.intp)
-        for q, idx in enumerate(self.folds or ()):
-            self.label[idx] = q
-        self.sizes = [n] if folds is None else [n - idx.shape[0] for idx in self.folds]
+        self.order = None if folds is None else np.concatenate(self.folds)
+        counts = [n] if folds is None else [idx.shape[0] for idx in self.folds]
+        self.bounds = np.concatenate([[0], np.cumsum(counts)])
+        self.sizes = [n] if folds is None else [n - c for c in counts]
 
-    def train(self, q: int, v: NDArray) -> NDArray:
-        """v on the rows of set q, zero elsewhere."""
-        return v if self.label is None else np.where(self.label != q, v, 0.0)
+    def rows(self, a: NDArray) -> NDArray:
+        return a if self.order is None else np.take(a, self.order, axis=0)
 
-    def mean(self, q: int, x: NDArray, v: NDArray) -> NDArray:
-        """The mean of v x over the rows of set q, x' v / n_q."""
-        return x.T @ self.train(q, v) / self.sizes[q]
+    def held(self, s: int) -> slice:
+        return slice(self.bounds[s], self.bounds[s + 1])
 
-    def solvers(self, x: NDArray, cfg: FitConfig, period: int) -> list[Callable[..., NDArray]]:
-        """Per set, the `_ridge_stage` over design x restricted to its rows;
-        with folds, set q's errors name fold q."""
+    def _train(self, s: int) -> tuple[slice, ...]:
         if self.folds is None:
-            return [_ridge_stage(x.T @ x / self.sizes[0], self.sizes[0], cfg, period)]
-        blocks = [xb.T @ xb for xb in (x[idx] for idx in self.folds)]
-        grams = (sum(g for r, g in enumerate(blocks) if r != q) for q in range(len(blocks)))
-        return [_ridge_stage(g / n_q, n_q, cfg, period, f"fold {q}: ")
-                for q, (g, n_q) in enumerate(zip(grams, self.sizes))]
+            return (slice(None),)
+        return slice(0, self.bounds[s]), slice(self.bounds[s + 1], None)
+
+    def mean(self, s: int, basis: NDArray, weights: NDArray, v: NDArray | None = None) -> NDArray:
+        """The (K, q) mean over set s's rows of weights_ic v_i basis_i (v = 1
+        when None): per code c, basis'(W_c v) / n_s."""
+        parts = ((weights[r] if v is None else weights[r] * v[r, None]).T @ basis[r]
+                 for r in self._train(s))
+        return sum(parts) / self.sizes[s]
+
+    def grams(self, basis: NDArray, codes: NDArray, k: int) -> NDArray:
+        """Every set's normalized Gram of the rows basis_i in the block of
+        codes[i], as its K diagonal blocks: (S, K, q, q). Rows are grouped by
+        (fold, code) with one stable sort on a small-int key, each block's Gram
+        is computed once, and a set's Gram is the sum of the other folds'
+        blocks, so an exactly empty design column stays exactly zero."""
+        n_folds, q = self.bounds.shape[0] - 1, basis.shape[1]
+        small = np.min_scalar_type(n_folds * k)
+        key = np.repeat(np.arange(n_folds, dtype=small) * small.type(k), np.diff(self.bounds))
+        key += codes.astype(small)
+        order = np.argsort(key, kind="stable")
+        if basis.flags.c_contiguous:
+            grouped = np.take(basis, order, axis=0)
+        else:  # gathered along memory order: the columns of the row-major transpose
+            grouped = np.take(basis.T, order, axis=1).T
+        counts = np.bincount(key, minlength=n_folds * k)
+        blocks = np.stack([grouped[end - c:end].T @ grouped[end - c:end]
+                           for c, end in zip(counts, np.cumsum(counts))]).reshape(n_folds, k, q, q)
+        if self.folds is not None:  # set s: the blocks of the folds before s plus those after it
+            blocks = np.stack([blocks[:s].sum(axis=0) + blocks[s + 1:].sum(axis=0)
+                               for s in range(n_folds)])
+        return blocks / np.array(self.sizes, dtype=float)[:, None, None, None]
+
+
+class _Design:
+    """A factored design over the rows of `sets`: row i is phi(s_i, c_i), the
+    state basis row B_i = phi.basis(s_i) in the column block of code c_i. Its
+    Gram over any row set is block-diagonal by code, so each training set's
+    system is K blocks of size q (built on the first `solve`). Values B beta_c
+    are picked at each row's code through the flat index i*K + c_i."""
+
+    def __init__(
+        self, phi: FeatureMap, states: NDArray, codes: NDArray, sets: _TrainingSets,
+        cfg: FitConfig, period: int,
+    ) -> None:
+        self.phi, self.sets, self.cfg, self.period = phi, sets, cfg, period
+        self.codes = np.asarray(codes).astype(np.min_scalar_type(phi.arity - 1))
+        self.basis = phi.basis(states)
+        self.flat = np.arange(self.codes.shape[0]) * phi.arity
+        self.flat += self.codes
+        self.layout = _layout(phi)
+        self._systems: tuple[NDArray, NDArray] | None = None
+
+    def weights(self, coef: NDArray) -> NDArray:
+        """`LinearFn.weights` of the (K, q) coefficient blocks."""
+        w = np.empty(self.phi.dim)
+        w[self.layout] = coef
+        return w
+
+    def values(
+        self, coef: NDArray, rows: slice = slice(None), clip: float | None = None
+    ) -> NDArray:
+        """(m, K): B_i beta_c on `rows` for every code c, truncated to [-clip, clip]."""
+        v = self.basis[rows] @ coef.T
+        return v if clip is None else np.clip(v, -clip, clip, out=v)
+
+    def pick(self, values: NDArray, rows: slice = slice(None)) -> NDArray:
+        """Each row's entry at its own code, from `values` on `rows`."""
+        return values.ravel()[self.flat[rows] - (rows.start or 0) * self.phi.arity]
+
+    def scatter(self, v: NDArray) -> NDArray:
+        """(n, K): v_i at each row's own code, zero at the others."""
+        out = np.zeros(self.flat.shape[0] * self.phi.arity)
+        out[self.flat] = v
+        return out.reshape(-1, self.phi.arity)
+
+    def solve(
+        self, rhs: NDArray, where: str, border: tuple[NDArray, NDArray, NDArray] | None = None,
+    ) -> tuple[NDArray, NDArray]:
+        """Per set s, the coefficient blocks (S, K, q) of (G_s + lam_s I) beta =
+        rhs_s, lam_s resolved from the full Gram G_s by cfg.stage_ridge, in one
+        batched call; a SolverError names the set and `where`. A border
+        (b, d, e) = (X'c/n_s, c'c/n_s, c'u/n_s) appends one unpenalized design
+        column c with coefficient gamma: the blocks are solved for [rhs, b],
+        then gamma from the Schur complement d - b'A^-1 b. A set with d = 0
+        keeps the plain fit, gamma 0. Returns (beta, gamma), gamma 0 without
+        a border."""
+        if self._systems is None:
+            grams = self.sets.grams(self.basis, self.codes, self.phi.arity)
+            self._systems = grams, np.array([self.cfg.stage_ridge(self.period, g, n_s)
+                                             for g, n_s in zip(grams, self.sets.sizes)])
+        grams, lam = self._systems
+        a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
+
+        def name(index: tuple) -> str:
+            return ("" if self.sets.folds is None else f"fold {index[0]}: ") + f"{where}: "
+
+        if border is None:
+            return _solve_spd(a, rhs, lam[:, None], self.layout, name), np.zeros(len(rhs))
+        b, d, e = border
+        x = _solve_spd(a[:, :, None], np.stack([rhs, b], axis=2), lam[:, None, None],
+                       self.layout[:, None], name)
+        live, schur = d > 0.0, d - np.einsum("skj,skj->s", b, x[:, :, 1])
+        bad = np.flatnonzero(live & ~(schur > 0.0))
+        if bad.size:  # the bordered system is not positive definite
+            raise SolverError(f"{name((bad[0],))}singular normal equations (rank-deficient "
+                              "design); set a positive ridge penalty")
+        gamma = np.where(live, e - np.einsum("skj,skj->s", b, x[:, :, 0]), 0.0)
+        gamma /= np.where(live, schur, 1.0)
+        return x[:, :, 0] - gamma[:, None, None] * x[:, :, 1], gamma
 
 
 class _Stages:
     """Both nuisance passes over one panel, solved for several training sets
     (`_TrainingSets`; with `folds`, one per fold).
 
-    Each pass visits the periods once: it builds the period's design X_t and
-    moment image Phi_t on the full panel and solves that stage for every
-    training set. At most two full-panel matrices are live besides the one
-    being built: the forward pass keeps X_{t-1} until Phi_t has served every
-    right-hand side, the backward pass keeps Phi_{t+1} until X_t has, and the
-    forward pass hands its last X_M and Phi_M to the backward pass.
+    Per period the engine keeps one factored design (`_Design`: the state basis
+    B_t, the observed codes and, once solved, the per-set Gram blocks) and the
+    (n, K) code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c).
+    Each pass visits the periods once and solves every training set's stage in
+    one batched call. Right-hand sides are B_t'(W_c v) (forward) and
+    B_t'(1{T_t = c} u) (backward) over a set's rows.
     """
 
     def __init__(
@@ -198,56 +310,57 @@ class _Stages:
     ) -> None:
         _check_setup(data, plan, cfg)
         self.data, self.plan, self.cfg = data, plan, cfg
-        self.sets = _TrainingSets(data.n_units, folds)
-        self._handover: tuple | None = None   # the forward pass's last X_M, Phi_M, solvers
+        self.sets = sets = _TrainingSets(data.n_units, folds)
+        self.designs, self.code_weights = [], []
+        for t, phi in enumerate(cfg.feature_maps, start=1):
+            codes = data.treatments[:, t - 1]
+            _check_codes(codes, phi.arity, f"period {t}")
+            states = sets.rows(data.states[t - 1])
+            self.designs.append(_Design(phi, states, sets.rows(codes), sets, cfg, t))
+            self.code_weights.append(sets.rows(_code_weights(plan, t, data, phi.arity)))
 
-    def _design(self, t: int) -> NDArray:
-        phi = self.cfg.feature_maps[t - 1]
-        return phi.batch(self.data.states[t - 1], self.data.treatments[:, t - 1])
-
-    def _image(self, t: int) -> NDArray:
-        phi = self.cfg.feature_maps[t - 1]
-        return _term_sum(self.plan, t, self.data, phi.batch, phi.arity, (phi.dim,))
-
-    def _evaluate(self, t: int, g: Fn, m: NDArray, observed: bool) -> NDArray:
-        """g per row, read off a full-panel matrix m where g is linear in phi_t:
-        with `observed`, g(S_t, T_t) from the design X_t; else the period
-        moment m_t(Z; g) from the image Phi_t, which a clip does not pass
-        through. Any other g is evaluated directly."""
-        phi = self.cfg.feature_maps[t - 1]
-        if isinstance(g, LinearFn) and g.features is phi and (observed or g.clip is None):
-            return g.at_features(m)
+    def _values(self, t: int, g: Fn, rows: slice) -> NDArray | None:
+        """(m, K): g(S_t, c) on `rows` for every code c, where g is linear in
+        phi_t (a clip applies to each value) or its clever extension; None for
+        any other g."""
+        design = self.designs[t - 1]
+        if isinstance(g, LinearFn) and g.features is design.phi:
+            return design.values(g.weights[design.layout], rows, g.clip)
         if isinstance(g, LinearFn) and g.clip is None and isinstance(g.features, ExtendedFeatures) \
-                and g.features.base is phi:
-            base, gamma = m @ g.weights[:-1], g.weights[-1]
-            if gamma == 0.0:
-                return base
-            return base + gamma * self._evaluate(t, g.features.extra, m, observed)
-        if observed:
-            return g.batch(self.data.states[t - 1], self.data.treatments[:, t - 1])
-        return moment_batch(self.plan, t, self.data, g)
+                and g.features.base is design.phi:
+            gamma = g.weights[-1]
+            extra = 0.0 if gamma == 0.0 else self._values(t, g.features.extra, rows)
+            if extra is not None:
+                v = design.values(g.weights[:-1][design.layout], rows)
+                return v if gamma == 0.0 else v + gamma * extra
+        return None
+
+    def _observed(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
+        """g(S_t, T_t) on `rows`."""
+        v = self._values(t, g, rows)
+        if v is None:
+            values = g.batch(self.data.states[t - 1], self.data.treatments[:, t - 1])
+            return self.sets.rows(values)[rows]
+        return self.designs[t - 1].pick(v, rows)
+
+    def _moment(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
+        """m_t(Z; g) on `rows`."""
+        v = self._values(t, g, rows)
+        if v is None:
+            return self.sets.rows(moment_batch(self.plan, t, self.data, g))[rows]
+        return np.einsum("ik,ik->i", self.code_weights[t - 1][rows], v)
 
     def riesz(self) -> list[list[LinearFn]]:
-        """The forward pass of `fit_recursive_riesz` for every training set; the
-        previous representer's values come from the design X_{t-1} it was
-        fitted on."""
-        cfg, m, sets = self.cfg, self.data.num_periods, self.sets
+        """The forward pass of `fit_recursive_riesz` for every training set: the
+        right-hand side is B_t'(W_c a_{t-1}(S_{t-1}, T_{t-1})) over the set's rows."""
+        sets = self.sets
         fitted: list[list[LinearFn]] = [[] for _ in sets.sizes]
-        x = None
-        for t in range(1, m + 1):
-            image = None  # Phi_{t-1} has served; release it before Phi_t is built
-            image = self._image(t)
-            rhs = []
-            for q, reps in enumerate(fitted):
-                prev = np.ones(self.data.n_units) if x is None else reps[-1].at_features(x)
-                rhs.append(sets.mean(q, image, prev))
-            x = None  # X_{t-1} has served; release it before X_t is built
-            x = self._design(t)
-            solvers = sets.solvers(x, cfg, t)
-            for q, solve in enumerate(solvers):
-                beta = solve(rhs[q], f"period {t}")
-                fitted[q].append(LinearFn(cfg.feature_maps[t - 1], beta, clip=cfg.clip))
-        self._handover = (x, image, solvers)
+        for t in range(1, self.data.num_periods + 1):
+            design, weights = self.designs[t - 1], self.code_weights[t - 1]
+            prev = (None if t == 1 else self._observed(t - 1, reps[-1]) for reps in fitted)
+            rhs = np.stack([sets.mean(s, design.basis, weights, v) for s, v in enumerate(prev)])
+            for reps, coef in zip(fitted, design.solve(rhs, f"period {t}")[0]):
+                reps.append(LinearFn(design.phi, design.weights(coef), clip=self.cfg.clip))
         return fitted
 
     def regressions(
@@ -255,58 +368,47 @@ class _Stages:
         scores: HeldOutScores | None = None,
     ) -> list[list[LinearFn]]:
         """The backward pass of `fit_nested_regressions` for every training set.
-        With `clever`, training set q's representer for the period joins its
+        With `clever`, training set s's representer for the period joins its
         design as an unpenalized column (`fit_clever_covariate`). With
         `scores`, each fold's held-out rows are scored with its nuisances
-        (`representers` per fold) while the designs are live: the correction
-        a_t (u_t - f_t) of every period, then the plug-in m_1(Z; f_1)."""
+        (`representers` per fold): the correction a_t (u_t - f_t) of every
+        period, then the plug-in m_1(Z; f_1)."""
         m, sets = self.data.num_periods, self.sets
         fitted: list[list[LinearFn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
-        x, image, solvers = self._handover or (None, None, None)
-        self._handover = None
-        next_image = None
+        outcome = sets.rows(self.data.outcome)
         for t in range(m, 0, -1):
-            phi = self.cfg.feature_maps[t - 1]
-            if x is None:
-                x = self._design(t)
-                solvers = sets.solvers(x, self.cfg, t)
-            for q, solve in enumerate(solvers):
-                n_q, where = sets.sizes[q], f"period {t}"
-                if t == m:
-                    u = self.data.outcome
-                else:
-                    u = self._evaluate(t + 1, fitted[q][t], next_image, observed=False)
-                u_train = sets.train(q, u)
-                rhs = x.T @ u_train / n_q
-                rep = None if representers is None else representers[q][t - 1]
-                a = None if rep is None else self._evaluate(t, rep, x, observed=True)
-                if not clever:
-                    f = LinearFn(phi, solve(rhs, where))
-                else:
-                    a_train = sets.train(q, a)
-                    if np.any(a_train):
-                        border = (x.T @ a_train / n_q, a_train @ a_train / n_q)
-                        beta = solve(np.append(rhs, a_train @ u_train / n_q), where, border)
-                    else:
-                        # Degenerate clever column: keep the plain fit, coefficient 0.
-                        beta = np.append(solve(rhs, where), 0.0)
-                    f = LinearFn(ExtendedFeatures(phi, rep), beta)
-                fitted[q][t - 1] = f
+            design = self.designs[t - 1]
+            reps = [r[t - 1] for r in representers] if representers else [None] * len(fitted)
+            rhs, border, held = [], [], []
+            for s, fs in enumerate(fitted):
+                u = outcome if t == m else self._moment(t + 1, fs[t])
+                rhs.append(sets.mean(s, design.basis, design.scatter(u)))
+                if clever:
+                    a = self._observed(t, reps[s])
+                    border.append((sets.mean(s, design.basis, design.scatter(a)),  # X'a, a'a, a'u
+                                   *sets.mean(s, np.column_stack([a, u]), a[:, None])[0]))
                 if scores is not None:
-                    corr = a * (u - self._evaluate(t, f, x, observed=True))
-                    idx = sets.folds[q]
-                    scores.values[idx] += corr[idx]
-                    scores.correction_means[q, t - 1] = corr[idx].mean()
-                    if clever:
-                        scores.train_correction_means[q, t - 1] = sets.train(q, corr).sum() / n_q
-            x = next_image = None  # X_t and Phi_{t+1} have served
-            if t > 1 or scores is not None:
-                next_image = self._image(t) if image is None else image
-            image = None
+                    h = sets.held(s)
+                    held.append((u[h], a[h] if clever else self._observed(t, reps[s], h)))
+            coefs, gammas = design.solve(np.stack(rhs), f"period {t}",
+                                         [np.array(part) for part in zip(*border)] or None)
+            for s, (coef, gamma) in enumerate(zip(coefs, gammas)):
+                w = design.weights(coef)
+                f = LinearFn(ExtendedFeatures(design.phi, reps[s]), np.append(w, gamma)) if clever \
+                    else LinearFn(design.phi, w)
+                fitted[s][t - 1] = f
+                if scores is None:
+                    continue
+                (u_held, a_held), h = held[s], sets.held(s)
+                corr = a_held * (u_held - self._observed(t, f, h))
+                scores.values[sets.folds[s]] += corr
+                scores.correction_means[s, t - 1] = corr.mean()
+                if clever:  # the mean of a (u - f) on the training rows: the clever residual
+                    b, d, e = border[s]
+                    scores.train_correction_means[s, t - 1] = e - np.sum(b * coef) - d * gamma
         if scores is not None:
-            for q, idx in enumerate(sets.folds):
-                plug = self._evaluate(1, fitted[q][0], next_image, observed=False)
-                scores.values[idx] += plug[idx]
+            for s, fs in enumerate(fitted):
+                scores.values[sets.folds[s]] += self._moment(1, fs[0], sets.held(s))
         return fitted
 
 

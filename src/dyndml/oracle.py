@@ -31,6 +31,7 @@ from .core import (
     TreatmentPlan,
     ValidationError,
     _check_codes,
+    _code_weights,
     moment_batch,
     moment_scores,
     tabular_fn,
@@ -324,17 +325,12 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
     _check_plan(dgp, plan)
     paths = dgp.paths()
     g_s, k_s = dgp.state_arities[period - 1], dgp.treatment_arities[period - 1]
-    prev_vals = _prev_values(paths.data, period, prev)
-    num = np.zeros((g_s, k_s))
-    targeted = np.zeros((g_s, k_s), dtype=bool)
+    weights = _code_weights(plan, period, paths.data, k_s)
     s_col = paths.states[:, period - 1]
-    for j, term in enumerate(plan.period_terms(period)):
-        w = term.weights(paths.data, period)
-        d = term.targets(paths.data, period)
-        _check_codes(d, k_s, f"period {period}, term {j}")
-        np.add.at(num, (s_col, d), paths.prob * prev_vals * w)
-        live = w != 0.0
-        targeted[s_col[live], d[live]] = True
+    num = np.zeros((g_s, k_s))
+    np.add.at(num, s_col, (paths.prob * _prev_values(paths.data, period, prev))[:, None] * weights)
+    targeted = np.zeros((g_s, k_s), dtype=bool)
+    np.logical_or.at(targeted, s_col, weights != 0.0)
     den = paths.cell_mass(period, g_s, k_s)
     table = np.zeros((g_s, k_s))
     zero_mass: list[tuple[int, int]] = []

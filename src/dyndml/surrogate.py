@@ -11,10 +11,12 @@ under the long-sample norm against a short-sample functional, on the long
 sample.
 
 `surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`, on
-a `nuisance._TrainingSets` per sample: it builds phi_sx(long S, X),
-phi_tx(X, T), phi_tx(X, 1) - phi_tx(X, 0) and phi_sx(short S, X) once per
-call, solves h, a1, g and a2 for each pair of training sets (rows masked,
-Grams summed from fold blocks) and scores held-out records from them.
+the factored designs of `nuisance._Design` over a `nuisance._TrainingSets`
+per sample: the bases of phi_sx(long S, X), phi_tx(X, T) and
+phi_sx(short S, X) are built once per call; phi_sx is evaluated at code 0,
+and phi_tx(X, 1) - phi_tx(X, 0) is the code weights W = [-1, +1]. Each of
+the stages h, a1, g and a2 is solved for every pair of training sets in one
+batched call, and held-out records are scored from the same bases.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .core import (
     _write_csv,
 )
 from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
-from .nuisance import FitConfig, _TrainingSets
+from .nuisance import FitConfig, _Design, _TrainingSets
 from .oracle import mix_seed
 
 
@@ -109,13 +111,15 @@ def _cross_fit(
     data: SurrogatePair, cfg: FitConfig, short: _TrainingSets, long: _TrainingSets,
     scores: tuple[NDArray, NDArray] | None = None,
 ) -> list[SurrogateNuisances]:
-    """All four nuisances for every pair (short set q, long set q) of training
-    sets, solved from four designs built once on the whole samples; with
-    `scores` (short, long), each fold's held-out records are scored from them.
+    """All four nuisances for every pair (short set s, long set s) of training
+    sets, each stage solved for every pair in one batched call on three
+    factored designs built once on the whole samples; with `scores` (short,
+    long), each fold's held-out records are scored from them.
 
-    a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))]; a2 minimizes the
-    cross-sample risk E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a
-    ridge penalty on the normalized Gram.
+    a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))], whose right-hand side
+    carries the code weights W = [-1, +1]; a2 minimizes the cross-sample risk
+    E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a ridge penalty on the
+    normalized Gram. phi_sx is evaluated at code 0 throughout.
     """
     if len(cfg.feature_maps) != 2:
         raise ValidationError(
@@ -125,31 +129,44 @@ def _cross_fit(
     if cfg.feature_maps[0].arity != 2:
         raise ValidationError("the (T, X) feature map must have treatment arity 2")
     phi_tx, phi_sx = cfg.feature_maps
-    zeros, ones = (np.full(data.n_short, c, dtype=np.int64) for c in (0, 1))
-    x_long = phi_sx.batch(data.long_sx, np.zeros(data.n_long, dtype=np.int64))
-    x_tx = phi_tx.batch(data.short_x, data.short_t)
-    contrast = phi_tx.batch(data.short_x, ones) - phi_tx.batch(data.short_x, zeros)
-    x_short = phi_sx.batch(data.short_sx, zeros)
-    fitted = []
-    for q, (solve_sx, solve_tx) in enumerate(zip(long.solvers(x_long, cfg, 2),
-                                                 short.solvers(x_tx, cfg, 1))):
-        h = LinearFn(phi_sx, solve_sx(long.mean(q, x_long, data.long_y),
-                                      "h (long-sample regression)"))
-        a1 = LinearFn(phi_tx, solve_tx(short.mean(q, contrast, ones),
-                                       "a1 (treatment representer)"), clip=cfg.clip)
-        h_short = h.at_features(x_short)
-        g = LinearFn(phi_tx, solve_tx(short.mean(q, x_tx, h_short), "g (short-sample projection)"))
-        a1_vals = a1.at_features(x_tx)
-        a2 = LinearFn(phi_sx, solve_sx(short.mean(q, x_short, a1_vals),
-                                       "a2 (surrogate score)"), clip=cfg.clip)
-        fitted.append(SurrogateNuisances(h=h, g=g, a1=a1, a2=a2))
-        if scores is not None:
-            idx_s, idx_l = short.folds[q], long.folds[q]
-            g1_g0, g_obs = contrast[idx_s] @ g.weights, x_tx[idx_s] @ g.weights
-            scores[0][idx_s] = g1_g0 + a1_vals[idx_s] * (h_short[idx_s] - g_obs)
-            x_held = x_long[idx_l]
-            scores[1][idx_l] = a2.at_features(x_held) * (data.long_y[idx_l] - h.at_features(x_held))
-    return fitted
+    zeros_long, zeros_short = (np.zeros(n, dtype=np.int64) for n in (data.n_long, data.n_short))
+    x_tx = _Design(phi_tx, short.rows(data.short_x), short.rows(data.short_t), short, cfg, 1)
+    x_long = _Design(phi_sx, long.rows(data.long_sx), zeros_long, long, cfg, 2)
+    x_short = _Design(phi_sx, short.rows(data.short_sx), zeros_short, short, cfg, 2)
+    y = long.rows(data.long_y)
+    pairs = range(len(short.sizes))
+    contrast = np.broadcast_to(np.array([-1.0, 1.0]), (data.n_short, 2))
+    h = x_long.solve(np.stack([long.mean(s, x_long.basis, x_long.scatter(y)) for s in pairs]),
+                     "h (long-sample regression)")[0]
+    a1 = x_tx.solve(np.stack([short.mean(s, x_tx.basis, contrast) for s in pairs]),
+                    "a1 (treatment representer)")[0]
+    rhs_g, rhs_a2, held = [], [], []
+    for s in pairs:
+        h_short = x_short.pick(x_short.values(h[s]))
+        a1_vals = x_tx.pick(x_tx.values(a1[s], clip=cfg.clip))
+        rhs_g.append(short.mean(s, x_tx.basis, x_tx.scatter(h_short)))
+        rhs_a2.append(short.mean(s, x_short.basis, x_short.scatter(a1_vals)))
+        held.append((h_short[short.held(s)], a1_vals[short.held(s)]))
+    g = x_tx.solve(np.stack(rhs_g), "g (short-sample projection)")[0]
+    a2 = x_long.solve(np.stack(rhs_a2), "a2 (surrogate score)")[0]
+    if scores is not None:
+        for s in pairs:
+            hs, hl = short.held(s), long.held(s)
+            g_vals, (h_short, a1_vals) = x_tx.values(g[s], hs), held[s]
+            g1_g0 = g_vals[:, 1] - g_vals[:, 0]
+            scores[0][short.folds[s]] = g1_g0 + a1_vals * (h_short - x_tx.pick(g_vals, hs))
+            h_long = x_long.pick(x_long.values(h[s], hl), hl)
+            a2_long = x_long.pick(x_long.values(a2[s], hl, cfg.clip), hl)
+            scores[1][long.folds[s]] = a2_long * (y[hl] - h_long)
+    return [
+        SurrogateNuisances(
+            h=LinearFn(phi_sx, x_long.weights(h[s])),
+            g=LinearFn(phi_tx, x_tx.weights(g[s])),
+            a1=LinearFn(phi_tx, x_tx.weights(a1[s]), clip=cfg.clip),
+            a2=LinearFn(phi_sx, x_long.weights(a2[s]), clip=cfg.clip),
+        )
+        for s in pairs
+    ]
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:

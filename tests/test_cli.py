@@ -464,6 +464,8 @@ class TestCsvSchemaErrors:
             ("s1_1,t01,y\n0,1,2\n", "unrecognized column 't01'"),
             ("s1_1,t1,y\n0,123456789012345678901234567890,1.0\n",
              "line 2, column 't1': '123456789012345678901234567890' is outside the int64 range"),
+            ("s1_1,t1,y\n" + "0,0,1.0\n" * 39 + "1,9223372036854775807,2.0\n",
+             "column t1: treatment code 9223372036854775807 implies"),
         ],
     )
     def test_panel_schema_errors_exit_2(self, files, capsys, text, message):

@@ -409,3 +409,55 @@ class TestCrossFitSchedule:
             dml_estimate(data, FixedSequence((1, 1)), cfg, q, 4)
         # a penalty repairs it
         dml_estimate(data, FixedSequence((1, 1)), FitConfig(feature_maps=maps, ridge=1e-6), q, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        features=st.sampled_from(["tabular", "polynomial"]),
+        plan_kind=st.sampled_from(["fixed", "policy", "contrast"]),
+        clever=st.booleans(),
+        n=st.integers(300, 500),
+        q=st.integers(2, 4),
+        seed=st.integers(0, 2**31),
+    )
+    def test_row_permutation_carrying_folds_leaves_estimate(
+        self, features, plan_kind, clever, n, q, seed
+    ):
+        # Shuffling the rows within each fold keeps every unit in its fold, so
+        # the cross-fit sees the same training sets in another row order. The
+        # processes keep every (state, treatment) cell populated in every
+        # training set: a cell left with one or two rows gives representers of
+        # order 1e5 (a finite-sample positivity failure), whose fit amplifies
+        # the reordered sums' rounding past 1e-12.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if features == "tabular":
+            dgp = random_dgp(rng, periods=2, max_states=3, min_propensity=0.25)
+            data = simulate(dgp, n, seed)
+            maps = tuple(TabularFeatures(np.arange(float(g)), k)
+                         for g, k in zip(dgp.state_arities, dgp.treatment_arities))
+            policy = DynamicPolicy(tuple(grid_policy([(i + t) % 2 for i in range(g)])
+                                         for t, g in enumerate(dgp.state_arities)))
+        else:
+            codes = rng.integers(0, 2, (n, 2))
+            states = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
+            outcome = states[1].sum(axis=1) + codes[:, 1] + rng.standard_normal(n)
+            data = PanelDataset(states, codes, outcome, (2, 2))
+            maps = (PolynomialFeatures(2, 2, 2),) * 2
+            policy = DynamicPolicy(((lambda s: (s[:, 0] > 0).astype(np.int64)),) * 2)
+        plan = {
+            "fixed": FixedSequence((1, 1)),
+            "policy": policy,
+            "contrast": Contrast.of_sequences([1.0, -1.0], [(1, 1), (0, 0)]),
+        }[plan_kind]
+        perm = np.arange(n)
+        for idx in make_folds(n, q, seed).folds:
+            perm[idx] = rng.permutation(idx)
+        shuffled = data.subset(perm)
+        cfg = FitConfig(feature_maps=maps)
+        a = dml_estimate(data, plan, cfg, q, seed, clever=clever)
+        b = dml_estimate(shuffled, plan, cfg, q, seed, clever=clever)
+        # Summation order changes, so the match is relative, not bitwise: to
+        # the scale of the scores, |theta| + sigma, because theta is a mean of
+        # scores of size sigma (a contrast's theta may be near zero).
+        scale = abs(a.theta_hat) + a.sigma_hat
+        assert abs(b.theta_hat - a.theta_hat) <= 1e-12 * scale
+        assert abs(b.sigma_hat - a.sigma_hat) <= 1e-12 * scale

@@ -5,9 +5,13 @@ from conftest import tabular_config
 from dyndml import (
     ConstantFn,
     DiscreteDGP,
+    ExtendedFeatures,
+    FitConfig,
     FixedSequence,
     LinearFn,
     NuisanceSet,
+    PolynomialFeatures,
+    RandomFourierFeatures,
     SolverError,
     TabularFeatures,
     ValidationError,
@@ -49,6 +53,31 @@ class TestFitRidge:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValidationError):
             fit_ridge(np.eye(2), np.zeros(2), -1.0)
+
+
+class TestFactoredMaps:
+    @pytest.mark.parametrize("phi, dim", [
+        (TabularFeatures(np.arange(3.0), 2), 1),
+        (PolynomialFeatures(2, 2, 3), 2),
+        (RandomFourierFeatures(2, 4, 2, seed=1), 2),
+    ], ids=["tabular", "polynomial", "fourier"])
+    def test_batch_is_the_basis_in_its_code_block(self, phi, dim):
+        # The engine's contract: batch places basis row i in the column block
+        # of codes[i], in the order state_major names.
+        rng = np.random.Generator(np.random.PCG64(3))
+        states = rng.integers(0, 3, (40, dim)).astype(float)
+        codes = rng.integers(0, phi.arity, 40)
+        basis = phi.basis(states)
+        want = np.zeros((40, phi.arity, basis.shape[1]))
+        want[np.arange(40), codes] = basis
+        if phi.state_major:
+            want = want.transpose(0, 2, 1)
+        np.testing.assert_array_equal(phi.batch(states, codes), want.reshape(40, -1))
+
+    def test_map_without_basis_is_rejected(self):
+        extended = ExtendedFeatures(TabularFeatures(np.arange(2.0), 2), ConstantFn(1.0))
+        with pytest.raises(ValidationError, match="feature map 1 .* needs basis"):
+            FitConfig(feature_maps=(extended,))
 
 
 class TestNestedRegressions:
