@@ -11,7 +11,6 @@ from .core import (
     Contrast,
     DynamicPolicy,
     EvalTerm,
-    ExtendedFeatures,
     FixedSequence,
     LinearFn,
     NuisanceSet,

@@ -457,8 +457,8 @@ class FeatureMap(Protocol):
     `batch` and `LinearFn.weights` keep: code-major (False: column c*q + j,
     polynomial and Fourier maps) or state-major (True: column j*arity + c,
     tabular maps, whose weights read as a (G, arity) table). `basis` and
-    `batch` return new arrays, which their caller may modify. The estimators
-    (`FitConfig`) take only maps with a `basis`."""
+    `batch` return new arrays, which their caller may modify. `FitConfig` and
+    `LinearFn` take only maps with a `basis` and `state_major`."""
 
     state_major: bool
 
@@ -482,6 +482,22 @@ def _check_codes(codes: NDArray, arity: int, where: str) -> None:
         raise PlanError(f"{where}: treatment code {bad} outside 0..{arity - 1}")
 
 
+def _check_factored(phi: FeatureMap, name: str) -> None:
+    """Reject a map that is not a state basis times treatment indicators."""
+    if not (callable(getattr(phi, "basis", None)) and hasattr(phi, "state_major")):
+        raise ValidationError(
+            f"{name} ({type(phi).__name__}) is not a state basis times treatment "
+            "indicators: it needs basis() and state_major"
+        )
+
+
+def _code_blocks(phi: FeatureMap, v: NDArray) -> NDArray:
+    """A (K, q) view of a vector v over phi's design columns: entry (c, j) is the
+    entry of basis column j under code c, in the order `phi.state_major` names.
+    Of np.arange(phi.dim), it is the design column numbers."""
+    return v.reshape(-1, phi.arity).T if phi.state_major else v.reshape(phi.arity, -1)
+
+
 def _one_hot(index: NDArray, width: int) -> NDArray:
     """Row i is the unit vector e_{index[i]} of length `width`."""
     out = np.zeros((index.shape[0], width))
@@ -491,26 +507,26 @@ def _one_hot(index: NDArray, width: int) -> NDArray:
     return out
 
 
-def _by_treatment(basis: NDArray, codes: NDArray, arity: int, where: str) -> NDArray:
-    """Interact a state basis with treatment indicators: row i's basis fills the
-    column block of its code."""
-    codes = np.asarray(codes, dtype=np.int64)
-    _check_codes(codes, arity, where)
-    n, q = basis.shape
-    out = np.zeros((n, arity, q))
-    out[np.arange(n), codes] = basis
-    return out.reshape(n, arity * q)
+class _FactoredMap:
+    """A feature map given by its state basis: `batch` and the one-row
+    `__call__` place each row's basis in the column block of its code, in the
+    order `_code_blocks` gives."""
 
-
-class _OneRow:
-    """Evaluation of a feature map at one (state, code): the one-row case of `batch`."""
+    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
+        codes = np.asarray(codes, dtype=np.int64)
+        _check_codes(codes, self.arity, type(self).__name__)
+        basis = self.basis(states)
+        out = np.zeros((basis.shape[0], self.dim))
+        columns = _code_blocks(self, np.arange(self.dim))[codes]
+        out[np.arange(basis.shape[0])[:, None], columns] = basis
+        return out
 
     def __call__(self, state: NDArray, code: int) -> NDArray:
         return self.batch(np.atleast_2d(state), np.array([code]))[0]
 
 
 @dataclass(frozen=True, eq=False)
-class TabularFeatures(_OneRow):
+class TabularFeatures(_FactoredMap):
     """One-hot over a finite grid of (state, treatment) cells; exact on discrete processes.
 
     States are matched to the nearest grid row (the lowest grid index on a
@@ -561,11 +577,6 @@ class TabularFeatures(_OneRow):
         """The one-hot (n, G) indicator of each state's grid row."""
         return _one_hot(self.state_index(states), self.grid.shape[0])
 
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        codes = np.asarray(codes, dtype=np.int64)
-        _check_codes(codes, self.arity, "tabular features")
-        return _one_hot(self.state_index(states) * self.arity + codes, self.dim)
-
 
 def _monomial_steps(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
     """Monomials of total degree <= `degree` in graded order after the constant:
@@ -582,7 +593,7 @@ def _monomial_steps(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class PolynomialFeatures(_OneRow):
+class PolynomialFeatures(_FactoredMap):
     """State monomials up to a total degree, interacted with treatment indicators."""
 
     state_dim: int
@@ -612,12 +623,9 @@ class PolynomialFeatures(_OneRow):
     def basis(self, states: NDArray) -> NDArray:
         return self._monomials(states)
 
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        return _by_treatment(self.basis(states), codes, self.arity, "polynomial features")
-
 
 @dataclass(frozen=True, eq=False)
-class RandomFourierFeatures(_OneRow):
+class RandomFourierFeatures(_FactoredMap):
     """Seeded cosine features of the state, interacted with treatment indicators.
 
     Frequencies and phases are drawn once at construction from the given
@@ -654,34 +662,6 @@ class RandomFourierFeatures(_OneRow):
             z = np.hstack([np.ones((z.shape[0], 1)), z])
         return z
 
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        return _by_treatment(self.basis(states), codes, self.arity, "random Fourier features")
-
-
-@dataclass(frozen=True, eq=False)
-class ExtendedFeatures(_OneRow):
-    """A base feature map with one extra column given by an arbitrary function.
-
-    Used by the clever-covariate regression, whose design gains the fitted
-    representer as an unpenalized regressor.
-    """
-
-    base: FeatureMap
-    extra: "Fn"
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + 1
-
-    @property
-    def arity(self) -> int:
-        return self.base.arity
-
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        x = self.base.batch(states, codes)
-        e = self.extra.batch(states, codes)
-        return np.hstack([x, np.asarray(e, dtype=float)[:, None]])
-
 
 class Fn(Protocol):
     """Anything evaluable at (state vector, treatment code), scalar and batched."""
@@ -693,13 +673,17 @@ class Fn(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class LinearFn:
-    """weights . features(state, code), optionally truncated to [-clip, clip]."""
+    """weights . features(state, code), optionally truncated to [-clip, clip].
+
+    The features factor as a state basis B times treatment indicators, so the
+    value at code c is B beta_c, beta_c the weights of c's column block."""
 
     features: FeatureMap
     weights: NDArray
     clip: float | None = None
 
     def __post_init__(self) -> None:
+        _check_factored(self.features, "feature map")
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if w.shape != (self.features.dim,):
@@ -708,20 +692,24 @@ class LinearFn:
             )
         if self.clip is not None and self.clip <= 0:
             raise ValidationError("clip bound must be positive")
+        object.__setattr__(self, "_blocks", _code_blocks(self.features, w))  # row c: beta_c
 
     @property
     def arity(self) -> int:
         return self.features.arity
 
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        return self.at_features(self.features.batch(states, codes))
+    def code_values(self, basis: NDArray) -> NDArray:
+        """(n, K): the value at every code of the rows whose state basis is
+        `basis` (features.basis(states)), B beta_c clipped; a new array."""
+        v = basis @ self._blocks.T
+        return v if self.clip is None else np.clip(v, -self.clip, self.clip, out=v)
 
-    def at_features(self, x: NDArray) -> NDArray:
-        """Values at rows whose feature matrix x = features.batch(...) is already evaluated."""
-        v = x @ self.weights
-        if self.clip is not None:
-            v = np.clip(v, -self.clip, self.clip)
-        return v
+    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
+        """Each row's value at its own code."""
+        codes = np.asarray(codes, dtype=np.int64)
+        _check_codes(codes, self.arity, type(self.features).__name__)
+        v = self.code_values(self.features.basis(states))
+        return np.take_along_axis(v, codes[:, None], axis=1)[:, 0]
 
     def __call__(self, state: NDArray, code: int) -> float:
         return float(self.batch(np.atleast_2d(state), np.array([code]))[0])
@@ -742,6 +730,32 @@ class ConstantFn:
 
     def __call__(self, state: NDArray, code: int) -> float:
         return self.value
+
+
+@dataclass(frozen=True)
+class CombinedFn:
+    """Linear combination of functions of (state, treatment); a part whose
+    coefficient is zero is never evaluated."""
+
+    parts: tuple[tuple[float, Fn], ...]
+
+    @property
+    def arity(self) -> int | None:
+        for _, fn in self.parts:
+            a = getattr(fn, "arity", None)
+            if a is not None:
+                return a
+        return None
+
+    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
+        out = np.zeros(np.atleast_2d(states).shape[0])
+        for c, fn in self.parts:
+            if c != 0.0:
+                out += c * np.asarray(fn.batch(states, codes), dtype=float)
+        return out
+
+    def __call__(self, state: NDArray, code: int) -> float:
+        return float(self.batch(np.atleast_2d(state), np.array([code]))[0])
 
 
 def tabular_fn(table: NDArray, grid: NDArray | None = None, clip: float | None = None) -> LinearFn:
@@ -786,61 +800,41 @@ def _one_row(z: Trajectory) -> PanelDataset:
     return PanelDataset.from_trajectories([z], (_UNBOUNDED_ARITY,) * z.num_periods)
 
 
-def _term_sum(
-    plan: TreatmentPlan, period: int, data: PanelDataset, batch: Callable[..., NDArray],
-    arity: int | None, width: tuple[int, ...] = (),
+def _code_weights(
+    plan: TreatmentPlan, period: int, data: PanelDataset, arity: int | None
 ) -> NDArray:
-    """sum_k w_k(Z_i) * batch(S_period, d_k(Z_i)) over the period's plan terms.
-
-    `batch` returns one value per row, or a row of shape `width`; a batch of
-    rows is a feature map's fresh array and is scaled in place. Rows whose
-    weight is zero are not evaluated. Targets must lie in 0..arity-1 (the
-    data's arity for the period when `arity` is None).
-    """
+    """The (n, K) code weights W_c = sum of w_k over the terms with d_k = c, so
+    that m_period(Z; g) = sum_c W_c(Z) g(S_period, c) for any g: the plan terms'
+    weights and targets alone, no function evaluated. Targets must lie in
+    0..arity-1 (the data's arity for the period when `arity` is None); K is
+    that bound, or one past the largest target when the bound is a lone
+    trajectory's unbounded arity."""
     _check_period(period, plan.num_periods)
     if period > data.num_periods:
         raise PlanError(f"data has {data.num_periods} periods, plan asks for {period}")
-    s = data.states[period - 1]
     bound = data.treatment_arities[period - 1] if arity is None else arity
-    expand = (slice(None),) + (None,) * len(width)  # a row weight scales a whole row
-    out = np.zeros((data.n_units, *width))
-    for j, term in enumerate(plan.period_terms(period)):
-        w = term.weights(data, period)
-        d = term.targets(data, period)
+    terms = plan.period_terms(period)
+    targets = [term.targets(data, period) for term in terms]
+    for j, d in enumerate(targets):
         _check_codes(d, bound, f"period {period}, term {j}")
-        live = w != 0.0
-        if not live.any():
-            continue
-        rows = slice(None) if live.all() else live
-        part = batch(s[rows], d[rows])
-        if width:
-            part *= w[rows][expand]
-        else:
-            part = w[rows] * part
-        out[rows] += part
-    return out
-
-
-def _code_weights(plan: TreatmentPlan, period: int, data: PanelDataset, arity: int) -> NDArray:
-    """The (n, arity) code weights W_c = sum of w_k over the terms with d_k = c,
-    so that m_period(Z; g) = sum_c W_c(Z) g(S_period, c) for any g: the plan
-    terms' weights and targets alone, no function evaluated. Targets must lie
-    in 0..arity-1, as in `_term_sum`. Every row is accumulated whatever its
-    weight: with nothing evaluated, `_term_sum`'s skipping of zero-weight rows
-    would only add gathers."""
-    _check_period(period, plan.num_periods)
-    out = np.zeros((data.n_units, arity))
-    cells = np.arange(data.n_units) * arity
-    for j, term in enumerate(plan.period_terms(period)):
-        d = term.targets(data, period)
-        _check_codes(d, arity, f"period {period}, term {j}")
+    if bound == _UNBOUNDED_ARITY:
+        bound = max((int(d.max()) + 1 for d in targets), default=1)
+    out = np.zeros((data.n_units, bound))
+    cells = np.arange(data.n_units) * bound
+    for term, d in zip(terms, targets):
         out.ravel()[cells + d] += term.weights(data, period)
     return out
 
 
 def moment_batch(plan: TreatmentPlan, period: int, data: PanelDataset, g: Fn) -> NDArray:
-    """Vectorized m_period(Z_i; g) = sum_k w_k(Z_i) * g(S_period, d_k(Z_i)); linear in g."""
-    return _term_sum(plan, period, data, g.batch, getattr(g, "arity", None))
+    """Vectorized m_period(Z_i; g) = sum_c W_c(Z_i) g(S_period, c) over the codes
+    c that carry weight, W from `_code_weights`; linear in g. Targets must lie
+    below g's arity, or the data's when g has none."""
+    weights = _code_weights(plan, period, data, getattr(g, "arity", None))
+    s, out = data.states[period - 1], np.zeros(data.n_units)
+    for c in np.flatnonzero(weights.any(axis=0)):
+        out += weights[:, c] * g.batch(s, np.full(data.n_units, c))
+    return out
 
 
 def evaluate_moment(plan: TreatmentPlan, period: int, z: Trajectory, g: Fn) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .core import (
+    CombinedFn,
     Fn,
     MomentValue,
     NuisanceSet,
@@ -34,31 +34,6 @@ from .oracle import DiscreteDGP, oracle_nuisances, oracle_theta, population_mome
 # ---------------------------------------------------------------------------
 # Nuisance arithmetic
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CombinedFn:
-    """Linear combination of functions of (state, treatment)."""
-
-    parts: tuple[tuple[float, Fn], ...]
-
-    @property
-    def arity(self) -> int | None:
-        for _, fn in self.parts:
-            a = getattr(fn, "arity", None)
-            if a is not None:
-                return a
-        return None
-
-    def batch(self, states: NDArray, codes: NDArray) -> NDArray:
-        out = np.zeros(np.atleast_2d(states).shape[0])
-        for c, fn in self.parts:
-            if c != 0.0:
-                out += c * np.asarray(fn.batch(states, codes), dtype=float)
-        return out
-
-    def __call__(self, state: NDArray, code: int) -> float:
-        return float(self.batch(np.atleast_2d(state), np.array([code]))[0])
 
 
 @dataclass(frozen=True)

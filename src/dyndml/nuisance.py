@@ -30,20 +30,27 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (
-    ExtendedFeatures,
+    CombinedFn,
     FeatureMap,
     Fn,
     LinearFn,
     PanelDataset,
     SolverError,
+    TabularFeatures,
     TreatmentPlan,
     ValidationError,
     _check_codes,
+    _check_factored,
+    _code_blocks,
     _code_weights,
     moment_batch,
 )
 
 DEFAULT_RIDGE_SCALE = 1e-3
+
+# A tabular state may differ from its grid row by at most this much, relative to
+# 1 + |grid value|, in each coordinate; the estimators reject one farther off.
+GRID_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,11 +84,7 @@ class FitConfig:
             if r is not None and r < 0:
                 raise ValidationError("ridge penalty must be nonnegative")
         for t, phi in enumerate(self.feature_maps, start=1):
-            if not (callable(getattr(phi, "basis", None)) and hasattr(phi, "state_major")):
-                raise ValidationError(
-                    f"feature map {t} ({type(phi).__name__}) is not a state basis times "
-                    "treatment indicators: it needs basis() and state_major"
-                )
+            _check_factored(phi, f"feature map {t}")
 
     def stage_ridge(self, period: int, gram: NDArray, n: int) -> float:
         """Resolved normalized-Gram penalty for a 1-based period; `gram` is the
@@ -140,13 +143,6 @@ def _positive_definite(a: NDArray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _layout(phi: FeatureMap) -> NDArray:
-    """The (K, q) design columns of phi's code blocks: entry (c, j) is the column
-    of basis column j under code c, in the order `phi.state_major` names."""
-    columns = np.arange(phi.dim)
-    return columns.reshape(-1, phi.arity).T if phi.state_major else columns.reshape(phi.arity, -1)
 
 
 class HeldOutScores(NamedTuple):
@@ -215,36 +211,46 @@ class _TrainingSets:
 
 
 class _Design:
-    """A factored design over the rows of `sets`: row i is phi(s_i, c_i), the
-    state basis row B_i = phi.basis(s_i) in the column block of code c_i. Its
-    Gram over any row set is block-diagonal by code, so each training set's
-    system is K blocks of size q (built on the first `solve`). Values B beta_c
-    are picked at each row's code through the flat index i*K + c_i."""
+    """A factored design over the rows of `sets`, held in their fold-major
+    order: row i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in
+    the column block of code c_i. Its Gram over any row set is block-diagonal
+    by code, so each training set's system is K blocks of size q (built on the
+    first `solve`). Values B beta_c (`LinearFn.code_values` of `basis`) are
+    picked at each row's code through the flat index i*K + c_i. A code
+    outside 0..K-1 is a PlanError, and a tabular state farther than
+    GRID_TOLERANCE from its grid row a ValidationError, naming `name`."""
 
     def __init__(
         self, phi: FeatureMap, states: NDArray, codes: NDArray, sets: _TrainingSets,
-        cfg: FitConfig, period: int,
+        cfg: FitConfig, period: int, name: str,
     ) -> None:
         self.phi, self.sets, self.cfg, self.period = phi, sets, cfg, period
-        self.codes = np.asarray(codes).astype(np.min_scalar_type(phi.arity - 1))
+        _check_codes(codes, phi.arity, name)
+        self.codes = sets.rows(np.asarray(codes)).astype(np.min_scalar_type(phi.arity - 1))
+        states = sets.rows(states)
         self.basis = phi.basis(states)
+        if isinstance(phi, TabularFeatures):  # one-hot: basis @ grid is each state's grid row
+            nearest = self.basis @ phi.grid
+            if (states != nearest).any():  # the gaps are weighed only if some state is off
+                gap = np.abs(states - nearest) > GRID_TOLERANCE * (1.0 + np.abs(nearest))
+                rows = np.flatnonzero(gap.any(axis=1))
+                if rows.size:
+                    source = rows if sets.order is None else sets.order[rows]
+                    i = rows[source.argmin()]
+                    raise ValidationError(
+                        f"{name}: row {source.min()}: state {states[i].tolist()} is off the "
+                        f"tabular grid (nearest grid row {nearest[i].tolist()}, tolerance "
+                        f"{GRID_TOLERANCE:g} x (1 + |grid value|))")
         self.flat = np.arange(self.codes.shape[0]) * phi.arity
         self.flat += self.codes
-        self.layout = _layout(phi)
+        self.layout = _code_blocks(phi, np.arange(phi.dim))
         self._systems: tuple[NDArray, NDArray] | None = None
 
-    def weights(self, coef: NDArray) -> NDArray:
-        """`LinearFn.weights` of the (K, q) coefficient blocks."""
+    def fn(self, coef: NDArray, clip: float | None = None) -> LinearFn:
+        """The linear function of phi whose (K, q) coefficient blocks are `coef`."""
         w = np.empty(self.phi.dim)
         w[self.layout] = coef
-        return w
-
-    def values(
-        self, coef: NDArray, rows: slice = slice(None), clip: float | None = None
-    ) -> NDArray:
-        """(m, K): B_i beta_c on `rows` for every code c, truncated to [-clip, clip]."""
-        v = self.basis[rows] @ coef.T
-        return v if clip is None else np.clip(v, -clip, clip, out=v)
+        return LinearFn(self.phi, w, clip)
 
     def pick(self, values: NDArray, rows: slice = slice(None)) -> NDArray:
         """Each row's entry at its own code, from `values` on `rows`."""
@@ -313,42 +319,36 @@ class _Stages:
         self.sets = sets = _TrainingSets(data.n_units, folds)
         self.designs, self.code_weights = [], []
         for t, phi in enumerate(cfg.feature_maps, start=1):
-            codes = data.treatments[:, t - 1]
-            _check_codes(codes, phi.arity, f"period {t}")
-            states = sets.rows(data.states[t - 1])
-            self.designs.append(_Design(phi, states, sets.rows(codes), sets, cfg, t))
+            states, codes = data.states[t - 1], data.treatments[:, t - 1]
+            self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}"))
             self.code_weights.append(sets.rows(_code_weights(plan, t, data, phi.arity)))
 
-    def _values(self, t: int, g: Fn, rows: slice) -> NDArray | None:
-        """(m, K): g(S_t, c) on `rows` for every code c, where g is linear in
-        phi_t (a clip applies to each value) or its clever extension; None for
-        any other g."""
+    def _values(self, t: int, g: Fn, rows: slice) -> NDArray:
+        """(m, K), a new array: g(S_t, c) on `rows` for every code c. A g linear
+        in phi_t is valued from the basis (a clip applies to each value), a
+        `CombinedFn` part by part; any other g is evaluated at each code."""
         design = self.designs[t - 1]
         if isinstance(g, LinearFn) and g.features is design.phi:
-            return design.values(g.weights[design.layout], rows, g.clip)
-        if isinstance(g, LinearFn) and g.clip is None and isinstance(g.features, ExtendedFeatures) \
-                and g.features.base is design.phi:
-            gamma = g.weights[-1]
-            extra = 0.0 if gamma == 0.0 else self._values(t, g.features.extra, rows)
-            if extra is not None:
-                v = design.values(g.weights[:-1][design.layout], rows)
-                return v if gamma == 0.0 else v + gamma * extra
-        return None
+            return g.code_values(design.basis[rows])
+        if isinstance(g, CombinedFn):
+            out = np.zeros((design.basis[rows].shape[0], design.phi.arity))
+            for c, fn in g.parts:
+                if c != 0.0:
+                    v = self._values(t, fn, rows)
+                    v *= c
+                    out += v
+            return out
+        states = self.sets.rows(self.data.states[t - 1])[rows]
+        return np.column_stack([g.batch(states, np.full(states.shape[0], c))
+                                for c in range(design.phi.arity)])
 
     def _observed(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
         """g(S_t, T_t) on `rows`."""
-        v = self._values(t, g, rows)
-        if v is None:
-            values = g.batch(self.data.states[t - 1], self.data.treatments[:, t - 1])
-            return self.sets.rows(values)[rows]
-        return self.designs[t - 1].pick(v, rows)
+        return self.designs[t - 1].pick(self._values(t, g, rows), rows)
 
     def _moment(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
         """m_t(Z; g) on `rows`."""
-        v = self._values(t, g, rows)
-        if v is None:
-            return self.sets.rows(moment_batch(self.plan, t, self.data, g))[rows]
-        return np.einsum("ik,ik->i", self.code_weights[t - 1][rows], v)
+        return np.einsum("ik,ik->i", self.code_weights[t - 1][rows], self._values(t, g, rows))
 
     def riesz(self) -> list[list[LinearFn]]:
         """The forward pass of `fit_recursive_riesz` for every training set: the
@@ -360,21 +360,23 @@ class _Stages:
             prev = (None if t == 1 else self._observed(t - 1, reps[-1]) for reps in fitted)
             rhs = np.stack([sets.mean(s, design.basis, weights, v) for s, v in enumerate(prev)])
             for reps, coef in zip(fitted, design.solve(rhs, f"period {t}")[0]):
-                reps.append(LinearFn(design.phi, design.weights(coef), clip=self.cfg.clip))
+                reps.append(design.fn(coef, self.cfg.clip))
         return fitted
 
     def regressions(
         self, representers: Sequence[Sequence[Fn]] | None, clever: bool,
         scores: HeldOutScores | None = None,
-    ) -> list[list[LinearFn]]:
+    ) -> list[list[Fn]]:
         """The backward pass of `fit_nested_regressions` for every training set.
         With `clever`, training set s's representer for the period joins its
-        design as an unpenalized column (`fit_clever_covariate`). With
+        design as an unpenalized column (`fit_clever_covariate`), and the fit
+        is the `CombinedFn` of the linear part and gamma times that
+        representer. With
         `scores`, each fold's held-out rows are scored with its nuisances
         (`representers` per fold): the correction a_t (u_t - f_t) of every
         period, then the plug-in m_1(Z; f_1)."""
         m, sets = self.data.num_periods, self.sets
-        fitted: list[list[LinearFn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
+        fitted: list[list[Fn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
         outcome = sets.rows(self.data.outcome)
         for t in range(m, 0, -1):
             design = self.designs[t - 1]
@@ -393,9 +395,9 @@ class _Stages:
             coefs, gammas = design.solve(np.stack(rhs), f"period {t}",
                                          [np.array(part) for part in zip(*border)] or None)
             for s, (coef, gamma) in enumerate(zip(coefs, gammas)):
-                w = design.weights(coef)
-                f = LinearFn(ExtendedFeatures(design.phi, reps[s]), np.append(w, gamma)) if clever \
-                    else LinearFn(design.phi, w)
+                f = design.fn(coef)
+                if clever:
+                    f = CombinedFn(((1.0, f), (float(gamma), reps[s])))
                 fitted[s][t - 1] = f
                 if scores is None:
                     continue
@@ -475,11 +477,12 @@ def fit_clever_covariate(
     plan: TreatmentPlan,
     representers: Sequence[Fn],
     cfg: FitConfig,
-) -> list[LinearFn]:
+) -> list[CombinedFn]:
     """Backward regression pass with the period's representer appended as an
     unpenalized design column, so every debiasing correction term has
     empirical mean zero by the normal equations and plug-in estimation
-    already equals the debiased estimate."""
+    already equals the debiased estimate. Period t's fit is
+    CombinedFn(((1.0, LinearFn(phi_t, w)), (gamma, representers[t-1])))."""
     stages = _Stages(data, plan, cfg)
     if len(representers) != data.num_periods:
         raise ValidationError("need one representer per period")

@@ -30,7 +30,6 @@ from numpy.typing import NDArray
 
 from .core import (
     Fn,
-    LinearFn,
     ValidationError,
     _check_finite,
     _block,
@@ -130,43 +129,37 @@ def _cross_fit(
         raise ValidationError("the (T, X) feature map must have treatment arity 2")
     phi_tx, phi_sx = cfg.feature_maps
     zeros_long, zeros_short = (np.zeros(n, dtype=np.int64) for n in (data.n_long, data.n_short))
-    x_tx = _Design(phi_tx, short.rows(data.short_x), short.rows(data.short_t), short, cfg, 1)
-    x_long = _Design(phi_sx, long.rows(data.long_sx), zeros_long, long, cfg, 2)
-    x_short = _Design(phi_sx, short.rows(data.short_sx), zeros_short, short, cfg, 2)
+    x_tx = _Design(phi_tx, data.short_x, data.short_t, short, cfg, 1, "short sample (X, T)")
+    x_long = _Design(phi_sx, data.long_sx, zeros_long, long, cfg, 2, "long sample (S, X)")
+    x_short = _Design(phi_sx, data.short_sx, zeros_short, short, cfg, 2, "short sample (S, X)")
     y = long.rows(data.long_y)
     pairs = range(len(short.sizes))
     contrast = np.broadcast_to(np.array([-1.0, 1.0]), (data.n_short, 2))
-    h = x_long.solve(np.stack([long.mean(s, x_long.basis, x_long.scatter(y)) for s in pairs]),
-                     "h (long-sample regression)")[0]
-    a1 = x_tx.solve(np.stack([short.mean(s, x_tx.basis, contrast) for s in pairs]),
-                    "a1 (treatment representer)")[0]
+    h = [x_long.fn(c) for c in x_long.solve(
+        np.stack([long.mean(s, x_long.basis, x_long.scatter(y)) for s in pairs]),
+        "h (long-sample regression)")[0]]
+    a1 = [x_tx.fn(c, cfg.clip) for c in x_tx.solve(
+        np.stack([short.mean(s, x_tx.basis, contrast) for s in pairs]),
+        "a1 (treatment representer)")[0]]
     rhs_g, rhs_a2, held = [], [], []
     for s in pairs:
-        h_short = x_short.pick(x_short.values(h[s]))
-        a1_vals = x_tx.pick(x_tx.values(a1[s], clip=cfg.clip))
+        h_short = x_short.pick(h[s].code_values(x_short.basis))
+        a1_vals = x_tx.pick(a1[s].code_values(x_tx.basis))
         rhs_g.append(short.mean(s, x_tx.basis, x_tx.scatter(h_short)))
         rhs_a2.append(short.mean(s, x_short.basis, x_short.scatter(a1_vals)))
         held.append((h_short[short.held(s)], a1_vals[short.held(s)]))
-    g = x_tx.solve(np.stack(rhs_g), "g (short-sample projection)")[0]
-    a2 = x_long.solve(np.stack(rhs_a2), "a2 (surrogate score)")[0]
+    g = [x_tx.fn(c) for c in x_tx.solve(np.stack(rhs_g), "g (short-sample projection)")[0]]
+    a2 = [x_long.fn(c, cfg.clip) for c in x_long.solve(np.stack(rhs_a2), "a2 (surrogate score)")[0]]
     if scores is not None:
         for s in pairs:
             hs, hl = short.held(s), long.held(s)
-            g_vals, (h_short, a1_vals) = x_tx.values(g[s], hs), held[s]
+            g_vals, (h_short, a1_vals) = g[s].code_values(x_tx.basis[hs]), held[s]
             g1_g0 = g_vals[:, 1] - g_vals[:, 0]
             scores[0][short.folds[s]] = g1_g0 + a1_vals * (h_short - x_tx.pick(g_vals, hs))
-            h_long = x_long.pick(x_long.values(h[s], hl), hl)
-            a2_long = x_long.pick(x_long.values(a2[s], hl, cfg.clip), hl)
+            h_long = x_long.pick(h[s].code_values(x_long.basis[hl]), hl)
+            a2_long = x_long.pick(a2[s].code_values(x_long.basis[hl]), hl)
             scores[1][long.folds[s]] = a2_long * (y[hl] - h_long)
-    return [
-        SurrogateNuisances(
-            h=LinearFn(phi_sx, x_long.weights(h[s])),
-            g=LinearFn(phi_tx, x_tx.weights(g[s])),
-            a1=LinearFn(phi_tx, x_tx.weights(a1[s]), clip=cfg.clip),
-            a2=LinearFn(phi_sx, x_long.weights(a2[s]), clip=cfg.clip),
-        )
-        for s in pairs
-    ]
+    return [SurrogateNuisances(h=h[s], g=g[s], a1=a1[s], a2=a2[s]) for s in pairs]
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:

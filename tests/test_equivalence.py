@@ -47,7 +47,6 @@ from dyndml import (
     surrogate_scores,
     tabular_fn,
 )
-from dyndml.core import _term_sum
 from dyndml.moment import nuisance_difference
 from dyndml.nuisance import fit_nuisances
 from helpers_surrogate import two_sample_ref
@@ -149,7 +148,7 @@ def test_constant_function_accepts_targets_beyond_observed_codes():
 
 def test_feature_image_matches_moment_batch_on_zero_weight_rows():
     # After period 1 each term's weight 1{T_{t-1} == previous target} vanishes
-    # on part of the rows, so the loop's partial-live branch is exercised.
+    # on part of the rows, so each code carries weight on only some rows.
     dgp = random_dgp(np.random.Generator(np.random.PCG64(7)), periods=3)
     plan = Contrast.of_sequences([2.0, -1.0], [(1, 1, 0), (0, 0, 1)])
     data = simulate(dgp, 500, 8)
@@ -157,7 +156,10 @@ def test_feature_image_matches_moment_batch_on_zero_weight_rows():
     for t in (2, 3):
         phi = TabularFeatures(grid=np.arange(dgp.state_arities[t - 1], dtype=float), arity=2)
         beta = rng.normal(size=phi.dim)
-        image = _term_sum(plan, t, data, phi.batch, phi.arity, (phi.dim,))
+        image = sum(
+            term.weights(data, t)[:, None] * phi.batch(data.states[t - 1], term.targets(data, t))
+            for term in plan.period_terms(t)
+        )
         for term in plan.period_terms(t):
             live = term.weights(data, t) != 0.0
             assert live.any() and not live.all()
@@ -169,7 +171,7 @@ def test_feature_image_matches_moment_batch_on_zero_weight_rows():
 def test_public_names_pinned():
     assert sorted(dyndml.__all__) == [
         "CombinedFn", "ConstantFn", "Contrast", "DiscreteDGP", "DynamicPolicy",
-        "EstimateReport", "EvalTerm", "ExtendedFeatures", "FitConfig", "FixedSequence",
+        "EstimateReport", "EvalTerm", "FitConfig", "FixedSequence",
         "FoldPlan", "LinearFn", "MCResult", "MomentValue", "NuisanceSet", "PanelDataset",
         "Perturbation", "PlanError", "PolynomialFeatures", "PositivityError", "Prefix",
         "RandomFourierFeatures", "RateTable", "SolverError", "SurrogateNuisances",
@@ -288,8 +290,8 @@ def test_clip_is_active_in_the_equivalence_cases():
     for features in ("tabular", "polynomial", "fourier"):
         data, maps, plan = equivalence_case(features, "contrast")
         reps = fit_nuisances(data, plan, FitConfig(feature_maps=maps))[1]
-        assert max(float(np.abs(a.at_features(m.batch(data.states[t], data.treatments[:, t]))).max())
-                   for t, (a, m) in enumerate(zip(reps, maps))) > 2.5
+        assert max(float(np.abs(a.batch(data.states[t], data.treatments[:, t])).max())
+                   for t, a in enumerate(reps)) > 2.5
 
 
 @pytest.mark.parametrize("dim", range(1, 6))

@@ -337,6 +337,19 @@ class TestTypedFoldErrors:
         with pytest.raises(PlanError, match=message):
             dml_estimate(data, FixedSequence((2, 2)), tabular_config(dgp2), 4, 0)
 
+    def test_off_grid_tabular_state_is_rejected(self, dgp2, plan2):
+        # A period-1 state of 7.0 on the grid {0, 1} used to be snapped to 1.
+        data = simulate(dgp2, 3000, 1)
+        s1 = data.states[0].copy()
+        s1[5, 0] = 7.0
+        off = PanelDataset((s1, data.states[1]), data.treatments, data.outcome, (2, 2))
+        with pytest.raises(ValidationError, match=r"^fold 0: period 1: row 5: state \[7\.0\] is off"):
+            dml_estimate(off, plan2, tabular_config(dgp2), 5, 1)
+        s1[5, 0] = data.states[0][5, 0] + 1e-12  # within the tolerance: the grid row itself
+        near = PanelDataset((s1, data.states[1]), data.treatments, data.outcome, (2, 2))
+        want = dml_estimate(data, plan2, tabular_config(dgp2), 5, 1)
+        assert dml_estimate(near, plan2, tabular_config(dgp2), 5, 1).theta_hat == want.theta_hat
+
     def test_non_finite_scores_are_a_numerical_failure(self, dgp2, plan2):
         data = simulate(dgp2, 50, 2)
         blowup = NuisanceSet(

@@ -5,7 +5,6 @@ from conftest import tabular_config
 from dyndml import (
     ConstantFn,
     DiscreteDGP,
-    ExtendedFeatures,
     FitConfig,
     FixedSequence,
     LinearFn,
@@ -75,9 +74,16 @@ class TestFactoredMaps:
         np.testing.assert_array_equal(phi.batch(states, codes), want.reshape(40, -1))
 
     def test_map_without_basis_is_rejected(self):
-        extended = ExtendedFeatures(TabularFeatures(np.arange(2.0), 2), ConstantFn(1.0))
+        class Dense:  # a map that is not a state basis times treatment indicators
+            dim, arity = 4, 2
+
+            def batch(self, states, codes):
+                return np.ones((np.atleast_2d(states).shape[0], 4))
+
         with pytest.raises(ValidationError, match="feature map 1 .* needs basis"):
-            FitConfig(feature_maps=(extended,))
+            FitConfig(feature_maps=(Dense(),))
+        with pytest.raises(ValidationError, match="feature map .* needs basis"):
+            LinearFn(Dense(), np.zeros(4))
 
 
 class TestNestedRegressions:
@@ -263,8 +269,9 @@ class TestCleverCovariate:
         clever = fit_clever_covariate(data, plan2, zeros, cfg)
         plain = fit_nested_regressions(data, plan2, cfg)
         for fc, fp in zip(clever, plain):
-            np.testing.assert_array_equal(fc.weights[:-1], fp.weights)
-            assert fc.weights[-1] == 0.0
+            (one, linear), (gamma, _) = fc.parts
+            np.testing.assert_array_equal(linear.weights, fp.weights)
+            assert (one, gamma) == (1.0, 0.0)
 
     def test_plug_in_equals_debiased(self, dgp2, plan2):
         data = simulate(dgp2, 4000, 29)

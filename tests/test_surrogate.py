@@ -213,6 +213,15 @@ class TestSurrogateEstimate:
         with pytest.raises(ValidationError, match="^fold 0: surrogate fits need two feature maps"):
             surrogate_estimate(data, cfg, 3, 0)
 
+    def test_off_grid_surrogate_state_names_its_sample(self, tsd):
+        data = tsd.simulate(100, 100, 5)
+        long_s = data.long_s.copy()
+        long_s[3, 0] += 0.5
+        off = SurrogatePair(data.short_x, data.short_t, data.short_s, data.long_x, long_s,
+                            data.long_y)
+        with pytest.raises(ValidationError, match=r"long sample \(S, X\): row 3: .* off the"):
+            surrogate_estimate(off, fit_cfg(tsd), 3, 0)
+
     def test_scores_split_by_sample(self, tsd):
         data = tsd.simulate(300, 200, 7)
         nus = surrogate_fit(data, fit_cfg(tsd))
