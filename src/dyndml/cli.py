@@ -67,6 +67,7 @@ from .core import (
     TreatmentPlan,
     ValidationError,
     grid_policy,
+    moment_batch,
     read_panel_csv,
     tabular_fn,
     write_panel_csv,
@@ -82,7 +83,6 @@ from .oracle import (
     oracle_theta,
     oracle_theta_potential,
     population_moment,
-    riesz_step,
     simulate,
 )
 from .surrogate import read_surrogate_csvs, surrogate_estimate
@@ -303,6 +303,17 @@ def _fit_settings(
     return fit, q_folds, seed
 
 
+def _check_tabular_cells(fit: FitConfig, names: Sequence[str], rows: Sequence[int]) -> None:
+    """Reject a tabular map with more cells than the rows it is fitted on: its
+    grid has a row per distinct state, so continuous states would make the
+    basis alone rows x rows."""
+    for phi, name, n in zip(fit.feature_maps, names, rows):
+        if isinstance(phi, TabularFeatures) and phi.dim > n:
+            raise ValidationError(
+                f"tabular feature map for {name} has {phi.dim} cells, more than its {n} rows "
+                "(continuous states?); set features = polynomial | fourier")
+
+
 def _apply_environment(args: argparse.Namespace) -> None:
     """Fill each integer flag the command takes but was not given from its
     DYNDML_<NAME> variable."""
@@ -352,6 +363,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if arities != data.treatment_arities:
         data = PanelDataset(data.states, data.treatments, data.outcome, arities)
     fit, q_folds, seed = _fit_settings(args, data.states, arities)
+    _check_tabular_cells(fit, [f"period {t}" for t in range(1, data.num_periods + 1)],
+                         [data.n_units] * data.num_periods)
     report = dml_estimate(data, plan, fit, q_folds, seed, clever=args.clever_covariate)
     _write_text(args.out, report.to_json())
     print(
@@ -471,15 +484,21 @@ def _diagnose_checks(dgp: DiscreteDGP, plan: TreatmentPlan, seed: int) -> list[d
 
 
 def _riesz_identity_residual(dgp: DiscreteDGP, plan: TreatmentPlan) -> float:
+    """The largest |a_t(s,k) P(S_t=s, T_t=k) - E[a_{t-1} m_t(Z; 1_(s,k))]| over
+    periods and cells, for the oracle representers a_t (a_0 = 1), with the
+    right side from `moment_batch` on the path table."""
     a_tabs = oracle_riesz(dgp, plan)
     paths = dgp.paths()
-    worst = 0.0
-    for t in range(1, dgp.num_periods + 1):
-        target = riesz_step(
-            dgp, plan, t, tabular_fn(a_tabs[t - 2]) if t > 1 else None
-        )
-        mass = paths.cell_mass(t, dgp.state_arities[t - 1], dgp.treatment_arities[t - 1])
-        worst = max(worst, float(np.max(np.abs((a_tabs[t - 1] - target) * mass))))
+    worst, prev = 0.0, paths.prob
+    for t, table in enumerate(a_tabs, start=1):
+        lhs = table * paths.cell_mass(t, *table.shape)
+        for cell in np.ndindex(table.shape):
+            indicator = np.zeros(table.shape)
+            indicator[cell] = 1.0
+            rhs = float(prev @ moment_batch(plan, t, paths.data, tabular_fn(indicator)))
+            worst = max(worst, abs(lhs[cell] - rhs))
+        a_t = tabular_fn(table).batch(paths.data.states[t - 1], paths.treatments[:, t - 1])
+        prev = paths.prob * a_t
     return worst
 
 
@@ -508,6 +527,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     jobs = 1 if args.jobs is None else args.jobs
     result = mc_experiment(dgp, plan, fit, args.reps, args.n, q_folds, seed, jobs=jobs)
     result.write_csv(args.out)
+    for message, count in result.failure_counts.items():
+        print(f"{count} failed replicate(s): {message}", file=sys.stderr)
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -521,6 +542,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
         (np.vstack([data.short_x, data.long_x]), np.vstack([data.short_sx, data.long_sx])),
         (2, 1),
     )
+    _check_tabular_cells(fit, ["(X, T)", "(S, X)"], [data.n_short, data.n_long])
     report = surrogate_estimate(data, fit, q_folds, seed)
     _write_text(args.out, report.to_json())
     print(

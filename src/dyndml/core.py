@@ -15,7 +15,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -864,23 +864,29 @@ def moment_scores(
     m = plan.num_periods
     if nuisances.num_periods != m:
         raise ValidationError("nuisance set does not cover every period")
+
+    def observed(g: Fn, t: int) -> NDArray:
+        return g.batch(data.states[t - 1], data.treatments[:, t - 1])
+
     plug = moment_batch(plan, 1, data, nuisances.regressions[0])
-    corrections = np.zeros((m, data.n_units))
-    for t in range(1, m + 1):
-        a_vals = nuisances.representers[t - 1].batch(
-            data.states[t - 1], data.treatments[:, t - 1]
-        )
-        if t == m:
-            u = data.outcome
-        else:
-            u = moment_batch(plan, t + 1, data, nuisances.regressions[t])
-        f_vals = nuisances.regressions[t - 1].batch(
-            data.states[t - 1], data.treatments[:, t - 1]
-        )
-        corrections[t - 1] = a_vals * (u - f_vals)
+    return _ladder(plug, (
+        (observed(nuisances.representers[t - 1], t),
+         data.outcome if t == m else moment_batch(plan, t + 1, data, nuisances.regressions[t]),
+         observed(nuisances.regressions[t - 1], t))
+        for t in range(1, m + 1)))
+
+
+def _ladder(
+    plug: NDArray, terms: Iterable[tuple[NDArray, NDArray, NDArray]]
+) -> tuple[NDArray, NDArray, NDArray]:
+    """The orthogonal score plug + sum_t a_t (u_t - f_t) from the plug-in and
+    the terms (a_t, u_t, f_t) of periods t = 1..M: (values, plug, corrections
+    (M, n)). The one place a correction is formed and summed; plug-in first,
+    then periods 1..M."""
+    corrections = np.array([a * (u - f) for a, u, f in terms])
     values = plug.copy()
-    for t in range(m):
-        values += corrections[t]
+    for c in corrections:
+        values += c
     return values, plug, corrections
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
@@ -210,12 +211,7 @@ def dml_estimate(
         scores, _, corrections = moment_scores(data, plan, nuisances)
         correction_means = np.array([corrections[:, idx].mean(axis=1) for idx in folds])
     else:
-        try:
-            scores, correction_means, train_means = cross_fit(data, plan, cfg, folds, clever)
-        except ValidationError as exc:
-            # An error building the whole-panel designs stops every fold's
-            # fit; it is reported as fold 0's, the first of them.
-            raise type(exc)(f"fold 0: {exc}") from exc
+        scores, correction_means, train_means = cross_fit(data, plan, cfg, folds, clever)
     per_fold: list[dict] = []
     for q, idx in enumerate(folds):
         vals = scores[idx]
@@ -279,6 +275,12 @@ class MCResult:
             np.array([[r.covered, r.failed] for r in rows], dtype=np.int64),
         ]
         _write_csv(path, MC_CSV_HEADER, blocks)
+
+    @property
+    def failure_counts(self) -> dict[str, int]:
+        """The failed replicates per failure message, in order of first failing
+        replicate."""
+        return dict(Counter(row.message for row in self.rows if row.failed))
 
     def summary_dict(self) -> dict:
         return {

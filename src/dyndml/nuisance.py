@@ -24,7 +24,7 @@ fits are the one-training-set case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,6 +43,7 @@ from .core import (
     _check_factored,
     _code_blocks,
     _code_weights,
+    _ladder,
     moment_batch,
 )
 
@@ -143,16 +144,6 @@ def _positive_definite(a: NDArray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-class HeldOutScores(NamedTuple):
-    """Cross-fitted scores: the held-out score of every row, and per fold and
-    period the mean correction a_t (u_t - f_t) over the fold's held-out rows
-    and, with the clever covariate, over its training rows."""
-
-    values: NDArray
-    correction_means: NDArray        # (Q, M)
-    train_correction_means: NDArray  # (Q, M)
 
 
 class _TrainingSets:
@@ -364,24 +355,26 @@ class _Stages:
         return fitted
 
     def regressions(
-        self, representers: Sequence[Sequence[Fn]] | None, clever: bool,
-        scores: HeldOutScores | None = None,
-    ) -> list[list[Fn]]:
+        self, representers: Sequence[Sequence[Fn]] | None, clever: bool
+    ) -> tuple[list[list[Fn]], list[list[tuple]], NDArray]:
         """The backward pass of `fit_nested_regressions` for every training set.
         With `clever`, training set s's representer for the period joins its
         design as an unpenalized column (`fit_clever_covariate`), and the fit
         is the `CombinedFn` of the linear part and gamma times that
-        representer. With
-        `scores`, each fold's held-out rows are scored with its nuisances
-        (`representers` per fold): the correction a_t (u_t - f_t) of every
-        period, then the plug-in m_1(Z; f_1)."""
+        representer. Returns (fits, held, train_means): with folds, held[s]
+        holds the (a_t, u_t, f_t) of periods 1..M on fold s's held-out rows,
+        with the set's own nuisances (`representers` per set), and with
+        `clever` train_means[s, t-1] is the mean of a_t (u_t - f_t) over the
+        set's training rows, from its normal equations."""
         m, sets = self.data.num_periods, self.sets
         fitted: list[list[Fn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
+        held: list[list[tuple]] = [[()] * m for _ in sets.sizes] if sets.folds else []
+        train_means = np.zeros((len(sets.sizes), m))
         outcome = sets.rows(self.data.outcome)
         for t in range(m, 0, -1):
             design = self.designs[t - 1]
             reps = [r[t - 1] for r in representers] if representers else [None] * len(fitted)
-            rhs, border, held = [], [], []
+            rhs, border = [], []
             for s, fs in enumerate(fitted):
                 u = outcome if t == m else self._moment(t + 1, fs[t])
                 rhs.append(sets.mean(s, design.basis, design.scatter(u)))
@@ -389,42 +382,41 @@ class _Stages:
                     a = self._observed(t, reps[s])
                     border.append((sets.mean(s, design.basis, design.scatter(a)),  # X'a, a'a, a'u
                                    *sets.mean(s, np.column_stack([a, u]), a[:, None])[0]))
-                if scores is not None:
+                if held:  # copies, so that no full-panel array outlives its set's step
                     h = sets.held(s)
-                    held.append((u[h], a[h] if clever else self._observed(t, reps[s], h)))
+                    held[s][t - 1] = (a[h].copy() if clever else self._observed(t, reps[s], h),
+                                      u[h].copy())
             coefs, gammas = design.solve(np.stack(rhs), f"period {t}",
                                          [np.array(part) for part in zip(*border)] or None)
             for s, (coef, gamma) in enumerate(zip(coefs, gammas)):
                 f = design.fn(coef)
                 if clever:
                     f = CombinedFn(((1.0, f), (float(gamma), reps[s])))
+                    b, d, e = border[s]  # the mean of a (u - f) on the training rows
+                    train_means[s, t - 1] = e - np.sum(b * coef) - d * gamma
                 fitted[s][t - 1] = f
-                if scores is None:
-                    continue
-                (u_held, a_held), h = held[s], sets.held(s)
-                corr = a_held * (u_held - self._observed(t, f, h))
-                scores.values[sets.folds[s]] += corr
-                scores.correction_means[s, t - 1] = corr.mean()
-                if clever:  # the mean of a (u - f) on the training rows: the clever residual
-                    b, d, e = border[s]
-                    scores.train_correction_means[s, t - 1] = e - np.sum(b * coef) - d * gamma
-        if scores is not None:
-            for s, fs in enumerate(fitted):
-                scores.values[sets.folds[s]] += self._moment(1, fs[0], sets.held(s))
-        return fitted
+                if held:
+                    held[s][t - 1] += (self._observed(t, f, sets.held(s)),)
+        return fitted, held, train_means
 
 
 def cross_fit(
     data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, folds: Sequence[NDArray],
     clever: bool = False,
-) -> HeldOutScores:
+) -> tuple[NDArray, NDArray, NDArray]:
     """Fit both nuisance sequences once per fold on the rows outside it, and
-    score the fold's rows with them."""
+    score the fold's rows with them (`core._ladder`). Returns the held-out
+    score of every row and, per fold and period (Q, M), the mean correction
+    a_t (u_t - f_t) over the fold's rows and, with `clever`, over its
+    training rows."""
     stages = _Stages(data, plan, cfg, folds)
-    shape = (len(folds), data.num_periods)
-    scores = HeldOutScores(np.zeros(data.n_units), np.zeros(shape), np.zeros(shape))
-    stages.regressions(stages.riesz(), clever, scores)
-    return scores
+    fitted, held, train_means = stages.regressions(stages.riesz(), clever)
+    values, means = np.empty(data.n_units), np.empty(train_means.shape)
+    for s, (fs, terms) in enumerate(zip(fitted, held)):
+        values[stages.sets.folds[s]], _, corrections = _ladder(
+            stages._moment(1, fs[0], stages.sets.held(s)), terms)
+        means[s] = corrections.mean(axis=1)
+    return values, means, train_means
 
 
 def fit_nested_regressions(
@@ -432,7 +424,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    return _Stages(data, plan, cfg).regressions(None, clever=False)[0]
+    return _Stages(data, plan, cfg).regressions(None, clever=False)[0][0]
 
 
 def riesz_loss(
@@ -486,7 +478,7 @@ def fit_clever_covariate(
     stages = _Stages(data, plan, cfg)
     if len(representers) != data.num_periods:
         raise ValidationError("need one representer per period")
-    return stages.regressions([tuple(representers)], clever=True)[0]
+    return stages.regressions([tuple(representers)], clever=True)[0][0]
 
 
 def fit_nuisances(
@@ -495,7 +487,7 @@ def fit_nuisances(
     """Fit both sequences on one sample; returns (regressions, representers)."""
     stages = _Stages(data, plan, cfg)
     (representers,) = stages.riesz()
-    (regressions,) = stages.regressions([representers], clever)
+    (regressions,), _, _ = stages.regressions([representers], clever)
     return regressions, representers
 
 

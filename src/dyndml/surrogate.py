@@ -203,11 +203,7 @@ def surrogate_estimate(
     folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1)).folds
     short_scores, long_scores = np.empty(data.n_short), np.empty(data.n_long)
     sets = (_TrainingSets(data.n_short, folds_s), _TrainingSets(data.n_long, folds_l))
-    try:
-        _cross_fit(data, cfg, *sets, scores=(short_scores, long_scores))
-    except ValidationError as exc:
-        # A design error stops every fold's fit; it is reported as fold 0's.
-        raise type(exc)(f"fold 0: {exc}") from exc
+    _cross_fit(data, cfg, *sets, scores=(short_scores, long_scores))
     per_fold: list[dict] = []
     for q, (idx_s, idx_l) in enumerate(zip(folds_s, folds_l)):
         s_term, l_term = short_scores[idx_s], long_scores[idx_l]

@@ -1,12 +1,26 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyndml.cli
+import dyndml.oracle
 from helpers_surrogate import two_sample_ref
-from dyndml import write_surrogate_csvs
+from dyndml import (
+    PanelDataset,
+    SurrogatePair,
+    ValidationError,
+    read_panel_csv,
+    read_surrogate_csvs,
+    write_panel_csv,
+    write_surrogate_csvs,
+)
 from dyndml.cli import _distinct_rows, load_dgp, main
 
 DGP1 = """\
@@ -208,6 +222,21 @@ class TestEstimate:
         # binary states: degree-1 polynomials / fouriers span the truth
         assert abs(report["theta_hat"] - 1.5) <= 6.0 * report["sigma_hat"] / np.sqrt(4000)
 
+    def test_continuous_states_with_tabular_features_exit_2(self, files, capsys):
+        rng = np.random.default_rng(3)
+        panel = files["dir"] / "continuous.csv"
+        write_panel_csv(PanelDataset((rng.normal(size=(40, 1)),), rng.integers(0, 2, (40, 1)),
+                                     rng.normal(size=40), (2,)), str(panel))
+        argv = ["estimate", "--data", str(panel), "--plan", files["plan1"],
+                "--out", str(files["dir"] / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "tabular feature map for period 1 has 80 cells, more than its 40 rows" in err
+        assert "features = polynomial | fourier" in err
+        config = files["dir"] / "poly.cfg"
+        config.write_text("features = polynomial\n")
+        assert main(argv + ["--config", str(config)]) == 0
+
     def test_json_config_accepted(self, files):
         data = files["dir"] / "d.csv"
         main(["simulate", "--dgp", files["dgp1"], "--n", "500", "--out", str(data)])
@@ -270,7 +299,51 @@ class TestOracleAndDiagnose:
         assert all(v <= 1e-10 for v in residuals.values())
 
 
+    @pytest.mark.parametrize("plan_text", [
+        "kind = policy\npolicy_1 = 1 0\npolicy_2 = 0 1\n",
+        "kind = contrast\ncoefficients = 1 -1\nsequence_1 = 1 1\nsequence_2 = 0 0\n",
+    ], ids=["policy", "contrast"])
+    def test_riesz_identity_fails_for_a_wrong_riesz_step(self, files, monkeypatch, plan_text):
+        plan = files["dir"] / "plan.cfg"
+        plan.write_text(plan_text)
+        out = files["dir"] / "diag.json"
+        argv = ["diagnose", "--dgp", files["dgp2"], "--plan", str(plan), "--out", str(out)]
+
+        def riesz_check():
+            assert main(argv) == 0
+            return next(c for c in json.loads(out.read_text())["checks"]
+                        if c["name"] == "riesz_identity")
+
+        assert riesz_check()["passed"]
+        right = dyndml.oracle.riesz_step
+
+        def wrong(*args):
+            return 2.0 * right(*args) + 1.0
+
+        # Replaced wherever the step is looked up, as an edit of its body would be.
+        monkeypatch.setattr(dyndml.oracle, "riesz_step", wrong)
+        monkeypatch.setattr(dyndml.cli, "riesz_step", wrong, raising=False)
+        check = riesz_check()
+        assert not check["passed"] and check["value"] > 1e-3
+
+
 class TestMonteCarlo:
+    def test_failure_reasons_on_stderr(self, files, capsys):
+        # Tiny folds with a zero penalty leave empty design cells in some reps.
+        config = files["dir"] / "ridge0.cfg"
+        config.write_text("ridge = 0\n")
+        argv = ["mc", "--dgp", files["dgp2"], "--plan", files["plan11"], "--reps", "30",
+                "--n", "24", "--Q", "3", "--seed", "13", "--config", str(config),
+                "--out", str(files["dir"] / "mc.csv")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        n_failed = json.loads(captured.out)["n_failed"]
+        lines = captured.err.splitlines()
+        assert n_failed > 0 and lines
+        assert all(" failed replicate(s): fold " in line for line in lines)
+        assert sum(int(line.split()[0]) for line in lines) == n_failed
+        assert len(set(lines)) == len(lines)
+
     def test_rows_csv_and_summary(self, files, capsys):
         out = files["dir"] / "mc.csv"
         rc = main(
@@ -390,6 +463,20 @@ class TestSurrogateCommand:
         np.testing.assert_array_equal(back.short_t, data.short_t)
         np.testing.assert_array_equal(back.long_y, data.long_y)
         np.testing.assert_array_equal(back.short_s, data.short_s)
+
+    def test_continuous_surrogates_with_tabular_features_exit_2(self, files, capsys):
+        data = two_sample_ref().simulate(60, 50, 2)
+        long_s = data.long_s + np.random.default_rng(0).normal(size=data.long_s.shape)
+        data = SurrogatePair(data.short_x, data.short_t, data.short_s, data.long_x, long_s,
+                             data.long_y)
+        short, long_ = files["dir"] / "short.csv", files["dir"] / "long.csv"
+        write_surrogate_csvs(data, str(short), str(long_))
+        argv = ["surrogate-estimate", "--short", str(short), "--long", str(long_),
+                "--out", str(files["dir"] / "sur.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "tabular feature map for (S, X) has" in err and "more than its 50 rows" in err
+        assert "features = polynomial | fourier" in err
 
     def test_files_without_controls(self, files):
         """No x_* columns: one tabular cell for the controls, so the estimate
@@ -591,3 +678,95 @@ class TestSettings:
             "seed = 3", "seed = 9007199254740993"))
         dgp = load_dgp(str(big))
         assert dgp.num_periods == 1 and dgp.seed == 9007199254740993
+
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "-Infinity"])
+
+
+def _replace_cell(path: Path, row: int, column: str, text: str) -> None:
+    lines = path.read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    cells = lines[row + 1].split(",")
+    cells[j] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _exit_code(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestNonFiniteInput:
+    """A NaN or an infinity in any cell is a ValidationError: through the
+    constructors, through the CSV readers (a treatment cell is not an integer)
+    and, from a file, exit 2 of the CLI."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), text=NON_FINITE)
+    def test_panel(self, data, text):
+        n = data.draw(st.integers(2, 6))
+        dims = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        m = len(dims)
+        row = data.draw(st.integers(0, n - 1))
+        column = data.draw(st.sampled_from(
+            ["y"] + [f"t{t}" for t in range(1, m + 1)]
+            + [f"s{t}_{j}" for t, d in enumerate(dims, 1) for j in range(1, d + 1)]))
+        rng = np.random.default_rng(n)
+        states = [rng.normal(size=(n, d)) for d in dims]
+        treatments, outcome = rng.integers(0, 2, (n, m)), rng.normal(size=n)
+        if not column.startswith("t"):
+            bad = [s.copy() for s in states] + [outcome.copy()]
+            if column == "y":
+                bad[-1][row] = float(text)
+            else:
+                t, j = map(int, column[1:].split("_"))
+                bad[t - 1][row, j - 1] = float(text)
+            with pytest.raises(ValidationError, match=f"non-finite value in .*, row {row}$"):
+                PanelDataset(tuple(bad[:-1]), treatments, bad[-1], (2,) * m)
+        message = "is not an integer" if column.startswith("t") else f"row {row}$"
+        with tempfile.TemporaryDirectory() as tmp:
+            panel, plan = Path(tmp) / "panel.csv", Path(tmp) / "plan.cfg"
+            write_panel_csv(PanelDataset(tuple(states), treatments, outcome, (2,) * m), str(panel))
+            _replace_cell(panel, row, column, text)
+            with pytest.raises(ValidationError, match=message):
+                read_panel_csv(str(panel))
+            plan.write_text("kind = fixed\ntreatments =" + " 1" * m + "\n")
+            rc, err = _exit_code(["estimate", "--data", str(panel), "--plan", str(plan),
+                                  "--out", str(Path(tmp) / "r.json")])
+        assert rc == 2 and "Traceback" not in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), text=NON_FINITE)
+    def test_surrogate(self, data, text):
+        p, q = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        n_short, n_long = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5))
+        sample = data.draw(st.sampled_from(["short", "long"]))
+        row = data.draw(st.integers(0, (n_short if sample == "short" else n_long) - 1))
+        other = "t" if sample == "short" else "y"
+        column = data.draw(st.sampled_from(
+            [other] + [f"x_{j}" for j in range(1, p + 1)] + [f"s_{j}" for j in range(1, q + 1)]))
+        rng = np.random.default_rng(p + q)
+        arrays = {"short_x": rng.normal(size=(n_short, p)), "short_t": rng.integers(0, 2, n_short),
+                  "short_s": rng.normal(size=(n_short, q)), "long_x": rng.normal(size=(n_long, p)),
+                  "long_s": rng.normal(size=(n_long, q)), "long_y": rng.normal(size=n_long)}
+        if column != "t":
+            field = f"{sample}_{column[0]}"
+            bad = dict(arrays, **{field: arrays[field].copy()})
+            cell = (row,) if column == "y" else (row, int(column[2:]) - 1)
+            bad[field][cell] = float(text)
+            with pytest.raises(ValidationError, match=f"non-finite value in {sample} sample "
+                                                      f"{column}, row {row}$"):
+                SurrogatePair(**bad)
+        message = "is not an integer" if column == "t" else f"row {row}$"
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"short": Path(tmp) / "short.csv", "long": Path(tmp) / "long.csv"}
+            write_surrogate_csvs(SurrogatePair(**arrays), str(paths["short"]), str(paths["long"]))
+            _replace_cell(paths[sample], row, column, text)
+            with pytest.raises(ValidationError, match=message):
+                read_surrogate_csvs(str(paths["short"]), str(paths["long"]))
+            rc, err = _exit_code(["surrogate-estimate", "--short", str(paths["short"]),
+                                  "--long", str(paths["long"]), "--out", str(Path(tmp) / "r.json")])
+        assert rc == 2 and "Traceback" not in err

@@ -87,6 +87,19 @@ class TestScoreViews:
         assert value == float(paths.prob @ moment_scores(paths.data, plan, nus)[0])
         assert value == float(paths.prob @ ladder(paths.data, plan, nus, paths.mu))
 
+    def test_moment_scores_is_the_ladder(self, dgp2, kind):
+        plan = PLANS[kind]
+        nus = random_nuisances(np.random.Generator(np.random.PCG64(5)))
+        data = simulate(dgp2, 60, 6)
+        values, plug, corrections = moment_scores(data, plan, nus)
+        assert np.array_equal(values, ladder(data, plan, nus, data.outcome))
+        assert np.array_equal(plug, moment_batch(plan, 1, data, nus.regressions[0]))
+        for t in (1, 2):
+            a_vals = nus.representers[t - 1].batch(data.states[t - 1], data.treatments[:, t - 1])
+            u = data.outcome if t == 2 else moment_batch(plan, t + 1, data, nus.regressions[t])
+            f_vals = nus.regressions[t - 1].batch(data.states[t - 1], data.treatments[:, t - 1])
+            assert np.array_equal(corrections[t - 1], a_vals * (u - f_vals))
+
     def test_mixed_bias_formula_is_zero_outcome_corrections(self, dgp2, kind):
         plan = PLANS[kind]
         rng = np.random.Generator(np.random.PCG64(2))

@@ -267,6 +267,10 @@ class TestMonteCarlo:
         failed_rows = [r for r in result.rows if r.failed]
         assert failed_rows and all(math.isnan(r.theta_hat) for r in failed_rows)
         assert len(result.rows) == 30
+        counts = result.failure_counts
+        assert sum(counts.values()) == result.n_failed
+        assert list(counts) == list(dict.fromkeys(r.message for r in failed_rows))
+        assert all(message.startswith("fold ") for message in counts)
 
     def test_jobs_must_be_positive(self, dgp2, plan2):
         with pytest.raises(ValidationError, match="jobs must be >= 1"):
@@ -331,9 +335,9 @@ class TestRateDiagnostics:
 
 
 class TestTypedFoldErrors:
-    def test_plan_error_keeps_its_type_with_fold_prefix(self, dgp2):
+    def test_plan_error_keeps_its_type(self, dgp2):
         data = simulate(dgp2, 200, 1)
-        message = "^fold 0: period 1, term 0: treatment code 2 outside 0..1"
+        message = "^period 1, term 0: treatment code 2 outside 0..1"
         with pytest.raises(PlanError, match=message):
             dml_estimate(data, FixedSequence((2, 2)), tabular_config(dgp2), 4, 0)
 
@@ -343,7 +347,7 @@ class TestTypedFoldErrors:
         s1 = data.states[0].copy()
         s1[5, 0] = 7.0
         off = PanelDataset((s1, data.states[1]), data.treatments, data.outcome, (2, 2))
-        with pytest.raises(ValidationError, match=r"^fold 0: period 1: row 5: state \[7\.0\] is off"):
+        with pytest.raises(ValidationError, match=r"^period 1: row 5: state \[7\.0\] is off"):
             dml_estimate(off, plan2, tabular_config(dgp2), 5, 1)
         s1[5, 0] = data.states[0][5, 0] + 1e-12  # within the tolerance: the grid row itself
         near = PanelDataset((s1, data.states[1]), data.treatments, data.outcome, (2, 2))

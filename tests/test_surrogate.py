@@ -207,10 +207,10 @@ class TestSurrogateEstimate:
         assert s_report.theta_hat == pytest.approx(d_report.theta_hat, abs=1e-8)
         assert s_report.sigma_hat == pytest.approx(d_report.sigma_hat, abs=1e-8)
 
-    def test_validation_error_keeps_its_type_with_fold_prefix(self, tsd):
+    def test_validation_error_keeps_its_type(self, tsd):
         data = tsd.simulate(100, 100, 5)
         cfg = FitConfig(feature_maps=tsd.feature_maps()[:1])
-        with pytest.raises(ValidationError, match="^fold 0: surrogate fits need two feature maps"):
+        with pytest.raises(ValidationError, match="^surrogate fits need two feature maps"):
             surrogate_estimate(data, cfg, 3, 0)
 
     def test_off_grid_surrogate_state_names_its_sample(self, tsd):
