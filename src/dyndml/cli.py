@@ -303,17 +303,6 @@ def _fit_settings(
     return fit, q_folds, seed
 
 
-def _check_tabular_cells(fit: FitConfig, names: Sequence[str], rows: Sequence[int]) -> None:
-    """Reject a tabular map with more cells than the rows it is fitted on: its
-    grid has a row per distinct state, so continuous states would make the
-    basis alone rows x rows."""
-    for phi, name, n in zip(fit.feature_maps, names, rows):
-        if isinstance(phi, TabularFeatures) and phi.dim > n:
-            raise ValidationError(
-                f"tabular feature map for {name} has {phi.dim} cells, more than its {n} rows "
-                "(continuous states?); set features = polynomial | fourier")
-
-
 def _apply_environment(args: argparse.Namespace) -> None:
     """Fill each integer flag the command takes but was not given from its
     DYNDML_<NAME> variable."""
@@ -363,8 +352,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if arities != data.treatment_arities:
         data = PanelDataset(data.states, data.treatments, data.outcome, arities)
     fit, q_folds, seed = _fit_settings(args, data.states, arities)
-    _check_tabular_cells(fit, [f"period {t}" for t in range(1, data.num_periods + 1)],
-                         [data.n_units] * data.num_periods)
     report = dml_estimate(data, plan, fit, q_folds, seed, clever=args.clever_covariate)
     _write_text(args.out, report.to_json())
     print(
@@ -542,7 +529,6 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
         (np.vstack([data.short_x, data.long_x]), np.vstack([data.short_sx, data.long_sx])),
         (2, 1),
     )
-    _check_tabular_cells(fit, ["(X, T)", "(S, X)"], [data.n_short, data.n_long])
     report = surrogate_estimate(data, fit, q_folds, seed)
     _write_text(args.out, report.to_json())
     print(

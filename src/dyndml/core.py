@@ -456,8 +456,9 @@ class FeatureMap(Protocol):
     codes[i] and zeros elsewhere. `state_major` names the column order both
     `batch` and `LinearFn.weights` keep: code-major (False: column c*q + j,
     polynomial and Fourier maps) or state-major (True: column j*arity + c,
-    tabular maps, whose weights read as a (G, arity) table). `basis` and
-    `batch` return new arrays, which their caller may modify. `FitConfig` and
+    tabular maps, whose weights read as a (G, arity) table). `basis` (in either
+    memory order; the built-in maps return column-major views) and `batch`
+    return new arrays, which their caller may modify. `FitConfig` and
     `LinearFn` take only maps with a `basis` and `state_major`."""
 
     state_major: bool
@@ -499,12 +500,12 @@ def _code_blocks(phi: FeatureMap, v: NDArray) -> NDArray:
 
 
 def _one_hot(index: NDArray, width: int) -> NDArray:
-    """Row i is the unit vector e_{index[i]} of length `width`."""
-    out = np.zeros((index.shape[0], width))
-    cells = np.arange(index.shape[0]) * width
-    cells += index
+    """Row i is the unit vector e_{index[i]} of length `width`, column-major."""
+    out = np.zeros((width, index.shape[0]))
+    cells = index * index.shape[0]
+    cells += np.arange(index.shape[0])
     out.ravel()[cells] = 1.0
-    return out
+    return out.T
 
 
 class _FactoredMap:
@@ -657,10 +658,10 @@ class RandomFourierFeatures(_FactoredMap):
 
     def basis(self, states: NDArray) -> NDArray:
         s = np.atleast_2d(np.asarray(states, dtype=float))
-        z = np.sqrt(2.0 / self.n_features) * np.cos(s @ self._omega.T + self._phase)
-        if self.include_constant:
-            z = np.hstack([np.ones((z.shape[0], 1)), z])
-        return z
+        z = np.ones((self.n_features + int(self.include_constant), s.shape[0]))  # (feature, row)
+        z[-self.n_features:] = np.cos(self._omega @ s.T + self._phase[:, None])
+        z[-self.n_features:] *= np.sqrt(2.0 / self.n_features)
+        return z.T
 
 
 class Fn(Protocol):
@@ -699,10 +700,10 @@ class LinearFn:
         return self.features.arity
 
     def code_values(self, basis: NDArray) -> NDArray:
-        """(n, K): the value at every code of the rows whose state basis is
-        `basis` (features.basis(states)), B beta_c clipped; a new array."""
-        v = basis @ self._blocks.T
-        return v if self.clip is None else np.clip(v, -self.clip, self.clip, out=v)
+        """(n, K), column-major: the value at every code of the rows whose state
+        basis is `basis` (features.basis(states)), B beta_c clipped; a new array."""
+        v = self._blocks @ basis.T
+        return (v if self.clip is None else np.clip(v, -self.clip, self.clip, out=v)).T
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
         """Each row's value at its own code."""
@@ -808,7 +809,7 @@ def _code_weights(
     weights and targets alone, no function evaluated. Targets must lie in
     0..arity-1 (the data's arity for the period when `arity` is None); K is
     that bound, or one past the largest target when the bound is a lone
-    trajectory's unbounded arity."""
+    trajectory's unbounded arity. The column-major view of a (K, n) buffer."""
     _check_period(period, plan.num_periods)
     if period > data.num_periods:
         raise PlanError(f"data has {data.num_periods} periods, plan asks for {period}")
@@ -819,11 +820,11 @@ def _code_weights(
         _check_codes(d, bound, f"period {period}, term {j}")
     if bound == _UNBOUNDED_ARITY:
         bound = max((int(d.max()) + 1 for d in targets), default=1)
-    out = np.zeros((data.n_units, bound))
-    cells = np.arange(data.n_units) * bound
+    out = np.zeros((bound, data.n_units))
+    cells = np.arange(data.n_units)
     for term, d in zip(terms, targets):
-        out.ravel()[cells + d] += term.weights(data, period)
-    return out
+        out.ravel()[d * data.n_units + cells] += term.weights(data, period)
+    return out.T
 
 
 def moment_batch(plan: TreatmentPlan, period: int, data: PanelDataset, g: Fn) -> NDArray:

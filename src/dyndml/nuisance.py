@@ -12,13 +12,15 @@ Both passes run stage-major in one implementation, `_Stages`, on factored
 designs (`_Design`): a feature map is a state basis times treatment
 indicators, so per period the engine keeps one basis B_t = phi_t.basis(S_t)
 and the code weights W_t of the plan's terms (m_t(Z; g) = sum_c W_c g(S_t, c))
-and never builds the n x p design or moment image. Grams are block-diagonal
-by code: each (fold, code) block is computed once, a training set's Gram is
-the sum of the other folds' blocks, and each stage's set x code systems are
-solved in one batched call. The training sets are `_TrainingSets`, which the
-surrogate estimator shares. Cross-fitting (`cross_fit`) solves one training
-set per fold and scores the held-out rows from the same bases; the public
-fits are the one-training-set case.
+and never builds the n x p design or moment image. Every per-row array is
+column-major, so elementwise passes run along contiguous columns. Grams are
+block-diagonal by code: each (fold, code) block is computed once and a
+training set's Gram is the sum of the other folds' blocks, as is a right-hand
+side every set shares (t = 1 Riesz, t = M regression); each stage's set x code
+systems are solved in one batched call. The training sets are `_TrainingSets`,
+which the surrogate estimator shares. Cross-fitting (`cross_fit`) solves one
+training set per fold and scores the held-out rows from the same bases; the
+public fits are the one-training-set case.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ class _TrainingSets:
         self.sizes = [n] if folds is None else [n - c for c in counts]
 
     def rows(self, a: NDArray) -> NDArray:
-        return a if self.order is None else np.take(a, self.order, axis=0)
+        """a's rows in fold-major order, gathered along memory order."""
+        return a if self.order is None else np.take(a.T, self.order, axis=-1).T
 
     def held(self, s: int) -> slice:
         return slice(self.bounds[s], self.bounds[s + 1])
@@ -173,32 +176,38 @@ class _TrainingSets:
     def mean(self, s: int, basis: NDArray, weights: NDArray, v: NDArray | None = None) -> NDArray:
         """The (K, q) mean over set s's rows of weights_ic v_i basis_i (v = 1
         when None): per code c, basis'(W_c v) / n_s."""
-        parts = ((weights[r] if v is None else weights[r] * v[r, None]).T @ basis[r]
+        parts = ((weights.T[:, r] if v is None else weights.T[:, r] * v[r]) @ basis[r]
                  for r in self._train(s))
         return sum(parts) / self.sizes[s]
+
+    def shared(self, basis: NDArray, weights: NDArray) -> NDArray:
+        """Every set's `mean` (v = 1) of an input all sets share, (S, K, q), from
+        each fold's block basis'W_c computed once (`_per_set`)."""
+        return self._per_set(np.stack([weights.T[:, self.held(f)] @ basis[self.held(f)]
+                                       for f in range(len(self.sizes))]))
+
+    def _per_set(self, blocks: NDArray) -> NDArray:
+        """Each set's normalized sum of the other folds' blocks (Q, ...), never a
+        difference, so a block zero in every training fold stays exactly zero."""
+        if self.folds is not None:
+            blocks = np.stack([blocks[:s].sum(axis=0) + blocks[s + 1:].sum(axis=0)
+                               for s in range(len(blocks))])
+        return blocks / np.reshape(self.sizes, (-1,) + (1,) * (blocks.ndim - 1))
 
     def grams(self, basis: NDArray, codes: NDArray, k: int) -> NDArray:
         """Every set's normalized Gram of the rows basis_i in the block of
         codes[i], as its K diagonal blocks: (S, K, q, q). Rows are grouped by
-        (fold, code) with one stable sort on a small-int key, each block's Gram
-        is computed once, and a set's Gram is the sum of the other folds'
-        blocks, so an exactly empty design column stays exactly zero."""
+        (fold, code) with one stable sort on a small-int key, gathered along
+        memory order, and each block's Gram is computed once (`_per_set`)."""
         n_folds, q = self.bounds.shape[0] - 1, basis.shape[1]
         small = np.min_scalar_type(n_folds * k)
         key = np.repeat(np.arange(n_folds, dtype=small) * small.type(k), np.diff(self.bounds))
         key += codes.astype(small)
-        order = np.argsort(key, kind="stable")
-        if basis.flags.c_contiguous:
-            grouped = np.take(basis, order, axis=0)
-        else:  # gathered along memory order: the columns of the row-major transpose
-            grouped = np.take(basis.T, order, axis=1).T
+        grouped = np.take(basis.T, np.argsort(key, kind="stable"), axis=1).T
         counts = np.bincount(key, minlength=n_folds * k)
-        blocks = np.stack([grouped[end - c:end].T @ grouped[end - c:end]
-                           for c, end in zip(counts, np.cumsum(counts))]).reshape(n_folds, k, q, q)
-        if self.folds is not None:  # set s: the blocks of the folds before s plus those after it
-            blocks = np.stack([blocks[:s].sum(axis=0) + blocks[s + 1:].sum(axis=0)
-                               for s in range(n_folds)])
-        return blocks / np.array(self.sizes, dtype=float)[:, None, None, None]
+        return self._per_set(np.stack([grouped[end - c:end].T @ grouped[end - c:end]
+                                       for c, end in zip(counts, np.cumsum(counts))])
+                             .reshape(n_folds, k, q, q))
 
 
 class _Design:
@@ -206,8 +215,9 @@ class _Design:
     order: row i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in
     the column block of code c_i. Its Gram over any row set is block-diagonal
     by code, so each training set's system is K blocks of size q (built on the
-    first `solve`). Values B beta_c (`LinearFn.code_values` of `basis`) are
-    picked at each row's code through the flat index i*K + c_i. A code
+    first `solve`). The basis is laid out column-major once; values B beta_c
+    (`LinearFn.code_values` of `basis`) are picked at each row's code through
+    the column-major flat index c_i*n + i. A code
     outside 0..K-1 is a PlanError, and a tabular state farther than
     GRID_TOLERANCE from its grid row a ValidationError, naming `name`."""
 
@@ -219,7 +229,7 @@ class _Design:
         _check_codes(codes, phi.arity, name)
         self.codes = sets.rows(np.asarray(codes)).astype(np.min_scalar_type(phi.arity - 1))
         states = sets.rows(states)
-        self.basis = phi.basis(states)
+        self.basis = np.asfortranarray(phi.basis(states))
         if isinstance(phi, TabularFeatures):  # one-hot: basis @ grid is each state's grid row
             nearest = self.basis @ phi.grid
             if (states != nearest).any():  # the gaps are weighed only if some state is off
@@ -232,8 +242,8 @@ class _Design:
                         f"{name}: row {source.min()}: state {states[i].tolist()} is off the "
                         f"tabular grid (nearest grid row {nearest[i].tolist()}, tolerance "
                         f"{GRID_TOLERANCE:g} x (1 + |grid value|))")
-        self.flat = np.arange(self.codes.shape[0]) * phi.arity
-        self.flat += self.codes
+        self.flat = np.multiply(self.codes, self.codes.shape[0], dtype=np.intp)
+        self.flat += np.arange(self.codes.shape[0])
         self.layout = _code_blocks(phi, np.arange(phi.dim))
         self._systems: tuple[NDArray, NDArray] | None = None
 
@@ -244,14 +254,17 @@ class _Design:
         return LinearFn(self.phi, w, clip)
 
     def pick(self, values: NDArray, rows: slice = slice(None)) -> NDArray:
-        """Each row's entry at its own code, from `values` on `rows`."""
-        return values.ravel()[self.flat[rows] - (rows.start or 0) * self.phi.arity]
+        """Each row's entry at its own code, from column-major `values` on `rows`."""
+        m = values.shape[0]
+        flat = self.flat if rows == slice(None) else (
+            np.multiply(self.codes[rows], m, dtype=np.intp) + np.arange(m))
+        return values.T.ravel()[flat]
 
     def scatter(self, v: NDArray) -> NDArray:
-        """(n, K): v_i at each row's own code, zero at the others."""
-        out = np.zeros(self.flat.shape[0] * self.phi.arity)
+        """(n, K), column-major: v_i at each row's own code, zero at the others."""
+        out = np.zeros(self.phi.arity * self.flat.shape[0])
         out[self.flat] = v
-        return out.reshape(-1, self.phi.arity)
+        return out.reshape(self.phi.arity, -1).T
 
     def solve(
         self, rhs: NDArray, where: str, border: tuple[NDArray, NDArray, NDArray] | None = None,
@@ -298,7 +311,7 @@ class _Stages:
     (n, K) code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c).
     Each pass visits the periods once and solves every training set's stage in
     one batched call. Right-hand sides are B_t'(W_c v) (forward) and
-    B_t'(1{T_t = c} u) (backward) over a set's rows.
+    B_t'(1{T_t = c} u) (backward) over a set's rows, per fold if all sets share v or u.
     """
 
     def __init__(
@@ -322,7 +335,7 @@ class _Stages:
         if isinstance(g, LinearFn) and g.features is design.phi:
             return g.code_values(design.basis[rows])
         if isinstance(g, CombinedFn):
-            out = np.zeros((design.basis[rows].shape[0], design.phi.arity))
+            out = np.zeros((design.phi.arity, design.basis[rows].shape[0])).T
             for c, fn in g.parts:
                 if c != 0.0:
                     v = self._values(t, fn, rows)
@@ -330,8 +343,8 @@ class _Stages:
                     out += v
             return out
         states = self.sets.rows(self.data.states[t - 1])[rows]
-        return np.column_stack([g.batch(states, np.full(states.shape[0], c))
-                                for c in range(design.phi.arity)])
+        return np.stack([g.batch(states, np.full(states.shape[0], c))
+                         for c in range(design.phi.arity)]).T
 
     def _observed(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
         """g(S_t, T_t) on `rows`."""
@@ -348,8 +361,9 @@ class _Stages:
         fitted: list[list[LinearFn]] = [[] for _ in sets.sizes]
         for t in range(1, self.data.num_periods + 1):
             design, weights = self.designs[t - 1], self.code_weights[t - 1]
-            prev = (None if t == 1 else self._observed(t - 1, reps[-1]) for reps in fitted)
-            rhs = np.stack([sets.mean(s, design.basis, weights, v) for s, v in enumerate(prev)])
+            rhs = sets.shared(design.basis, weights) if t == 1 else np.stack([
+                sets.mean(s, design.basis, weights, self._observed(t - 1, reps[-1]))
+                for s, reps in enumerate(fitted)])
             for reps, coef in zip(fitted, design.solve(rhs, f"period {t}")[0]):
                 reps.append(design.fn(coef, self.cfg.clip))
         return fitted
@@ -377,16 +391,18 @@ class _Stages:
             rhs, border = [], []
             for s, fs in enumerate(fitted):
                 u = outcome if t == m else self._moment(t + 1, fs[t])
-                rhs.append(sets.mean(s, design.basis, design.scatter(u)))
+                if t < m:
+                    rhs.append(sets.mean(s, design.basis, design.scatter(u)))
                 if clever:
                     a = self._observed(t, reps[s])
                     border.append((sets.mean(s, design.basis, design.scatter(a)),  # X'a, a'a, a'u
-                                   *sets.mean(s, np.column_stack([a, u]), a[:, None])[0]))
+                                   *sets.mean(s, np.stack([a, u]).T, a[:, None])[0]))
                 if held:  # copies, so that no full-panel array outlives its set's step
                     h = sets.held(s)
                     held[s][t - 1] = (a[h].copy() if clever else self._observed(t, reps[s], h),
                                       u[h].copy())
-            coefs, gammas = design.solve(np.stack(rhs), f"period {t}",
+            rhs = sets.shared(design.basis, design.scatter(outcome)) if t == m else np.stack(rhs)
+            coefs, gammas = design.solve(rhs, f"period {t}",
                                          [np.array(part) for part in zip(*border)] or None)
             for s, (coef, gamma) in enumerate(zip(coefs, gammas)):
                 f = design.fn(coef)
@@ -491,6 +507,17 @@ def fit_nuisances(
     return regressions, representers
 
 
+def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:
+    """Reject a tabular map with more cells than the rows it is fitted on: its
+    grid has a row per distinct state, so continuous states would make the
+    basis alone rows x rows."""
+    for phi, name, n in zip(maps, names, rows):
+        if isinstance(phi, TabularFeatures) and phi.dim > n:
+            raise ValidationError(
+                f"tabular feature map for {name} has {phi.dim} cells, more than its {n} rows "
+                "(continuous states?); set features = polynomial | fourier")
+
+
 def _check_setup(data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig) -> None:
     if plan.num_periods != data.num_periods:
         raise ValidationError(
@@ -498,3 +525,5 @@ def _check_setup(data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig) -> Non
         )
     if len(cfg.feature_maps) != data.num_periods:
         raise ValidationError("need one feature map per period")
+    _check_tabular_cells(cfg.feature_maps, [f"period {t}" for t in range(1, data.num_periods + 1)],
+                         [data.n_units] * data.num_periods)

@@ -39,7 +39,7 @@ from .core import (
     _write_csv,
 )
 from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
-from .nuisance import FitConfig, _Design, _TrainingSets
+from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets
 from .oracle import mix_seed
 
 
@@ -127,6 +127,7 @@ def _cross_fit(
         )
     if cfg.feature_maps[0].arity != 2:
         raise ValidationError("the (T, X) feature map must have treatment arity 2")
+    _check_tabular_cells(cfg.feature_maps, ["(X, T)", "(S, X)"], [data.n_short, data.n_long])
     phi_tx, phi_sx = cfg.feature_maps
     zeros_long, zeros_short = (np.zeros(n, dtype=np.int64) for n in (data.n_long, data.n_short))
     x_tx = _Design(phi_tx, data.short_x, data.short_t, short, cfg, 1, "short sample (X, T)")
@@ -136,11 +137,9 @@ def _cross_fit(
     pairs = range(len(short.sizes))
     contrast = np.broadcast_to(np.array([-1.0, 1.0]), (data.n_short, 2))
     h = [x_long.fn(c) for c in x_long.solve(
-        np.stack([long.mean(s, x_long.basis, x_long.scatter(y)) for s in pairs]),
-        "h (long-sample regression)")[0]]
+        long.shared(x_long.basis, x_long.scatter(y)), "h (long-sample regression)")[0]]
     a1 = [x_tx.fn(c, cfg.clip) for c in x_tx.solve(
-        np.stack([short.mean(s, x_tx.basis, contrast) for s in pairs]),
-        "a1 (treatment representer)")[0]]
+        short.shared(x_tx.basis, contrast), "a1 (treatment representer)")[0]]
     rhs_g, rhs_a2, held = [], [], []
     for s in pairs:
         h_short = x_short.pick(h[s].code_values(x_short.basis))

@@ -354,6 +354,22 @@ class TestTypedFoldErrors:
         want = dml_estimate(data, plan2, tabular_config(dgp2), 5, 1)
         assert dml_estimate(near, plan2, tabular_config(dgp2), 5, 1).theta_hat == want.theta_hat
 
+    def test_continuous_states_with_tabular_features_are_rejected(self):
+        # A grid with a row per distinct continuous state makes an n x n basis;
+        # the engine rejects the map before building any basis.
+        rng = np.random.default_rng(3)
+        s = rng.normal(size=(40, 1))
+        data = PanelDataset((s,), rng.integers(0, 2, (40, 1)), rng.normal(size=40), (2,))
+        cfg = FitConfig(feature_maps=(TabularFeatures(grid=np.unique(s, axis=0), arity=2),))
+        message = (r"^tabular feature map for period 1 has 80 cells, more than its 40 rows "
+                   r"\(continuous states\?\); set features = polynomial \| fourier")
+        for clever in (False, True):
+            with pytest.raises(ValidationError, match=message):
+                dml_estimate(data, FixedSequence((1,)), cfg, 5, 0, clever=clever)
+        one_per_row = FitConfig(feature_maps=(TabularFeatures(grid=s[:20], arity=2),))
+        with pytest.raises(ValidationError, match="^period 1: row 20: .* off the tabular grid"):
+            dml_estimate(data, FixedSequence((1,)), one_per_row, 5, 0)  # 40 cells pass the rule
+
     def test_non_finite_scores_are_a_numerical_failure(self, dgp2, plan2):
         data = simulate(dgp2, 50, 2)
         blowup = NuisanceSet(

@@ -9,6 +9,7 @@ from dyndml import (
     Contrast,
     FitConfig,
     SurrogatePair,
+    TabularFeatures,
     ValidationError,
     dgp_ref_1,
     dml_estimate,
@@ -221,6 +222,22 @@ class TestSurrogateEstimate:
                             data.long_y)
         with pytest.raises(ValidationError, match=r"long sample \(S, X\): row 3: .* off the"):
             surrogate_estimate(off, fit_cfg(tsd), 3, 0)
+
+    def test_continuous_surrogates_with_tabular_features_are_rejected(self, tsd):
+        # The (S, X) map is fitted on the long sample, so its cells are counted
+        # against the long sample's rows.
+        data = tsd.simulate(60, 50, 2)
+        long_s = data.long_s + np.random.default_rng(0).normal(size=data.long_s.shape)
+        cont = SurrogatePair(data.short_x, data.short_t, data.short_s, data.long_x, long_s,
+                             data.long_y)
+        grid = np.unique(np.vstack([cont.short_sx, cont.long_sx]), axis=0)
+        cfg = FitConfig(feature_maps=(tsd.feature_maps()[0], TabularFeatures(grid, 1)))
+        message = (rf"^tabular feature map for \(S, X\) has {grid.shape[0]} cells, more than its "
+                   r"50 rows \(continuous states\?\); set features = polynomial \| fourier")
+        with pytest.raises(ValidationError, match=message):
+            surrogate_estimate(cont, cfg, 3, 0)
+        with pytest.raises(ValidationError, match=message):
+            surrogate_fit(cont, cfg)
 
     def test_scores_split_by_sample(self, tsd):
         data = tsd.simulate(300, 200, 7)
