@@ -58,7 +58,6 @@ from .nuisance import (
     fit_clever_covariate,
     fit_nested_regressions,
     fit_recursive_riesz,
-    fit_ridge,
     riesz_loss,
 )
 from .oracle import (

@@ -15,7 +15,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -129,10 +129,6 @@ class PanelDataset:
             outcome=float(self.outcome[i]),
         )
 
-    @property
-    def trajectories(self) -> Iterator[Trajectory]:
-        return (self.trajectory(i) for i in range(self.n_units))
-
     def subset(self, idx: NDArray) -> "PanelDataset":
         idx = np.asarray(idx)
         return PanelDataset(
@@ -181,15 +177,21 @@ TargetRule = Callable[[Prefix], int]
 class EvalTerm:
     """One weighted evaluation point inside a period's moment.
 
-    `weight` and `target` consume the observable prefix; the optional batch
-    callables consume a PanelDataset and return per-row arrays (used on hot
-    paths; when absent, evaluation falls back to a row loop).
+    `weight_batch` and `target_batch` consume a PanelDataset and return
+    per-row arrays; `weight` and `target` consume one row's observable prefix
+    and are optional fallbacks, evaluated in a row loop when the batch form is
+    absent. Each of the weight and the target needs one of its two forms.
     """
 
-    weight: WeightRule
-    target: TargetRule
+    weight: WeightRule | None = None
+    target: TargetRule | None = None
     weight_batch: Callable[[PanelDataset], NDArray] | None = None
     target_batch: Callable[[PanelDataset], NDArray] | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("weight", "target"):
+            if getattr(self, name) is None and getattr(self, f"{name}_batch") is None:
+                raise PlanError(f"evaluation term needs {name} or {name}_batch")
 
     def weights(self, data: PanelDataset, period: int) -> NDArray:
         if self.weight_batch is not None:
@@ -264,20 +266,14 @@ class DynamicPolicy:
                 return out.astype(np.int64)
             return np.array([int(pi(s[i])) for i in range(s.shape[0])], dtype=np.int64)
 
-        return (
-            EvalTerm(
-                weight=lambda p: 1.0,
-                target=lambda p, pi=pi: int(pi(p.states[-1])),
-                weight_batch=lambda d: np.ones(d.n_units),
-                target_batch=target_batch,
-            ),
-        )
+        return (EvalTerm(weight_batch=lambda d: np.ones(d.n_units), target_batch=target_batch),)
 
 
 def grid_policy(codes: Sequence[int]) -> Policy:
     """Policy over integer-embedded scalar states: state value s maps to codes[round(s)].
 
-    A state whose rounded value lies outside 0..len(codes)-1 is a PlanError."""
+    A state with more than one coordinate, or whose rounded value lies outside
+    0..len(codes)-1, is a PlanError."""
     table = np.asarray(codes, dtype=np.int64)
 
     def lookup(s: NDArray) -> NDArray:
@@ -292,9 +288,10 @@ def grid_policy(codes: Sequence[int]) -> Policy:
 
     def pi(s: NDArray) -> int | NDArray:
         s = np.asarray(s, dtype=float)
-        if s.ndim == 2:
-            return lookup(s[:, 0])
-        return int(lookup(np.atleast_1d(s)[:1])[0])
+        dim = s.shape[-1] if s.ndim else 1
+        if dim != 1:
+            raise PlanError(f"grid policy takes scalar states; got state dimension {dim}")
+        return lookup(s[:, 0]) if s.ndim == 2 else int(lookup(s.reshape(1))[0])
 
     return pi
 
@@ -416,21 +413,14 @@ def _prefix_term(
     and a constant target; `lookback` is the 0-based index of the first
     treatment the indicator inspects."""
 
-    def weight(p: Prefix, pre=prefix_codes, s=scale, off=lookback) -> float:
-        return s if tuple(p.treatments[off : off + len(pre)]) == pre else 0.0
-
     def weight_batch(d: PanelDataset, pre=prefix_codes, s=scale, off=lookback) -> NDArray:
         ok = np.ones(d.n_units, dtype=bool)
         for k, c in enumerate(pre):
             ok &= d.treatments[:, off + k] == c
         return s * ok.astype(float)
 
-    return EvalTerm(
-        weight=weight,
-        target=lambda p: code,
-        weight_batch=weight_batch,
-        target_batch=lambda d: np.full(d.n_units, code, dtype=np.int64),
-    )
+    return EvalTerm(weight_batch=weight_batch,
+                    target_batch=lambda d: np.full(d.n_units, code, dtype=np.int64))
 
 
 TreatmentPlan = FixedSequence | DynamicPolicy | Contrast

@@ -65,10 +65,6 @@ class FoldPlan:
     folds: tuple[NDArray, ...]
     seed: int
 
-    @property
-    def n(self) -> int:
-        return sum(f.shape[0] for f in self.folds)
-
     def complement(self, q: int) -> NDArray:
         return np.sort(np.concatenate([f for i, f in enumerate(self.folds) if i != q]))
 
@@ -82,14 +78,8 @@ def make_folds(n: int, q_folds: int, seed: int) -> FoldPlan:
         raise ValidationError(f"cannot split {n} observations into {q_folds} folds")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
-    base = n // q_folds
-    sizes = [base + (1 if q < n % q_folds else 0) for q in range(q_folds)]
-    folds = []
-    start = 0
-    for s in sizes:
-        folds.append(perm[start : start + s].copy())
-        start += s
-    return FoldPlan(folds=tuple(folds), seed=seed)
+    sizes = [n // q_folds + (1 if q < n % q_folds else 0) for q in range(q_folds)]
+    return FoldPlan(folds=tuple(np.split(perm, np.cumsum(sizes)[:-1])), seed=seed)
 
 
 @dataclass
@@ -136,19 +126,6 @@ class EstimateReport:
             raise ValidationError("confidence level must lie strictly between 0 and 1")
         half = normal_quantile(0.5 + level / 2.0) * self.sigma_hat / math.sqrt(self.n)
         return self.theta_hat - half, self.theta_hat + half
-
-    @classmethod
-    def from_scores(
-        cls,
-        scores: NDArray,
-        q_folds: int,
-        seed: int,
-        per_fold: list[dict],
-        config: dict,
-    ) -> "EstimateReport":
-        theta = float(scores.mean())
-        sigma = float(np.sqrt(np.mean((scores - theta) ** 2)))
-        return cls._with_interval(theta, sigma, scores.shape[0], q_folds, seed, per_fold, config)
 
     @classmethod
     def _with_interval(
@@ -232,7 +209,9 @@ def dml_estimate(
         ridge_default="1e-3 * n^-0.5 * trace-normalized" if cfg.ridge is None else None,
         clever_covariate=clever,
     )
-    return EstimateReport.from_scores(scores, q_folds, seed, per_fold, config)
+    theta = float(scores.mean())
+    sigma = float(np.sqrt(np.mean((scores - theta) ** 2)))
+    return EstimateReport._with_interval(theta, sigma, len(scores), q_folds, seed, per_fold, config)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +296,6 @@ def mc_experiment(
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
     theta_true = oracle_theta(dgp, plan)
-    rows: list[MCRow | None] = [None] * reps
 
     def run(r: int) -> MCRow:
         rep_seed = mix_seed(seed, r)
@@ -337,14 +315,11 @@ def mc_experiment(
         )
 
     if jobs == 1:
-        for r in range(reps):
-            rows[r] = run(r)
+        rows = [run(r) for r in range(reps)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for r, row in enumerate(pool.map(run, range(reps))):
-                rows[r] = row
-    done = [row for row in rows if row is not None]
-    ok = [row for row in done if not row.failed]
+            rows = list(pool.map(run, range(reps)))
+    ok = [row for row in rows if not row.failed]
     if ok:
         thetas = np.array([row.theta_hat for row in ok])
         sigmas = np.array([row.sigma_hat for row in ok])
@@ -361,8 +336,8 @@ def mc_experiment(
         rmse=rmse,
         avg_sigma_hat=avg_sigma,
         coverage=coverage,
-        n_failed=len(done) - len(ok),
-        rows=done,
+        n_failed=len(rows) - len(ok),
+        rows=rows,
     )
 
 

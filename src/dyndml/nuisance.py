@@ -100,33 +100,20 @@ class FitConfig:
         return DEFAULT_RIDGE_SCALE * n ** -0.5 * float(np.trace(gram, axis1=-2, axis2=-1).sum()) / p
 
 
-def fit_ridge(features: NDArray, targets: NDArray, lam: float) -> NDArray:
-    """argmin_b sum_i (y_i - b.x_i)^2 + lam * ||b||^2 via (X'X + lam I) b = X'y."""
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.ndim != 2 or y.shape != (x.shape[0],) or x.shape[0] < 1:
-        raise ValidationError("features must be (n, p) with matching targets")
-    if lam < 0:
-        raise ValidationError("ridge penalty must be nonnegative")
-    a = x.T @ x + lam * np.eye(x.shape[1])
-    return _solve_spd(a, x.T @ y, lam)
-
-
 def _solve_spd(
-    a: NDArray, b: NDArray, lam: float | NDArray, columns: NDArray | None = None,
-    name: Callable[[tuple], str] = lambda index: "",
+    a: NDArray, b: NDArray, lam: NDArray, columns: NDArray, name: Callable[[tuple], str],
 ) -> NDArray:
     """x with a x = b for symmetric positive definite systems stacked on the
     leading axes: a (..., m, m), b (..., m), lam each system's penalty. One
     Cholesky call checks every system and one call solves them. The first
     failing system, at index i in C order, raises SolverError prefixed by
     name(i): under a zero penalty for its first column with no mass (numbered
-    by columns[i], if given), else for failing the Cholesky check."""
+    by columns[i]), else for failing the Cholesky check."""
     stack = a.shape[:-2]
     diag = np.diagonal(a, axis1=-2, axis2=-1)
     empty = (np.broadcast_to(lam, stack)[..., None] == 0.0) & (diag <= 0.0)
     if empty.any() or not _positive_definite(a):
-        cols = np.broadcast_to(np.arange(a.shape[-1]) if columns is None else columns, diag.shape)
+        cols = np.broadcast_to(columns, diag.shape)
         for i in np.ndindex(stack):
             if empty[i].any():
                 raise SolverError(

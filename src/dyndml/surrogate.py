@@ -35,6 +35,7 @@ from .core import (
     _block,
     _columns,
     _indexed_columns,
+    _ladder,
     _read_csv,
     _write_csv,
 )
@@ -153,11 +154,11 @@ def _cross_fit(
         for s in pairs:
             hs, hl = short.held(s), long.held(s)
             g_vals, (h_short, a1_vals) = g[s].code_values(x_tx.basis[hs]), held[s]
-            g1_g0 = g_vals[:, 1] - g_vals[:, 0]
-            scores[0][short.folds[s]] = g1_g0 + a1_vals * (h_short - x_tx.pick(g_vals, hs))
-            h_long = x_long.pick(h[s].code_values(x_long.basis[hl]), hl)
-            a2_long = x_long.pick(a2[s].code_values(x_long.basis[hl]), hl)
-            scores[1][long.folds[s]] = a2_long * (y[hl] - h_long)
+            h_long, a2_long = (x_long.pick(f.code_values(x_long.basis[hl]), hl)
+                               for f in (h[s], a2[s]))
+            scores[0][short.folds[s]], scores[1][long.folds[s]] = _two_sample_scores(
+                g_vals[:, 1] - g_vals[:, 0], (a1_vals, h_short, x_tx.pick(g_vals, hs)),
+                (a2_long, y[hl], h_long))
     return [SurrogateNuisances(h=h[s], g=g[s], a1=a1[s], a2=a2[s]) for s in pairs]
 
 
@@ -170,19 +171,21 @@ def surrogate_scores(
     data: SurrogatePair, nuisances: SurrogateNuisances
 ) -> tuple[NDArray, NDArray]:
     """Per-record score contributions: (short-sample terms, long-sample terms)."""
-    n_s, n_l = data.n_short, data.n_long
-    dummy_s = np.zeros(n_s, dtype=np.int64)
-    dummy_l = np.zeros(n_l, dtype=np.int64)
-    g1 = nuisances.g.batch(data.short_x, np.ones(n_s, dtype=np.int64))
-    g0 = nuisances.g.batch(data.short_x, np.zeros(n_s, dtype=np.int64))
-    g_obs = nuisances.g.batch(data.short_x, data.short_t)
-    h_short = nuisances.h.batch(data.short_sx, dummy_s)
-    a1 = nuisances.a1.batch(data.short_x, data.short_t)
-    short_term = g1 - g0 + a1 * (h_short - g_obs)
-    h_long = nuisances.h.batch(data.long_sx, dummy_l)
-    a2 = nuisances.a2.batch(data.long_sx, dummy_l)
-    long_term = a2 * (data.long_y - h_long)
-    return short_term, long_term
+    x, t, g = data.short_x, data.short_t, nuisances.g
+    ones, zeros = np.ones(data.n_short, dtype=np.int64), np.zeros(data.n_short, dtype=np.int64)
+    long_zeros = np.zeros(data.n_long, dtype=np.int64)
+    return _two_sample_scores(
+        g.batch(x, ones) - g.batch(x, zeros),
+        (nuisances.a1.batch(x, t), nuisances.h.batch(data.short_sx, zeros), g.batch(x, t)),
+        (nuisances.a2.batch(data.long_sx, long_zeros), data.long_y,
+         nuisances.h.batch(data.long_sx, long_zeros)))
+
+
+def _two_sample_scores(contrast: NDArray, short: tuple, long: tuple) -> tuple[NDArray, NDArray]:
+    """The two-sample score of evaluated nuisances by `core._ladder`: short-sample
+    terms g(1, X) - g(0, X) + a1 (h - g) from the contrast and (a1, h, g), and
+    long-sample terms a2 (y - h) from a zero plug-in and (a2, y, h)."""
+    return _ladder(contrast, [short])[0], _ladder(np.zeros(len(long[1])), [long])[0]
 
 
 def surrogate_estimate(

@@ -528,6 +528,25 @@ class TestPlanFiles:
         assert "policy table of length 1 has no code for state value 1" in err
         assert "Traceback" not in err
 
+    def test_policy_on_vector_states_exit_2(self, files, capsys):
+        # A grid policy reads scalar states; period 1's two state coordinates
+        # are refused, not looked up by the first coordinate alone.
+        rng = np.random.Generator(np.random.PCG64(4))
+        data = PanelDataset(
+            states=(rng.integers(0, 2, (60, 2)).astype(float),
+                    rng.integers(0, 2, (60, 1)).astype(float)),
+            treatments=rng.integers(0, 2, (60, 2)), outcome=rng.standard_normal(60),
+            treatment_arities=(2, 2))
+        panel, policy = files["dir"] / "vector.csv", files["dir"] / "policy.cfg"
+        write_panel_csv(data, str(panel))
+        policy.write_text("kind = policy\npolicy_1 = 0 1\npolicy_2 = 1 0\n")
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(panel), "--plan", str(policy),
+                     "--out", str(files["dir"] / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "grid policy takes scalar states; got state dimension 2" in err
+        assert "Traceback" not in err
+
     def test_unknown_kind_exit_2(self, files, capsys):
         bad = files["dir"] / "bad.cfg"
         bad.write_text("kind = banana\n")

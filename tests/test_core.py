@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tabular_config
+
 from dyndml import (
     ConstantFn,
     Contrast,
@@ -20,6 +22,7 @@ from dyndml import (
     TabularFeatures,
     Trajectory,
     ValidationError,
+    dml_estimate,
     evaluate_moment,
     grid_policy,
     moment_batch,
@@ -200,6 +203,21 @@ class TestPlans:
             pi(np.array([state]))
         assert pi(np.array([0.4])) == table[0]
 
+    @pytest.mark.parametrize("states", [
+        [[0.0, 5.0], [1.0, -3.0], [1.0, 0.0]],   # a batch of 2-d states
+        [1.0, 7.0],                              # one 2-d state
+    ])
+    def test_grid_policy_rejects_states_with_several_coordinates(self, states):
+        pi = grid_policy([0, 1])
+        with pytest.raises(PlanError, match="state dimension 2"):
+            pi(np.array(states))
+
+    def test_grid_policy_rounds_scalar_states(self):
+        pi = grid_policy([0, 1])
+        np.testing.assert_array_equal(pi(np.array([[0.2], [0.9], [1.4]])), [0, 1, 1])
+        assert pi(np.array([0.7])) == 1
+        assert pi(0.3) == 0
+
     def test_short_policy_table_surfaces_after_one_call(self, dgp2):
         calls = []
         inner = grid_policy([1])
@@ -284,6 +302,46 @@ class TestPlans:
         np.testing.assert_allclose(
             moment_batch(plan_slow, 2, data, g), moment_batch(plan_fast, 2, data, g)
         )
+
+    @pytest.mark.parametrize("forms", [
+        ("weight", "target"),
+        ("weight_batch", "target_batch"),
+        ("weight", "target_batch"),
+        ("weight_batch", "target"),
+    ])
+    def test_terms_in_either_form_match_the_fixed_sequence(self, dgp2, forms):
+        # Each of a term's weight and target may come as a prefix rule, a
+        # batch rule, or both; every form gives the fixed sequence's values.
+        rules = {
+            "weight": lambda p: 1.0,
+            "target": lambda p: 1,
+            "weight_batch": lambda d: np.ones(d.n_units),
+            "target_batch": lambda d: np.ones(d.n_units, dtype=np.int64),
+        }
+        plan = Contrast(terms=tuple((EvalTerm(**{f: rules[f] for f in forms}),) for _ in (1, 2)))
+        fixed = FixedSequence((1, 1))
+        data = simulate(dgp2, 80, 2)
+        g = tabular_fn(np.arange(4.0).reshape(2, 2))
+        for t in (1, 2):
+            np.testing.assert_array_equal(moment_batch(plan, t, data, g),
+                                          moment_batch(fixed, t, data, g))
+            z = data.trajectory(3)
+            assert evaluate_moment(plan, t, z, g) == evaluate_moment(fixed, t, z, g)
+        assert oracle_theta(dgp2, plan) == oracle_theta(dgp2, fixed)
+        cfg = tabular_config(dgp2)
+        assert (dml_estimate(data, plan, cfg, 3, 4).to_dict()
+                == dml_estimate(data, fixed, cfg, 3, 4).to_dict())
+
+    @pytest.mark.parametrize("forms, missing", [
+        ({"target": lambda p: 1}, "weight"),
+        ({"target_batch": lambda d: np.ones(d.n_units, dtype=np.int64)}, "weight"),
+        ({"weight": lambda p: 1.0}, "target"),
+        ({"weight_batch": lambda d: np.ones(d.n_units)}, "target"),
+        ({}, "weight"),
+    ])
+    def test_term_without_either_form_rejected(self, forms, missing):
+        with pytest.raises(PlanError, match=f"needs {missing} or {missing}_batch"):
+            EvalTerm(**forms)
 
     def test_randomized_policy_via_probability_weighted_terms(self):
         # A randomized policy is a contrast with per-period terms weighted by

@@ -19,6 +19,7 @@ from dyndml import (
     ConstantFn,
     Contrast,
     DynamicPolicy,
+    EvalTerm,
     FitConfig,
     FixedSequence,
     LinearFn,
@@ -51,7 +52,13 @@ from dyndml.moment import nuisance_difference
 from dyndml.nuisance import fit_nuisances
 from helpers_surrogate import two_sample_ref
 
+# FixedSequence((1, 1)) spelled with batch rules alone.
+BATCH_TERMS = Contrast(terms=tuple(
+    (EvalTerm(weight_batch=lambda d: np.ones(d.n_units),
+              target_batch=lambda d: np.ones(d.n_units, dtype=np.int64)),) for _ in (1, 2)))
+
 PLANS = {
+    "batch-terms": BATCH_TERMS,
     "fixed": FixedSequence((1, 1)),
     "policy": DynamicPolicy((grid_policy([1, 0]), grid_policy([0, 1]))),
     "contrast": Contrast.of_sequences([1.0, -1.0], [(1, 1), (0, 0)]),
@@ -190,7 +197,7 @@ def test_public_names_pinned():
         "RandomFourierFeatures", "RateTable", "SolverError", "SurrogateNuisances",
         "SurrogatePair", "TabularFeatures", "Trajectory", "TreatmentPlan", "ValidationError",
         "core", "dgp_ref_1", "dgp_ref_2", "dml_estimate", "evaluate_moment",
-        "fit_clever_covariate", "fit_nested_regressions", "fit_recursive_riesz", "fit_ridge",
+        "fit_clever_covariate", "fit_nested_regressions", "fit_recursive_riesz",
         "grid_policy", "inference", "make_folds", "mc_experiment", "mix_seed", "mixed_bias",
         "moment", "moment_batch", "moment_scores", "normal_quantile", "nuisance", "oracle",
         "oracle_nested_regressions", "oracle_nuisances", "oracle_riesz", "oracle_theta",
@@ -271,6 +278,7 @@ def equivalence_case(features, plan_kind):
 
         policy = DynamicPolicy((sign, sign))
     plans = {
+        "batch-terms": BATCH_TERMS,
         "fixed": FixedSequence((1, 1)),
         "policy": policy,
         "contrast": Contrast.of_sequences([1.0, -1.0], [(1, 1), (0, 0)]),
@@ -396,6 +404,25 @@ def test_surrogate_cross_fit_matches_per_fold_refits(features, clip, ridge):
             assert got[key] == want[key]
         for key in ("short_mean", "long_mean"):
             assert abs(got[key] - want[key]) <= tol
+
+
+@pytest.mark.parametrize("clip", [None, SURROGATE_CLIP], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("features", ["tabular", "polynomial"])
+def test_surrogate_scores_are_the_two_sample_formula(features, clip):
+    # The short-sample terms g(1, X) - g(0, X) + a1 (h - g) and the long-sample
+    # terms a2 (y - h), written out from the nuisances' batch values.
+    data, maps = surrogate_case(features)
+    nus = surrogate_fit(data, FitConfig(feature_maps=maps, clip=clip))
+    x, t = data.short_x, data.short_t
+    ones, zeros = np.ones(data.n_short, dtype=np.int64), np.zeros(data.n_short, dtype=np.int64)
+    long_zeros = np.zeros(data.n_long, dtype=np.int64)
+    short_term, long_term = surrogate_scores(data, nus)
+    h_short = nus.h.batch(data.short_sx, zeros)
+    assert np.array_equal(short_term, nus.g.batch(x, ones) - nus.g.batch(x, zeros)
+                          + nus.a1.batch(x, t) * (h_short - nus.g.batch(x, t)))
+    h_long = nus.h.batch(data.long_sx, long_zeros)
+    assert np.array_equal(long_term,
+                          nus.a2.batch(data.long_sx, long_zeros) * (data.long_y - h_long))
 
 
 @pytest.mark.parametrize("features", ["tabular", "polynomial"])

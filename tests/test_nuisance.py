@@ -17,7 +17,6 @@ from dyndml import (
     fit_clever_covariate,
     fit_nested_regressions,
     fit_recursive_riesz,
-    fit_ridge,
     moment_scores,
     oracle_nested_regressions,
     oracle_riesz,
@@ -28,30 +27,6 @@ from dyndml import (
     simulate,
     tabular_fn,
 )
-
-
-class TestFitRidge:
-    def test_identity_interpolation(self):
-        beta = fit_ridge(np.eye(2), np.array([3.0, 5.0]), 0.0)
-        np.testing.assert_allclose(beta, [3.0, 5.0], atol=1e-14)
-
-    def test_zero_targets_give_zero_weights(self):
-        x = np.random.default_rng(0).normal(size=(10, 3))
-        np.testing.assert_allclose(fit_ridge(x, np.zeros(10), 0.5), 0.0, atol=1e-14)
-
-    def test_intercept_recovers_mean(self):
-        beta = fit_ridge(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
-        assert beta[0] == pytest.approx(2.5, abs=1e-14)
-
-    def test_singular_with_zero_penalty_errors(self):
-        x = np.array([[1.0, 0.0], [1.0, 0.0]])  # second column empty
-        with pytest.raises(SolverError, match="rank"):
-            fit_ridge(x, np.array([1.0, 2.0]), 0.0)
-        fit_ridge(x, np.array([1.0, 2.0]), 1e-6)  # penalty repairs it
-
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_ridge(np.eye(2), np.zeros(2), -1.0)
 
 
 class TestFactoredMaps:
