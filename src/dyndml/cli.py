@@ -514,8 +514,9 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     jobs = 1 if args.jobs is None else args.jobs
     result = mc_experiment(dgp, plan, fit, args.reps, args.n, q_folds, seed, jobs=jobs)
     result.write_csv(args.out)
-    for message, count in result.failure_counts.items():
-        print(f"{count} failed replicate(s): {message}", file=sys.stderr)
+    examples = result.failure_examples
+    for cause, count in result.failure_counts.items():
+        print(f"{count} failed replicate(s): {examples[cause]}", file=sys.stderr)
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -101,8 +102,9 @@ class EstimateReport:
     def __post_init__(self) -> None:
         if self.sigma_hat < 0:
             raise ValidationError("sigma_hat must be nonnegative")
-        half = Z_95 * self.sigma_hat / math.sqrt(self.n)
-        if abs(self.ci_lower - (self.theta_hat - half)) > 1e-9 * max(1.0, abs(self.theta_hat)):
+        half, tol = Z_95 * self.sigma_hat / math.sqrt(self.n), 1e-9 * max(1.0, abs(self.theta_hat))
+        if not (abs(self.ci_lower - (self.theta_hat - half)) <= tol
+                and abs(self.ci_upper - (self.theta_hat + half)) <= tol):
             raise ValidationError("interval does not match theta_hat +- 1.96 sigma/sqrt(n)")
         if not self.ci_lower <= self.theta_hat <= self.ci_upper:
             raise ValidationError("interval must contain the point estimate")
@@ -186,9 +188,8 @@ def dml_estimate(
     folds = make_folds(data.n_units, q_folds, seed).folds
     if nuisances is not None:
         scores, _, corrections = moment_scores(data, plan, nuisances)
-        correction_means = np.array([corrections[:, idx].mean(axis=1) for idx in folds])
     else:
-        scores, correction_means, train_means = cross_fit(data, plan, cfg, folds, clever)
+        scores, corrections, train_means = cross_fit(data, plan, cfg, folds, clever)
     per_fold: list[dict] = []
     for q, idx in enumerate(folds):
         vals = scores[idx]
@@ -197,7 +198,7 @@ def dml_estimate(
             "fold": q,
             "size": int(idx.shape[0]),
             "score_mean": float(vals.mean()),
-            "correction_means": [float(c) for c in correction_means[q]],
+            "correction_means": [float(c) for c in np.take(corrections, idx, 1).mean(axis=1)],
         }
         if clever and nuisances is None:
             # The unpenalized clever column zeroes the corrections on the
@@ -257,9 +258,18 @@ class MCResult:
 
     @property
     def failure_counts(self) -> dict[str, int]:
-        """The failed replicates per failure message, in order of first failing
-        replicate."""
-        return dict(Counter(row.message for row in self.rows if row.failed))
+        """The failed replicates per cause (`_failure_cause`), in order of first
+        failing replicate."""
+        return dict(Counter(_failure_cause(row.message) for row in self.rows if row.failed))
+
+    @property
+    def failure_examples(self) -> dict[str, str]:
+        """The first failure message of each cause, keyed as `failure_counts`."""
+        examples: dict[str, str] = {}
+        for row in self.rows:
+            if row.failed:
+                examples.setdefault(_failure_cause(row.message), row.message)
+        return examples
 
     def summary_dict(self) -> dict:
         return {
@@ -271,6 +281,11 @@ class MCResult:
             "coverage": self.coverage,
             "n_failed": self.n_failed,
         }
+
+
+def _failure_cause(message: str) -> str:
+    """A failure message without its `fold q: `/`period t: ` prefix and column number."""
+    return re.sub(r"column \d+ ", "column ", re.sub(r"^(fold \d+: )?(period \d+: )?", "", message))
 
 
 def mc_experiment(

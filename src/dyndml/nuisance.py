@@ -21,10 +21,16 @@ systems are solved in one batched call. The training sets are `_TrainingSets`,
 which the surrogate estimator shares. Cross-fitting (`cross_fit`) solves one
 training set per fold and scores the held-out rows from the same bases; the
 public fits are the one-training-set case.
+
+On all-tabular panels whose states lie on their grids, the engine fits the
+distinct (fold, history) rows weighted by their counts (`_units`; Grams
+B' diag(w) B) and gathers the held-out values back to the rows, each scored
+with its own Y; otherwise it fits the rows themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -136,17 +142,25 @@ def _positive_definite(a: NDArray) -> bool:
 
 
 class _TrainingSets:
-    """Training sets over n rows, held in fold-major order (`rows` permutes an
-    array into it): with `folds`, set s is every row outside folds[s], the two
-    runs around fold s's run `held(s)`; without, the one set is every row."""
+    """Training sets over n units, held in fold-major order (`rows` permutes an
+    array into it): with `folds`, set s is every unit outside folds[s], the two
+    runs around fold s's run `held(s)`; without, the one set is every unit.
+    Unit i counts weights[i] times in every sum (once when `weights` is None),
+    so `sizes`, the sets' weight totals, normalize the means and Grams."""
 
-    def __init__(self, n: int, folds: Sequence[NDArray] | None = None) -> None:
+    def __init__(
+        self, n: int, folds: Sequence[NDArray] | None = None, weights: NDArray | None = None,
+    ) -> None:
         # Sorted, a fold's rows are gathered in memory order.
         self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
         self.order = None if folds is None else np.concatenate(self.folds)
         counts = [n] if folds is None else [idx.shape[0] for idx in self.folds]
         self.bounds = np.concatenate([[0], np.cumsum(counts)])
-        self.sizes = [n] if folds is None else [n - c for c in counts]
+        self.weights = None if weights is None else self.rows(np.asarray(weights, dtype=float))
+        if weights is not None:
+            counts = [float(self.weights[self.held(s)].sum()) for s in range(len(counts))]
+        total = sum(counts)
+        self.sizes = [total] if folds is None else [total - c for c in counts]
 
     def rows(self, a: NDArray) -> NDArray:
         """a's rows in fold-major order, gathered along memory order."""
@@ -161,8 +175,9 @@ class _TrainingSets:
         return slice(0, self.bounds[s]), slice(self.bounds[s + 1], None)
 
     def mean(self, s: int, basis: NDArray, weights: NDArray, v: NDArray | None = None) -> NDArray:
-        """The (K, q) mean over set s's rows of weights_ic v_i basis_i (v = 1
-        when None): per code c, basis'(W_c v) / n_s."""
+        """The (K, q) weighted mean over set s's units of weights_ic v_i basis_i
+        (v = 1 when None): per code c, basis'(W_c v) / n_s."""
+        v = v if self.weights is None else self.weights if v is None else v * self.weights
         parts = ((weights.T[:, r] if v is None else weights.T[:, r] * v[r]) @ basis[r]
                  for r in self._train(s))
         return sum(parts) / self.sizes[s]
@@ -170,6 +185,8 @@ class _TrainingSets:
     def shared(self, basis: NDArray, weights: NDArray) -> NDArray:
         """Every set's `mean` (v = 1) of an input all sets share, (S, K, q), from
         each fold's block basis'W_c computed once (`_per_set`)."""
+        if self.weights is not None:
+            weights = weights * self.weights[:, None]
         return self._per_set(np.stack([weights.T[:, self.held(f)] @ basis[self.held(f)]
                                        for f in range(len(self.sizes))]))
 
@@ -182,17 +199,20 @@ class _TrainingSets:
         return blocks / np.reshape(self.sizes, (-1,) + (1,) * (blocks.ndim - 1))
 
     def grams(self, basis: NDArray, codes: NDArray, k: int) -> NDArray:
-        """Every set's normalized Gram of the rows basis_i in the block of
-        codes[i], as its K diagonal blocks: (S, K, q, q). Rows are grouped by
-        (fold, code) with one stable sort on a small-int key, gathered along
-        memory order, and each block's Gram is computed once (`_per_set`)."""
+        """Every set's normalized Gram B' diag(w) B of the units basis_i in the
+        block of codes[i], as its K diagonal blocks: (S, K, q, q). Units are
+        grouped by (fold, code) with one stable sort on a small-int key,
+        gathered along memory order, and each block's Gram is computed once
+        (`_per_set`)."""
         n_folds, q = self.bounds.shape[0] - 1, basis.shape[1]
         small = np.min_scalar_type(n_folds * k)
         key = np.repeat(np.arange(n_folds, dtype=small) * small.type(k), np.diff(self.bounds))
         key += codes.astype(small)
-        grouped = np.take(basis.T, np.argsort(key, kind="stable"), axis=1).T
+        order = np.argsort(key, kind="stable")
+        grouped = np.take(basis.T, order, axis=1).T
+        weighted = grouped if self.weights is None else grouped * self.weights[order, None]
         counts = np.bincount(key, minlength=n_folds * k)
-        return self._per_set(np.stack([grouped[end - c:end].T @ grouped[end - c:end]
+        return self._per_set(np.stack([weighted[end - c:end].T @ grouped[end - c:end]
                                        for c, end in zip(counts, np.cumsum(counts))])
                              .reshape(n_folds, k, q, q))
 
@@ -295,10 +315,11 @@ class _Stages:
 
     Per period the engine keeps one factored design (`_Design`: the state basis
     B_t, the observed codes and, once solved, the per-set Gram blocks) and the
-    (n, K) code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c).
-    Each pass visits the periods once and solves every training set's stage in
-    one batched call. Right-hand sides are B_t'(W_c v) (forward) and
-    B_t'(1{T_t = c} u) (backward) over a set's rows, per fold if all sets share v or u.
+    (n, K) code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c),
+    over the units of `_units` (`index` places each row among them). Each pass
+    visits the periods once and solves every training set's stage in one
+    batched call. Right-hand sides are B_t'(W_c v) (forward) and
+    B_t'(1{T_t = c} u) (backward) over a set's units, per fold if all sets share v or u.
     """
 
     def __init__(
@@ -306,13 +327,13 @@ class _Stages:
         folds: Sequence[NDArray] | None = None,
     ) -> None:
         _check_setup(data, plan, cfg)
-        self.data, self.plan, self.cfg = data, plan, cfg
-        self.sets = sets = _TrainingSets(data.n_units, folds)
-        self.designs, self.code_weights = [], []
+        self.plan, self.cfg = plan, cfg
+        self.data, self.sets, self.index = _units(data, cfg.feature_maps, folds)
+        sets, self.designs, self.code_weights = self.sets, [], []
         for t, phi in enumerate(cfg.feature_maps, start=1):
-            states, codes = data.states[t - 1], data.treatments[:, t - 1]
+            states, codes = self.data.states[t - 1], self.data.treatments[:, t - 1]
             self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}"))
-            self.code_weights.append(sets.rows(_code_weights(plan, t, data, phi.arity)))
+            self.code_weights.append(sets.rows(_code_weights(plan, t, self.data, phi.arity)))
 
     def _values(self, t: int, g: Fn, rows: slice) -> NDArray:
         """(m, K), a new array: g(S_t, c) on `rows` for every code c. A g linear
@@ -357,19 +378,19 @@ class _Stages:
 
     def regressions(
         self, representers: Sequence[Sequence[Fn]] | None, clever: bool
-    ) -> tuple[list[list[Fn]], list[list[tuple]], NDArray]:
+    ) -> tuple[list[list[Fn]], NDArray | None, NDArray]:
         """The backward pass of `fit_nested_regressions` for every training set.
         With `clever`, training set s's representer for the period joins its
         design as an unpenalized column (`fit_clever_covariate`), and the fit
         is the `CombinedFn` of the linear part and gamma times that
-        representer. Returns (fits, held, train_means): with folds, held[s]
-        holds the (a_t, u_t, f_t) of periods 1..M on fold s's held-out rows,
-        with the set's own nuisances (`representers` per set), and with
+        representer. Returns (fits, held, train_means): with folds, held[t-1]
+        holds (a_t, u_t, f_t) (3, units) on every unit, from the nuisances of
+        the set its fold holds out (`representers` per set), and with
         `clever` train_means[s, t-1] is the mean of a_t (u_t - f_t) over the
         set's training rows, from its normal equations."""
         m, sets = self.data.num_periods, self.sets
         fitted: list[list[Fn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
-        held: list[list[tuple]] = [[()] * m for _ in sets.sizes] if sets.folds else []
+        held = np.empty((m, 3, self.data.n_units)) if sets.folds else None
         train_means = np.zeros((len(sets.sizes), m))
         outcome = sets.rows(self.data.outcome)
         for t in range(m, 0, -1):
@@ -384,10 +405,9 @@ class _Stages:
                     a = self._observed(t, reps[s])
                     border.append((sets.mean(s, design.basis, design.scatter(a)),  # X'a, a'a, a'u
                                    *sets.mean(s, np.stack([a, u]).T, a[:, None])[0]))
-                if held:  # copies, so that no full-panel array outlives its set's step
+                if held is not None:
                     h = sets.held(s)
-                    held[s][t - 1] = (a[h].copy() if clever else self._observed(t, reps[s], h),
-                                      u[h].copy())
+                    held[t - 1, :2, h] = (a[h] if clever else self._observed(t, reps[s], h)), u[h]
             rhs = sets.shared(design.basis, design.scatter(outcome)) if t == m else np.stack(rhs)
             coefs, gammas = design.solve(rhs, f"period {t}",
                                          [np.array(part) for part in zip(*border)] or None)
@@ -398,8 +418,8 @@ class _Stages:
                     b, d, e = border[s]  # the mean of a (u - f) on the training rows
                     train_means[s, t - 1] = e - np.sum(b * coef) - d * gamma
                 fitted[s][t - 1] = f
-                if held:
-                    held[s][t - 1] += (self._observed(t, f, sets.held(s)),)
+                if held is not None:
+                    held[t - 1, 2, sets.held(s)] = self._observed(t, f, sets.held(s))
         return fitted, held, train_means
 
 
@@ -408,18 +428,20 @@ def cross_fit(
     clever: bool = False,
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Fit both nuisance sequences once per fold on the rows outside it, and
-    score the fold's rows with them (`core._ladder`). Returns the held-out
-    score of every row and, per fold and period (Q, M), the mean correction
-    a_t (u_t - f_t) over the fold's rows and, with `clever`, over its
-    training rows."""
+    score the fold's rows with them: each unit's held-out plug-in and
+    (a_t, u_t, f_t) are gathered to its rows, with u_M each row's own Y, for
+    `core._ladder`. Returns the held-out score of every row, its corrections
+    (M, n) and, with `clever`, per fold and period (Q, M) the mean correction
+    a_t (u_t - f_t) over the fold's training rows."""
     stages = _Stages(data, plan, cfg, folds)
     fitted, held, train_means = stages.regressions(stages.riesz(), clever)
-    values, means = np.empty(data.n_units), np.empty(train_means.shape)
-    for s, (fs, terms) in enumerate(zip(fitted, held)):
-        values[stages.sets.folds[s]], _, corrections = _ladder(
-            stages._moment(1, fs[0], stages.sets.held(s)), terms)
-        means[s] = corrections.mean(axis=1)
-    return values, means, train_means
+    index, m = stages.index, data.num_periods
+    plug = np.concatenate([stages._moment(1, fs[0], stages.sets.held(s))
+                           for s, fs in enumerate(fitted)])
+    values, _, corrections = _ladder(plug[index], (
+        (a[index], data.outcome if t == m else u[index], f[index])
+        for t, (a, u, f) in enumerate(held, start=1)))
+    return values, corrections, train_means
 
 
 def fit_nested_regressions(
@@ -492,6 +514,52 @@ def fit_nuisances(
     (representers,) = stages.riesz()
     (regressions,), _, _ = stages.regressions([representers], clever)
     return regressions, representers
+
+
+def _units(
+    data: PanelDataset, maps: Sequence[FeatureMap], folds: Sequence[NDArray] | None,
+) -> tuple[PanelDataset, _TrainingSets, NDArray | None]:
+    """The panel the engine fits on, its training sets, and each row's place
+    among their fold-major units (None: in order). The units are the distinct
+    (fold, per-period grid row and code) histories, weighted by their counts,
+    with their rows' mean Y, when every map is tabular, every code is below its
+    map's arity, every state equals its grid row bit for bit, and the key space
+    Q * prod_t(G_t K_t) is at most n: one int64 key per row, `bincount` over
+    the key space (no sort), each unit decoded from its key. Otherwise they
+    are the rows, unweighted."""
+    n = data.n_units
+    shape = [1 if folds is None else len(folds)]
+    shape += [size for phi in maps if isinstance(phi, TabularFeatures)
+              for size in (phi.grid.shape[0], phi.arity)]
+    if len(shape) == 1 + 2 * len(maps) and math.prod(shape) <= n and all(
+            data.treatments[:, t].max() < phi.arity for t, phi in enumerate(maps)):
+        key = np.zeros(n, dtype=np.int64)
+        for q, idx in enumerate(() if folds is None else folds):
+            key[idx] = q
+        for t, phi in enumerate(maps):
+            cell = phi.state_index(data.states[t])
+            if not np.array_equal(phi.grid[cell].view(np.int64), data.states[t].view(np.int64)):
+                break
+            key *= phi.grid.shape[0]
+            key += cell
+            key *= phi.arity
+            key += data.treatments[:, t]
+        else:
+            counts = np.bincount(key, minlength=math.prod(shape))
+            units = np.flatnonzero(counts)
+            fold, *digits = np.unravel_index(units, shape)
+            mean_y = np.bincount(key, data.outcome, counts.shape[0])[units] / counts[units]
+            panel = PanelDataset(tuple(phi.grid[c] for phi, c in zip(maps, digits[::2])),
+                                 np.stack(digits[1::2], axis=1), mean_y, data.treatment_arities)
+            held = None if folds is None else np.split(
+                np.arange(units.shape[0]), np.searchsorted(fold, np.arange(1, len(folds))))
+            return (panel, _TrainingSets(units.shape[0], held, counts[units]),
+                    (np.cumsum(counts > 0) - 1)[key])
+    sets = _TrainingSets(n, folds)
+    index = None if folds is None else np.empty(n, dtype=np.intp)
+    if folds is not None:
+        index[sets.order] = np.arange(n)
+    return data, sets, index
 
 
 def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:

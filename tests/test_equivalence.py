@@ -30,6 +30,7 @@ from dyndml import (
     SolverError,
     SurrogatePair,
     TabularFeatures,
+    dgp_ref_2,
     dml_estimate,
     evaluate_moment,
     grid_policy,
@@ -49,7 +50,7 @@ from dyndml import (
     tabular_fn,
 )
 from dyndml.moment import nuisance_difference
-from dyndml.nuisance import fit_nuisances
+from dyndml.nuisance import _units, fit_nuisances
 from helpers_surrogate import two_sample_ref
 
 # FixedSequence((1, 1)) spelled with batch rules alone.
@@ -304,6 +305,84 @@ def test_stage_major_cross_fit_matches_per_fold_refits(plan_kind, features, clev
         assert (got["fold"], got["size"]) == (want["fold"], want["size"])
         for key in set(want) - {"fold", "size"}:
             np.testing.assert_allclose(got[key], want[key], rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Distinct histories against the per-row engine
+# ---------------------------------------------------------------------------
+
+
+def one_ulp_off(data):
+    """The panel with every state one ulp above its grid row: within
+    GRID_TOLERANCE of it, so the engine fits this copy row by row."""
+    return PanelDataset(tuple(np.nextafter(s, np.inf) for s in data.states), data.treatments,
+                        data.outcome, data.treatment_arities)
+
+
+@pytest.mark.parametrize("ridge", [None, (1e-3, 1e-2)], ids=["default-ridge", "per-period-ridge"])
+@pytest.mark.parametrize("clip", [None, 2.5], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+@pytest.mark.parametrize("plan_kind", sorted(PLANS))
+def test_distinct_histories_match_the_per_row_engine(plan_kind, clever, clip, ridge):
+    # The process's outcome is a function of the history; noise makes the rows
+    # of one history differ, so a score must use its own row's Y.
+    data, maps, plan = equivalence_case("tabular", plan_kind)
+    noise = np.random.Generator(np.random.PCG64(14)).standard_normal(data.n_units)
+    data = PanelDataset(data.states, data.treatments, data.outcome + noise, data.treatment_arities)
+    shifted = one_ulp_off(data)
+    folds = make_folds(data.n_units, 3, 5).folds
+    assert _units(data, maps, folds)[0].n_units < data.n_units
+    assert _units(shifted, maps, folds)[0] is shifted
+    cfg = FitConfig(feature_maps=maps, ridge=ridge, clip=clip)
+    got = dml_estimate(data, plan, cfg, 3, 5, clever=clever)
+    want = dml_estimate(shifted, plan, cfg, 3, 5, clever=clever)
+    tol = 1e-10 * (1.0 + abs(want.theta_hat))
+    for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= tol
+    assert [sorted(f) for f in got.per_fold] == [sorted(f) for f in want.per_fold]
+    for g, w in zip(got.per_fold, want.per_fold):
+        assert (g["fold"], g["size"]) == (w["fold"], w["size"])
+        for key in set(w) - {"fold", "size"}:
+            np.testing.assert_allclose(g[key], w[key], rtol=0, atol=tol)
+
+
+def test_zero_penalty_failure_reads_the_same_on_both_paths():
+    # Code 1 in grid state 1 at period 2 is kept on fold 1's rows only, so
+    # training set 1 has no mass in that design column.
+    data, maps, plan = equivalence_case("tabular", "fixed")
+    folds = make_folds(data.n_units, 3, 5).folds
+    held = np.zeros(data.n_units, dtype=bool)
+    held[folds[1]] = True
+    codes = data.treatments.copy()
+    codes[(data.states[1][:, 0] == 1.0) & (codes[:, 1] == 1) & ~held, 1] = 0
+    data = PanelDataset(data.states, codes, data.outcome, data.treatment_arities)
+    assert _units(data, maps, folds)[0].n_units < data.n_units
+    cfg = FitConfig(feature_maps=maps, ridge=0.0)
+    messages = []
+    for panel in (data, one_ulp_off(data)):
+        with pytest.raises(SolverError) as err:
+            dml_estimate(panel, plan, cfg, 3, 5)
+        messages.append(str(err.value))
+    assert messages[0].startswith(
+        "fold 1: period 2: singular system with zero penalty: design column ")
+    assert messages[0] == messages[1]
+
+
+def test_tabular_plan_terms_see_only_distinct_histories():
+    # dgp_ref_2 has two states and two codes per period: at most 5 * (2 * 2)^2
+    # distinct (fold, history) rows reach the plan's rules.
+    seen = []
+
+    def weight_batch(d):
+        seen.append(d.n_units)
+        return np.ones(d.n_units)
+
+    plan = Contrast(terms=tuple(
+        (EvalTerm(weight_batch=weight_batch,
+                  target_batch=lambda d: np.ones(d.n_units, dtype=np.int64)),) for _ in (1, 2)))
+    maps = (TabularFeatures(np.arange(2.0), 2),) * 2
+    dml_estimate(simulate(dgp_ref_2(), 10_000, 3), plan, FitConfig(feature_maps=maps), 5, 1)
+    assert seen and max(seen) <= 5 * (2 * 2) ** 2
 
 
 def test_clip_is_active_in_the_equivalence_cases():

@@ -12,6 +12,7 @@ from dyndml import (
     Contrast,
     DiscreteDGP,
     DynamicPolicy,
+    EstimateReport,
     FitConfig,
     FixedSequence,
     NuisanceSet,
@@ -35,6 +36,7 @@ from dyndml import (
     rate_diagnostics,
     simulate,
 )
+from dyndml.inference import _failure_cause
 
 
 class TestNormalQuantile:
@@ -168,6 +170,18 @@ class TestDmlEstimate:
         assert "n_short" not in loaded
         assert len(loaded["per_fold"]) == 5
 
+    @pytest.mark.parametrize("bounds", [(1 - 0.196, 1e6), (-1e6, 1 + 0.196)])
+    def test_both_interval_ends_must_match_theta_and_sigma(self, bounds):
+        # Each interval end is checked against theta_hat -+ 1.96 sigma/sqrt(n);
+        # the matching end alone does not make a report valid.
+        lower, upper = bounds
+        with pytest.raises(ValidationError, match="interval does not match"):
+            EstimateReport(theta_hat=1.0, sigma_hat=1.0, ci_lower=lower, ci_upper=upper,
+                           n=100, Q=2, seed=0, per_fold=[], config={})
+        report = EstimateReport(theta_hat=1.0, sigma_hat=1.0, ci_lower=1 - 0.196,
+                                ci_upper=1 + 0.196, n=100, Q=2, seed=0, per_fold=[], config={})
+        assert report.interval() == (1 - 0.196, 1 + 0.196)
+
     def test_other_confidence_levels(self, dgp1, plan1):
         data = simulate(dgp1, 500, 10)
         report = dml_estimate(data, plan1, tabular_config(dgp1), 5, 5)
@@ -269,8 +283,18 @@ class TestMonteCarlo:
         assert len(result.rows) == 30
         counts = result.failure_counts
         assert sum(counts.values()) == result.n_failed
-        assert list(counts) == list(dict.fromkeys(r.message for r in failed_rows))
-        assert all(message.startswith("fold ") for message in counts)
+        assert list(counts) == list(dict.fromkeys(_failure_cause(r.message) for r in failed_rows))
+        assert not any(cause.startswith("fold ") for cause in counts)
+
+    def test_failures_are_counted_by_cause(self, dgp2, plan2):
+        # The zero-penalty failures of different folds, periods and design
+        # columns are one cause, with the first failing replicate's message.
+        result = mc_experiment(dgp2, plan2, tabular_config(dgp2, ridge=0.0), 200, 24, 3, seed=13)
+        messages = [r.message for r in result.rows if r.failed]
+        assert len(set(messages)) > 1
+        cause = "singular system with zero penalty: design column has no mass (rank deficient)"
+        assert result.failure_counts == {cause: result.n_failed}
+        assert result.failure_examples == {cause: messages[0]}
 
     def test_jobs_must_be_positive(self, dgp2, plan2):
         with pytest.raises(ValidationError, match="jobs must be >= 1"):
