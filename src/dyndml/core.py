@@ -551,16 +551,13 @@ class TabularFeatures(_FactoredMap):
         return d2.argmin(axis=1)
 
     def _scalar_index(self, s: NDArray) -> NDArray:
-        """Nearest grid row of scalar states by their position among the sorted
-        grid values (one comparison pass per value up to 16 values, which beats
-        a binary search), the first index of a repeated value standing for it.
-        A state equal to a grid value takes that value; any other takes the
+        """Nearest grid row of scalar states by binary search over the sorted
+        grid values, the first index of a repeated value standing for it. A
+        state equal to a grid value takes that value; any other takes the
         nearer of the two values around it by squared distance, the lower grid
         index on a tie, which is what argmin over all distances returns."""
         values, first = np.unique(self.grid[:, 0], return_index=True)
-        top = values.shape[0] - 1
-        pos = (sum((s > v for v in values[:-1]), np.zeros(s.shape[0], np.intp)) if top < 16
-               else np.minimum(np.searchsorted(values, s), top))
+        pos = np.minimum(np.searchsorted(values, s), values.shape[0] - 1)
         off = values[pos] != s
         if off.any():
             s_off, hi = s[off], pos[off]

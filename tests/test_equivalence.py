@@ -50,7 +50,7 @@ from dyndml import (
     tabular_fn,
 )
 from dyndml.moment import nuisance_difference
-from dyndml.nuisance import _units, fit_nuisances
+from dyndml.nuisance import _Design, _units, fit_nuisances
 from helpers_surrogate import two_sample_ref
 
 # FixedSequence((1, 1)) spelled with batch rules alone.
@@ -366,6 +366,26 @@ def test_zero_penalty_failure_reads_the_same_on_both_paths():
     assert messages[0].startswith(
         "fold 1: period 2: singular system with zero penalty: design column ")
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_grid_rows_of_the_decision_build_the_per_row_basis(period):
+    # One period one ulp off: the decision looked up the grid rows of the
+    # periods up to it, and their designs build the one-hot from those.
+    data, maps, plan = equivalence_case("tabular", "contrast")
+    states = list(data.states)
+    states[period - 1] = np.nextafter(states[period - 1], np.inf)
+    shifted = PanelDataset(tuple(states), data.treatments, data.outcome, data.treatment_arities)
+    folds = make_folds(data.n_units, 3, 5).folds
+    panel, sets, _, cells = _units(shifted, maps, folds)
+    assert panel is shifted and [c is not None for c in cells] == [True, period == 2]
+    cfg = FitConfig(feature_maps=maps)
+    for t, (phi, c) in enumerate(zip(maps, cells), start=1):
+        args = (phi, shifted.states[t - 1], shifted.treatments[:, t - 1], sets, cfg, t, "")
+        if c is not None:
+            assert np.array_equal(_Design(*args, c).basis, _Design(*args).basis)
+    got, want = dml_estimate(data, plan, cfg, 3, 5), dml_estimate(shifted, plan, cfg, 3, 5)
+    assert abs(got.theta_hat - want.theta_hat) <= 1e-10 * (1.0 + abs(want.theta_hat))
 
 
 def test_tabular_plan_terms_see_only_distinct_histories():
