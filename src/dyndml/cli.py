@@ -38,7 +38,10 @@ An omitted --seed, --Q or --jobs is read from DYNDML_SEED, DYNDML_Q or
 DYNDML_JOBS, only by the commands that take the flag, before the config file
 and the default; a malformed value exits 2.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+Exit codes: 0 success; 2 usage or validation error, such as a plan target at
+or above the treatment levels (`estimate`: the panel's largest code + 1 per
+period; `mc`: the process's treatment_arity); 3 numerical failure, such as a
+targeted level that no row has, or an `mc` run whose every replicate failed.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ from .core import (
     DynamicPolicy,
     FeatureMap,
     FixedSequence,
-    PanelDataset,
-    PlanError,
     PolynomialFeatures,
     PositivityError,
     RandomFourierFeatures,
@@ -229,21 +230,6 @@ def load_plan(path: str) -> TreatmentPlan:
 # ---------------------------------------------------------------------------
 
 
-def required_arities(plan: TreatmentPlan, data: PanelDataset) -> tuple[int, ...]:
-    """Per-period arity covering both the observed codes and the plan's targets."""
-    arities = []
-    for t in range(1, data.num_periods + 1):
-        k = data.treatment_arities[t - 1]
-        for term in plan.period_terms(t):
-            targets = term.targets(data, t)
-            if targets.size:
-                if targets.min() < 0:
-                    raise PlanError(f"period {t}: negative target code")
-                k = max(k, int(targets.max()) + 1)
-        arities.append(k)
-    return tuple(arities)
-
-
 def _distinct_rows(s: np.ndarray) -> np.ndarray:
     """The sorted distinct rows of `s`, as `np.unique(s, axis=0)` gives them,
     from one lexsort and a compare of neighbours (rows with no columns are all
@@ -324,11 +310,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     dgp = load_dgp(args.dgp)
-    if args.n < 1:
-        raise ValidationError("n must be >= 1")
     seed = dgp.seed if args.seed is None else args.seed
-    data = simulate(dgp, args.n, seed)
-    write_panel_csv(data, args.out)
+    write_panel_csv(simulate(dgp, args.n, seed), args.out)
     print(f"wrote {args.n} trajectories to {args.out} (seed={seed})")
     return 0
 
@@ -348,10 +331,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
     data = read_panel_csv(args.data)
     _validate_columns(args.data, data.num_periods, plan)
-    arities = required_arities(plan, data)
-    if arities != data.treatment_arities:
-        data = PanelDataset(data.states, data.treatments, data.outcome, arities)
-    fit, q_folds, seed = _fit_settings(args, data.states, arities)
+    fit, q_folds, seed = _fit_settings(args, data.states, data.treatment_arities)
     report = dml_estimate(data, plan, fit, q_folds, seed, clever=args.clever_covariate)
     _write_text(args.out, report.to_json())
     print(
@@ -459,14 +439,10 @@ def _diagnose_checks(dgp: DiscreteDGP, plan: TreatmentPlan, seed: int) -> list[d
         {"name": "riesz_identity", "value": worst_riesz, "passed": bool(worst_riesz <= 1e-10)}
     )
 
-    try:
-        pot = oracle_theta_potential(dgp, plan)
-        resid = abs(pot - theta)
-        checks.append(
-            {"name": "potential_outcome_crosscheck", "value": resid, "passed": bool(resid <= 1e-12)}
-        )
-    except ValidationError:
-        pass
+    resid = abs(oracle_theta_potential(dgp, plan) - theta)
+    checks.append(
+        {"name": "potential_outcome_crosscheck", "value": resid, "passed": bool(resid <= 1e-12)}
+    )
     return checks
 
 
@@ -505,18 +481,18 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     dgp = load_dgp(args.dgp)
     plan = load_plan(args.plan)
-    if args.n < 1:
-        raise ValidationError("n must be >= 1")
     seed = dgp.seed if args.seed is None else args.seed
-    arities = required_arities(plan, simulate(dgp, min(args.n, 256), seed))
     grids = [np.arange(g, dtype=float)[:, None] for g in dgp.state_arities]
-    fit, q_folds, _ = _fit_settings(args, grids, arities)
+    fit, q_folds, _ = _fit_settings(args, grids, dgp.treatment_arities)
     jobs = 1 if args.jobs is None else args.jobs
     result = mc_experiment(dgp, plan, fit, args.reps, args.n, q_folds, seed, jobs=jobs)
     result.write_csv(args.out)
     examples = result.failure_examples
     for cause, count in result.failure_counts.items():
         print(f"{count} failed replicate(s): {examples[cause]}", file=sys.stderr)
+    if result.n_failed == result.reps:
+        print(f"numerical failure: all {result.reps} replicates failed", file=sys.stderr)
+        return 3
     print(json.dumps(result.summary_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -588,7 +564,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_environment(args)
         return args.func(args)
-    except (ValidationError, PlanError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, PositivityError, np.linalg.LinAlgError) as exc:

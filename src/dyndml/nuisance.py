@@ -43,6 +43,7 @@ from .core import (
     Fn,
     LinearFn,
     PanelDataset,
+    PositivityError,
     SolverError,
     TabularFeatures,
     TreatmentPlan,
@@ -233,7 +234,7 @@ class _Design:
         self, phi: FeatureMap, states: NDArray, codes: NDArray, sets: _TrainingSets,
         cfg: FitConfig, period: int, name: str, cells: NDArray | None = None,
     ) -> None:
-        self.phi, self.sets, self.cfg, self.period = phi, sets, cfg, period
+        self.phi, self.sets, self.cfg, self.period, self.name = phi, sets, cfg, period, name
         _check_codes(codes, phi.arity, name)
         self.codes = sets.rows(np.asarray(codes)).astype(np.min_scalar_type(phi.arity - 1))
         states = sets.rows(states)
@@ -255,6 +256,16 @@ class _Design:
         self.flat += np.arange(self.codes.shape[0])
         self.layout = _code_blocks(phi, np.arange(phi.dim))
         self._systems: tuple[NDArray, NDArray] | None = None
+
+    def require(self, weights: NDArray) -> None:
+        """A PositivityError naming the first code that carries weight in
+        `weights` (n, K) but that no row has: the representer there, an inverse
+        propensity, does not exist."""
+        seen = np.bincount(self.codes, minlength=self.phi.arity) > 0
+        missing = np.flatnonzero(weights.any(axis=0) & ~seen)
+        if missing.size:
+            raise PositivityError(
+                f"{self.name}: the plan targets treatment code {missing[0]}, which no row has")
 
     def fn(self, coef: NDArray, clip: float | None = None) -> LinearFn:
         """The linear function of phi whose (K, q) coefficient blocks are `coef`."""
@@ -336,6 +347,8 @@ class _Stages:
             states, codes = self.data.states[t - 1], self.data.treatments[:, t - 1]
             self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}", cell))
             self.code_weights.append(sets.rows(_code_weights(plan, t, self.data, phi.arity)))
+        for design, weights in zip(self.designs, self.code_weights):
+            design.require(weights)
 
     def _values(self, t: int, g: Fn, rows: slice) -> NDArray:
         """(m, K), a new array: g(S_t, c) on `rows` for every code c. A g linear
@@ -527,9 +540,9 @@ def _units(
     The units are the distinct (fold, per-period grid row and code) histories,
     weighted by their counts, with their rows' mean Y, when every map is
     tabular, every code is below its map's arity, every state equals its grid
-    row bit for bit, and the key space Q * prod_t(G_t K_t) is at most n: one
-    int64 key per row, `bincount` over the key space (no sort), each unit
-    decoded from its key. Otherwise they are the rows, unweighted."""
+    row by value (-0.0 equals 0.0), and the key space Q * prod_t(G_t K_t) is at
+    most n: one int64 key per row, `bincount` over the key space (no sort),
+    each unit decoded from its key. Otherwise they are the rows, unweighted."""
     n, cells = data.n_units, []
     shape = [1 if folds is None else len(folds)]
     shape += [size for phi in maps if isinstance(phi, TabularFeatures)
@@ -541,7 +554,7 @@ def _units(
             key[idx] = q
         for t, phi in enumerate(maps):
             cells.append(cell := phi.state_index(data.states[t]))
-            if not np.array_equal(phi.grid[cell].view(np.int64), data.states[t].view(np.int64)):
+            if not np.array_equal(phi.grid[cell], data.states[t]):
                 break
             key *= phi.grid.shape[0]
             key += cell

@@ -134,9 +134,10 @@ def _cross_fit(
     x_tx = _Design(phi_tx, data.short_x, data.short_t, short, cfg, 1, "short sample (X, T)")
     x_long = _Design(phi_sx, data.long_sx, zeros_long, long, cfg, 2, "long sample (S, X)")
     x_short = _Design(phi_sx, data.short_sx, zeros_short, short, cfg, 2, "short sample (S, X)")
+    contrast = np.broadcast_to(np.array([-1.0, 1.0]), (data.n_short, 2))
+    x_tx.require(contrast)
     y = long.rows(data.long_y)
     pairs = range(len(short.sizes))
-    contrast = np.broadcast_to(np.array([-1.0, 1.0]), (data.n_short, 2))
     h = [x_long.fn(c) for c in x_long.solve(
         long.shared(x_long.basis, x_long.scatter(y)), "h (long-sample regression)")[0]]
     a1 = [x_tx.fn(c, cfg.clip) for c in x_tx.solve(

@@ -21,7 +21,7 @@ from dyndml import (
     write_panel_csv,
     write_surrogate_csvs,
 )
-from dyndml.cli import _distinct_rows, load_dgp, main
+from dyndml.cli import _distinct_rows, load_dgp, load_plan, main
 
 DGP1 = """\
 # one-period reference process
@@ -139,6 +139,31 @@ class TestEstimate:
         assert report["n"] == 4000 and report["Q"] == 5
         assert report["config"]["feature_maps"][0]["kind"] == "TabularFeatures"
         assert "theta_hat=" in capsys.readouterr().out
+
+    def test_target_outside_the_panels_levels_exit_2(self, files, capsys):
+        # The panel's period 2 has codes 0 and 1; the plan targets code 2.
+        data, plan = files["dir"] / "d.csv", files["dir"] / "plan12.cfg"
+        plan.write_text("kind = fixed\ntreatments = 1 2\n")
+        main(["simulate", "--dgp", files["dgp2"], "--n", "4000", "--seed", "3", "--out", str(data)])
+        out = files["dir"] / "r.json"
+        rc = main(["estimate", "--data", str(data), "--plan", str(plan), "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "period 2, term 0: treatment code 2 outside 0..1" in capsys.readouterr().err
+
+    def test_targeted_level_no_row_has_exit_3(self, files, capsys):
+        # Codes {0, 2} in period 2 make three levels, and no row has code 1.
+        data = files["dir"] / "d.csv"
+        main(["simulate", "--dgp", files["dgp2"], "--n", "400", "--seed", "3", "--out", str(data)])
+        panel = read_panel_csv(str(data))
+        codes = panel.treatments * np.array([1, 2])
+        write_panel_csv(PanelDataset(panel.states, codes, panel.outcome, (2, 3)), str(data))
+        capsys.readouterr()
+        rc = main(["estimate", "--data", str(data), "--plan", files["plan11"],
+                   "--out", str(files["dir"] / "r.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == ("numerical failure: period 2: the plan targets "
+                                           "treatment code 1, which no row has\n")
 
     def test_missing_period_column_exit_2(self, files, capsys):
         data = files["dir"] / "d.csv"
@@ -278,6 +303,19 @@ class TestOracleAndDiagnose:
         assert out.startswith("theta=3.8")
         assert "f_1=" in out and "a_2=" in out
 
+    def test_oracle_out_matches_the_oracles(self, files, capsys):
+        out = files["dir"] / "oracle.json"
+        rc = main(["oracle", "--dgp", files["dgp2"], "--plan", files["plan11"], "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        dgp, plan = load_dgp(files["dgp2"]), load_plan(files["plan11"])
+        assert payload["theta"] == dyndml.oracle.oracle_theta(dgp, plan)
+        for key, tables in (("f_tables", dyndml.oracle.oracle_nested_regressions(dgp, plan)),
+                            ("a_tables", dyndml.oracle.oracle_riesz(dgp, plan))):
+            assert len(payload[key]) == len(tables)
+            for got, want in zip(payload[key], tables):
+                np.testing.assert_array_equal(np.array(got), want)
+
     def test_oracle_requires_dgp_file(self, files, capsys):
         rc = main(["oracle", "--dgp", str(files["dir"] / "missing.cfg"), "--plan", files["plan11"]])
         assert rc == 2
@@ -343,6 +381,22 @@ class TestMonteCarlo:
         assert all(" failed replicate(s): fold " in line for line in lines)
         assert sum(int(line.split()[0]) for line in lines) == n_failed
         assert len(set(lines)) == len(lines)
+
+    def test_every_replicate_failed_exit_3(self, files, capsys):
+        # With n = 4 and Q = 2 no replicate fits; the summary would be all NaN.
+        config = files["dir"] / "tiny.cfg"
+        config.write_text("ridge = 0\nQ = 2\n")
+        out = files["dir"] / "mc.csv"
+        rc = main(["mc", "--dgp", files["dgp2"], "--plan", files["plan11"], "--reps", "5",
+                   "--n", "4", "--config", str(config), "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *causes, last = captured.err.splitlines()
+        assert last == "numerical failure: all 5 replicates failed"
+        assert causes and sum(int(line.split()[0]) for line in causes) == 5
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5 and all(row.endswith(",1") for row in rows)
 
     def test_rows_csv_and_summary(self, files, capsys):
         out = files["dir"] / "mc.csv"

@@ -388,6 +388,22 @@ def test_grid_rows_of_the_decision_build_the_per_row_basis(period):
     assert abs(got.theta_hat - want.theta_hat) <= 1e-10 * (1.0 + abs(want.theta_hat))
 
 
+def test_negative_zero_states_fit_on_distinct_histories():
+    # -0.0 is its grid row 0.0 by value, though not bit for bit; a CSV cell
+    # `-0` reads as -0.0.
+    data = simulate(dgp_ref_2(), 20_000, 5)
+    even = (np.arange(data.n_units) % 2 == 0)[:, None]
+    signed = np.where(even & (data.states[0] == 0.0), -0.0, data.states[0])
+    assert np.signbit(signed).any()
+    panel = PanelDataset((signed, data.states[1]), data.treatments, data.outcome,
+                         data.treatment_arities)
+    maps = (TabularFeatures(np.arange(2.0), 2),) * 2
+    assert _units(panel, maps, make_folds(data.n_units, 5, 1).folds)[0].n_units <= 5 * 16
+    cfg, plan = FitConfig(feature_maps=maps), FixedSequence((1, 1))
+    got, want = dml_estimate(panel, plan, cfg, 5, 1), dml_estimate(data, plan, cfg, 5, 1)
+    assert got.theta_hat == want.theta_hat
+
+
 def test_tabular_plan_terms_see_only_distinct_histories():
     # dgp_ref_2 has two states and two codes per period: at most 5 * (2 * 2)^2
     # distinct (fold, history) rows reach the plan's rules.

@@ -21,9 +21,11 @@ from dyndml import (
     RandomFourierFeatures,
     TabularFeatures,
     PlanError,
+    PositivityError,
     SolverError,
     ValidationError,
     dml_estimate,
+    fit_nested_regressions,
     grid_policy,
     make_folds,
     mc_experiment,
@@ -242,6 +244,39 @@ class TestDmlEstimate:
         kurt = np.mean(zc**4) / m2**2 - 3.0
         jb = reps / 6.0 * (skew**2 + kurt**2 / 4.0)
         assert jb < 9.21  # 1% critical value of chi^2_2
+
+
+class TestTargetedCodes:
+    """A targeted code that no row has has no inverse propensity, so the
+    representer does not exist: a PositivityError, not an estimate."""
+
+    @pytest.mark.parametrize("fit", [
+        lambda data, plan, cfg: dml_estimate(data, plan, cfg, 5, 1), fit_nested_regressions,
+    ], ids=["dml_estimate", "fit_nested_regressions"])
+    def test_declared_but_unseen_level(self, dgp2, fit):
+        # Period 2 declares three levels; the process draws only codes 0 and 1.
+        sample = simulate(dgp2, 500, 5)
+        data = PanelDataset(sample.states, sample.treatments, sample.outcome, (2, 3))
+        maps = (TabularFeatures(np.arange(2.0), 2), TabularFeatures(np.arange(2.0), 3))
+        with pytest.raises(PositivityError, match=r"^period 2: the plan targets treatment code "
+                                                  r"2, which no row has$"):
+            fit(data, FixedSequence((1, 2)), FitConfig(feature_maps=maps))
+
+    def test_replicates_without_the_targeted_code_fail(self):
+        # P(T = 1) = 0.02 in both states: 21 of 40 replicates of 30 rows have no
+        # code-1 row, and each is a failed replicate under one cause.
+        dgp = DiscreteDGP(
+            initial=np.array([0.5, 0.5]),
+            propensities=(np.array([[0.98, 0.02], [0.98, 0.02]]),),
+            transitions=(),
+            outcome_mean=np.array([[0.0, 1.0], [1.0, 2.0]]),
+            sigma_y=0.0,
+        )
+        result = mc_experiment(dgp, FixedSequence((1,)), tabular_config(dgp), 40, 30, 3, seed=5)
+        missing = [r for r in range(40) if not simulate(dgp, 30, mix_seed(5, r)).treatments.any()]
+        assert len(missing) == 21
+        assert [row.rep for row in result.rows if row.failed] == missing
+        assert result.failure_counts == {"the plan targets treatment code 1, which no row has": 21}
 
 
 class TestMonteCarlo:

@@ -8,6 +8,7 @@ from helpers_surrogate import TwoSampleDGP, two_sample_ref
 from dyndml import (
     Contrast,
     FitConfig,
+    PositivityError,
     SurrogatePair,
     TabularFeatures,
     ValidationError,
@@ -182,6 +183,15 @@ class TestSurrogateEstimate:
         a = surrogate_estimate(data, cfg, 4, 3)
         b = surrogate_estimate(data, cfg, 4, 3)
         assert a.to_json() == b.to_json()
+
+    def test_one_arm_short_sample_is_a_positivity_error(self, tsd):
+        # The contrast targets both arms; with no treated record a1 does not exist.
+        data = tsd.simulate(400, 400, 19)
+        one_arm = SurrogatePair(data.short_x, np.zeros(data.n_short), data.short_s,
+                                data.long_x, data.long_s, data.long_y)
+        with pytest.raises(PositivityError, match=r"^short sample \(X, T\): the plan targets "
+                                                  r"treatment code 1, which no row has$"):
+            surrogate_estimate(one_arm, fit_cfg(tsd), 4, 3)
 
     def test_reduces_to_one_period_aipw(self):
         # append S == Y to a one-period panel and use it as both samples:
