@@ -11,6 +11,9 @@ a built-in Gaussian quantile.
 Cross-fitting runs stage-major: `nuisance.cross_fit` builds each period's
 design once on the whole panel and solves it for every fold's training rows,
 scoring the held-out rows from the same designs (see the `nuisance` module).
+Its training sets are grouped by replicate, so the Monte Carlo harness fits a
+chunk of MC_CHUNK_ROWS rows of replicates in one pass (`_estimates`), each
+replicate folded, checked and reported as `dml_estimate` does it alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -182,14 +185,43 @@ def dml_estimate(
 
     Per fold, nuisances are fitted on the complement (unless an explicit
     `nuisances` bundle is injected, e.g. the enumeration oracle's truth, which
-    then scores every fold) and scores are evaluated out of fold.
-    Deterministic given all inputs.
+    then scores every fold) and scores are evaluated out of fold: the
+    one-replicate case of `_estimates`. Deterministic given all inputs.
     """
+    if nuisances is None:
+        return _estimates([data], [data.n_units], plan, cfg, q_folds, [seed], clever)[0]
     folds = make_folds(data.n_units, q_folds, seed).folds
-    if nuisances is not None:
-        scores, _, corrections = moment_scores(data, plan, nuisances)
-    else:
-        scores, corrections, train_means = cross_fit(data, plan, cfg, folds, clever)
+    scores, _, corrections = moment_scores(data, plan, nuisances)
+    return _report(scores, corrections, folds, cfg, seed, clever)
+
+
+def _estimates(
+    panels: Iterable[PanelDataset],
+    sizes: Sequence[int],
+    plan: TreatmentPlan,
+    cfg: FitConfig,
+    q_folds: int,
+    seeds: Sequence[int],
+    clever: bool = False,
+) -> list[EstimateReport]:
+    """The cross-fitted estimate of each panel (a replicate of sizes[r] rows,
+    folded with seeds[r]), all fitted in one stage-engine pass
+    (`nuisance.cross_fit`), which takes the panels one at a time. Each report
+    is the one the panel gets alone, up to rounding, and each panel is checked
+    as it is alone; an error names no panel."""
+    folds = [make_folds(n, q_folds, s).folds for n, s in zip(sizes, seeds)]
+    fits = cross_fit(panels, plan, cfg, folds, clever)
+    return [_report(scores, corrections, f, cfg, s, clever, train_means if clever else None)
+            for (scores, corrections, train_means), f, s in zip(fits, folds, seeds)]
+
+
+def _report(
+    scores: NDArray, corrections: NDArray, folds: Sequence[NDArray], cfg: FitConfig, seed: int,
+    clever: bool, train_means: NDArray | None = None,
+) -> EstimateReport:
+    """The report of held-out scores and corrections (M, n); a non-finite score
+    is a SolverError naming its fold. With `train_means` (Q, M), each fold
+    also reports the clever covariate's training-row correction means."""
     per_fold: list[dict] = []
     for q, idx in enumerate(folds):
         vals = scores[idx]
@@ -200,7 +232,7 @@ def dml_estimate(
             "score_mean": float(vals.mean()),
             "correction_means": [float(c) for c in np.take(corrections, idx, 1).mean(axis=1)],
         }
-        if clever and nuisances is None:
+        if train_means is not None:
             # The unpenalized clever column zeroes the corrections on the
             # sample the regressions were fitted on; report that residual.
             fold_info["clever_correction_means"] = [float(c) for c in train_means[q]]
@@ -212,7 +244,8 @@ def dml_estimate(
     )
     theta = float(scores.mean())
     sigma = float(np.sqrt(np.mean((scores - theta) ** 2)))
-    return EstimateReport._with_interval(theta, sigma, len(scores), q_folds, seed, per_fold, config)
+    return EstimateReport._with_interval(theta, sigma, len(scores), len(folds), seed, per_fold,
+                                         config)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +321,12 @@ def _failure_cause(message: str) -> str:
     return re.sub(r"column \d+ ", "column ", re.sub(r"^(fold \d+: )?(period \d+: )?", "", message))
 
 
+# A Monte Carlo chunk is as many whole replicates as fit in this many rows, and
+# at least one; `mc_experiment` fits each chunk in one stage-engine pass. It is
+# a constant, so the chunks, and every result, are the same for any `jobs`.
+MC_CHUNK_ROWS = 8192
+
+
 def mc_experiment(
     dgp: DiscreteDGP,
     plan: TreatmentPlan,
@@ -302,8 +341,12 @@ def mc_experiment(
     """Run `reps` independent seed-mixed replicates of dml_estimate.
 
     Replicate r simulates with mix_seed(seed, r) and folds with a further
-    derived seed, so results are identical for any jobs count. Numerical
-    failures (SolverError, PositivityError) are flagged rows excluded from the
+    derived seed. Replicates are fitted in chunks of MC_CHUNK_ROWS rows
+    (`_estimates`), and `jobs` threads take whole chunks, so results are
+    identical for any jobs count and each replicate's estimate is its own
+    dml_estimate's up to rounding. A chunk that raises is rerun one replicate
+    at a time, so each failure reads as it does alone. Numerical failures
+    (SolverError, PositivityError) are flagged rows excluded from the
     coverage summary; invalid inputs (ValidationError) abort the experiment.
     """
     if reps < 1:
@@ -312,28 +355,29 @@ def mc_experiment(
         raise ValidationError("jobs must be >= 1")
     theta_true = oracle_theta(dgp, plan)
 
-    def run(r: int) -> MCRow:
-        rep_seed = mix_seed(seed, r)
+    def run(chunk: range) -> list[MCRow]:
+        seeds = [mix_seed(seed, r) for r in chunk]
         try:
-            data = simulate(dgp, n, rep_seed)
-            report = dml_estimate(data, plan, cfg, q_folds, mix_seed(rep_seed, 1), clever=clever)
-        except (SolverError, PositivityError) as exc:
-            return MCRow(rep=r, failed=1, message=str(exc))
-        covered = int(report.ci_lower <= theta_true <= report.ci_upper)
-        return MCRow(
-            rep=r,
-            theta_hat=report.theta_hat,
-            sigma_hat=report.sigma_hat,
-            ci_lower=report.ci_lower,
-            ci_upper=report.ci_upper,
-            covered=covered,
-        )
+            reports = _estimates((simulate(dgp, n, s) for s in seeds), [n] * len(chunk), plan, cfg,
+                                 q_folds, [mix_seed(s, 1) for s in seeds], clever)
+        except (ValidationError, SolverError, PositivityError) as exc:
+            if len(chunk) > 1:
+                return [row for r in chunk for row in run(range(r, r + 1))]
+            if isinstance(exc, ValidationError):
+                raise
+            return [MCRow(rep=chunk[0], failed=1, message=str(exc))]
+        return [MCRow(rep=r, theta_hat=report.theta_hat, sigma_hat=report.sigma_hat,
+                      ci_lower=report.ci_lower, ci_upper=report.ci_upper,
+                      covered=int(report.ci_lower <= theta_true <= report.ci_upper))
+                for r, report in zip(chunk, reports)]
 
+    size = max(1, MC_CHUNK_ROWS // max(n, 1))
+    chunks = [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
     if jobs == 1:
-        rows = [run(r) for r in range(reps)]
+        rows = [row for chunk in chunks for row in run(chunk)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, range(reps)))
+            rows = [row for part in pool.map(run, chunks) for row in part]
     ok = [row for row in rows if not row.failed]
     if ok:
         thetas = np.array([row.theta_hat for row in ok])

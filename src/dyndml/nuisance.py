@@ -22,6 +22,14 @@ which the surrogate estimator shares. Cross-fitting (`cross_fit`) solves one
 training set per fold and scores the held-out rows from the same bases; the
 public fits are the one-training-set case.
 
+The training sets are grouped by replicate: a panel may stack several
+replicates' rows (a Monte Carlo chunk), each with its own folds, and a set
+is one fold's complement within its replicate. Every sum stays within a
+replicate, each set's fitted functions are valued on its replicate's units
+only, all the sets of a replicate in one product, and every check a lone
+panel gets is made per replicate, so each replicate's estimate is the one it
+gets alone, up to rounding.
+
 On all-tabular panels whose states lie on their grids, the engine fits the
 distinct (fold, history) rows weighted by their counts (`_units`; Grams
 B' diag(w) B) and gathers the held-out values back to the rows, each scored
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,6 +70,11 @@ DEFAULT_RIDGE_SCALE = 1e-3
 # A tabular state may differ from its grid row by at most this much, relative to
 # 1 + |grid value|, in each coordinate; the estimators reject one farther off.
 GRID_TOLERANCE = 1e-9
+
+# Training sets are valued a run of folds at a time (`_TrainingSets.runs`), with
+# at most this many packed entries (1 MB) per code: every fold at once on small
+# panels, as few as one on large ones.
+_PACKED = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -97,15 +110,18 @@ class FitConfig:
         for t, phi in enumerate(self.feature_maps, start=1):
             _check_factored(phi, f"feature map {t}")
 
-    def stage_ridge(self, period: int, gram: NDArray, n: int) -> float:
+    def stage_ridge(self, period: int, gram: NDArray, n: int | NDArray) -> float | NDArray:
         """Resolved normalized-Gram penalty for a 1-based period; `gram` is the
-        p x p Gram or its (K, q, q) diagonal blocks (p = K q)."""
+        p x p Gram or its (K, q, q) diagonal blocks (p = K q), or the blocks
+        (S, K, q, q) of S training sets whose sizes are n (S,)."""
         if isinstance(self.ridge, tuple):
             return self.ridge[period - 1]
         if self.ridge is not None:
             return float(self.ridge)
-        p = gram.size // gram.shape[-1]
-        return DEFAULT_RIDGE_SCALE * n ** -0.5 * float(np.trace(gram, axis1=-2, axis2=-1).sum()) / p
+        trace, p = np.trace(gram, axis1=-2, axis2=-1), gram.shape[-1]
+        if gram.ndim > 2:
+            trace, p = trace.sum(axis=-1), p * gram.shape[-3]
+        return DEFAULT_RIDGE_SCALE * np.asarray(n, dtype=float) ** -0.5 * trace / p
 
 
 def _solve_spd(
@@ -145,24 +161,43 @@ def _positive_definite(a: NDArray) -> bool:
 
 class _TrainingSets:
     """Training sets over n units, held in fold-major order (`rows` permutes an
-    array into it): with `folds`, set s is every unit outside folds[s], the two
-    runs around fold s's run `held(s)`; without, the one set is every unit.
-    Unit i counts weights[i] times in every sum (once when `weights` is None),
-    so `sizes`, the sets' weight totals, normalize the means and Grams."""
+    array into it). With `folds`, the units are one or more replicates, each
+    split into `q_folds` folds (folds[r Q + q] is fold q of replicate r), and
+    set s = r Q + q is every unit of replicate r outside its fold q: the runs
+    of the replicate (`spans`) around fold s's run `held(s)`. Without, the one
+    set is every unit. Unit i counts weights[i] times in every sum (once when
+    `weights` is None), so `sizes`, the sets' weight totals, normalize the
+    means and Grams.
+
+    A value each set takes on the units of its replicate is packed (Q', ..., n)
+    for a run of Q' folds (`runs`): entry [j, ..., i] is set (r Q + q)'s, q the
+    run's j-th fold and r the replicate of unit i, so the sets of every
+    replicate share one array and no set is valued on another replicate's
+    units. A run is every fold unless its packed values would pass _PACKED
+    entries per code, so the memory they take is bounded whatever n is."""
 
     def __init__(
         self, n: int, folds: Sequence[NDArray] | None = None, weights: NDArray | None = None,
+        q_folds: int | None = None,
     ) -> None:
         # Sorted, a fold's rows are gathered in memory order.
         self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
         self.order = None if folds is None else np.concatenate(self.folds)
-        counts = [n] if folds is None else [idx.shape[0] for idx in self.folds]
+        counts = np.array([n] if folds is None else [idx.shape[0] for idx in self.folds])
+        self.q = 1 if folds is None else q_folds or len(counts)
         self.bounds = np.concatenate([[0], np.cumsum(counts)])
+        self.spans = self.bounds[::self.q]
+        step = max(1, _PACKED // n)
+        self.runs = [slice(lo, min(lo + step, self.q)) for lo in range(0, self.q, step)]
+        reps = len(counts) // self.q
+        self.fold = np.repeat(np.tile(np.arange(self.q, dtype=np.min_scalar_type(self.q)), reps),
+                              counts)
+        self.rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps)), counts.reshape(
+            reps, -1).sum(axis=1))
         self.weights = None if weights is None else self.rows(np.asarray(weights, dtype=float))
-        if weights is not None:
-            counts = [float(self.weights[self.held(s)].sum()) for s in range(len(counts))]
-        total = sum(counts)
-        self.sizes = [total] if folds is None else [total - c for c in counts]
+        held = counts if weights is None else np.add.reduceat(self.weights, self.bounds[:-1])
+        held = held.reshape(-1, self.q).astype(float)
+        self.sizes = (held if folds is None else held.sum(axis=1, keepdims=True) - held).ravel()
 
     def rows(self, a: NDArray) -> NDArray:
         """a's rows in fold-major order, gathered along memory order."""
@@ -171,34 +206,58 @@ class _TrainingSets:
     def held(self, s: int) -> slice:
         return slice(self.bounds[s], self.bounds[s + 1])
 
-    def _train(self, s: int) -> tuple[slice, ...]:
-        if self.folds is None:
-            return (slice(None),)
-        return slice(0, self.bounds[s]), slice(self.bounds[s + 1], None)
+    def own(self, x: NDArray, run: slice, out: NDArray, at: NDArray | None = None) -> None:
+        """Write into out (n,) each unit's entry of packed x (Q', m) for the set
+        its fold is held out of, for the units of the folds in `run`: entry i of
+        unit i, or at[i] (m = K n for per-code values, at a unit's own code)."""
+        flat, m = x.reshape(-1), x.shape[-1]
+        for r in range(self.spans.shape[0] - 1):  # a replicate's folds in `run`: one run of memory
+            part = slice(self.bounds[r * self.q + run.start], self.bounds[r * self.q + run.stop])
+            pick = np.multiply(self.fold[part] - run.start, m, dtype=np.intp)
+            pick += np.arange(part.start, part.stop) if at is None else at[part]
+            out[part] = flat[pick]
 
-    def mean(self, s: int, basis: NDArray, weights: NDArray, v: NDArray | None = None) -> NDArray:
-        """The (K, q) weighted mean over set s's units of weights_ic v_i basis_i
-        (v = 1 when None): per code c, basis'(W_c v) / n_s."""
-        v = v if self.weights is None else self.weights if v is None else v * self.weights
-        parts = ((weights.T[:, r] if v is None else weights.T[:, r] * v[r]) @ basis[r]
-                 for r in self._train(s))
-        return sum(parts) / self.sizes[s]
+    def spread(self, v: NDArray, run: slice) -> NDArray:
+        """Per-set scalars v (S,) packed (Q', n) for `run`."""
+        return v.reshape(-1, self.q)[:, run].T[:, self.rep]
 
-    def shared(self, basis: NDArray, weights: NDArray) -> NDArray:
-        """Every set's `mean` (v = 1) of an input all sets share, (S, K, q), from
-        each fold's block basis'W_c computed once (`_per_set`)."""
+    def means(self, x: NDArray, basis: NDArray, run: slice) -> NDArray:
+        """(R, Q', ..., q): the weighted mean over each set's units of x_i basis_i,
+        x packed (Q', ..., n) for `run`, a temporary this may overwrite; one
+        product per replicate for all its sets in the run (`joined` stacks the
+        runs' parts)."""
         if self.weights is not None:
-            weights = weights * self.weights[:, None]
-        return self._per_set(np.stack([weights.T[:, self.held(f)] @ basis[self.held(f)]
+            x = x * self.weights
+        if self.folds is not None:  # zero each set's own fold, one run of memory
+            for r in range(self.spans.shape[0] - 1):
+                for q in range(run.start, run.stop):
+                    x[q - run.start, ..., self.held(r * self.q + q)] = 0.0
+        sums = np.stack([(x[..., a:b].reshape(-1, b - a) @ basis[a:b]).reshape(
+            x.shape[:-1] + basis.shape[1:]) for a, b in zip(self.spans[:-1], self.spans[1:])])
+        return sums / self.sizes.reshape((-1, self.q) + (1,) * (sums.ndim - 2))[:, run]
+
+    def joined(self, parts: Sequence[NDArray]) -> NDArray:
+        """(S, ...): the runs' (R, Q', ...) parts in set order."""
+        x = np.concatenate(parts, axis=1)
+        return x.reshape((-1,) + x.shape[2:])
+
+    def shared(self, x: NDArray, basis: NDArray) -> NDArray:
+        """Every set's `means` of an input all sets share, x (K, n): (S, K, q),
+        from each fold's block x basis computed once (`_per_set`)."""
+        if self.weights is not None:
+            x = x * self.weights
+        return self._per_set(np.stack([x[:, self.held(f)] @ basis[self.held(f)]
                                        for f in range(len(self.sizes))]))
 
     def _per_set(self, blocks: NDArray) -> NDArray:
-        """Each set's normalized sum of the other folds' blocks (Q, ...), never a
-        difference, so a block zero in every training fold stays exactly zero."""
+        """Each set's normalized sum of the other folds' blocks of its replicate
+        (S, ...), never a difference, so a block zero in every training fold
+        stays exactly zero."""
         if self.folds is not None:
-            blocks = np.stack([blocks[:s].sum(axis=0) + blocks[s + 1:].sum(axis=0)
-                               for s in range(len(blocks))])
-        return blocks / np.reshape(self.sizes, (-1,) + (1,) * (blocks.ndim - 1))
+            by_rep = blocks.reshape((-1, self.q) + blocks.shape[1:])
+            blocks = np.stack([by_rep[:, :s].sum(axis=1) + by_rep[:, s + 1:].sum(axis=1)
+                               for s in range(self.q)], axis=1).reshape(blocks.shape)
+        return blocks / self.sizes.reshape((-1,) + (1,) * (blocks.ndim - 1))
 
     def grams(self, basis: NDArray, codes: NDArray, k: int) -> NDArray:
         """Every set's normalized Gram B' diag(w) B of the units basis_i in the
@@ -220,15 +279,15 @@ class _TrainingSets:
 
 
 class _Design:
-    """A factored design over the rows of `sets`, held in their fold-major order:
-    row i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in the column
-    block of code c_i. Its Gram over any row set is block-diagonal by code, so each
-    training set's system is K blocks of size q (built on the first `solve`). The
-    basis is laid out column-major once; values B beta_c (`LinearFn.code_values` of
-    `basis`) are picked at each row's code through the column-major flat index
-    c_i*n + i. Given `cells` (the states' grid rows), a tabular basis is their
-    one-hot. A code outside 0..K-1 is a PlanError, and a tabular state farther
-    than GRID_TOLERANCE from its grid row a ValidationError, naming `name`."""
+    """A factored design over the units of `sets`, held in their fold-major order:
+    unit i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in the column
+    block of code c_i. Its Gram over any unit set is block-diagonal by code, so
+    each training set's system is K blocks of size q (`systems`, computed once).
+    The basis is laid out column-major once. Per-code values (..., K, n) are
+    picked at each unit's code through the flat index c_i*n + i. Given `cells`
+    (the states' grid rows), a tabular basis is their one-hot. A code outside
+    0..K-1 is a PlanError, and a tabular state farther than GRID_TOLERANCE from
+    its grid row a ValidationError, naming `name`."""
 
     def __init__(
         self, phi: FeatureMap, states: NDArray, codes: NDArray, sets: _TrainingSets,
@@ -259,13 +318,15 @@ class _Design:
 
     def require(self, weights: NDArray) -> None:
         """A PositivityError naming the first code that carries weight in
-        `weights` (n, K) but that no row has: the representer there, an inverse
-        propensity, does not exist."""
-        seen = np.bincount(self.codes, minlength=self.phi.arity) > 0
-        missing = np.flatnonzero(weights.any(axis=0) & ~seen)
-        if missing.size:
-            raise PositivityError(
-                f"{self.name}: the plan targets treatment code {missing[0]}, which no row has")
+        `weights` (K, n) on some replicate's units but that none of them has:
+        the representer there, an inverse propensity, does not exist."""
+        spans = self.sets.spans
+        seen = np.zeros((spans.shape[0] - 1, self.phi.arity), dtype=bool)
+        seen[self.sets.rep, self.codes] = True
+        missing = np.logical_or.reduceat(weights != 0.0, spans[:-1], axis=1).T & ~seen
+        if missing.any():
+            raise PositivityError(f"{self.name}: the plan targets treatment code "
+                                  f"{np.argwhere(missing)[0, 1]}, which no row has")
 
     def fn(self, coef: NDArray, clip: float | None = None) -> LinearFn:
         """The linear function of phi whose (K, q) coefficient blocks are `coef`."""
@@ -273,39 +334,56 @@ class _Design:
         w[self.layout] = coef
         return LinearFn(self.phi, w, clip)
 
-    def pick(self, values: NDArray, rows: slice = slice(None)) -> NDArray:
-        """Each row's entry at its own code, from column-major `values` on `rows`."""
-        m = values.shape[0]
-        flat = self.flat if rows == slice(None) else (
-            np.multiply(self.codes[rows], m, dtype=np.intp) + np.arange(m))
-        return values.T.ravel()[flat]
+    def values(self, coef: NDArray, clip: float | None, run: slice) -> NDArray:
+        """Packed (Q', K, n) for `run`: every set's linear function with (K, q)
+        coefficient blocks coef[s] (S, K, q) at every code, on its replicate's
+        units, clipped to [-clip, clip]."""
+        spans = self.sets.spans
+        by_rep = coef.reshape((-1, self.sets.q) + coef.shape[1:])[:, run]
+        parts = [(c.reshape(-1, c.shape[-1]) @ self.basis[a:b].T).reshape(c.shape[:2] + (b - a,))
+                 for c, a, b in zip(by_rep, spans[:-1], spans[1:])]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        return out if clip is None else np.clip(out, -clip, clip, out=out)
+
+    def own(self, values: NDArray, run: slice, out: NDArray) -> None:
+        """`_TrainingSets.own` of packed per-code values (Q', K, n) at each unit's code."""
+        self.sets.own(values.reshape(values.shape[0], -1), run, out, self.flat)
+
+    def pick(self, values: NDArray) -> NDArray:
+        """(..., n): each unit's entry at its own code, of `values` (..., K, n)."""
+        return values.reshape(values.shape[:-2] + (-1,))[..., self.flat]
 
     def scatter(self, v: NDArray) -> NDArray:
-        """(n, K), column-major: v_i at each row's own code, zero at the others."""
-        out = np.zeros(self.phi.arity * self.flat.shape[0])
-        out[self.flat] = v
-        return out.reshape(self.phi.arity, -1).T
+        """(..., K, n): v (..., n) at each unit's own code, zero at the others."""
+        out = np.zeros(v.shape[:-1] + (self.phi.arity * self.flat.shape[0],))
+        out[..., self.flat] = v
+        return out.reshape(v.shape[:-1] + (self.phi.arity, -1))
+
+    def systems(self) -> tuple[NDArray, NDArray]:
+        """Every set's Gram blocks (S, K, q, q) and penalty (S,), computed once."""
+        if self._systems is None:
+            grams, sizes = self.sets.grams(self.basis, self.codes, self.phi.arity), self.sets.sizes
+            self._systems = grams, np.broadcast_to(
+                self.cfg.stage_ridge(self.period, grams, sizes), sizes.shape)
+        return self._systems
 
     def solve(
         self, rhs: NDArray, where: str, border: tuple[NDArray, NDArray, NDArray] | None = None,
     ) -> tuple[NDArray, NDArray]:
         """Per set s, the coefficient blocks (S, K, q) of (G_s + lam_s I) beta =
         rhs_s, lam_s resolved from the full Gram G_s by cfg.stage_ridge, in one
-        batched call; a SolverError names the set and `where`. A border
+        batched call; a SolverError names the set's fold and `where`. A border
         (b, d, e) = (X'c/n_s, c'c/n_s, c'u/n_s) appends one unpenalized design
         column c with coefficient gamma: the blocks are solved for [rhs, b],
         then gamma from the Schur complement d - b'A^-1 b. A set with d = 0
         keeps the plain fit, gamma 0. Returns (beta, gamma), gamma 0 without
         a border."""
-        if self._systems is None:
-            grams = self.sets.grams(self.basis, self.codes, self.phi.arity)
-            self._systems = grams, np.array([self.cfg.stage_ridge(self.period, g, n_s)
-                                             for g, n_s in zip(grams, self.sets.sizes)])
-        grams, lam = self._systems
+        grams, lam = self.systems()
         a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
 
         def name(index: tuple) -> str:
-            return ("" if self.sets.folds is None else f"fold {index[0]}: ") + f"{where}: "
+            return ("" if self.sets.folds is None else f"fold {index[0] % self.sets.q}: ") + (
+                f"{where}: ")
 
         if border is None:
             return _solve_spd(a, rhs, lam[:, None], self.layout, name), np.zeros(len(rhs))
@@ -323,140 +401,195 @@ class _Design:
 
 
 class _Stages:
-    """Both nuisance passes over one panel, solved for several training sets
-    (`_TrainingSets`; with `folds`, one per fold).
+    """Both nuisance passes over the panels of one or more replicates, solved
+    for several training sets (`_TrainingSets`). With `folds`, folds[r] are
+    replicate r's fold index arrays into its own rows, and each fold of each
+    replicate holds out one training set; without, the one panel is one set.
 
-    Per period the engine keeps one factored design (`_Design`: the state basis
-    B_t, the observed codes and, once solved, the per-set Gram blocks) and the
-    (n, K) code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c),
-    over the units of `_units` (`index` places each row among them). Each pass
-    visits the periods once and solves every training set's stage in one
-    batched call. Right-hand sides are B_t'(W_c v) (forward) and
-    B_t'(1{T_t = c} u) (backward) over a set's units, per fold if all sets share v or u.
+    Each replicate is checked and reduced to its units (`_units`) as it would
+    be alone, and the units of all replicates are stacked. Per period the
+    engine keeps one factored design (`_Design`: the state basis B_t, the
+    observed codes and the per-set Gram blocks) and the (K, n) code weights
+    W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c), over the
+    stacked units (`index[r]` places replicate r's rows among them, and
+    `outcomes[r]` keeps its rows' Y). Each pass visits the periods once and
+    solves every training set's stage in one batched call. Right-hand sides
+    are B_t'(W_c v) (forward) and B_t'(1{T_t = c} u) (backward) over a set's
+    units, per fold if all sets share v or u; the sets' fitted functions are
+    valued packed (`_TrainingSets`), every set of a replicate in one product.
     """
 
     def __init__(
-        self, data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig,
-        folds: Sequence[NDArray] | None = None,
+        self, panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
+        folds: Sequence[Sequence[NDArray]] | None = None,
     ) -> None:
-        _check_setup(data, plan, cfg)
-        self.plan, self.cfg = plan, cfg
-        self.data, self.sets, self.index, cells = _units(data, cfg.feature_maps, folds)
-        sets, self.designs, self.code_weights = self.sets, [], []
-        for t, (phi, cell) in enumerate(zip(cfg.feature_maps, cells), start=1):
+        self.plan, self.cfg, parts = plan, cfg, []
+        for r, data in enumerate(panels):  # each replicate's rows live only for its units
+            _check_setup(data, plan, cfg)
+            parts.append((data.outcome, *_units(data, cfg.feature_maps,
+                                                None if folds is None else folds[r])))
+        self.outcomes, units, unit_folds, weights, index, cells = (list(x) for x in zip(*parts))
+        starts = np.cumsum([0] + [u.n_units for u in units])
+        self.data = units[0] if len(units) == 1 else PanelDataset(
+            tuple(map(np.concatenate, zip(*(u.states for u in units)))),
+            np.concatenate([u.treatments for u in units]),
+            np.concatenate([u.outcome for u in units]), units[0].treatment_arities)
+        if any(w is not None for w in weights):  # rows as units count once
+            weights = [np.ones(u.n_units) if w is None else w for u, w in zip(units, weights)]
+        self.sets = sets = _TrainingSets(
+            starts[-1], None if folds is None else [
+                idx + start for fs, start in zip(unit_folds, starts) for idx in fs],
+            _joined(weights), None if folds is None else len(folds[0]))
+        index = [i if i is None or a == 0 else i + a for i, a in zip(index, starts)]
+        if folds is not None and any(i is None for i in index):  # rows as units: their places
+            place = np.empty(starts[-1], dtype=np.intp)
+            place[sets.order] = np.arange(starts[-1])
+            index = [place[a:b] if i is None else i for i, a, b in zip(index, starts, starts[1:])]
+        self.index = index
+        self.designs, self.code_weights = [], []
+        for t, (phi, cell) in enumerate(zip(cfg.feature_maps, zip(*cells)), start=1):
             states, codes = self.data.states[t - 1], self.data.treatments[:, t - 1]
-            self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}", cell))
-            self.code_weights.append(sets.rows(_code_weights(plan, t, self.data, phi.arity)))
+            self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}",
+                                        _joined(cell)))
+            self.code_weights.append(sets.rows(_code_weights(plan, t, self.data, phi.arity)).T)
         for design, weights in zip(self.designs, self.code_weights):
             design.require(weights)
+        for design in self.designs:  # every Gram before the passes allocate their values
+            design.systems()
 
-    def _values(self, t: int, g: Fn, rows: slice) -> NDArray:
-        """(m, K), a new array: g(S_t, c) on `rows` for every code c. A g linear
-        in phi_t is valued from the basis (a clip applies to each value), a
-        `CombinedFn` part by part; any other g is evaluated at each code."""
-        design = self.designs[t - 1]
-        if isinstance(g, LinearFn) and g.features is design.phi:
-            return g.code_values(design.basis[rows])
-        if isinstance(g, CombinedFn):
-            out = np.zeros((design.phi.arity, design.basis[rows].shape[0])).T
-            for c, fn in g.parts:
-                if c != 0.0:
-                    v = self._values(t, fn, rows)
-                    v *= c
-                    out += v
-            return out
-        states = self.sets.rows(self.data.states[t - 1])[rows]
-        return np.stack([g.batch(states, np.full(states.shape[0], c))
-                         for c in range(design.phi.arity)]).T
+    def representer(self, t: int, a: NDArray | Fn, run: slice) -> NDArray:
+        """Packed per-code values (Q', K, n) for `run` of period t's representers:
+        the sets' fitted (S, K, q) coefficient blocks a, clipped by cfg.clip, or
+        with one set any function a, evaluated at every code."""
+        if isinstance(a, np.ndarray):
+            return self.designs[t - 1].values(a, self.cfg.clip, run)
+        states = self.sets.rows(self.data.states[t - 1])
+        return np.stack([a.batch(states, np.full(states.shape[0], c))
+                         for c in range(self.designs[t - 1].phi.arity)])[None]
 
-    def _observed(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
-        """g(S_t, T_t) on `rows`."""
-        return self.designs[t - 1].pick(self._values(t, g, rows), rows)
+    def moment(self, t: int, values: NDArray) -> NDArray:
+        """m_t(Z; g) on the units, of g's per-code values (..., K, n)."""
+        return np.einsum("kn,...kn->...n", self.code_weights[t - 1], values)
 
-    def _moment(self, t: int, g: Fn, rows: slice = slice(None)) -> NDArray:
-        """m_t(Z; g) on `rows`."""
-        return np.einsum("ik,ik->i", self.code_weights[t - 1][rows], self._values(t, g, rows))
-
-    def riesz(self) -> list[list[LinearFn]]:
-        """The forward pass of `fit_recursive_riesz` for every training set: the
-        right-hand side is B_t'(W_c a_{t-1}(S_{t-1}, T_{t-1})) over the set's rows."""
-        sets = self.sets
-        fitted: list[list[LinearFn]] = [[] for _ in sets.sizes]
-        for t in range(1, self.data.num_periods + 1):
-            design, weights = self.designs[t - 1], self.code_weights[t - 1]
-            rhs = sets.shared(design.basis, weights) if t == 1 else np.stack([
-                sets.mean(s, design.basis, weights, self._observed(t - 1, reps[-1]))
-                for s, reps in enumerate(fitted)])
-            for reps, coef in zip(fitted, design.solve(rhs, f"period {t}")[0]):
-                reps.append(design.fn(coef, self.cfg.clip))
-        return fitted
+    def riesz(self) -> tuple[list[NDArray], NDArray | None]:
+        """The forward pass of `fit_recursive_riesz` for every training set: per
+        period the (S, K, q) coefficients, and with folds held[t-1], each unit's
+        a_t(S_t, T_t) from the set its fold holds out. The right-hand side is
+        B_t'(W_c a_{t-1}(S_{t-1}, T_{t-1})) over the set's units, valued a run
+        of sets at a time."""
+        sets, m = self.sets, len(self.designs)
+        coefs: list[NDArray] = []
+        held = np.empty((m, self.data.n_units)) if sets.folds else None
+        rhs = sets.shared(self.code_weights[0], self.designs[0].basis)
+        for t, design in enumerate(self.designs, start=1):
+            coefs.append(design.solve(rhs, f"period {t}")[0])
+            parts = []
+            for run in sets.runs:
+                a = design.pick(design.values(coefs[-1], self.cfg.clip, run))
+                if held is not None:
+                    sets.own(a, run, held[t - 1])
+                if t < m:
+                    parts.append(sets.means(self.code_weights[t] * a[:, None],
+                                            self.designs[t].basis, run))
+            rhs = sets.joined(parts) if t < m else rhs
+        return coefs, held
 
     def regressions(
-        self, representers: Sequence[Sequence[Fn]] | None, clever: bool
-    ) -> tuple[list[list[Fn]], NDArray | None, NDArray]:
+        self, representers: Sequence[NDArray | Fn] | None, clever: bool
+    ) -> tuple[list[NDArray], NDArray, NDArray | None, NDArray, NDArray | None]:
         """The backward pass of `fit_nested_regressions` for every training set.
-        With `clever`, training set s's representer for the period joins its
-        design as an unpenalized column (`fit_clever_covariate`), and the fit
-        is the `CombinedFn` of the linear part and gamma times that
-        representer. Returns (fits, held, train_means): with folds, held[t-1]
-        holds (a_t, u_t, f_t) (3, units) on every unit, from the nuisances of
-        the set its fold holds out (`representers` per set), and with
-        `clever` train_means[s, t-1] is the mean of a_t (u_t - f_t) over the
-        set's training rows, from its normal equations."""
-        m, sets = self.data.num_periods, self.sets
-        fitted: list[list[Fn]] = [[None] * m for _ in sets.sizes]  # type: ignore[list-item]
-        held = np.empty((m, 3, self.data.n_units)) if sets.folds else None
+        With `clever`, set s's representer for the period joins its design as
+        an unpenalized column (`fit_clever_covariate`): the fit is the linear
+        part plus gamma_s times that representer, representers[t-1] as
+        `representer` takes it. Each solved stage is valued a run of sets at a
+        time, and the run's pseudo-outcomes go straight into the previous
+        period's right-hand side. Returns (coefs, gammas (M, S),
+        held, train_means, plug): with folds, held[t-1] holds (u_t, f_t)
+        (2, units) on every unit, from the nuisances of the set its fold holds
+        out, and plug m_1(Z; f_1) likewise; with `clever` train_means[s, t-1]
+        is the mean of a_t (u_t - f_t) over the set's training rows, from its
+        normal equations."""
+        m, sets, n = self.data.num_periods, self.sets, self.data.n_units
+        coefs: list[NDArray] = [np.empty(0)] * m
+        gammas = np.zeros((m, len(sets.sizes)))
+        held = np.empty((m, 2, n)) if sets.folds else None
+        plug = np.empty(n) if sets.folds else None
         train_means = np.zeros((len(sets.sizes), m))
-        outcome = sets.rows(self.data.outcome)
+        y, last = sets.rows(self.data.outcome), self.designs[-1]
+        rhs = sets.shared(last.scatter(y), last.basis)
+        borders = [self._border(m, representers[-1], y, run) for run in sets.runs] if clever else []
         for t in range(m, 0, -1):
-            design = self.designs[t - 1]
-            reps = [r[t - 1] for r in representers] if representers else [None] * len(fitted)
-            rhs, border = [], []
-            for s, fs in enumerate(fitted):
-                u = outcome if t == m else self._moment(t + 1, fs[t])
-                if t < m:
-                    rhs.append(sets.mean(s, design.basis, design.scatter(u)))
+            design, border = self.designs[t - 1], None
+            if clever:
+                b, de = (sets.joined(parts) for parts in zip(*borders))
+                border = (b, *de[..., 0].T)
+            coefs[t - 1], gammas[t - 1] = design.solve(rhs, f"period {t}", border)
+            if clever:  # the mean of a (u - f) on the training rows
+                b, d, e = border
+                train_means[:, t - 1] = (e - np.einsum("skj,skj->s", b, coefs[t - 1])
+                                         - d * gammas[t - 1])
+            parts, borders = [], []
+            for run in sets.runs:
+                values = design.values(coefs[t - 1], None, run)
                 if clever:
-                    a = self._observed(t, reps[s])
-                    border.append((sets.mean(s, design.basis, design.scatter(a)),  # X'a, a'a, a'u
-                                   *sets.mean(s, np.stack([a, u]).T, a[:, None])[0]))
+                    values += sets.spread(gammas[t - 1], run)[:, None] * self.representer(
+                        t, representers[t - 1], run)
+                u = self.moment(t, values)  # u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
                 if held is not None:
-                    h = sets.held(s)
-                    held[t - 1, :2, h] = (a[h] if clever else self._observed(t, reps[s], h)), u[h]
-            rhs = sets.shared(design.basis, design.scatter(outcome)) if t == m else np.stack(rhs)
-            coefs, gammas = design.solve(rhs, f"period {t}",
-                                         [np.array(part) for part in zip(*border)] or None)
-            for s, (coef, gamma) in enumerate(zip(coefs, gammas)):
-                f = design.fn(coef)
-                if clever:
-                    f = CombinedFn(((1.0, f), (float(gamma), reps[s])))
-                    b, d, e = border[s]  # the mean of a (u - f) on the training rows
-                    train_means[s, t - 1] = e - np.sum(b * coef) - d * gamma
-                fitted[s][t - 1] = f
-                if held is not None:
-                    held[t - 1, 2, sets.held(s)] = self._observed(t, f, sets.held(s))
-        return fitted, held, train_means
+                    design.own(values, run, held[t - 1, 1])
+                    sets.own(u, run, held[t - 2, 0] if t > 1 else plug)
+                if t > 1:
+                    prev = self.designs[t - 2]
+                    parts.append(sets.means(prev.scatter(u), prev.basis, run))
+                    if clever:
+                        borders.append(self._border(t - 1, representers[t - 2], u, run))
+            rhs = sets.joined(parts) if t > 1 else rhs
+        if held is not None:
+            held[m - 1, 0] = y
+        return coefs, gammas, held, train_means, plug
+
+    def _border(self, t: int, rep: NDArray | Fn, u: NDArray, run: slice) -> tuple[NDArray, NDArray]:
+        """For the sets of `run`, the border sums of period t's representer a
+        (`representer`) given the pseudo-outcome u: X'a and (a'a, a'u)
+        (`_Design.solve`)."""
+        design = self.designs[t - 1]
+        a = design.pick(self.representer(t, rep, run))
+        return (self.sets.means(design.scatter(a), design.basis, run),
+                self.sets.means(np.stack([a * a, a * u], axis=1), np.ones((a.shape[-1], 1)), run))
+
+
+def _joined(arrays: Sequence[NDArray | None]) -> NDArray | None:
+    """The replicates' arrays one after another, or None if any is None; one
+    replicate's array itself."""
+    if any(a is None for a in arrays):
+        return None
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def cross_fit(
-    data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, folds: Sequence[NDArray],
-    clever: bool = False,
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Fit both nuisance sequences once per fold on the rows outside it, and
-    score the fold's rows with them: each unit's held-out plug-in and
-    (a_t, u_t, f_t) are gathered to its rows, with u_M each row's own Y, for
-    `core._ladder`. Returns the held-out score of every row, its corrections
-    (M, n) and, with `clever`, per fold and period (Q, M) the mean correction
-    a_t (u_t - f_t) over the fold's training rows."""
-    stages = _Stages(data, plan, cfg, folds)
-    fitted, held, train_means = stages.regressions(stages.riesz(), clever)
-    index, m = stages.index, data.num_periods
-    plug = np.concatenate([stages._moment(1, fs[0], stages.sets.held(s))
-                           for s, fs in enumerate(fitted)])
-    values, _, corrections = _ladder(plug[index], (
-        (a[index], data.outcome if t == m else u[index], f[index])
-        for t, (a, u, f) in enumerate(held, start=1)))
-    return values, corrections, train_means
+    panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
+    folds: Sequence[Sequence[NDArray]], clever: bool = False,
+) -> list[tuple[NDArray, NDArray, NDArray]]:
+    """Fit both nuisance sequences once per fold of each panel (a replicate,
+    folds[r] being its folds) on the panel's rows outside it, and score the
+    fold's rows with them: each unit's held-out plug-in and (a_t, u_t, f_t)
+    are gathered to its rows, with u_M each row's own Y, for `core._ladder`.
+    All are fitted in one pass of the stage engine, and each gets the
+    estimate it gets alone, up to rounding. Yields, panel by panel (so each
+    panel's row arrays can go before the next panel's are made), the held-out
+    score of every row, its corrections (M, n_r) and, with `clever`, per fold
+    and period (Q, M) the mean correction a_t (u_t - f_t) over the fold's
+    training rows."""
+    stages = _Stages(panels, plan, cfg, folds)
+    representers, held_a = stages.riesz()
+    _, _, held, train_means, plug = stages.regressions(representers, clever)
+    m = len(held)
+    for index, y, means in zip(stages.index, stages.outcomes,
+                               train_means.reshape(len(folds), -1, m)):
+        values, _, corrections = _ladder(plug[index], (
+            (a[index], y if t == m else u[index], f[index])
+            for t, (a, (u, f)) in enumerate(zip(held_a, held), start=1)))
+        yield values, corrections, means
 
 
 def fit_nested_regressions(
@@ -464,7 +597,9 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    return _Stages(data, plan, cfg).regressions(None, clever=False)[0][0]
+    stages = _Stages([data], plan, cfg)
+    coefs = stages.regressions(None, clever=False)[0]
+    return [design.fn(coef[0]) for design, coef in zip(stages.designs, coefs)]
 
 
 def riesz_loss(
@@ -501,7 +636,8 @@ def fit_recursive_riesz(
     closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)], where
     Phi_t(Z) = sum_k w_k(Z) phi_t(S_t, d_k(Z)) is the feature image of the
     period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
-    return _Stages(data, plan, cfg).riesz()[0]
+    stages = _Stages([data], plan, cfg)
+    return [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, stages.riesz()[0])]
 
 
 def fit_clever_covariate(
@@ -515,34 +651,52 @@ def fit_clever_covariate(
     empirical mean zero by the normal equations and plug-in estimation
     already equals the debiased estimate. Period t's fit is
     CombinedFn(((1.0, LinearFn(phi_t, w)), (gamma, representers[t-1])))."""
-    stages = _Stages(data, plan, cfg)
+    stages = _Stages([data], plan, cfg)
     if len(representers) != data.num_periods:
         raise ValidationError("need one representer per period")
-    return stages.regressions([tuple(representers)], clever=True)[0][0]
+    return _regression_fns(stages, representers, representers, clever=True)
 
 
 def fit_nuisances(
     data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, clever: bool = False
 ):
     """Fit both sequences on one sample; returns (regressions, representers)."""
-    stages = _Stages(data, plan, cfg)
-    (representers,) = stages.riesz()
-    (regressions,), _, _ = stages.regressions([representers], clever)
-    return regressions, representers
+    stages = _Stages([data], plan, cfg)
+    coefs = stages.riesz()[0]
+    representers = [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, coefs)]
+    return _regression_fns(stages, coefs, representers, clever), representers
+
+
+def _regression_fns(
+    stages: _Stages, fitted: Sequence[NDArray | Fn], representers: Sequence[Fn], clever: bool,
+) -> list:
+    """The one-set backward pass as functions, given the representers as
+    `_Stages.regressions` takes them: with `clever`, period t's is
+    CombinedFn(((1.0, linear part), (gamma, representers[t-1])))."""
+    coefs, gammas = stages.regressions(fitted, clever)[:2]
+    fns = [design.fn(coef[0]) for design, coef in zip(stages.designs, coefs)]
+    if not clever:
+        return fns
+    return [CombinedFn(((1.0, f), (float(g[0]), a))) for f, g, a in zip(fns, gammas, representers)]
 
 
 def _units(
     data: PanelDataset, maps: Sequence[FeatureMap], folds: Sequence[NDArray] | None,
-) -> tuple[PanelDataset, _TrainingSets, NDArray | None, list[NDArray | None]]:
-    """The panel the engine fits on, its training sets, each row's place among
-    their fold-major units (None without folds), and per period the rows' grid
-    rows if the decision computed them and the units are the rows (else None).
+) -> tuple[PanelDataset, Sequence[NDArray] | None, NDArray | None, NDArray | None,
+           list[NDArray | None]]:
+    """The units one replicate is fitted on: (panel, folds, weights, index,
+    cells), the index placing each row among the units in fold-major order
+    (None when the units are the rows), and per period the rows' grid rows if
+    the decision computed them and the units are the rows (else None).
     The units are the distinct (fold, per-period grid row and code) histories,
-    weighted by their counts, with their rows' mean Y, when every map is
-    tabular, every code is below its map's arity, every state equals its grid
-    row by value (-0.0 equals 0.0), and the key space Q * prod_t(G_t K_t) is at
-    most n: one int64 key per row, `bincount` over the key space (no sort),
-    each unit decoded from its key. Otherwise they are the rows, unweighted."""
+    weighted by their counts, with their rows' mean Y, already in fold-major
+    order, when every map is tabular, every code is below its map's arity,
+    every state equals its grid row by value (-0.0 equals 0.0), and the key
+    space Q * prod_t(G_t K_t) is at most n: one int64 key per row, the
+    history's digits period by period and the fold's last (so a panel that
+    fails the grid test pays no fold pass), `bincount` over the key space (no
+    sort), each unit decoded from its key. Otherwise they are the rows,
+    unweighted, with the given folds."""
     n, cells = data.n_units, []
     shape = [1 if folds is None else len(folds)]
     shape += [size for phi in maps if isinstance(phi, TabularFeatures)
@@ -550,8 +704,6 @@ def _units(
     if len(shape) == 1 + 2 * len(maps) and math.prod(shape) <= n and all(
             data.treatments[:, t].max() < phi.arity for t, phi in enumerate(maps)):
         key = np.zeros(n, dtype=np.int64)
-        for q, idx in enumerate(() if folds is None else folds):
-            key[idx] = q
         for t, phi in enumerate(maps):
             cells.append(cell := phi.state_index(data.states[t]))
             if not np.array_equal(phi.grid[cell], data.states[t]):
@@ -561,6 +713,11 @@ def _units(
             key *= phi.arity
             key += data.treatments[:, t]
         else:
+            if folds is not None:  # the fold digit leads: every fold's keys after the last's
+                digit = np.empty(n, dtype=np.int64)
+                for q, idx in enumerate(folds):
+                    digit[idx] = q * math.prod(shape[1:])
+                key += digit
             counts = np.bincount(key, minlength=math.prod(shape))
             units = np.flatnonzero(counts)
             fold, *digits = np.unravel_index(units, shape)
@@ -569,13 +726,9 @@ def _units(
                                  np.stack(digits[1::2], axis=1), mean_y, data.treatment_arities)
             held = None if folds is None else np.split(
                 np.arange(units.shape[0]), np.searchsorted(fold, np.arange(1, len(folds))))
-            return (panel, _TrainingSets(units.shape[0], held, counts[units]),
-                    None if folds is None else (np.cumsum(counts > 0) - 1)[key], [None] * len(maps))
-    sets = _TrainingSets(n, folds)
-    index = None if folds is None else np.empty(n, dtype=np.intp)
-    if folds is not None:
-        index[sets.order] = np.arange(n)
-    return data, sets, index, cells + [None] * (len(maps) - len(cells))
+            index = None if folds is None else (np.cumsum(counts > 0) - 1)[key]
+            return panel, held, counts[units], index, [None] * len(maps)
+    return data, folds, None, None, cells + [None] * (len(maps) - len(cells))
 
 
 def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:

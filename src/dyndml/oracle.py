@@ -218,30 +218,36 @@ def simulate(dgp: DiscreteDGP, n: int, seed: int) -> PanelDataset:
         raise ValidationError("n must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     m = dgp.num_periods
-    states = np.zeros((n, m), dtype=np.int64)
-    treats = np.zeros((n, m), dtype=np.int64)
-    states[:, 0] = _draw_rows(rng, np.broadcast_to(dgp.initial, (n, dgp.initial.shape[0])))
+    states = np.zeros((m, n), dtype=np.int64)
+    treats = np.zeros((m, n), dtype=np.int64)
+    # Each table's cumulative rows once; a row's cumsum is the same sequential sum.
+    states[0] = _draw_rows(rng, np.cumsum(dgp.initial)[None], np.zeros(n, dtype=np.intp))
     for t in range(m):
-        treats[:, t] = _draw_rows(rng, dgp.propensities[t][states[:, t]])
+        treats[t] = _draw_rows(rng, np.cumsum(dgp.propensities[t], axis=-1), states[t])
         if t < m - 1:
-            states[:, t + 1] = _draw_rows(rng, dgp.transitions[t][states[:, t], treats[:, t]])
-    y = dgp.outcome_mean[states[:, -1], treats[:, -1]].copy()
+            table = dgp.transitions[t]
+            states[t + 1] = _draw_rows(rng, np.cumsum(table, axis=-1).reshape(-1, table.shape[-1]),
+                                       states[t] * table.shape[1] + treats[t])
+    y = np.take(dgp.outcome_mean, states[-1] * dgp.outcome_mean.shape[1] + treats[-1])
     if dgp.sigma_y > 0:
         y += dgp.sigma_y * rng.standard_normal(n)
     return PanelDataset(
-        states=tuple(states[:, t].astype(float)[:, None] for t in range(m)),
-        treatments=treats,
+        states=tuple(s.astype(float)[:, None] for s in states),
+        treatments=treats.T,
         outcome=y,
         treatment_arities=dgp.treatment_arities,
     )
 
 
-def _draw_rows(rng: np.random.Generator, probs: NDArray) -> NDArray:
-    """Inverse-CDF draw of one category per row of a probability matrix."""
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
-    idx = (u[:, None] >= cum).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+def _draw_rows(rng: np.random.Generator, cum: NDArray, rows: NDArray) -> NDArray:
+    """Inverse-CDF draw of one category per unit i from row rows[i] of a
+    cumulative probability table cum (R, C): the number of the row's first C - 1
+    entries at or below a uniform draw."""
+    u = rng.random(rows.shape[0])
+    idx = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in cum.T[:-1]:
+        idx += u >= np.take(column, rows)
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -134,33 +134,36 @@ def _cross_fit(
     x_tx = _Design(phi_tx, data.short_x, data.short_t, short, cfg, 1, "short sample (X, T)")
     x_long = _Design(phi_sx, data.long_sx, zeros_long, long, cfg, 2, "long sample (S, X)")
     x_short = _Design(phi_sx, data.short_sx, zeros_short, short, cfg, 2, "short sample (S, X)")
-    contrast = np.broadcast_to(np.array([-1.0, 1.0]), (data.n_short, 2))
+    contrast = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, data.n_short))
     x_tx.require(contrast)
     y = long.rows(data.long_y)
-    pairs = range(len(short.sizes))
-    h = [x_long.fn(c) for c in x_long.solve(
-        long.shared(x_long.basis, x_long.scatter(y)), "h (long-sample regression)")[0]]
-    a1 = [x_tx.fn(c, cfg.clip) for c in x_tx.solve(
-        short.shared(x_tx.basis, contrast), "a1 (treatment representer)")[0]]
-    rhs_g, rhs_a2, held = [], [], []
-    for s in pairs:
-        h_short = x_short.pick(h[s].code_values(x_short.basis))
-        a1_vals = x_tx.pick(a1[s].code_values(x_tx.basis))
-        rhs_g.append(short.mean(s, x_tx.basis, x_tx.scatter(h_short)))
-        rhs_a2.append(short.mean(s, x_short.basis, x_short.scatter(a1_vals)))
-        held.append((h_short[short.held(s)], a1_vals[short.held(s)]))
-    g = [x_tx.fn(c) for c in x_tx.solve(np.stack(rhs_g), "g (short-sample projection)")[0]]
-    a2 = [x_long.fn(c, cfg.clip) for c in x_long.solve(np.stack(rhs_a2), "a2 (surrogate score)")[0]]
+    h = x_long.solve(long.shared(x_long.scatter(y), x_long.basis), "h (long-sample regression)")[0]
+    a1 = x_tx.solve(short.shared(contrast, x_tx.basis), "a1 (treatment representer)")[0]
+    rhs_g, rhs_a2 = [], []
+    held = np.empty((4, data.n_short))  # each record's a1, h, g(1, X) - g(0, X), g
+    for run in short.runs:
+        h_short = x_short.pick(x_short.values(h, None, run))
+        a1_vals = x_tx.pick(x_tx.values(a1, cfg.clip, run))
+        rhs_g.append(short.means(x_tx.scatter(h_short), x_tx.basis, run))
+        rhs_a2.append(short.means(x_short.scatter(a1_vals), x_short.basis, run))
+        if scores is not None:
+            short.own(a1_vals, run, held[0])
+            short.own(h_short, run, held[1])
+    g = x_tx.solve(short.joined(rhs_g), "g (short-sample projection)")[0]
+    a2 = x_long.solve(short.joined(rhs_a2), "a2 (surrogate score)")[0]
     if scores is not None:
-        for s in pairs:
-            hs, hl = short.held(s), long.held(s)
-            g_vals, (h_short, a1_vals) = g[s].code_values(x_tx.basis[hs]), held[s]
-            h_long, a2_long = (x_long.pick(f.code_values(x_long.basis[hl]), hl)
-                               for f in (h[s], a2[s]))
-            scores[0][short.folds[s]], scores[1][long.folds[s]] = _two_sample_scores(
-                g_vals[:, 1] - g_vals[:, 0], (a1_vals, h_short, x_tx.pick(g_vals, hs)),
-                (a2_long, y[hl], h_long))
-    return [SurrogateNuisances(h=h[s], g=g[s], a1=a1[s], a2=a2[s]) for s in pairs]
+        for run in short.runs:
+            g_vals = x_tx.values(g, None, run)
+            short.own(g_vals[:, 1] - g_vals[:, 0], run, held[2])
+            x_tx.own(g_vals, run, held[3])
+        h_long, a2_long = np.empty((2, data.n_long))
+        for run in long.runs:
+            x_long.own(x_long.values(h, None, run), run, h_long)
+            x_long.own(x_long.values(a2, cfg.clip, run), run, a2_long)
+        scores[0][short.order], scores[1][long.order] = _two_sample_scores(
+            held[2], (held[0], held[1], held[3]), (a2_long, y, h_long))
+    return [SurrogateNuisances(h=x_long.fn(h[s]), g=x_tx.fn(g[s]), a1=x_tx.fn(a1[s], cfg.clip),
+                               a2=x_long.fn(a2[s], cfg.clip)) for s in range(len(short.sizes))]
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:

@@ -50,7 +50,7 @@ from dyndml import (
     tabular_fn,
 )
 from dyndml.moment import nuisance_difference
-from dyndml.nuisance import _Design, _units, fit_nuisances
+from dyndml.nuisance import _Design, _TrainingSets, _units, fit_nuisances
 from helpers_surrogate import two_sample_ref
 
 # FixedSequence((1, 1)) spelled with batch rules alone.
@@ -312,6 +312,15 @@ def test_stage_major_cross_fit_matches_per_fold_refits(plan_kind, features, clev
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+@pytest.mark.parametrize("features", ["tabular", "polynomial"])
+def test_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features, clever):
+    # A panel too large to value every training set at once is valued one run
+    # of folds at a time (`_PACKED`); one fold per run must give the same fits.
+    monkeypatch.setattr(dyndml.nuisance, "_PACKED", 1)
+    test_stage_major_cross_fit_matches_per_fold_refits("policy", features, clever, 2.5, None)
+
+
 def one_ulp_off(data):
     """The panel with every state one ulp above its grid row: within
     GRID_TOLERANCE of it, so the engine fits this copy row by row."""
@@ -377,8 +386,9 @@ def test_grid_rows_of_the_decision_build_the_per_row_basis(period):
     states[period - 1] = np.nextafter(states[period - 1], np.inf)
     shifted = PanelDataset(tuple(states), data.treatments, data.outcome, data.treatment_arities)
     folds = make_folds(data.n_units, 3, 5).folds
-    panel, sets, _, cells = _units(shifted, maps, folds)
+    panel, row_folds, _, _, cells = _units(shifted, maps, folds)
     assert panel is shifted and [c is not None for c in cells] == [True, period == 2]
+    sets = _TrainingSets(panel.n_units, row_folds)
     cfg = FitConfig(feature_maps=maps)
     for t, (phi, c) in enumerate(zip(maps, cells), start=1):
         args = (phi, shifted.states[t - 1], shifted.treatments[:, t - 1], sets, cfg, t, "")
@@ -519,6 +529,12 @@ def test_surrogate_cross_fit_matches_per_fold_refits(features, clip, ridge):
             assert got[key] == want[key]
         for key in ("short_mean", "long_mean"):
             assert abs(got[key] - want[key]) <= tol
+
+
+@pytest.mark.parametrize("features", ["tabular", "polynomial"])
+def test_surrogate_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features):
+    monkeypatch.setattr(dyndml.nuisance, "_PACKED", 1)  # one fold per run, as on large samples
+    test_surrogate_cross_fit_matches_per_fold_refits(features, SURROGATE_CLIP, None)
 
 
 @pytest.mark.parametrize("clip", [None, SURROGATE_CLIP], ids=["no-clip", "clip"])

@@ -24,6 +24,7 @@ from dyndml import (
     PositivityError,
     SolverError,
     ValidationError,
+    dgp_ref_2,
     dml_estimate,
     fit_nested_regressions,
     grid_policy,
@@ -38,6 +39,7 @@ from dyndml import (
     rate_diagnostics,
     simulate,
 )
+from dyndml import inference
 from dyndml.inference import _failure_cause
 
 
@@ -354,6 +356,90 @@ class TestMonteCarlo:
         assert widths[1000] / widths[4000] == pytest.approx(2.0, rel=0.1)
 
 
+class TestStackedReplicates:
+    """`mc_experiment` fits a chunk of MC_CHUNK_ROWS rows of replicates in one
+    stage-engine pass; every replicate still gets what dml_estimate gives it
+    alone, and a chunk that fails is rerun one replicate at a time."""
+
+    @staticmethod
+    def chunks(monkeypatch):
+        seen, cross_fit = [], inference.cross_fit
+
+        def spy(data, plan, cfg, folds, clever=False):
+            seen.append(len(folds))
+            return cross_fit(data, plan, cfg, folds, clever)
+
+        monkeypatch.setattr("dyndml.inference.cross_fit", spy)
+        return seen
+
+    @staticmethod
+    def alone(dgp, plan, cfg, n, q, seed, r):
+        rep_seed = mix_seed(seed, r)
+        return dml_estimate(simulate(dgp, n, rep_seed), plan, cfg, q, mix_seed(rep_seed, 1))
+
+    @pytest.mark.parametrize("packed", [None, 1], ids=["all-folds", "fold-by-fold"])
+    @pytest.mark.parametrize("n, q, reps, chunks", [
+        (2000, 5, 10, [4, 4, 2]),  # distinct histories; 10 is no multiple of 8192 // 2000
+        (24, 3, 20, [20]),         # key space 3 * 16 = 48 > 24: per row
+    ], ids=["distinct-histories", "per-row"])
+    def test_each_replicate_matches_its_own_estimate(self, monkeypatch, n, q, reps, chunks,
+                                                     packed):
+        dgp, cfg = dgp_ref_2(), tabular_config(dgp_ref_2())
+        plan = DynamicPolicy((grid_policy([1, 0]), grid_policy([0, 1])))
+        seen = self.chunks(monkeypatch)
+        with monkeypatch.context() as patch:
+            if packed:  # value the chunk's training sets one fold at a time (`_PACKED`)
+                patch.setattr("dyndml.nuisance._PACKED", packed)
+            result = mc_experiment(dgp, plan, cfg, reps, n, q, seed=21)
+        assert seen == chunks and result.n_failed == 0
+        for r, row in enumerate(result.rows):
+            want = self.alone(dgp, plan, cfg, n, q, 21, r)
+            for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+                got, expected = getattr(row, key), getattr(want, key)
+                assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_tabular_cells_are_checked_against_a_replicates_rows(self):
+        # Eight replicates of 3 rows stack to 24 rows, but each replicate has
+        # 3 rows for a map of 4 cells.
+        dgp = dgp_ref_2()
+        with pytest.raises(ValidationError, match=r"^tabular feature map for period 1 has 4 "
+                                                  r"cells, more than its 3 rows"):
+            mc_experiment(dgp, FixedSequence((1, 1)), tabular_config(dgp), 8, 3, 2, seed=0)
+
+    def test_a_replicate_without_the_targeted_code_fails_alone(self, monkeypatch):
+        # P(T = 1) = 0.1: of replicates 0-4 (one chunk) only replicate 3 has no
+        # code-1 row.
+        dgp = DiscreteDGP(initial=np.array([0.5, 0.5]),
+                          propensities=(np.array([[0.9, 0.1], [0.9, 0.1]]),), transitions=(),
+                          outcome_mean=np.array([[0.0, 1.0], [1.0, 2.0]]), sigma_y=1.0)
+        plan, cfg = FixedSequence((1,)), tabular_config(dgp)
+        seen = self.chunks(monkeypatch)
+        result = mc_experiment(dgp, plan, cfg, 5, 30, 3, seed=12)
+        assert seen == [5, 1, 1, 1, 1, 1]  # the chunk, then each replicate alone
+        assert [row.failed for row in result.rows] == [0, 0, 0, 1, 0]
+        with pytest.raises(PositivityError) as alone:
+            self.alone(dgp, plan, cfg, 30, 3, 12, 3)
+        assert result.rows[3].message == str(alone.value) == (
+            "period 1: the plan targets treatment code 1, which no row has")
+        for r in (0, 1, 2, 4):
+            assert result.rows[r].theta_hat == self.alone(dgp, plan, cfg, 30, 3, 12, r).theta_hat
+
+    def test_a_singular_replicate_leaves_the_others_estimates(self):
+        # A zero penalty: of replicates 0-5 only replicate 3 has an empty cell.
+        dgp, plan = dgp_ref_2(), FixedSequence((1, 1))
+        cfg = tabular_config(dgp, ridge=0.0)
+        result = mc_experiment(dgp, plan, cfg, 6, 60, 3, seed=30)
+        assert [row.failed for row in result.rows] == [0, 0, 0, 1, 0, 0]
+        with pytest.raises(SolverError) as alone:
+            self.alone(dgp, plan, cfg, 60, 3, 30, 3)
+        assert result.rows[3].message == str(alone.value)
+        assert result.rows[3].message.startswith("fold 1: period 1: singular system")
+        for r in (0, 1, 2, 4, 5):
+            want = self.alone(dgp, plan, cfg, 60, 3, 30, r)
+            assert result.rows[r].theta_hat == want.theta_hat
+            assert result.rows[r].sigma_hat == want.sigma_hat
+
+
 class TestRateDiagnostics:
     NS = (1000, 4000, 16000, 64000)
 
@@ -410,7 +496,10 @@ class TestTypedFoldErrors:
             dml_estimate(off, plan2, tabular_config(dgp2), 5, 1)
         s1[5, 0] = data.states[0][5, 0] + 1e-12  # within the tolerance: the grid row itself
         near = PanelDataset((s1, data.states[1]), data.treatments, data.outcome, (2, 2))
-        want = dml_estimate(data, plan2, tabular_config(dgp2), 5, 1)
+        # Every state one ulp above its grid row: like `near`, fitted row by row.
+        ulp = PanelDataset((np.nextafter(data.states[0], np.inf), data.states[1]),
+                           data.treatments, data.outcome, (2, 2))
+        want = dml_estimate(ulp, plan2, tabular_config(dgp2), 5, 1)
         assert dml_estimate(near, plan2, tabular_config(dgp2), 5, 1).theta_hat == want.theta_hat
 
     def test_continuous_states_with_tabular_features_are_rejected(self):
@@ -461,8 +550,8 @@ class TestCrossFitSchedule:
         def run():
             try:
                 return dml_estimate(data, plan, tabular_config(dgp), q, seed, clever=clever).to_json()
-            except SolverError as exc:
-                return f"SolverError: {exc}"
+            except (SolverError, PositivityError) as exc:
+                return f"{type(exc).__name__}: {exc}"
 
         assert run() == run()
 

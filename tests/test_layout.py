@@ -109,17 +109,19 @@ class TestSharedRightHandSides:
         n, q = 500, 5
         sets = _TrainingSets(n, make_folds(n, q, 3).folds)
         basis = sets.rows(np.asfortranarray(rng.standard_normal((n, 4))))
-        weights = sets.rows(rng.standard_normal((3, n)).T)
-        want = np.stack([sets.mean(s, basis, weights) for s in range(q)])
-        got = sets.shared(basis, weights)
-        assert got.shape == (q, 3, 4)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        weights = sets.rows(rng.standard_normal((3, n)).T).T
+        outside = [np.r_[0:sets.bounds[s], sets.bounds[s + 1]:n] for s in range(q)]
+        want = np.stack([weights[:, r] @ basis[r] / r.shape[0] for r in outside])
+        every = sets.means(np.stack([weights] * q), basis, slice(0, q))[0]  # one replicate
+        for got in (sets.shared(weights, basis), every):
+            assert got.shape == (q, 3, 4)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_without_folds_it_is_the_sample_mean(self):
         rng = np.random.Generator(np.random.PCG64(4))
         sets = _TrainingSets(200)
         basis, weights = rng.standard_normal((200, 3)), rng.standard_normal((200, 2))
-        np.testing.assert_allclose(sets.shared(basis, weights)[0], weights.T @ basis / 200,
+        np.testing.assert_allclose(sets.shared(weights.T, basis)[0], weights.T @ basis / 200,
                                    rtol=1e-12)
 
     def test_a_cell_empty_in_a_training_set_is_exactly_zero(self):
@@ -136,6 +138,6 @@ class TestSharedRightHandSides:
         scattered[codes, np.arange(n)] = y
         sets = _TrainingSets(n, folds)
         basis = sets.rows(np.asfortranarray(rng.standard_normal((n, 4)) + 10.0))
-        rhs = sets.shared(basis, sets.rows(scattered.T))
+        rhs = sets.shared(sets.rows(scattered.T).T, basis)
         assert (rhs[1, 1] == 0.0).all()
         assert (rhs[[0, 2], 1] != 0.0).all()
