@@ -547,7 +547,9 @@ class TabularFeatures(_FactoredMap):
         s = np.atleast_2d(np.asarray(states, dtype=float))
         if self.grid.shape[1] == 1:
             return self._scalar_index(s[:, 0])
-        d2 = ((s[:, None, :] - self.grid[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.zeros((s.shape[0], self.grid.shape[0]))  # zero-width grids: every row ties
+        for j in range(self.grid.shape[1]):  # squared distances summed coordinate by coordinate
+            d2 += (s[:, j, None] - self.grid[:, j]) ** 2
         return d2.argmin(axis=1)
 
     def _scalar_index(self, s: NDArray) -> NDArray:

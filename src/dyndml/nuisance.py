@@ -30,17 +30,18 @@ only, all the sets of a replicate in one product, and every check a lone
 panel gets is made per replicate, so each replicate's estimate is the one it
 gets alone, up to rounding.
 
-On all-tabular panels whose states lie on their grids, the engine fits the
-distinct (fold, history) rows weighted by their counts (`_units`; Grams
-B' diag(w) B) and gathers the held-out values back to the rows, each scored
-with its own Y; otherwise it fits the rows themselves.
+Every sample, a replicate's panel or a surrogate sample, becomes its units in
+one step, `_units`, the only reordering: on all-tabular samples on their grids
+the distinct (fold, history) rows weighted by their counts (Grams
+B' diag(w) B), else the rows sorted fold by fold. Held-out values go back to
+the rows through its row-to-unit index, each row scored with its own Y.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,14 +98,19 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feature_maps", tuple(self.feature_maps))
-        if isinstance(self.ridge, Sequence):
+        if np.ndim(self.ridge) == 1:  # a sequence or a 1-d array: one value per period
             object.__setattr__(self, "ridge", tuple(float(r) for r in self.ridge))
             if len(self.ridge) != len(self.feature_maps):
                 raise ValidationError("need one ridge value per period")
-        if self.clip is not None and self.clip <= 0:
-            raise ValidationError("clip bound must be positive")
-        ridges = self.ridge if isinstance(self.ridge, tuple) else (self.ridge,)
-        for r in ridges:
+        elif self.ridge is not None:  # numpy scalars read as floats, as reports echo them
+            object.__setattr__(self, "ridge", float(self.ridge))
+        if self.clip is not None:
+            object.__setattr__(self, "clip", float(self.clip))
+            if not self.clip > 0:  # NaN too; inf clips nothing
+                raise ValidationError("clip bound must be positive")
+        for r in self.ridge if isinstance(self.ridge, tuple) else (self.ridge,):
+            if r is not None and not math.isfinite(r):
+                raise ValidationError(f"ridge penalty must be finite, got {r}")
             if r is not None and r < 0:
                 raise ValidationError("ridge penalty must be nonnegative")
         for t, phi in enumerate(self.feature_maps, start=1):
@@ -160,14 +166,14 @@ def _positive_definite(a: NDArray) -> bool:
 
 
 class _TrainingSets:
-    """Training sets over n units, held in fold-major order (`rows` permutes an
-    array into it). With `folds`, the units are one or more replicates, each
-    split into `q_folds` folds (folds[r Q + q] is fold q of replicate r), and
-    set s = r Q + q is every unit of replicate r outside its fold q: the runs
-    of the replicate (`spans`) around fold s's run `held(s)`. Without, the one
-    set is every unit. Unit i counts weights[i] times in every sum (once when
-    `weights` is None), so `sizes`, the sets' weight totals, normalize the
-    means and Grams.
+    """Training sets over units held in fold-major order (`_units`), given the
+    unit count of each fold. With `q_folds`, the units are one or more
+    replicates, each split into `q_folds` folds (counts[r Q + q] is fold q of
+    replicate r), and set s = r Q + q is every unit of replicate r outside its
+    fold q: the runs of the replicate (`spans`) around fold s's run `held(s)`.
+    Without, counts is (n,) and the one set is every unit. Unit i counts
+    weights[i] times in every sum (once when `weights` is None), so `sizes`,
+    the sets' weight totals, normalize the means and Grams.
 
     A value each set takes on the units of its replicate is packed (Q', ..., n)
     for a run of Q' folds (`runs`): entry [j, ..., i] is set (r Q + q)'s, q the
@@ -176,32 +182,20 @@ class _TrainingSets:
     units. A run is every fold unless its packed values would pass _PACKED
     entries per code, so the memory they take is bounded whatever n is."""
 
-    def __init__(
-        self, n: int, folds: Sequence[NDArray] | None = None, weights: NDArray | None = None,
-        q_folds: int | None = None,
-    ) -> None:
-        # Sorted, a fold's rows are gathered in memory order.
-        self.folds = None if folds is None else tuple(np.sort(idx) for idx in folds)
-        self.order = None if folds is None else np.concatenate(self.folds)
-        counts = np.array([n] if folds is None else [idx.shape[0] for idx in self.folds])
-        self.q = 1 if folds is None else q_folds or len(counts)
+    def __init__(self, counts: NDArray, weights: NDArray | None = None,
+                 q_folds: int | None = None) -> None:
+        self.folded, self.q, self.weights = q_folds is not None, q_folds or 1, weights
         self.bounds = np.concatenate([[0], np.cumsum(counts)])
         self.spans = self.bounds[::self.q]
-        step = max(1, _PACKED // n)
+        step = max(1, _PACKED // int(self.bounds[-1]))
         self.runs = [slice(lo, min(lo + step, self.q)) for lo in range(0, self.q, step)]
         reps = len(counts) // self.q
         self.fold = np.repeat(np.tile(np.arange(self.q, dtype=np.min_scalar_type(self.q)), reps),
                               counts)
-        self.rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps)), counts.reshape(
-            reps, -1).sum(axis=1))
-        self.weights = None if weights is None else self.rows(np.asarray(weights, dtype=float))
-        held = counts if weights is None else np.add.reduceat(self.weights, self.bounds[:-1])
-        held = held.reshape(-1, self.q).astype(float)
-        self.sizes = (held if folds is None else held.sum(axis=1, keepdims=True) - held).ravel()
-
-    def rows(self, a: NDArray) -> NDArray:
-        """a's rows in fold-major order, gathered along memory order."""
-        return a if self.order is None else np.take(a.T, self.order, axis=-1).T
+        self.rep = np.repeat(np.arange(reps, dtype=np.min_scalar_type(reps)), np.diff(self.spans))
+        held = counts if weights is None else np.add.reduceat(weights, self.bounds[:-1])
+        held = np.asarray(held, dtype=float).reshape(-1, self.q)
+        self.sizes = (held.sum(axis=1, keepdims=True) - held if self.folded else held).ravel()
 
     def held(self, s: int) -> slice:
         return slice(self.bounds[s], self.bounds[s + 1])
@@ -228,7 +222,7 @@ class _TrainingSets:
         runs' parts)."""
         if self.weights is not None:
             x = x * self.weights
-        if self.folds is not None:  # zero each set's own fold, one run of memory
+        if self.folded:  # zero each set's own fold, one run of memory
             for r in range(self.spans.shape[0] - 1):
                 for q in range(run.start, run.stop):
                     x[q - run.start, ..., self.held(r * self.q + q)] = 0.0
@@ -253,7 +247,7 @@ class _TrainingSets:
         """Each set's normalized sum of the other folds' blocks of its replicate
         (S, ...), never a difference, so a block zero in every training fold
         stays exactly zero."""
-        if self.folds is not None:
+        if self.folded:
             by_rep = blocks.reshape((-1, self.q) + blocks.shape[1:])
             blocks = np.stack([by_rep[:, :s].sum(axis=1) + by_rep[:, s + 1:].sum(axis=1)
                                for s in range(self.q)], axis=1).reshape(blocks.shape)
@@ -279,38 +273,21 @@ class _TrainingSets:
 
 
 class _Design:
-    """A factored design over the units of `sets`, held in their fold-major order:
-    unit i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in the column
-    block of code c_i. Its Gram over any unit set is block-diagonal by code, so
-    each training set's system is K blocks of size q (`systems`, computed once).
+    """A factored design over the units of `sets` (`_units`, column `column`):
+    unit i is phi(s_i, c_i), the state basis row B_i = phi.basis(s_i) in the
+    column block of code c_i, a tabular basis being the one-hot of the units'
+    grid rows. Its Gram over any unit set is block-diagonal by code, so each
+    training set's system is K blocks of size q (`systems`, computed once).
     The basis is laid out column-major once. Per-code values (..., K, n) are
-    picked at each unit's code through the flat index c_i*n + i. Given `cells`
-    (the states' grid rows), a tabular basis is their one-hot. A code outside
-    0..K-1 is a PlanError, and a tabular state farther than GRID_TOLERANCE from
-    its grid row a ValidationError, naming `name`."""
+    picked at each unit's code through the flat index c_i*n + i."""
 
-    def __init__(
-        self, phi: FeatureMap, states: NDArray, codes: NDArray, sets: _TrainingSets,
-        cfg: FitConfig, period: int, name: str, cells: NDArray | None = None,
-    ) -> None:
+    def __init__(self, phi: FeatureMap, units: _Units, column: int, sets: _TrainingSets,
+                 cfg: FitConfig, period: int, name: str) -> None:
         self.phi, self.sets, self.cfg, self.period, self.name = phi, sets, cfg, period, name
-        _check_codes(codes, phi.arity, name)
-        self.codes = sets.rows(np.asarray(codes)).astype(np.min_scalar_type(phi.arity - 1))
-        states = sets.rows(states)
-        self.basis = np.asfortranarray(phi.basis(states) if cells is None
-                                       else _one_hot(sets.rows(cells), phi.grid.shape[0]))
-        if isinstance(phi, TabularFeatures):  # one-hot: basis @ grid is each state's grid row
-            nearest = self.basis @ phi.grid
-            if (states != nearest).any():  # the gaps are weighed only if some state is off
-                gap = np.abs(states - nearest) > GRID_TOLERANCE * (1.0 + np.abs(nearest))
-                rows = np.flatnonzero(gap.any(axis=1))
-                if rows.size:
-                    source = rows if sets.order is None else sets.order[rows]
-                    i = rows[source.argmin()]
-                    raise ValidationError(
-                        f"{name}: row {source.min()}: state {states[i].tolist()} is off the "
-                        f"tabular grid (nearest grid row {nearest[i].tolist()}, tolerance "
-                        f"{GRID_TOLERANCE:g} x (1 + |grid value|))")
+        self.codes = units.codes[column].astype(np.min_scalar_type(phi.arity - 1))
+        cells = units.cells[column]
+        self.basis = np.asfortranarray(phi.basis(units.states[column]) if cells is None
+                                       else _one_hot(cells, phi.grid.shape[0]))
         self.flat = np.multiply(self.codes, self.codes.shape[0], dtype=np.intp)
         self.flat += np.arange(self.codes.shape[0])
         self.layout = _code_blocks(phi, np.arange(phi.dim))
@@ -382,8 +359,7 @@ class _Design:
         a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
 
         def name(index: tuple) -> str:
-            return ("" if self.sets.folds is None else f"fold {index[0] % self.sets.q}: ") + (
-                f"{where}: ")
+            return (f"fold {index[0] % self.sets.q}: " if self.sets.folded else "") + f"{where}: "
 
         if border is None:
             return _solve_spd(a, rhs, lam[:, None], self.layout, name), np.zeros(len(rhs))
@@ -423,39 +399,32 @@ class _Stages:
         self, panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
         folds: Sequence[Sequence[NDArray]] | None = None,
     ) -> None:
-        self.plan, self.cfg, parts = plan, cfg, []
+        self.plan, self.cfg, self.outcomes, parts = plan, cfg, [], []
+        names = [f"period {t}" for t in range(1, len(cfg.feature_maps) + 1)]
         for r, data in enumerate(panels):  # each replicate's rows live only for its units
             _check_setup(data, plan, cfg)
-            parts.append((data.outcome, *_units(data, cfg.feature_maps,
-                                                None if folds is None else folds[r])))
-        self.outcomes, units, unit_folds, weights, index, cells = (list(x) for x in zip(*parts))
-        starts = np.cumsum([0] + [u.n_units for u in units])
-        self.data = units[0] if len(units) == 1 else PanelDataset(
-            tuple(map(np.concatenate, zip(*(u.states for u in units)))),
-            np.concatenate([u.treatments for u in units]),
-            np.concatenate([u.outcome for u in units]), units[0].treatment_arities)
-        if any(w is not None for w in weights):  # rows as units count once
-            weights = [np.ones(u.n_units) if w is None else w for u, w in zip(units, weights)]
-        self.sets = sets = _TrainingSets(
-            starts[-1], None if folds is None else [
-                idx + start for fs, start in zip(unit_folds, starts) for idx in fs],
-            _joined(weights), None if folds is None else len(folds[0]))
-        index = [i if i is None or a == 0 else i + a for i, a in zip(index, starts)]
-        if folds is not None and any(i is None for i in index):  # rows as units: their places
-            place = np.empty(starts[-1], dtype=np.intp)
-            place[sets.order] = np.arange(starts[-1])
-            index = [place[a:b] if i is None else i for i, a, b in zip(index, starts, starts[1:])]
-        self.index = index
-        self.designs, self.code_weights = [], []
-        for t, (phi, cell) in enumerate(zip(cfg.feature_maps, zip(*cells)), start=1):
-            states, codes = self.data.states[t - 1], self.data.treatments[:, t - 1]
-            self.designs.append(_Design(phi, states, codes, sets, cfg, t, f"period {t}",
-                                        _joined(cell)))
-            self.code_weights.append(sets.rows(_code_weights(plan, t, self.data, phi.arity)).T)
+            self.outcomes.append(data.outcome)
+            parts.append(_units(list(zip(cfg.feature_maps, data.states, data.treatments.T)),
+                                data.outcome, None if folds is None else folds[r], names))
+        starts = np.cumsum([0] + [len(u.codes[0]) for u in parts])
+        self.index = [u.index if a == 0 else u.index + a for u, a in zip(parts, starts)]
+        if any(u.weights is not None for u in parts):  # rows as units count once
+            parts = [u if u.weights is not None else u._replace(weights=np.ones(b - a))
+                     for u, a, b in zip(parts, starts, starts[1:])]
+        fields = list(zip(*parts))  # each field's values, replicate by replicate
+        units = _Units(*([_joined(c) for c in zip(*field)] for field in fields[:3]),
+                       *map(_joined, fields[3:6]), None)
+        self.data = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1),
+                                 units.outcome, data.treatment_arities)
+        self.sets = sets = _TrainingSets(units.counts, units.weights,
+                                         None if folds is None else len(folds[0]))
+        self.designs = [_Design(phi, units, t - 1, sets, cfg, t, name)
+                        for t, (phi, name) in enumerate(zip(cfg.feature_maps, names), start=1)]
+        self.code_weights = [_code_weights(plan, t, self.data, phi.arity).T
+                             for t, phi in enumerate(cfg.feature_maps, start=1)]
         for design, weights in zip(self.designs, self.code_weights):
             design.require(weights)
-        for design in self.designs:  # every Gram before the passes allocate their values
-            design.systems()
+            design.systems()  # every Gram before the passes allocate their values
 
     def representer(self, t: int, a: NDArray | Fn, run: slice) -> NDArray:
         """Packed per-code values (Q', K, n) for `run` of period t's representers:
@@ -463,31 +432,29 @@ class _Stages:
         with one set any function a, evaluated at every code."""
         if isinstance(a, np.ndarray):
             return self.designs[t - 1].values(a, self.cfg.clip, run)
-        states = self.sets.rows(self.data.states[t - 1])
-        return np.stack([a.batch(states, np.full(states.shape[0], c))
+        return np.stack([a.batch(self.data.states[t - 1], np.full(self.data.n_units, c))
                          for c in range(self.designs[t - 1].phi.arity)])[None]
 
     def moment(self, t: int, values: NDArray) -> NDArray:
         """m_t(Z; g) on the units, of g's per-code values (..., K, n)."""
         return np.einsum("kn,...kn->...n", self.code_weights[t - 1], values)
 
-    def riesz(self) -> tuple[list[NDArray], NDArray | None]:
+    def riesz(self) -> tuple[list[NDArray], NDArray]:
         """The forward pass of `fit_recursive_riesz` for every training set: per
-        period the (S, K, q) coefficients, and with folds held[t-1], each unit's
-        a_t(S_t, T_t) from the set its fold holds out. The right-hand side is
+        period the (S, K, q) coefficients, and held[t-1], each unit's
+        a_t(S_t, T_t) from the set its fold holds out (the one set without folds). The right-hand side is
         B_t'(W_c a_{t-1}(S_{t-1}, T_{t-1})) over the set's units, valued a run
         of sets at a time."""
         sets, m = self.sets, len(self.designs)
         coefs: list[NDArray] = []
-        held = np.empty((m, self.data.n_units)) if sets.folds else None
+        held = np.empty((m, self.data.n_units))
         rhs = sets.shared(self.code_weights[0], self.designs[0].basis)
         for t, design in enumerate(self.designs, start=1):
             coefs.append(design.solve(rhs, f"period {t}")[0])
             parts = []
             for run in sets.runs:
                 a = design.pick(design.values(coefs[-1], self.cfg.clip, run))
-                if held is not None:
-                    sets.own(a, run, held[t - 1])
+                sets.own(a, run, held[t - 1])
                 if t < m:
                     parts.append(sets.means(self.code_weights[t] * a[:, None],
                                             self.designs[t].basis, run))
@@ -496,7 +463,7 @@ class _Stages:
 
     def regressions(
         self, representers: Sequence[NDArray | Fn] | None, clever: bool
-    ) -> tuple[list[NDArray], NDArray, NDArray | None, NDArray, NDArray | None]:
+    ) -> tuple[list[NDArray], NDArray, NDArray, NDArray, NDArray]:
         """The backward pass of `fit_nested_regressions` for every training set.
         With `clever`, set s's representer for the period joins its design as
         an unpenalized column (`fit_clever_covariate`): the fit is the linear
@@ -504,18 +471,17 @@ class _Stages:
         `representer` takes it. Each solved stage is valued a run of sets at a
         time, and the run's pseudo-outcomes go straight into the previous
         period's right-hand side. Returns (coefs, gammas (M, S),
-        held, train_means, plug): with folds, held[t-1] holds (u_t, f_t)
-        (2, units) on every unit, from the nuisances of the set its fold holds
-        out, and plug m_1(Z; f_1) likewise; with `clever` train_means[s, t-1]
+        held, train_means, plug): held[t-1] holds (u_t, f_t) (2, units) on
+        every unit, from the nuisances of the set its fold holds out (the one
+        set without folds), and plug m_1(Z; f_1) likewise; with `clever` train_means[s, t-1]
         is the mean of a_t (u_t - f_t) over the set's training rows, from its
         normal equations."""
         m, sets, n = self.data.num_periods, self.sets, self.data.n_units
         coefs: list[NDArray] = [np.empty(0)] * m
         gammas = np.zeros((m, len(sets.sizes)))
-        held = np.empty((m, 2, n)) if sets.folds else None
-        plug = np.empty(n) if sets.folds else None
+        held, plug = np.empty((m, 2, n)), np.empty(n)
         train_means = np.zeros((len(sets.sizes), m))
-        y, last = sets.rows(self.data.outcome), self.designs[-1]
+        y, last = self.data.outcome, self.designs[-1]
         rhs = sets.shared(last.scatter(y), last.basis)
         borders = [self._border(m, representers[-1], y, run) for run in sets.runs] if clever else []
         for t in range(m, 0, -1):
@@ -535,17 +501,15 @@ class _Stages:
                     values += sets.spread(gammas[t - 1], run)[:, None] * self.representer(
                         t, representers[t - 1], run)
                 u = self.moment(t, values)  # u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
-                if held is not None:
-                    design.own(values, run, held[t - 1, 1])
-                    sets.own(u, run, held[t - 2, 0] if t > 1 else plug)
+                design.own(values, run, held[t - 1, 1])
+                sets.own(u, run, held[t - 2, 0] if t > 1 else plug)
                 if t > 1:
                     prev = self.designs[t - 2]
                     parts.append(sets.means(prev.scatter(u), prev.basis, run))
                     if clever:
                         borders.append(self._border(t - 1, representers[t - 2], u, run))
             rhs = sets.joined(parts) if t > 1 else rhs
-        if held is not None:
-            held[m - 1, 0] = y
+        held[m - 1, 0] = y
         return coefs, gammas, held, train_means, plug
 
     def _border(self, t: int, rep: NDArray | Fn, u: NDArray, run: slice) -> tuple[NDArray, NDArray]:
@@ -559,8 +523,7 @@ class _Stages:
 
 
 def _joined(arrays: Sequence[NDArray | None]) -> NDArray | None:
-    """The replicates' arrays one after another, or None if any is None; one
-    replicate's array itself."""
+    """The arrays one after another (one array itself), or None if any is None."""
     if any(a is None for a in arrays):
         return None
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -680,55 +643,81 @@ def _regression_fns(
     return [CombinedFn(((1.0, f), (float(g[0]), a))) for f, g, a in zip(fns, gammas, representers)]
 
 
+class _Units(NamedTuple):
+    """A sample's units in fold-major order (`_units`). Per column: states, codes
+    and grid rows (None unless tabular); then the mean outcome (None without
+    one), the unit count per fold, the weights (None when the units are the
+    rows) and each row's unit."""
+
+    states: list[NDArray]
+    codes: list[NDArray]
+    cells: list[NDArray | None]
+    outcome: NDArray | None
+    counts: NDArray
+    weights: NDArray | None
+    index: NDArray | None
+
+
 def _units(
-    data: PanelDataset, maps: Sequence[FeatureMap], folds: Sequence[NDArray] | None,
-) -> tuple[PanelDataset, Sequence[NDArray] | None, NDArray | None, NDArray | None,
-           list[NDArray | None]]:
-    """The units one replicate is fitted on: (panel, folds, weights, index,
-    cells), the index placing each row among the units in fold-major order
-    (None when the units are the rows), and per period the rows' grid rows if
-    the decision computed them and the units are the rows (else None).
-    The units are the distinct (fold, per-period grid row and code) histories,
-    weighted by their counts, with their rows' mean Y, already in fold-major
-    order, when every map is tabular, every code is below its map's arity,
-    every state equals its grid row by value (-0.0 equals 0.0), and the key
-    space Q * prod_t(G_t K_t) is at most n: one int64 key per row, the
-    history's digits period by period and the fold's last (so a panel that
-    fails the grid test pays no fold pass), `bincount` over the key space (no
-    sort), each unit decoded from its key. Otherwise they are the rows,
-    unweighted, with the given folds."""
-    n, cells = data.n_units, []
-    shape = [1 if folds is None else len(folds)]
-    shape += [size for phi in maps if isinstance(phi, TabularFeatures)
-              for size in (phi.grid.shape[0], phi.arity)]
-    if len(shape) == 1 + 2 * len(maps) and math.prod(shape) <= n and all(
-            data.treatments[:, t].max() < phi.arity for t, phi in enumerate(maps)):
+    columns: Sequence[tuple[FeatureMap, NDArray, NDArray]], outcome: NDArray | None,
+    folds: Sequence[NDArray] | None, names: Sequence[str],
+) -> _Units:
+    """The units the engine fits a sample on, from its columns (map, states,
+    codes), its outcome if any and its folds. A code outside its map's arity is
+    a PlanError naming the column (`names`), and a tabular state farther than
+    GRID_TOLERANCE from its grid row a ValidationError naming the column and
+    the first such row in the caller's order.
+
+    The units are the distinct (fold, per-column grid row and code) rows,
+    weighted by their counts, with their rows' mean outcome, when every map is
+    tabular, every state equals its grid row by value (-0.0 equals 0.0) and
+    the key space Q * prod(G K) is at most n: one int64 key per row, the
+    fold's digit leading, `bincount` over the key space (no sort), each unit
+    decoded from its key. Otherwise they are the rows, unweighted, sorted
+    within each fold and taken one fold after another."""
+    n, cells, exact = columns[0][1].shape[0], [], True
+    folds = [np.arange(n)] if folds is None else folds  # one fold: every row
+    for (phi, states, codes), name in zip(columns, names):
+        _check_codes(codes, phi.arity, name)
+        cells.append(phi.state_index(states) if isinstance(phi, TabularFeatures) else None)
+        if cells[-1] is not None and not np.array_equal(nearest := phi.grid[cells[-1]], states):
+            exact = False  # the gaps are weighed only if some state is off
+            gap = np.abs(states - nearest) > GRID_TOLERANCE * (1.0 + np.abs(nearest))
+            if (rows := np.flatnonzero(gap.any(axis=1))).size:
+                raise ValidationError(
+                    f"{name}: row {rows[0]}: state {states[rows[0]].tolist()} is off the "
+                    f"tabular grid (nearest grid row {nearest[rows[0]].tolist()}, tolerance "
+                    f"{GRID_TOLERANCE:g} x (1 + |grid value|))")
+    shape = [len(folds)] + [size for phi, _, _ in columns if isinstance(phi, TabularFeatures)
+                            for size in (phi.grid.shape[0], phi.arity)]
+    if exact and len(shape) == 1 + 2 * len(columns) and math.prod(shape) <= n:
         key = np.zeros(n, dtype=np.int64)
-        for t, phi in enumerate(maps):
-            cells.append(cell := phi.state_index(data.states[t]))
-            if not np.array_equal(phi.grid[cell], data.states[t]):
-                break
+        for q, idx in enumerate(folds):
+            key[idx] = q
+        for (phi, _, codes), cell in zip(columns, cells):
             key *= phi.grid.shape[0]
             key += cell
             key *= phi.arity
-            key += data.treatments[:, t]
-        else:
-            if folds is not None:  # the fold digit leads: every fold's keys after the last's
-                digit = np.empty(n, dtype=np.int64)
-                for q, idx in enumerate(folds):
-                    digit[idx] = q * math.prod(shape[1:])
-                key += digit
-            counts = np.bincount(key, minlength=math.prod(shape))
-            units = np.flatnonzero(counts)
-            fold, *digits = np.unravel_index(units, shape)
-            mean_y = np.bincount(key, data.outcome, counts.shape[0])[units] / counts[units]
-            panel = PanelDataset(tuple(phi.grid[c] for phi, c in zip(maps, digits[::2])),
-                                 np.stack(digits[1::2], axis=1), mean_y, data.treatment_arities)
-            held = None if folds is None else np.split(
-                np.arange(units.shape[0]), np.searchsorted(fold, np.arange(1, len(folds))))
-            index = None if folds is None else (np.cumsum(counts > 0) - 1)[key]
-            return panel, held, counts[units], index, [None] * len(maps)
-    return data, folds, None, None, cells + [None] * (len(maps) - len(cells))
+            key += codes
+        counts = np.bincount(key, minlength=math.prod(shape))
+        units = np.flatnonzero(counts)
+        fold, *digits = np.unravel_index(units, shape)
+        return _Units(
+            [phi.grid[c] for (phi, _, _), c in zip(columns, digits[::2])], digits[1::2],
+            digits[::2], None if outcome is None else np.bincount(
+                key, outcome, counts.shape[0])[units] / counts[units],
+            np.bincount(fold, minlength=shape[0]), counts[units].astype(float),
+            (np.cumsum(counts > 0) - 1)[key])
+    order = np.concatenate([np.sort(idx) for idx in folds])  # a fold's rows in memory order
+    index = np.empty(n, dtype=np.intp)
+    index[order] = np.arange(n)
+
+    def rows(a: NDArray | None) -> NDArray | None:  # gathered along memory order
+        return None if a is None else np.take(a.T, order, axis=-1).T
+
+    return _Units([rows(c[1]) for c in columns], [rows(c[2]) for c in columns],
+                  list(map(rows, cells)), rows(outcome), np.array([len(idx) for idx in folds]),
+                  None, index)
 
 
 def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:

@@ -10,13 +10,15 @@ the short sample, and the change-of-measure representer a2(S, X), trained
 under the long-sample norm against a short-sample functional, on the long
 sample.
 
-`surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`, on
-the factored designs of `nuisance._Design` over a `nuisance._TrainingSets`
-per sample: the bases of phi_sx(long S, X), phi_tx(X, T) and
-phi_sx(short S, X) are built once per call; phi_sx is evaluated at code 0,
-and phi_tx(X, 1) - phi_tx(X, 0) is the code weights W = [-1, +1]. Each of
-the stages h, a1, g and a2 is solved for every pair of training sets in one
-batched call, and held-out records are scored from the same bases.
+`surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`. Each
+sample becomes its units as a panel does (`nuisance._units`: distinct (fold,
+x, t, s) rows when all-tabular), with a `nuisance._TrainingSets` per sample
+and the factored designs of `nuisance._Design` on the units: the bases of
+phi_sx(long S, X), phi_tx(X, T) and phi_sx(short S, X) are built once per
+call; phi_sx is evaluated at code 0, and phi_tx(X, 1) - phi_tx(X, 0) is the
+code weights W = [-1, +1]. Each of the stages h, a1, g and a2 is solved for
+every pair of training sets in one batched call, and held-out unit values
+are gathered to the records.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .core import (
     _write_csv,
 )
 from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
-from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets
+from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets, _units
 from .oracle import mix_seed
 
 
@@ -108,13 +110,14 @@ class SurrogateNuisances:
 
 
 def _cross_fit(
-    data: SurrogatePair, cfg: FitConfig, short: _TrainingSets, long: _TrainingSets,
-    scores: tuple[NDArray, NDArray] | None = None,
-) -> list[SurrogateNuisances]:
+    data: SurrogatePair, cfg: FitConfig, folds_s: tuple | None = None, folds_l: tuple | None = None
+) -> SurrogateNuisances | tuple[NDArray, NDArray]:
     """All four nuisances for every pair (short set s, long set s) of training
     sets, each stage solved for every pair in one batched call on three
-    factored designs built once on the whole samples; with `scores` (short,
-    long), each fold's held-out records are scored from them.
+    factored designs built once on the samples' units (`nuisance._units`).
+    Without folds, the nuisances fitted on the whole samples; with each
+    sample's folds, every record's held-out score in each sample, its units'
+    held-out values gathered to it and the long terms using its own y.
 
     a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))], whose right-hand side
     carries the code weights W = [-1, +1]; a2 minimizes the cross-sample risk
@@ -130,45 +133,51 @@ def _cross_fit(
         raise ValidationError("the (T, X) feature map must have treatment arity 2")
     _check_tabular_cells(cfg.feature_maps, ["(X, T)", "(S, X)"], [data.n_short, data.n_long])
     phi_tx, phi_sx = cfg.feature_maps
-    zeros_long, zeros_short = (np.zeros(n, dtype=np.int64) for n in (data.n_long, data.n_short))
-    x_tx = _Design(phi_tx, data.short_x, data.short_t, short, cfg, 1, "short sample (X, T)")
-    x_long = _Design(phi_sx, data.long_sx, zeros_long, long, cfg, 2, "long sample (S, X)")
-    x_short = _Design(phi_sx, data.short_sx, zeros_short, short, cfg, 2, "short sample (S, X)")
-    contrast = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, data.n_short))
+    names = ("short sample (X, T)", "short sample (S, X)", "long sample (S, X)")
+    zeros_s, zeros_l = (np.zeros(n, dtype=np.int64) for n in (data.n_short, data.n_long))
+    su = _units([(phi_tx, data.short_x, data.short_t), (phi_sx, data.short_sx, zeros_s)], None,
+                folds_s, names[:2])
+    lu = _units([(phi_sx, data.long_sx, zeros_l)], data.long_y, folds_l, names[2:])
+    q = None if folds_s is None else len(folds_s)
+    short, long = _TrainingSets(su.counts, su.weights, q), _TrainingSets(lu.counts, lu.weights, q)
+    x_tx = _Design(phi_tx, su, 0, short, cfg, 1, names[0])
+    x_short = _Design(phi_sx, su, 1, short, cfg, 2, names[1])
+    x_long = _Design(phi_sx, lu, 0, long, cfg, 2, names[2])
+    contrast = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, len(su.codes[0])))
     x_tx.require(contrast)
-    y = long.rows(data.long_y)
-    h = x_long.solve(long.shared(x_long.scatter(y), x_long.basis), "h (long-sample regression)")[0]
+    h = x_long.solve(long.shared(x_long.scatter(lu.outcome), x_long.basis),
+                     "h (long-sample regression)")[0]
     a1 = x_tx.solve(short.shared(contrast, x_tx.basis), "a1 (treatment representer)")[0]
     rhs_g, rhs_a2 = [], []
-    held = np.empty((4, data.n_short))  # each record's a1, h, g(1, X) - g(0, X), g
+    held = np.empty((4, len(su.codes[0])))  # each unit's g(1, X) - g(0, X), a1, h, g
     for run in short.runs:
         h_short = x_short.pick(x_short.values(h, None, run))
         a1_vals = x_tx.pick(x_tx.values(a1, cfg.clip, run))
         rhs_g.append(short.means(x_tx.scatter(h_short), x_tx.basis, run))
         rhs_a2.append(short.means(x_short.scatter(a1_vals), x_short.basis, run))
-        if scores is not None:
-            short.own(a1_vals, run, held[0])
-            short.own(h_short, run, held[1])
+        short.own(a1_vals, run, held[1])
+        short.own(h_short, run, held[2])
     g = x_tx.solve(short.joined(rhs_g), "g (short-sample projection)")[0]
     a2 = x_long.solve(short.joined(rhs_a2), "a2 (surrogate score)")[0]
-    if scores is not None:
-        for run in short.runs:
-            g_vals = x_tx.values(g, None, run)
-            short.own(g_vals[:, 1] - g_vals[:, 0], run, held[2])
-            x_tx.own(g_vals, run, held[3])
-        h_long, a2_long = np.empty((2, data.n_long))
-        for run in long.runs:
-            x_long.own(x_long.values(h, None, run), run, h_long)
-            x_long.own(x_long.values(a2, cfg.clip, run), run, a2_long)
-        scores[0][short.order], scores[1][long.order] = _two_sample_scores(
-            held[2], (held[0], held[1], held[3]), (a2_long, y, h_long))
-    return [SurrogateNuisances(h=x_long.fn(h[s]), g=x_tx.fn(g[s]), a1=x_tx.fn(a1[s], cfg.clip),
-                               a2=x_long.fn(a2[s], cfg.clip)) for s in range(len(short.sizes))]
+    if q is None:
+        return SurrogateNuisances(h=x_long.fn(h[0]), g=x_tx.fn(g[0]), a1=x_tx.fn(a1[0], cfg.clip),
+                                  a2=x_long.fn(a2[0], cfg.clip))
+    for run in short.runs:
+        g_vals = x_tx.values(g, None, run)
+        short.own(g_vals[:, 1] - g_vals[:, 0], run, held[0])
+        x_tx.own(g_vals, run, held[3])
+    held_long = np.empty((2, len(lu.codes[0])))  # each unit's a2, h
+    for run in long.runs:
+        x_long.own(x_long.values(a2, cfg.clip, run), run, held_long[0])
+        x_long.own(x_long.values(h, None, run), run, held_long[1])
+    plug, *short_terms = held[:, su.index]
+    a2_long, h_long = held_long[:, lu.index]
+    return _two_sample_scores(plug, short_terms, (a2_long, data.long_y, h_long))
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
     """Fit all four nuisances on the given samples: `_cross_fit`'s one-set case."""
-    return _cross_fit(data, cfg, _TrainingSets(data.n_short), _TrainingSets(data.n_long))[0]
+    return _cross_fit(data, cfg)
 
 
 def surrogate_scores(
@@ -207,9 +216,7 @@ def surrogate_estimate(
     """
     folds_s = make_folds(data.n_short, q_folds, seed).folds
     folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1)).folds
-    short_scores, long_scores = np.empty(data.n_short), np.empty(data.n_long)
-    sets = (_TrainingSets(data.n_short, folds_s), _TrainingSets(data.n_long, folds_l))
-    _cross_fit(data, cfg, *sets, scores=(short_scores, long_scores))
+    short_scores, long_scores = _cross_fit(data, cfg, folds_s, folds_l)
     per_fold: list[dict] = []
     for q, (idx_s, idx_l) in enumerate(zip(folds_s, folds_l)):
         s_term, l_term = short_scores[idx_s], long_scores[idx_l]

@@ -230,6 +230,22 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "fold" in err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("ridge = nan", "ridge penalty must be finite, got nan"),
+        ("ridge = inf", "ridge penalty must be finite, got inf"),
+        ("ridge = 1e-3 inf", "ridge penalty must be finite, got inf"),
+        ("clip = nan", "clip bound must be positive"),
+    ])
+    def test_non_finite_settings_exit_2(self, files, capsys, setting, message):
+        data = files["dir"] / "d.csv"
+        main(["simulate", "--dgp", files["dgp2"], "--n", "200", "--seed", "1", "--out", str(data)])
+        cfg = files["dir"] / "bad.cfg"
+        cfg.write_text(CONFIG_TAB + setting + "\n")
+        argv = ["estimate", "--data", str(data), "--plan", files["plan11"], "--config", str(cfg),
+                "--out", str(files["dir"] / "r.json")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["polynomial", "fourier"])
     def test_nonparametric_feature_kinds(self, files, kind, capsys):
         data = files["dir"] / "d.csv"

@@ -623,3 +623,26 @@ class TestScalarGridLookup:
         np.testing.assert_array_equal(
             fmap.state_index(np.array(states)[:, None]), self.brute_force(grid, states)
         )
+
+
+class TestGridLookup:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(0, 4),
+        fortran=st.booleans(),
+    )
+    def test_property_matches_brute_force_argmin(self, data, d, fortran):
+        # Values on a quarter-integer lattice: squared distances are exact, so
+        # ties are real and the lowest grid index must win them.
+        value = st.integers(-8, 8).map(lambda v: v / 4.0)
+        grid = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1,
+                                  max_size=6))
+        states = data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1,
+                                    max_size=12))
+        dists = [[sum((s[k] - g[k]) ** 2 for k in range(d)) for g in grid] for s in states]
+        want = [row.index(min(row)) for row in dists]
+        s = np.array(states, dtype=float).reshape(len(states), d)
+        s = np.asfortranarray(s) if fortran else np.ascontiguousarray(s)
+        fmap = TabularFeatures(grid=np.array(grid, dtype=float).reshape(len(grid), d), arity=1)
+        np.testing.assert_array_equal(fmap.state_index(s), want)

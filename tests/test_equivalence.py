@@ -321,6 +321,12 @@ def test_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features, clev
     test_stage_major_cross_fit_matches_per_fold_refits("policy", features, clever, 2.5, None)
 
 
+def panel_units(data, maps, folds):
+    """The units the engine fits a panel on (`_units`, as `_Stages` calls it)."""
+    return _units(list(zip(maps, data.states, data.treatments.T)), data.outcome, folds,
+                  [f"period {t}" for t in range(1, len(maps) + 1)])
+
+
 def one_ulp_off(data):
     """The panel with every state one ulp above its grid row: within
     GRID_TOLERANCE of it, so the engine fits this copy row by row."""
@@ -340,8 +346,8 @@ def test_distinct_histories_match_the_per_row_engine(plan_kind, clever, clip, ri
     data = PanelDataset(data.states, data.treatments, data.outcome + noise, data.treatment_arities)
     shifted = one_ulp_off(data)
     folds = make_folds(data.n_units, 3, 5).folds
-    assert _units(data, maps, folds)[0].n_units < data.n_units
-    assert _units(shifted, maps, folds)[0] is shifted
+    assert len(panel_units(data, maps, folds).codes[0]) < data.n_units
+    assert panel_units(shifted, maps, folds).weights is None  # the rows themselves
     cfg = FitConfig(feature_maps=maps, ridge=ridge, clip=clip)
     got = dml_estimate(data, plan, cfg, 3, 5, clever=clever)
     want = dml_estimate(shifted, plan, cfg, 3, 5, clever=clever)
@@ -365,7 +371,7 @@ def test_zero_penalty_failure_reads_the_same_on_both_paths():
     codes = data.treatments.copy()
     codes[(data.states[1][:, 0] == 1.0) & (codes[:, 1] == 1) & ~held, 1] = 0
     data = PanelDataset(data.states, codes, data.outcome, data.treatment_arities)
-    assert _units(data, maps, folds)[0].n_units < data.n_units
+    assert len(panel_units(data, maps, folds).codes[0]) < data.n_units
     cfg = FitConfig(feature_maps=maps, ridge=0.0)
     messages = []
     for panel in (data, one_ulp_off(data)):
@@ -386,14 +392,13 @@ def test_grid_rows_of_the_decision_build_the_per_row_basis(period):
     states[period - 1] = np.nextafter(states[period - 1], np.inf)
     shifted = PanelDataset(tuple(states), data.treatments, data.outcome, data.treatment_arities)
     folds = make_folds(data.n_units, 3, 5).folds
-    panel, row_folds, _, _, cells = _units(shifted, maps, folds)
-    assert panel is shifted and [c is not None for c in cells] == [True, period == 2]
-    sets = _TrainingSets(panel.n_units, row_folds)
+    units = panel_units(shifted, maps, folds)
+    assert units.weights is None and [c is not None for c in units.cells] == [True, True]
+    sets = _TrainingSets(units.counts, q_folds=3)
     cfg = FitConfig(feature_maps=maps)
-    for t, (phi, c) in enumerate(zip(maps, cells), start=1):
-        args = (phi, shifted.states[t - 1], shifted.treatments[:, t - 1], sets, cfg, t, "")
-        if c is not None:
-            assert np.array_equal(_Design(*args, c).basis, _Design(*args).basis)
+    for t, phi in enumerate(maps, start=1):
+        basis = _Design(phi, units, t - 1, sets, cfg, t, "").basis
+        assert np.array_equal(basis, phi.basis(units.states[t - 1]))
     got, want = dml_estimate(data, plan, cfg, 3, 5), dml_estimate(shifted, plan, cfg, 3, 5)
     assert abs(got.theta_hat - want.theta_hat) <= 1e-10 * (1.0 + abs(want.theta_hat))
 
@@ -408,7 +413,7 @@ def test_negative_zero_states_fit_on_distinct_histories():
     panel = PanelDataset((signed, data.states[1]), data.treatments, data.outcome,
                          data.treatment_arities)
     maps = (TabularFeatures(np.arange(2.0), 2),) * 2
-    assert _units(panel, maps, make_folds(data.n_units, 5, 1).folds)[0].n_units <= 5 * 16
+    assert len(panel_units(panel, maps, make_folds(data.n_units, 5, 1).folds).codes[0]) <= 5 * 16
     cfg, plan = FitConfig(feature_maps=maps), FixedSequence((1, 1))
     got, want = dml_estimate(panel, plan, cfg, 5, 1), dml_estimate(data, plan, cfg, 5, 1)
     assert got.theta_hat == want.theta_hat
@@ -535,6 +540,45 @@ def test_surrogate_cross_fit_matches_per_fold_refits(features, clip, ridge):
 def test_surrogate_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features):
     monkeypatch.setattr(dyndml.nuisance, "_PACKED", 1)  # one fold per run, as on large samples
     test_surrogate_cross_fit_matches_per_fold_refits(features, SURROGATE_CLIP, None)
+
+
+def one_ulp_off_pair(data):
+    """The samples with every control and surrogate one ulp above its grid row:
+    within GRID_TOLERANCE of it, so the engine fits this copy row by row."""
+    up = np.nextafter
+    return SurrogatePair(up(data.short_x, np.inf), data.short_t, up(data.short_s, np.inf),
+                         up(data.long_x, np.inf), up(data.long_s, np.inf), data.long_y)
+
+
+@pytest.mark.parametrize("ridge", [None, (1e-3, 1e-2)], ids=["default-ridge", "per-stage-ridge"])
+@pytest.mark.parametrize("clip", [None, SURROGATE_CLIP], ids=["no-clip", "clip"])
+def test_surrogate_distinct_rows_match_the_per_row_engine(monkeypatch, clip, ridge):
+    # The long outcome is noisy, so the rows of one distinct (fold, x, t, s)
+    # row differ in y and each long score must use its own row's y.
+    data, maps = surrogate_case("tabular")
+    sizes, units = [], dyndml.surrogate._units
+
+    def spy(columns, *args):  # (units, rows) of each sample the engine reduces
+        reduced = units(columns, *args)
+        sizes.append((len(reduced.codes[0]), columns[0][1].shape[0]))
+        return reduced
+
+    monkeypatch.setattr(dyndml.surrogate, "_units", spy)
+    cfg = FitConfig(feature_maps=maps, ridge=ridge, clip=clip)
+    got = surrogate_estimate(data, cfg, 3, 5)
+    assert len(sizes) == 2 and all(u < n for u, n in sizes)
+    sizes.clear()
+    want = surrogate_estimate(one_ulp_off_pair(data), cfg, 3, 5)
+    assert len(sizes) == 2 and all(u == n for u, n in sizes)
+    tol = 1e-10 * (1.0 + abs(want.theta_hat))
+    for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= tol
+    assert [sorted(f) for f in got.per_fold] == [sorted(f) for f in want.per_fold]
+    for g, w in zip(got.per_fold, want.per_fold):
+        for key in ("fold", "short_size", "long_size"):
+            assert g[key] == w[key]
+        for key in ("short_mean", "long_mean"):
+            assert abs(g[key] - w[key]) <= tol
 
 
 @pytest.mark.parametrize("clip", [None, SURROGATE_CLIP], ids=["no-clip", "clip"])

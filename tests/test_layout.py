@@ -107,9 +107,9 @@ class TestSharedRightHandSides:
     def test_equals_the_per_set_mean(self):
         rng = np.random.Generator(np.random.PCG64(2))
         n, q = 500, 5
-        sets = _TrainingSets(n, make_folds(n, q, 3).folds)
-        basis = sets.rows(np.asfortranarray(rng.standard_normal((n, 4))))
-        weights = sets.rows(rng.standard_normal((3, n)).T).T
+        sets = _TrainingSets([f.shape[0] for f in make_folds(n, q, 3).folds], q_folds=q)
+        basis = np.asfortranarray(rng.standard_normal((n, 4)))  # units in fold-major order
+        weights = rng.standard_normal((3, n))
         outside = [np.r_[0:sets.bounds[s], sets.bounds[s + 1]:n] for s in range(q)]
         want = np.stack([weights[:, r] @ basis[r] / r.shape[0] for r in outside])
         every = sets.means(np.stack([weights] * q), basis, slice(0, q))[0]  # one replicate
@@ -119,7 +119,7 @@ class TestSharedRightHandSides:
 
     def test_without_folds_it_is_the_sample_mean(self):
         rng = np.random.Generator(np.random.PCG64(4))
-        sets = _TrainingSets(200)
+        sets = _TrainingSets([200])
         basis, weights = rng.standard_normal((200, 3)), rng.standard_normal((200, 2))
         np.testing.assert_allclose(sets.shared(weights.T, basis)[0], weights.T @ basis / 200,
                                    rtol=1e-12)
@@ -131,13 +131,13 @@ class TestSharedRightHandSides:
         rng = np.random.Generator(np.random.PCG64(6))
         n, q = 300, 3
         folds = make_folds(n, q, 8).folds
+        sets = _TrainingSets([f.shape[0] for f in folds], q_folds=q)
         codes = np.zeros(n, dtype=np.int64)
-        codes[folds[1]] = rng.integers(0, 2, folds[1].shape[0])
+        codes[sets.held(1)] = rng.integers(0, 2, folds[1].shape[0])
         y = rng.standard_normal(n) * 1e3
         scattered = np.zeros((2, n))
         scattered[codes, np.arange(n)] = y
-        sets = _TrainingSets(n, folds)
-        basis = sets.rows(np.asfortranarray(rng.standard_normal((n, 4)) + 10.0))
-        rhs = sets.shared(sets.rows(scattered.T).T, basis)
+        basis = np.asfortranarray(rng.standard_normal((n, 4)) + 10.0)
+        rhs = sets.shared(scattered, basis)
         assert (rhs[1, 1] == 0.0).all()
         assert (rhs[[0, 2], 1] != 0.0).all()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dyndml import (
     SolverError,
     TabularFeatures,
     ValidationError,
+    dml_estimate,
     fit_clever_covariate,
     fit_nested_regressions,
     fit_recursive_riesz,
@@ -59,6 +62,42 @@ class TestFactoredMaps:
             FitConfig(feature_maps=(Dense(),))
         with pytest.raises(ValidationError, match="feature map .* needs basis"):
             LinearFn(Dense(), np.zeros(4))
+
+
+class TestFitConfig:
+    MAPS = (TabularFeatures(grid=np.arange(2.0), arity=2),) * 2
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"ridge": np.nan}, "ridge penalty must be finite, got nan"),
+        ({"ridge": np.inf}, "ridge penalty must be finite, got inf"),
+        ({"ridge": (1e-3, -np.inf)}, "ridge penalty must be finite, got -inf"),
+        ({"ridge": np.array([1e-3, np.nan])}, "ridge penalty must be finite, got nan"),
+        ({"ridge": -1.0}, "ridge penalty must be nonnegative"),
+        ({"clip": np.nan}, "clip bound must be positive"),
+        ({"clip": 0.0}, "clip bound must be positive"),
+    ])
+    def test_bad_settings_are_a_validation_error(self, setting, message):
+        with pytest.raises(ValidationError) as err:
+            FitConfig(feature_maps=self.MAPS, **setting)
+        assert str(err.value) == message
+
+    def test_array_ridge_is_per_period_and_infinite_clip_clips_nothing(self, dgp2, plan2):
+        cfg = FitConfig(feature_maps=self.MAPS, ridge=np.array([1e-3, 1e-2]), clip=np.inf)
+        assert cfg.ridge == (1e-3, 1e-2)
+        with pytest.raises(ValidationError, match="^need one ridge value per period$"):
+            FitConfig(feature_maps=self.MAPS, ridge=np.array([1e-3]))
+        data = simulate(dgp2, 400, 3)
+        unclipped = FitConfig(feature_maps=self.MAPS, ridge=(1e-3, 1e-2))
+        for got, want in zip(fit_recursive_riesz(data, plan2, cfg),
+                             fit_recursive_riesz(data, plan2, unclipped)):
+            assert np.array_equal(got.weights, want.weights)
+
+    def test_numpy_scalar_settings_are_reported_as_floats(self, dgp2, plan2):
+        # A report echoes the settings as JSON, which takes no numpy scalar.
+        cfg = FitConfig(feature_maps=self.MAPS, ridge=np.float32(0.5), clip=np.array(2.0))
+        assert (type(cfg.ridge), type(cfg.clip)) == (float, float)
+        report = dml_estimate(simulate(dgp2, 300, 1), plan2, cfg, 3, 0)
+        assert json.loads(report.to_json())["config"]["ridge"] == 0.5
 
 
 class TestNestedRegressions:

@@ -233,6 +233,29 @@ class TestSurrogateEstimate:
         with pytest.raises(ValidationError, match=r"long sample \(S, X\): row 3: .* off the"):
             surrogate_estimate(off, fit_cfg(tsd), 3, 0)
 
+    @pytest.mark.parametrize("design, x_name, s_name, state, nearest", [
+        ("short sample (X, T)", "short_x", None, "[0.5]", "[0.0]"),
+        ("short sample (S, X)", "short_x", "short_s", "[0.5, 1.0]", "[0.0, 1.0]"),
+        ("long sample (S, X)", "long_x", "long_s", "[0.5, 1.0]", "[0.0, 1.0]"),
+    ])
+    def test_off_grid_messages_of_each_design(self, tsd, design, x_name, s_name, state, nearest):
+        # Row 11 of one sample is off the grid; the message names the design
+        # and the row in the sample's own order, with or without folds.
+        data = tsd.simulate(100, 100, 5)
+        columns = {name: getattr(data, name).copy()
+                   for name in ("short_x", "short_t", "short_s", "long_x", "long_s", "long_y")}
+        columns[x_name][11, 0] = 0.5 if s_name is None else 1.0
+        if s_name is not None:
+            columns[s_name][11, 0] = 0.5
+        off = SurrogatePair(**columns)
+        message = (f"{design}: row 11: state {state} is off the tabular grid (nearest grid row "
+                   f"{nearest}, tolerance 1e-09 x (1 + |grid value|))")
+        for fit in (lambda: surrogate_estimate(off, fit_cfg(tsd), 3, 0),
+                    lambda: surrogate_fit(off, fit_cfg(tsd))):
+            with pytest.raises(ValidationError) as err:
+                fit()
+            assert str(err.value) == message
+
     def test_continuous_surrogates_with_tabular_features_are_rejected(self, tsd):
         # The (S, X) map is fitted on the long sample, so its cells are counted
         # against the long sample's rows.
