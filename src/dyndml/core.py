@@ -538,6 +538,8 @@ class TabularFeatures(_FactoredMap):
         object.__setattr__(self, "grid", g)
         if self.arity < 1 or g.shape[0] < 1:
             raise ValidationError("tabular features need a nonempty grid and arity >= 1")
+        if g.shape[1] == 1:  # scalar states: `_scalar_index`'s sorted values, found once
+            object.__setattr__(self, "_sorted", np.unique(g[:, 0], return_index=True))
 
     @property
     def dim(self) -> int:
@@ -558,7 +560,7 @@ class TabularFeatures(_FactoredMap):
         state equal to a grid value takes that value; any other takes the
         nearer of the two values around it by squared distance, the lower grid
         index on a tie, which is what argmin over all distances returns."""
-        values, first = np.unique(self.grid[:, 0], return_index=True)
+        values, first = self._sorted
         pos = np.minimum(np.searchsorted(values, s), values.shape[0] - 1)
         off = values[pos] != s
         if off.any():

@@ -10,7 +10,9 @@ a built-in Gaussian quantile.
 
 Cross-fitting runs stage-major: `nuisance.cross_fit` builds each period's
 design once on the whole panel and solves it for every fold's training rows,
-scoring the held-out rows from the same designs (see the `nuisance` module).
+scoring the held-out units from the same designs (see the `nuisance` module).
+A unit stands for w_u rows (`nuisance._UnitScores`), so theta = sum_u w_u s_u / n,
+n sigma^2 = sum_u w_u (s_u - theta)^2 + sum_u r_u^2, and fold means are unit sums.
 Its training sets are grouped by replicate, so the Monte Carlo harness fits a
 chunk of MC_CHUNK_ROWS rows of replicates in one pass (`_estimates`), each
 replicate folded, checked and reported as `dml_estimate` does it alone.
@@ -40,7 +42,7 @@ from .core import (
     _write_csv,
 )
 from .moment import moment_scores
-from .nuisance import FitConfig, cross_fit, fit_nuisances
+from .nuisance import FitConfig, _UnitScores, cross_fit, fit_nuisances
 from .oracle import (
     DiscreteDGP,
     mix_seed,
@@ -105,7 +107,8 @@ class EstimateReport:
     def __post_init__(self) -> None:
         if self.sigma_hat < 0:
             raise ValidationError("sigma_hat must be nonnegative")
-        half, tol = Z_95 * self.sigma_hat / math.sqrt(self.n), 1e-9 * max(1.0, abs(self.theta_hat))
+        half = Z_95 * (self.sigma_hat / math.sqrt(self.n))  # sigma_hat near the float range too
+        tol = 1e-9 * max(1.0, abs(self.theta_hat))
         if not (abs(self.ci_lower - (self.theta_hat - half)) <= tol
                 and abs(self.ci_upper - (self.theta_hat + half)) <= tol):
             raise ValidationError("interval does not match theta_hat +- 1.96 sigma/sqrt(n)")
@@ -120,7 +123,8 @@ class EstimateReport:
         return out
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """Strict JSON (`allow_nan=False`); `_config_echo` writes an infinite clip "inf"."""
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
     def interval(self, level: float = 0.95) -> tuple[float, float]:
         """Two-sided interval; 0.95 returns the stored conventional-1.96 bounds,
@@ -129,7 +133,7 @@ class EstimateReport:
             return self.ci_lower, self.ci_upper
         if not 0.0 < level < 1.0:
             raise ValidationError("confidence level must lie strictly between 0 and 1")
-        half = normal_quantile(0.5 + level / 2.0) * self.sigma_hat / math.sqrt(self.n)
+        half = normal_quantile(0.5 + level / 2.0) * (self.sigma_hat / math.sqrt(self.n))
         return self.theta_hat - half, self.theta_hat + half
 
     @classmethod
@@ -137,8 +141,12 @@ class EstimateReport:
         cls, theta: float, sigma: float, n: int, q_folds: int, seed: int,
         per_fold: list[dict], config: dict, **sample_sizes: int,
     ) -> "EstimateReport":
-        """Report carrying the conventional interval theta +- 1.96 sigma / sqrt(n)."""
-        half = Z_95 * sigma / math.sqrt(n)
+        """Report carrying the conventional interval theta +- 1.96 sigma / sqrt(n);
+        a SolverError if a bound or sigma overflows."""
+        half = Z_95 * (sigma / math.sqrt(n))
+        if not all(map(math.isfinite, (theta, sigma, theta - half, theta + half))):
+            raise SolverError(f"theta_hat {theta:g} with sigma_hat {sigma:g}: the held-out "
+                              "scores overflow")
         return cls(
             theta_hat=theta,
             sigma_hat=sigma,
@@ -161,15 +169,17 @@ def _config_echo(cfg: FitConfig, **extra) -> dict:
             for fm in cfg.feature_maps
         ],
         "ridge": cfg.ridge if not isinstance(cfg.ridge, tuple) else list(cfg.ridge),
-        "clip": cfg.clip,
+        "clip": "inf" if cfg.clip == math.inf else cfg.clip,
         **extra,
     }
 
 
-def _check_fold_scores(q: int, *scores: NDArray) -> None:
-    """Held-out scores must be finite; a blow-up is a numerical failure of fold q."""
-    if not all(np.isfinite(s).all() for s in scores):
-        raise SolverError(f"fold {q}: non-finite held-out scores")
+def _check_fold_scores(*means: NDArray) -> None:
+    """Held-out scores must be finite, as then are their fold means (Q
+    columns); a blow-up is a numerical failure of the lowest fold it reaches."""
+    bad = np.flatnonzero(~np.isfinite(np.vstack(means)).all(axis=0))
+    if bad.size:
+        raise SolverError(f"fold {bad[0]}: non-finite held-out scores")
 
 
 def dml_estimate(
@@ -192,7 +202,10 @@ def dml_estimate(
         return _estimates([data], [data.n_units], plan, cfg, q_folds, [seed], clever)[0]
     folds = make_folds(data.n_units, q_folds, seed).folds
     scores, _, corrections = moment_scores(data, plan, nuisances)
-    return _report(scores, corrections, folds, cfg, seed, clever)
+    sizes, fold = [len(idx) for idx in folds], np.empty(data.n_units, dtype=np.intp)
+    fold[np.concatenate(folds)] = np.repeat(np.arange(q_folds), sizes)
+    rows = _UnitScores(scores, corrections, np.ones(data.n_units), fold, np.zeros(data.n_units))
+    return _report(rows, sizes, cfg, seed, clever)
 
 
 def _estimates(
@@ -211,26 +224,27 @@ def _estimates(
     as it is alone; an error names no panel."""
     folds = [make_folds(n, q_folds, s).folds for n, s in zip(sizes, seeds)]
     fits = cross_fit(panels, plan, cfg, folds, clever)
-    return [_report(scores, corrections, f, cfg, s, clever, train_means if clever else None)
-            for (scores, corrections, train_means), f, s in zip(fits, folds, seeds)]
+    return [_report(units, [len(idx) for idx in f], cfg, s, clever,
+                    train_means if clever else None)
+            for (units, train_means), f, s in zip(fits, folds, seeds)]
 
 
 def _report(
-    scores: NDArray, corrections: NDArray, folds: Sequence[NDArray], cfg: FitConfig, seed: int,
-    clever: bool, train_means: NDArray | None = None,
+    units: _UnitScores, sizes: Sequence[int], cfg: FitConfig, seed: int, clever: bool,
+    train_means: NDArray | None = None,
 ) -> EstimateReport:
-    """The report of held-out scores and corrections (M, n); a non-finite score
-    is a SolverError naming its fold. With `train_means` (Q, M), each fold
-    also reports the clever covariate's training-row correction means."""
+    """The report of a panel's held-out unit scores, fold q holding sizes[q] rows.
+    With `train_means` (Q, M), each fold also reports the clever covariate's
+    training-row correction means."""
+    means = units.fold_means(sizes)
+    _check_fold_scores(means)
     per_fold: list[dict] = []
-    for q, idx in enumerate(folds):
-        vals = scores[idx]
-        _check_fold_scores(q, vals)
+    for q, size in enumerate(sizes):
         fold_info = {
             "fold": q,
-            "size": int(idx.shape[0]),
-            "score_mean": float(vals.mean()),
-            "correction_means": [float(c) for c in np.take(corrections, idx, 1).mean(axis=1)],
+            "size": int(size),
+            "score_mean": float(means[0, q]),
+            "correction_means": [float(c) for c in means[1:, q]],
         }
         if train_means is not None:
             # The unpenalized clever column zeroes the corrections on the
@@ -242,10 +256,8 @@ def _report(
         ridge_default="1e-3 * n^-0.5 * trace-normalized" if cfg.ridge is None else None,
         clever_covariate=clever,
     )
-    theta = float(scores.mean())
-    sigma = float(np.sqrt(np.mean((scores - theta) ** 2)))
-    return EstimateReport._with_interval(theta, sigma, len(scores), len(folds), seed, per_fold,
-                                         config)
+    return EstimateReport._with_interval(*units.mean_sd(), int(sum(sizes)), len(sizes), seed,
+                                         per_fold, config)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ gets alone, up to rounding.
 
 Every sample, a replicate's panel or a surrogate sample, becomes its units in
 one step, `_units`, the only reordering: on all-tabular samples on their grids
-the distinct (fold, history) rows weighted by their counts (Grams
-B' diag(w) B), else the rows sorted fold by fold. Held-out values go back to
-the rows through its row-to-unit index, each row scored with its own Y.
+the distinct (fold, history) rows weighted by their counts w (Grams
+B' diag(w) B), with their rows' mean outcome and its spread, else the rows
+sorted fold by fold (w = 1, no spread). The score is affine in Y, through
+a_M (Y - f_M), so a unit's score at its mean outcome is its rows' mean score
+and |a_M| times its outcome spread is theirs: units are scored, not rows.
 """
 
 from __future__ import annotations
@@ -387,9 +389,8 @@ class _Stages:
     engine keeps one factored design (`_Design`: the state basis B_t, the
     observed codes and the per-set Gram blocks) and the (K, n) code weights
     W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c), over the
-    stacked units (`index[r]` places replicate r's rows among them, and
-    `outcomes[r]` keeps its rows' Y). Each pass visits the periods once and
-    solves every training set's stage in one batched call. Right-hand sides
+    stacked units. Each pass visits the periods once and solves every
+    training set's stage in one batched call. Right-hand sides
     are B_t'(W_c v) (forward) and B_t'(1{T_t = c} u) (backward) over a set's
     units, per fold if all sets share v or u; the sets' fitted functions are
     valued packed (`_TrainingSets`), every set of a replicate in one product.
@@ -399,21 +400,19 @@ class _Stages:
         self, panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
         folds: Sequence[Sequence[NDArray]] | None = None,
     ) -> None:
-        self.plan, self.cfg, self.outcomes, parts = plan, cfg, [], []
+        self.plan, self.cfg, parts = plan, cfg, []
         names = [f"period {t}" for t in range(1, len(cfg.feature_maps) + 1)]
         for r, data in enumerate(panels):  # each replicate's rows live only for its units
             _check_setup(data, plan, cfg)
-            self.outcomes.append(data.outcome)
             parts.append(_units(list(zip(cfg.feature_maps, data.states, data.treatments.T)),
                                 data.outcome, None if folds is None else folds[r], names))
-        starts = np.cumsum([0] + [len(u.codes[0]) for u in parts])
-        self.index = [u.index if a == 0 else u.index + a for u, a in zip(parts, starts)]
         if any(u.weights is not None for u in parts):  # rows as units count once
-            parts = [u if u.weights is not None else u._replace(weights=np.ones(b - a))
-                     for u, a, b in zip(parts, starts, starts[1:])]
+            parts = [u if u.weights is not None else u._replace(weights=np.ones(len(u.codes[0])))
+                     for u in parts]
         fields = list(zip(*parts))  # each field's values, replicate by replicate
         units = _Units(*([_joined(c) for c in zip(*field)] for field in fields[:3]),
-                       *map(_joined, fields[3:6]), None)
+                       *map(_joined, fields[3:]))
+        self.spread = units.spread
         self.data = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1),
                                  units.outcome, data.treatment_arities)
         self.sets = sets = _TrainingSets(units.counts, units.weights,
@@ -532,27 +531,24 @@ def _joined(arrays: Sequence[NDArray | None]) -> NDArray | None:
 def cross_fit(
     panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
     folds: Sequence[Sequence[NDArray]], clever: bool = False,
-) -> list[tuple[NDArray, NDArray, NDArray]]:
+) -> list[tuple[_UnitScores, NDArray]]:
     """Fit both nuisance sequences once per fold of each panel (a replicate,
     folds[r] being its folds) on the panel's rows outside it, and score the
-    fold's rows with them: each unit's held-out plug-in and (a_t, u_t, f_t)
-    are gathered to its rows, with u_M each row's own Y, for `core._ladder`.
-    All are fitted in one pass of the stage engine, and each gets the
-    estimate it gets alone, up to rounding. Yields, panel by panel (so each
-    panel's row arrays can go before the next panel's are made), the held-out
-    score of every row, its corrections (M, n_r) and, with `clever`, per fold
-    and period (Q, M) the mean correction a_t (u_t - f_t) over the fold's
-    training rows."""
+    fold's units with them, in one pass of the stage engine; each panel gets
+    the estimate it gets alone, up to rounding. A unit's score is `core._ladder`
+    of its held-out plug-in and (a_t, u_t, f_t), u_M its mean outcome: its
+    rows' mean score, their spread |a_M| times its outcomes' spread. Returns
+    per panel its `_UnitScores` and, with `clever`, per fold and period (Q, M)
+    the mean correction a_t (u_t - f_t) over the fold's training rows."""
     stages = _Stages(panels, plan, cfg, folds)
     representers, held_a = stages.riesz()
     _, _, held, train_means, plug = stages.regressions(representers, clever)
-    m = len(held)
-    for index, y, means in zip(stages.index, stages.outcomes,
-                               train_means.reshape(len(folds), -1, m)):
-        values, _, corrections = _ladder(plug[index], (
-            (a[index], y if t == m else u[index], f[index])
-            for t, (a, (u, f)) in enumerate(zip(held_a, held), start=1)))
-        yield values, corrections, means
+    values, _, corrections = _ladder(plug, ((a, u, f) for a, (u, f) in zip(held_a, held)))
+    sets, spread = stages.sets, np.abs(held_a[-1]) * stages.spread
+    weights = np.ones(len(values)) if sets.weights is None else sets.weights
+    spans = zip(sets.spans[:-1], sets.spans[1:], train_means.reshape(len(folds), -1, len(held)))
+    return [(_UnitScores(values[a:b], corrections[:, a:b], weights[a:b], sets.fold[a:b],
+                         spread[a:b]), means) for a, b, means in spans]
 
 
 def fit_nested_regressions(
@@ -645,36 +641,74 @@ def _regression_fns(
 
 class _Units(NamedTuple):
     """A sample's units in fold-major order (`_units`). Per column: states, codes
-    and grid rows (None unless tabular); then the mean outcome (None without
-    one), the unit count per fold, the weights (None when the units are the
-    rows) and each row's unit."""
+    and grid rows (None unless tabular); then the mean outcome, its rows'
+    spread about it (root of sum (Y_i - mean)^2), the unit count per fold and
+    the weights (None when the units are the rows)."""
 
     states: list[NDArray]
     codes: list[NDArray]
     cells: list[NDArray | None]
-    outcome: NDArray | None
+    outcome: NDArray
+    spread: NDArray
     counts: NDArray
     weights: NDArray | None
-    index: NDArray | None
+
+
+class _UnitScores(NamedTuple):
+    """A sample's held-out scores on its units: unit u stands for weights[u]
+    rows of fold fold[u] whose scores have mean values[u] (corrections[:, u]
+    per period) and root sum of squared deviations spread[u] about it."""
+
+    values: NDArray
+    corrections: NDArray
+    weights: NDArray
+    fold: NDArray
+    spread: NDArray
+
+    def fold_means(self, sizes: Sequence[int]) -> NDArray:
+        """(1 + M, Q): per fold, the mean score and corrections over its sizes[q] rows."""
+        scale = _scale(self.values, self.corrections)
+        return np.array([np.bincount(self.fold, self.weights * (v * scale), len(sizes))
+                         for v in (self.values, *self.corrections)]) / sizes / scale
+
+    def mean_sd(self) -> tuple[float, float]:
+        """The mean and standard deviation of the n = sum w rows' scores:
+        n sd^2 = sum_u w_u (s_u - mean)^2 + sum_u spread_u^2."""
+        scale = _scale(self.values, self.spread)
+        values, spread, n = self.values * scale, self.spread * scale, self.weights.sum()
+        mean = (self.weights * values).sum() / n
+        dev = values - mean
+        var = ((self.weights * dev * dev).sum() + (spread * spread).sum()) / n
+        return float(mean) / scale, math.sqrt(var) / scale
+
+
+def _scale(*arrays: NDArray) -> float:
+    """The power of two that puts every entry of the arrays below 1 in magnitude
+    (1 if one is not finite). Scaling by it is exact, so sums and squares of
+    the scaled entries overflow only where their result is not representable."""
+    top = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
+    return math.ldexp(1.0, -int(np.frexp(top)[1])) if math.isfinite(top) else 1.0
 
 
 def _units(
-    columns: Sequence[tuple[FeatureMap, NDArray, NDArray]], outcome: NDArray | None,
+    columns: Sequence[tuple[FeatureMap, NDArray, NDArray]], outcome: NDArray,
     folds: Sequence[NDArray] | None, names: Sequence[str],
 ) -> _Units:
     """The units the engine fits a sample on, from its columns (map, states,
-    codes), its outcome if any and its folds. A code outside its map's arity is
+    codes), its outcome and its folds. A code outside its map's arity is
     a PlanError naming the column (`names`), and a tabular state farther than
     GRID_TOLERANCE from its grid row a ValidationError naming the column and
     the first such row in the caller's order.
 
     The units are the distinct (fold, per-column grid row and code) rows,
-    weighted by their counts, with their rows' mean outcome, when every map is
-    tabular, every state equals its grid row by value (-0.0 equals 0.0) and
-    the key space Q * prod(G K) is at most n: one int64 key per row, the
-    fold's digit leading, `bincount` over the key space (no sort), each unit
-    decoded from its key. Otherwise they are the rows, unweighted, sorted
-    within each fold and taken one fold after another."""
+    weighted by their counts, with their rows' mean outcome and its spread,
+    when every map is tabular, every state equals its grid row by value (-0.0
+    equals 0.0) and the key space Q * prod(G K) is at most n: one int64 key
+    per row, the fold's digit leading, `bincount` over the key space (no
+    sort), each unit decoded from its key; the deviations are scaled
+    (`_scale`) before they are squared. Otherwise the units are the rows,
+    unweighted and with zero spread, sorted within each fold and taken one
+    fold after another."""
     n, cells, exact = columns[0][1].shape[0], [], True
     folds = [np.arange(n)] if folds is None else folds  # one fold: every row
     for (phi, states, codes), name in zip(columns, names):
@@ -702,22 +736,25 @@ def _units(
         counts = np.bincount(key, minlength=math.prod(shape))
         units = np.flatnonzero(counts)
         fold, *digits = np.unravel_index(units, shape)
+        mean = np.bincount(key, outcome, counts.shape[0])
+        np.divide(mean, counts, out=mean, where=counts > 0)
+        dev = mean[key]
+        np.subtract(outcome, dev, out=dev)
+        dev *= (scale := _scale(dev))
+        spread = np.sqrt(np.bincount(key, np.square(dev, out=dev), counts.shape[0])[units])
+        mean, spread = mean[units], spread / scale
         return _Units(
             [phi.grid[c] for (phi, _, _), c in zip(columns, digits[::2])], digits[1::2],
-            digits[::2], None if outcome is None else np.bincount(
-                key, outcome, counts.shape[0])[units] / counts[units],
-            np.bincount(fold, minlength=shape[0]), counts[units].astype(float),
-            (np.cumsum(counts > 0) - 1)[key])
+            digits[::2], mean, spread, np.bincount(fold, minlength=shape[0]),
+            counts[units].astype(float))
     order = np.concatenate([np.sort(idx) for idx in folds])  # a fold's rows in memory order
-    index = np.empty(n, dtype=np.intp)
-    index[order] = np.arange(n)
 
     def rows(a: NDArray | None) -> NDArray | None:  # gathered along memory order
         return None if a is None else np.take(a.T, order, axis=-1).T
 
     return _Units([rows(c[1]) for c in columns], [rows(c[2]) for c in columns],
-                  list(map(rows, cells)), rows(outcome), np.array([len(idx) for idx in folds]),
-                  None, index)
+                  list(map(rows, cells)), rows(outcome), np.zeros(n),
+                  np.array([len(idx) for idx in folds]), None)
 
 
 def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:

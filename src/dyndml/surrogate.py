@@ -17,8 +17,8 @@ and the factored designs of `nuisance._Design` on the units: the bases of
 phi_sx(long S, X), phi_tx(X, T) and phi_sx(short S, X) are built once per
 call; phi_sx is evaluated at code 0, and phi_tx(X, 1) - phi_tx(X, 0) is the
 code weights W = [-1, +1]. Each of the stages h, a1, g and a2 is solved for
-every pair of training sets in one batched call, and held-out unit values
-are gathered to the records.
+every pair of training sets in one batched call, and each sample is scored
+on its units as a panel is (`nuisance._UnitScores`), a2 (y - h) standing for a_M.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .core import (
     _write_csv,
 )
 from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
-from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets, _units
+from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets, _UnitScores, _units
 from .oracle import mix_seed
 
 
@@ -111,13 +111,13 @@ class SurrogateNuisances:
 
 def _cross_fit(
     data: SurrogatePair, cfg: FitConfig, folds_s: tuple | None = None, folds_l: tuple | None = None
-) -> SurrogateNuisances | tuple[NDArray, NDArray]:
+) -> SurrogateNuisances | tuple[_UnitScores, _UnitScores]:
     """All four nuisances for every pair (short set s, long set s) of training
     sets, each stage solved for every pair in one batched call on three
     factored designs built once on the samples' units (`nuisance._units`).
     Without folds, the nuisances fitted on the whole samples; with each
-    sample's folds, every record's held-out score in each sample, its units'
-    held-out values gathered to it and the long terms using its own y.
+    sample's folds, the held-out scores of each sample's units
+    (`nuisance._UnitScores`), a long unit's at its mean y.
 
     a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))], whose right-hand side
     carries the code weights W = [-1, +1]; a2 minimizes the cross-sample risk
@@ -135,8 +135,8 @@ def _cross_fit(
     phi_tx, phi_sx = cfg.feature_maps
     names = ("short sample (X, T)", "short sample (S, X)", "long sample (S, X)")
     zeros_s, zeros_l = (np.zeros(n, dtype=np.int64) for n in (data.n_short, data.n_long))
-    su = _units([(phi_tx, data.short_x, data.short_t), (phi_sx, data.short_sx, zeros_s)], None,
-                folds_s, names[:2])
+    su = _units([(phi_tx, data.short_x, data.short_t), (phi_sx, data.short_sx, zeros_s)],
+                np.zeros(data.n_short), folds_s, names[:2])  # no outcome: no spread
     lu = _units([(phi_sx, data.long_sx, zeros_l)], data.long_y, folds_l, names[2:])
     q = None if folds_s is None else len(folds_s)
     short, long = _TrainingSets(su.counts, su.weights, q), _TrainingSets(lu.counts, lu.weights, q)
@@ -170,9 +170,10 @@ def _cross_fit(
     for run in long.runs:
         x_long.own(x_long.values(a2, cfg.clip, run), run, held_long[0])
         x_long.own(x_long.values(h, None, run), run, held_long[1])
-    plug, *short_terms = held[:, su.index]
-    a2_long, h_long = held_long[:, lu.index]
-    return _two_sample_scores(plug, short_terms, (a2_long, data.long_y, h_long))
+    s, y = _two_sample_scores(held[0], held[1:], (held_long[0], lu.outcome, held_long[1]))
+    w_s, w_l = (np.ones(len(v)) if w is None else w for v, w in ((s, su.weights), (y, lu.weights)))
+    return (_UnitScores(s, np.empty((0, len(s))), w_s, short.fold, su.spread),  # no corrections
+            _UnitScores(y, np.empty((0, len(y))), w_l, long.fold, np.abs(held_long[0]) * lu.spread))
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
@@ -216,18 +217,15 @@ def surrogate_estimate(
     """
     folds_s = make_folds(data.n_short, q_folds, seed).folds
     folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1)).folds
-    short_scores, long_scores = _cross_fit(data, cfg, folds_s, folds_l)
-    per_fold: list[dict] = []
-    for q, (idx_s, idx_l) in enumerate(zip(folds_s, folds_l)):
-        s_term, l_term = short_scores[idx_s], long_scores[idx_l]
-        _check_fold_scores(q, s_term, l_term)
-        per_fold.append({
-            "fold": q, "short_size": int(idx_s.shape[0]), "long_size": int(idx_l.shape[0]),
-            "short_mean": float(s_term.mean()), "long_mean": float(l_term.mean()),
-        })
-    theta = float(short_scores.mean() + long_scores.mean())
-    v_short, v_long = float(short_scores.var()), float(long_scores.var())
-    sigma = math.sqrt(v_short + v_long * data.n_short / data.n_long)
+    short, long = _cross_fit(data, cfg, folds_s, folds_l)
+    sizes_s, sizes_l = [len(idx) for idx in folds_s], [len(idx) for idx in folds_l]
+    means_s, means_l = short.fold_means(sizes_s)[0], long.fold_means(sizes_l)[0]
+    _check_fold_scores(means_s, means_l)
+    per_fold = [{"fold": q, "short_size": sizes_s[q], "long_size": sizes_l[q],
+                 "short_mean": float(means_s[q]), "long_mean": float(means_l[q])}
+                for q in range(q_folds)]
+    (theta_s, sd_s), (theta_l, sd_l) = short.mean_sd(), long.mean_sd()
+    theta, sigma = theta_s + theta_l, math.hypot(sd_s, sd_l * math.sqrt(data.n_short / data.n_long))
     config = _config_echo(
         cfg, variance_convention="sigma^2 = V_short + V_long * n_short/n_long; n = n_short"
     )

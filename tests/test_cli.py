@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -139,6 +140,28 @@ class TestEstimate:
         assert report["n"] == 4000 and report["Q"] == 5
         assert report["config"]["feature_maps"][0]["kind"] == "TabularFeatures"
         assert "theta_hat=" in capsys.readouterr().out
+
+    def test_huge_outcomes_estimate_and_an_infinite_clip_is_strict_json(self, files, capsys):
+        # Y of order 1e160 squares past the float range; the variance is formed
+        # from scaled deviations, so the estimate exits 0. The report is strict
+        # JSON: an infinite clip reads "inf".
+        data, config = files["dir"] / "d.csv", files["dir"] / "inf.cfg"
+        main(["simulate", "--dgp", files["dgp2"], "--n", "2000", "--seed", "3", "--out", str(data)])
+        panel = read_panel_csv(str(data))
+        write_panel_csv(PanelDataset(panel.states, panel.treatments, panel.outcome * 1e160,
+                                     panel.treatment_arities), str(data))
+        config.write_text("clip = inf\n")
+        out = files["dir"] / "report.json"
+        rc = main(["estimate", "--data", str(data), "--plan", files["plan11"], "--config",
+                   str(config), "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["config"]["clip"] == "inf"
+        assert 1e159 < report["sigma_hat"] < math.inf
 
     def test_target_outside_the_panels_levels_exit_2(self, files, capsys):
         # The panel's period 2 has codes 0 and 1; the plan targets code 2.

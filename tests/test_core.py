@@ -613,6 +613,17 @@ class TestScalarGridLookup:
         # 0.5 ties grid rows 1 and 2, 1.5 ties rows 2 and 0
         np.testing.assert_array_equal(fmap.state_index(np.array([[0.5], [1.5]])), [1, 0])
 
+    def test_grid_is_sorted_once_per_map(self, monkeypatch):
+        # The sorted grid values and their first indices are found when the
+        # map is built; a lookup searches them without sorting again.
+        fmap = TabularFeatures(grid=np.array([2.0, 0.0, 2.0, 1.0]), arity=1)
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        for _ in range(3):
+            np.testing.assert_array_equal(fmap.state_index(np.array([[0.4], [1.6], [2.0]])),
+                                          [1, 0, 0])
+        assert calls == []
+
     @settings(max_examples=50, deadline=None)
     @given(
         grid=st.lists(st.integers(-6, 6).map(lambda v: v / 2.0), min_size=1, max_size=8),

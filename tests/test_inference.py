@@ -39,8 +39,9 @@ from dyndml import (
     rate_diagnostics,
     simulate,
 )
-from dyndml import inference
+from dyndml import inference, nuisance
 from dyndml.inference import _failure_cause
+from dyndml.nuisance import fit_nuisances
 
 
 class TestNormalQuantile:
@@ -527,9 +528,108 @@ class TestTypedFoldErrors:
         with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="^fold 0: non-finite"):
             dml_estimate(data, plan2, tabular_config(dgp2), 3, 0, nuisances=blowup)
 
+    @pytest.mark.parametrize("shift", [False, True], ids=["distinct", "per-row"])
+    def test_cross_fitted_non_finite_scores_name_their_fold(self, monkeypatch, dgp2, plan2,
+                                                            shift):
+        # Fold 2's held-out plug-ins blow up; the error names fold 2, not 0.
+        regressions = nuisance._Stages.regressions
+
+        def blown(self, *args):
+            out = regressions(self, *args)
+            out[4][self.sets.fold == 2] = np.inf
+            return out
+
+        monkeypatch.setattr(nuisance._Stages, "regressions", blown)
+        data = simulate(dgp2, 500, 2)
+        if shift:
+            data = PanelDataset(tuple(np.nextafter(s, np.inf) for s in data.states),
+                                data.treatments, data.outcome, data.treatment_arities)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                SolverError, match="^fold 2: non-finite held-out scores$"):
+            dml_estimate(data, plan2, tabular_config(dgp2), 5, 0)
+
     def test_mc_raises_caller_mistakes(self, dgp2, plan2):
         with pytest.raises(ValidationError, match="cannot split 3 observations into 5 folds"):
             mc_experiment(dgp2, plan2, tabular_config(dgp2), 3, 3, 5, seed=0)
+
+
+class TestUnitScores:
+    """theta_hat, sigma_hat and the per-fold means as weighted sums over units."""
+
+    @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+    def test_fold_means_and_sigma_match_the_folds_row_scores(self, monkeypatch, dgp2, clever):
+        # A panel fitted on distinct histories whose rows of one history differ
+        # in Y: per fold, the nuisances fitted on its complement score each of
+        # its rows with that row's own Y.
+        data = simulate(dgp2, 1500, 21)
+        noise = 2.0 * np.random.Generator(np.random.PCG64(22)).standard_normal(data.n_units)
+        data = PanelDataset(data.states, data.treatments, data.outcome + noise,
+                            data.treatment_arities)
+        units, sizes = nuisance._units, []
+
+        def spy(columns, *args):
+            reduced = units(columns, *args)
+            sizes.append(len(reduced.codes[0]))
+            return reduced
+
+        monkeypatch.setattr(nuisance, "_units", spy)
+        plan, cfg = Contrast.of_sequences([1.0, -1.0], [(1, 1), (0, 0)]), tabular_config(dgp2)
+        report = dml_estimate(data, plan, cfg, 5, 4, clever=clever)
+        assert len(sizes) == 1 and sizes[0] <= 5 * 16
+        folds, scores = make_folds(data.n_units, 5, 4), np.empty(data.n_units)
+        for q, idx in enumerate(folds.folds):
+            regs, reps = fit_nuisances(data.subset(folds.complement(q)), plan, cfg, clever=clever)
+            values, _, corrections = moment_scores(data.subset(idx), plan,
+                                                   NuisanceSet(tuple(regs), tuple(reps)))
+            scores[idx] = values
+            tol = 1e-10 * (1.0 + np.abs(values).max())
+            assert abs(report.per_fold[q]["score_mean"] - values.mean()) <= tol
+            np.testing.assert_allclose(report.per_fold[q]["correction_means"],
+                                       corrections.mean(axis=1), rtol=0, atol=tol)
+        assert abs(report.theta_hat - scores.mean()) <= 1e-10 * (1.0 + abs(scores.mean()))
+        assert abs(report.sigma_hat - scores.std()) <= 1e-10 * scores.std()
+
+    @pytest.mark.parametrize("shift", [False, True], ids=["distinct", "per-row"])
+    def test_estimates_scale_exactly_with_the_outcome(self, dgp2, plan2, shift):
+        # Y x 2^530 squares past the float range. Scores are linear in Y and a
+        # power of two scales exactly, so nothing overflows and theta_hat and
+        # sigma_hat scale by 2^530.
+        data = simulate(dgp2, 2000, 3)
+        states = tuple(np.nextafter(s, np.inf) for s in data.states) if shift else data.states
+
+        def estimate(c):
+            panel = PanelDataset(states, data.treatments, data.outcome * c, data.treatment_arities)
+            return dml_estimate(panel, plan2, tabular_config(dgp2), 5, 1)
+
+        base = estimate(1.0)
+        with np.errstate(over="raise", invalid="raise"):
+            big = estimate(2.0 ** 530)
+        assert big.theta_hat == pytest.approx(2.0 ** 530 * base.theta_hat, rel=1e-14, abs=0)
+        assert big.sigma_hat == pytest.approx(2.0 ** 530 * base.sigma_hat, rel=1e-14, abs=0)
+
+    def test_sigma_of_scores_near_the_float_range(self, dgp2, plan2):
+        # Injected nuisances make each row's score its own Y, close to the
+        # largest float: their fold sums, their deviations from theta_hat and
+        # the squares are not representable, theta_hat and sigma_hat are.
+        data = simulate(dgp2, 400, 5)
+        truth = NuisanceSet(regressions=(ConstantFn(0.0), ConstantFn(0.0)),
+                            representers=(ConstantFn(1.0), ConstantFn(1.0)))
+        z = np.where(np.arange(data.n_units) % 3 == 0, -1.9, 1.9) + 1e-3 * data.outcome
+        reports = [dml_estimate(PanelDataset(data.states, data.treatments, z * c,
+                                             data.treatment_arities), plan2,
+                                tabular_config(dgp2), 5, 1, nuisances=truth)
+                   for c in (1.0, 2.0 ** 1023)]
+        assert reports[0].sigma_hat == pytest.approx(z.std(), rel=1e-14)
+        assert reports[1].theta_hat == 2.0 ** 1023 * reports[0].theta_hat
+        assert reports[1].sigma_hat == 2.0 ** 1023 * reports[0].sigma_hat
+
+    def test_an_infinite_clip_is_written_as_a_string(self, dgp2, plan2):
+        data = simulate(dgp2, 500, 2)
+        report = dml_estimate(data, plan2, tabular_config(dgp2, clip=math.inf), 5, 0)
+        loaded = json.loads(report.to_json(), parse_constant=lambda token: 1 / 0)
+        assert loaded["config"]["clip"] == "inf"
+        finite = dml_estimate(data, plan2, tabular_config(dgp2, clip=3.0), 5, 0)
+        assert finite.to_json() == json.dumps(finite.to_dict(), indent=2, sort_keys=True)
 
 
 class TestCrossFitSchedule:
