@@ -13,14 +13,15 @@ designs (`_Design`): a feature map is a state basis times treatment
 indicators, so per period the engine keeps one basis B_t = phi_t.basis(S_t)
 and the code weights W_t of the plan's terms (m_t(Z; g) = sum_c W_c g(S_t, c))
 and never builds the n x p design or moment image. Every per-row array is
-column-major, so elementwise passes run along contiguous columns. Grams are
-block-diagonal by code: each (fold, code) block is computed once and a
-training set's Gram is the sum of the other folds' blocks, as is a right-hand
-side every set shares (t = 1 Riesz, t = M regression); each stage's set x code
-systems are solved in one batched call. The training sets are `_TrainingSets`,
-which the surrogate estimator shares. Cross-fitting (`cross_fit`) solves one
-training set per fold and scores the held-out rows from the same bases; the
-public fits are the one-training-set case.
+column-major, so elementwise passes run along contiguous columns. The
+training sets are `_TrainingSets`, which the surrogate estimator shares. Every
+sum over a set, a Gram (block-diagonal by code) or a right-hand side, whether
+every set shares its input or not, is one reduction: one product per fold
+block (per (fold, code) block for Grams), then each set adds the other folds'
+blocks of its replicate. Each stage's set x code systems are solved in one
+batched call. Cross-fitting (`cross_fit`) solves one training set per fold and
+scores the held-out rows from the same bases; the public fits are the
+one-training-set case.
 
 The training sets are grouped by replicate: a panel may stack several
 replicates' rows (a Monte Carlo chunk), each with its own folds, and a set
@@ -37,6 +38,9 @@ B' diag(w) B), with their rows' mean outcome and its spread, else the rows
 sorted fold by fold (w = 1, no spread). The score is affine in Y, through
 a_M (Y - f_M), so a unit's score at its mean outcome is its rows' mean score
 and |a_M| times its outcome spread is theirs: units are scored, not rows.
+Every fit is linear in Y, so the step scales Y once by a power of two (exact)
+and the estimates are divided by it last: no sum of Y overflows where the
+estimate is representable.
 """
 
 from __future__ import annotations
@@ -172,10 +176,11 @@ class _TrainingSets:
     unit count of each fold. With `q_folds`, the units are one or more
     replicates, each split into `q_folds` folds (counts[r Q + q] is fold q of
     replicate r), and set s = r Q + q is every unit of replicate r outside its
-    fold q: the runs of the replicate (`spans`) around fold s's run `held(s)`.
-    Without, counts is (n,) and the one set is every unit. Unit i counts
-    weights[i] times in every sum (once when `weights` is None), so `sizes`,
-    the sets' weight totals, normalize the means and Grams.
+    fold q, the run `held(s)`. Without, counts is (1,) and the one set is every
+    unit. Unit i counts weights[i] times in every sum (once when `weights` is
+    None), so `sizes`, the sets' weight totals, normalize the means and Grams,
+    both one reduction: block sums over runs of units (`_blocks`), combined
+    per set (`_combine`).
 
     A value each set takes on the units of its replicate is packed (Q', ..., n)
     for a run of Q' folds (`runs`): entry [j, ..., i] is set (r Q + q)'s, q the
@@ -206,61 +211,33 @@ class _TrainingSets:
         """Write into out (n,) each unit's entry of packed x (Q', m) for the set
         its fold is held out of, for the units of the folds in `run`: entry i of
         unit i, or at[i] (m = K n for per-code values, at a unit's own code)."""
-        flat, m = x.reshape(-1), x.shape[-1]
-        for r in range(self.spans.shape[0] - 1):  # a replicate's folds in `run`: one run of memory
-            part = slice(self.bounds[r * self.q + run.start], self.bounds[r * self.q + run.stop])
-            pick = np.multiply(self.fold[part] - run.start, m, dtype=np.intp)
-            pick += np.arange(part.start, part.stop) if at is None else at[part]
-            out[part] = flat[pick]
+        units = np.flatnonzero((self.fold >= run.start) & (self.fold < run.stop))
+        pick = np.multiply(self.fold[units] - run.start, x.shape[-1], dtype=np.intp)
+        pick += units if at is None else at[units]
+        out[units] = x.reshape(-1)[pick]
 
     def spread(self, v: NDArray, run: slice) -> NDArray:
         """Per-set scalars v (S,) packed (Q', n) for `run`."""
         return v.reshape(-1, self.q)[:, run].T[:, self.rep]
 
-    def means(self, x: NDArray, basis: NDArray, run: slice) -> NDArray:
-        """(R, Q', ..., q): the weighted mean over each set's units of x_i basis_i,
-        x packed (Q', ..., n) for `run`, a temporary this may overwrite; one
-        product per replicate for all its sets in the run (`joined` stacks the
-        runs' parts)."""
-        if self.weights is not None:
-            x = x * self.weights
-        if self.folded:  # zero each set's own fold, one run of memory
-            for r in range(self.spans.shape[0] - 1):
-                for q in range(run.start, run.stop):
-                    x[q - run.start, ..., self.held(r * self.q + q)] = 0.0
-        sums = np.stack([(x[..., a:b].reshape(-1, b - a) @ basis[a:b]).reshape(
-            x.shape[:-1] + basis.shape[1:]) for a, b in zip(self.spans[:-1], self.spans[1:])])
-        return sums / self.sizes.reshape((-1, self.q) + (1,) * (sums.ndim - 2))[:, run]
+    def means(self, x: NDArray, basis: NDArray, run: slice | None = None) -> NDArray:
+        """The weighted mean over each set's units of x_i basis_i: for an input
+        every set shares, x (..., n), every set's (S, ..., q); for x packed
+        (Q', ..., n) for `run`, (R, Q', ..., q) (`joined` stacks the runs'
+        parts)."""
+        return self._combine(_blocks(x if self.weights is None else x * self.weights, basis,
+                                     self.bounds), run)
 
     def joined(self, parts: Sequence[NDArray]) -> NDArray:
         """(S, ...): the runs' (R, Q', ...) parts in set order."""
         x = np.concatenate(parts, axis=1)
         return x.reshape((-1,) + x.shape[2:])
 
-    def shared(self, x: NDArray, basis: NDArray) -> NDArray:
-        """Every set's `means` of an input all sets share, x (K, n): (S, K, q),
-        from each fold's block x basis computed once (`_per_set`)."""
-        if self.weights is not None:
-            x = x * self.weights
-        return self._per_set(np.stack([x[:, self.held(f)] @ basis[self.held(f)]
-                                       for f in range(len(self.sizes))]))
-
-    def _per_set(self, blocks: NDArray) -> NDArray:
-        """Each set's normalized sum of the other folds' blocks of its replicate
-        (S, ...), never a difference, so a block zero in every training fold
-        stays exactly zero."""
-        if self.folded:
-            by_rep = blocks.reshape((-1, self.q) + blocks.shape[1:])
-            blocks = np.stack([by_rep[:, :s].sum(axis=1) + by_rep[:, s + 1:].sum(axis=1)
-                               for s in range(self.q)], axis=1).reshape(blocks.shape)
-        return blocks / self.sizes.reshape((-1,) + (1,) * (blocks.ndim - 1))
-
     def grams(self, basis: NDArray, codes: NDArray, k: int) -> NDArray:
         """Every set's normalized Gram B' diag(w) B of the units basis_i in the
         block of codes[i], as its K diagonal blocks: (S, K, q, q). Units are
-        grouped by (fold, code) with one stable sort on a small-int key,
-        gathered along memory order, and each block's Gram is computed once
-        (`_per_set`)."""
+        grouped by (fold, code) with one stable sort on a small-int key and
+        gathered along memory order, so each (fold, code) block is one run."""
         n_folds, q = self.bounds.shape[0] - 1, basis.shape[1]
         small = np.min_scalar_type(n_folds * k)
         key = np.repeat(np.arange(n_folds, dtype=small) * small.type(k), np.diff(self.bounds))
@@ -268,10 +245,34 @@ class _TrainingSets:
         order = np.argsort(key, kind="stable")
         grouped = np.take(basis.T, order, axis=1).T
         weighted = grouped if self.weights is None else grouped * self.weights[order, None]
-        counts = np.bincount(key, minlength=n_folds * k)
-        return self._per_set(np.stack([weighted[end - c:end].T @ grouped[end - c:end]
-                                       for c, end in zip(counts, np.cumsum(counts))])
-                             .reshape(n_folds, k, q, q))
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=n_folds * k))])
+        return self._combine(_blocks(weighted.T, grouped, bounds).reshape(n_folds, k, q, q))
+
+    def _combine(self, blocks: NDArray, run: slice | None = None) -> NDArray:
+        """Each set's sum of the other folds' blocks of its replicate (its own
+        block without folds) over its weight: never a difference, so a block
+        zero in every fold of a set stays exactly zero. Blocks (F, ...) that
+        every set shares give (S, ...); blocks (F, Q', ...) packed for `run`
+        ([f, j] is set (r Q + q)'s, q the run's j-th fold) give (R, Q', ...)."""
+        shared = run is None
+        if shared:
+            run, blocks = slice(0, self.q), blocks[:, None]
+        by_rep, parts = blocks.reshape((-1, self.q) + blocks.shape[1:]), []
+        for s in range(run.start, run.stop):
+            mine = by_rep[:, :, 0 if shared else s - run.start]  # (R, Q, ...): set s's blocks
+            parts.append(mine[:, :s].sum(axis=1) + mine[:, s + 1:].sum(axis=1) if self.folded
+                         else mine[:, s])
+        sums = np.stack(parts, axis=1)
+        sums /= self.sizes.reshape((-1, self.q) + (1,) * (sums.ndim - 2))[:, run]
+        return sums.reshape((-1,) + sums.shape[2:]) if shared else sums
+
+
+def _blocks(x: NDArray, basis: NDArray, bounds: NDArray) -> NDArray:
+    """(B, ..., q): x[..., a:b] @ basis[a:b] for each run [a, b) between
+    consecutive bounds, one GEMM per run."""
+    flat, cuts = x.reshape(-1, x.shape[-1]), bounds.tolist()
+    sums = np.stack([flat[:, a:b] @ basis[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+    return sums.reshape(sums.shape[:1] + x.shape[:-1] + basis.shape[1:])
 
 
 class _Design:
@@ -389,11 +390,14 @@ class _Stages:
     engine keeps one factored design (`_Design`: the state basis B_t, the
     observed codes and the per-set Gram blocks) and the (K, n) code weights
     W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c), over the
-    stacked units. Each pass visits the periods once and solves every
-    training set's stage in one batched call. Right-hand sides
-    are B_t'(W_c v) (forward) and B_t'(1{T_t = c} u) (backward) over a set's
-    units, per fold if all sets share v or u; the sets' fitted functions are
-    valued packed (`_TrainingSets`), every set of a replicate in one product.
+    stacked units. Once the bases exist it keeps neither the units' states nor
+    their codes, except in a one-set fit, where a representer given as a
+    function (`fit_clever_covariate`) is evaluated on the states. Each pass
+    visits the periods once and solves every training set's stage in one
+    batched call. Right-hand sides are B_t'(W_c v) (forward) and
+    B_t'(1{T_t = c} u) (backward) over a set's units (`_TrainingSets.means`);
+    the sets' fitted functions are valued packed, every set of a replicate in
+    one product.
     """
 
     def __init__(
@@ -412,15 +416,18 @@ class _Stages:
         fields = list(zip(*parts))  # each field's values, replicate by replicate
         units = _Units(*([_joined(c) for c in zip(*field)] for field in fields[:3]),
                        *map(_joined, fields[3:]))
-        self.spread = units.spread
-        self.data = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1),
-                                 units.outcome, data.treatment_arities)
+        self.outcome, self.spread, self.scales = units.outcome, units.spread, units.scale
+        self.states = units.states if folds is None else None  # for `representer`
+        view = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1), units.outcome,
+                            tuple(phi.arity for phi in cfg.feature_maps))
+        self.code_weights = [_code_weights(plan, t, view, phi.arity).T
+                             for t, phi in enumerate(cfg.feature_maps, start=1)]
         self.sets = sets = _TrainingSets(units.counts, units.weights,
                                          None if folds is None else len(folds[0]))
         self.designs = [_Design(phi, units, t - 1, sets, cfg, t, name)
                         for t, (phi, name) in enumerate(zip(cfg.feature_maps, names), start=1)]
-        self.code_weights = [_code_weights(plan, t, self.data, phi.arity).T
-                             for t, phi in enumerate(cfg.feature_maps, start=1)]
+        # The bases exist: the Grams need no panel, states or codes.
+        del data, parts, fields, units, view
         for design, weights in zip(self.designs, self.code_weights):
             design.require(weights)
             design.systems()  # every Gram before the passes allocate their values
@@ -431,7 +438,7 @@ class _Stages:
         with one set any function a, evaluated at every code."""
         if isinstance(a, np.ndarray):
             return self.designs[t - 1].values(a, self.cfg.clip, run)
-        return np.stack([a.batch(self.data.states[t - 1], np.full(self.data.n_units, c))
+        return np.stack([a.batch(self.states[t - 1], np.full(len(self.outcome), c))
                          for c in range(self.designs[t - 1].phi.arity)])[None]
 
     def moment(self, t: int, values: NDArray) -> NDArray:
@@ -446,8 +453,8 @@ class _Stages:
         of sets at a time."""
         sets, m = self.sets, len(self.designs)
         coefs: list[NDArray] = []
-        held = np.empty((m, self.data.n_units))
-        rhs = sets.shared(self.code_weights[0], self.designs[0].basis)
+        held = np.empty((m, len(self.outcome)))
+        rhs = sets.means(self.code_weights[0], self.designs[0].basis)
         for t, design in enumerate(self.designs, start=1):
             coefs.append(design.solve(rhs, f"period {t}")[0])
             parts = []
@@ -475,13 +482,13 @@ class _Stages:
         set without folds), and plug m_1(Z; f_1) likewise; with `clever` train_means[s, t-1]
         is the mean of a_t (u_t - f_t) over the set's training rows, from its
         normal equations."""
-        m, sets, n = self.data.num_periods, self.sets, self.data.n_units
+        m, sets, n = len(self.designs), self.sets, len(self.outcome)
         coefs: list[NDArray] = [np.empty(0)] * m
         gammas = np.zeros((m, len(sets.sizes)))
         held, plug = np.empty((m, 2, n)), np.empty(n)
         train_means = np.zeros((len(sets.sizes), m))
-        y, last = self.data.outcome, self.designs[-1]
-        rhs = sets.shared(last.scatter(y), last.basis)
+        y, last = self.outcome, self.designs[-1]
+        rhs = sets.means(last.scatter(y), last.basis)
         borders = [self._border(m, representers[-1], y, run) for run in sets.runs] if clever else []
         for t in range(m, 0, -1):
             design, border = self.designs[t - 1], None
@@ -537,18 +544,20 @@ def cross_fit(
     fold's units with them, in one pass of the stage engine; each panel gets
     the estimate it gets alone, up to rounding. A unit's score is `core._ladder`
     of its held-out plug-in and (a_t, u_t, f_t), u_M its mean outcome: its
-    rows' mean score, their spread |a_M| times its outcomes' spread. Returns
-    per panel its `_UnitScores` and, with `clever`, per fold and period (Q, M)
-    the mean correction a_t (u_t - f_t) over the fold's training rows."""
+    rows' mean score, their spread |a_M| times its outcomes' spread, both in
+    the panel's outcome scale (`_units`). Returns per panel its `_UnitScores`
+    and, with `clever`, per fold and period (Q, M) the mean correction
+    a_t (u_t - f_t) over the fold's training rows."""
     stages = _Stages(panels, plan, cfg, folds)
     representers, held_a = stages.riesz()
     _, _, held, train_means, plug = stages.regressions(representers, clever)
     values, _, corrections = _ladder(plug, ((a, u, f) for a, (u, f) in zip(held_a, held)))
     sets, spread = stages.sets, np.abs(held_a[-1]) * stages.spread
     weights = np.ones(len(values)) if sets.weights is None else sets.weights
-    spans = zip(sets.spans[:-1], sets.spans[1:], train_means.reshape(len(folds), -1, len(held)))
+    spans = zip(sets.spans[:-1], sets.spans[1:], train_means.reshape(len(folds), -1, len(held)),
+                stages.scales.tolist())
     return [(_UnitScores(values[a:b], corrections[:, a:b], weights[a:b], sets.fold[a:b],
-                         spread[a:b]), means) for a, b, means in spans]
+                         spread[a:b], scale), means / scale) for a, b, means, scale in spans]
 
 
 def fit_nested_regressions(
@@ -556,9 +565,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    stages = _Stages([data], plan, cfg)
-    coefs = stages.regressions(None, clever=False)[0]
-    return [design.fn(coef[0]) for design, coef in zip(stages.designs, coefs)]
+    return _regression_fns(_Stages([data], plan, cfg), None, (), clever=False)
 
 
 def riesz_loss(
@@ -633,17 +640,21 @@ def _regression_fns(
     `_Stages.regressions` takes them: with `clever`, period t's is
     CombinedFn(((1.0, linear part), (gamma, representers[t-1])))."""
     coefs, gammas = stages.regressions(fitted, clever)[:2]
-    fns = [design.fn(coef[0]) for design, coef in zip(stages.designs, coefs)]
+    scale = stages.scales[0]  # the fits are linear in the scaled outcome
+    fns = [design.fn(coef[0] / scale) for design, coef in zip(stages.designs, coefs)]
     if not clever:
         return fns
-    return [CombinedFn(((1.0, f), (float(g[0]), a))) for f, g, a in zip(fns, gammas, representers)]
+    return [CombinedFn(((1.0, f), (float(g[0] / scale), a)))
+            for f, g, a in zip(fns, gammas, representers)]
 
 
 class _Units(NamedTuple):
     """A sample's units in fold-major order (`_units`). Per column: states, codes
     and grid rows (None unless tabular); then the mean outcome, its rows'
-    spread about it (root of sum (Y_i - mean)^2), the unit count per fold and
-    the weights (None when the units are the rows)."""
+    spread about it (root of sum (Y_i - mean)^2), both times `scale`, the unit
+    count per fold, the weights (None when the units are the rows) and
+    `scale`, the power of two the outcome was scaled by, (1,) (one per
+    replicate once stacked)."""
 
     states: list[NDArray]
     codes: list[NDArray]
@@ -652,24 +663,27 @@ class _Units(NamedTuple):
     spread: NDArray
     counts: NDArray
     weights: NDArray | None
+    scale: NDArray
 
 
 class _UnitScores(NamedTuple):
-    """A sample's held-out scores on its units: unit u stands for weights[u]
-    rows of fold fold[u] whose scores have mean values[u] (corrections[:, u]
-    per period) and root sum of squared deviations spread[u] about it."""
+    """A sample's held-out scores on its units, times `scale` (its outcome's,
+    `_units`): unit u stands for weights[u] rows of fold fold[u] whose scores
+    have mean values[u] (corrections[:, u] per period) and root sum of squared
+    deviations spread[u] about it. The means and sd are divided by `scale` last."""
 
     values: NDArray
     corrections: NDArray
     weights: NDArray
     fold: NDArray
     spread: NDArray
+    scale: float = 1.0
 
     def fold_means(self, sizes: Sequence[int]) -> NDArray:
         """(1 + M, Q): per fold, the mean score and corrections over its sizes[q] rows."""
         scale = _scale(self.values, self.corrections)
         return np.array([np.bincount(self.fold, self.weights * (v * scale), len(sizes))
-                         for v in (self.values, *self.corrections)]) / sizes / scale
+                         for v in (self.values, *self.corrections)]) / sizes / scale / self.scale
 
     def mean_sd(self) -> tuple[float, float]:
         """The mean and standard deviation of the n = sum w rows' scores:
@@ -679,7 +693,7 @@ class _UnitScores(NamedTuple):
         mean = (self.weights * values).sum() / n
         dev = values - mean
         var = ((self.weights * dev * dev).sum() + (spread * spread).sum()) / n
-        return float(mean) / scale, math.sqrt(var) / scale
+        return float(mean) / scale / self.scale, math.sqrt(var) / scale / self.scale
 
 
 def _scale(*arrays: NDArray) -> float:
@@ -698,15 +712,17 @@ def _units(
     codes), its outcome and its folds. A code outside its map's arity is
     a PlanError naming the column (`names`), and a tabular state farther than
     GRID_TOLERANCE from its grid row a ValidationError naming the column and
-    the first such row in the caller's order.
+    the first such row in the caller's order. The outcome is scaled once, by
+    the power of two `_scale` gives (exact), so that no sum of it or square of
+    a deviation overflows where the estimate is representable; the units carry
+    that scale.
 
     The units are the distinct (fold, per-column grid row and code) rows,
     weighted by their counts, with their rows' mean outcome and its spread,
     when every map is tabular, every state equals its grid row by value (-0.0
     equals 0.0) and the key space Q * prod(G K) is at most n: one int64 key
     per row, the fold's digit leading, `bincount` over the key space (no
-    sort), each unit decoded from its key; the deviations are scaled
-    (`_scale`) before they are squared. Otherwise the units are the rows,
+    sort), each unit decoded from its key. Otherwise the units are the rows,
     unweighted and with zero spread, sorted within each fold and taken one
     fold after another."""
     n, cells, exact = columns[0][1].shape[0], [], True
@@ -722,6 +738,7 @@ def _units(
                     f"{name}: row {rows[0]}: state {states[rows[0]].tolist()} is off the "
                     f"tabular grid (nearest grid row {nearest[rows[0]].tolist()}, tolerance "
                     f"{GRID_TOLERANCE:g} x (1 + |grid value|))")
+    scale = _scale(outcome)
     shape = [len(folds)] + [size for phi, _, _ in columns if isinstance(phi, TabularFeatures)
                             for size in (phi.grid.shape[0], phi.arity)]
     if exact and len(shape) == 1 + 2 * len(columns) and math.prod(shape) <= n:
@@ -736,25 +753,26 @@ def _units(
         counts = np.bincount(key, minlength=math.prod(shape))
         units = np.flatnonzero(counts)
         fold, *digits = np.unravel_index(units, shape)
-        mean = np.bincount(key, outcome, counts.shape[0])
+        mean = np.bincount(key, outcome * scale, counts.shape[0])
         np.divide(mean, counts, out=mean, where=counts > 0)
-        dev = mean[key]
+        dev = (mean / scale)[key]  # Y - mean, then scaled: exact, and one n-array
         np.subtract(outcome, dev, out=dev)
-        dev *= (scale := _scale(dev))
+        dev *= scale
         spread = np.sqrt(np.bincount(key, np.square(dev, out=dev), counts.shape[0])[units])
-        mean, spread = mean[units], spread / scale
         return _Units(
             [phi.grid[c] for (phi, _, _), c in zip(columns, digits[::2])], digits[1::2],
-            digits[::2], mean, spread, np.bincount(fold, minlength=shape[0]),
-            counts[units].astype(float))
+            digits[::2], mean[units], spread, np.bincount(fold, minlength=shape[0]),
+            counts[units].astype(float), np.array([scale]))
     order = np.concatenate([np.sort(idx) for idx in folds])  # a fold's rows in memory order
 
     def rows(a: NDArray | None) -> NDArray | None:  # gathered along memory order
         return None if a is None else np.take(a.T, order, axis=-1).T
 
+    y = rows(outcome)
+    y *= scale
     return _Units([rows(c[1]) for c in columns], [rows(c[2]) for c in columns],
-                  list(map(rows, cells)), rows(outcome), np.zeros(n),
-                  np.array([len(idx) for idx in folds]), None)
+                  list(map(rows, cells)), y, np.zeros(n), np.array([len(idx) for idx in folds]),
+                  None, np.array([scale]))
 
 
 def _check_tabular_cells(maps: Sequence[FeatureMap], names: list[str], rows: list[int]) -> None:

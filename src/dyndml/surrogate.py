@@ -117,7 +117,8 @@ def _cross_fit(
     factored designs built once on the samples' units (`nuisance._units`).
     Without folds, the nuisances fitted on the whole samples; with each
     sample's folds, the held-out scores of each sample's units
-    (`nuisance._UnitScores`), a long unit's at its mean y.
+    (`nuisance._UnitScores`), a long unit's at its mean y, both samples'
+    in the long outcome's scale.
 
     a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))], whose right-hand side
     carries the code weights W = [-1, +1]; a2 minimizes the cross-sample risk
@@ -145,9 +146,9 @@ def _cross_fit(
     x_long = _Design(phi_sx, lu, 0, long, cfg, 2, names[2])
     contrast = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, len(su.codes[0])))
     x_tx.require(contrast)
-    h = x_long.solve(long.shared(x_long.scatter(lu.outcome), x_long.basis),
+    h = x_long.solve(long.means(x_long.scatter(lu.outcome), x_long.basis),
                      "h (long-sample regression)")[0]
-    a1 = x_tx.solve(short.shared(contrast, x_tx.basis), "a1 (treatment representer)")[0]
+    a1 = x_tx.solve(short.means(contrast, x_tx.basis), "a1 (treatment representer)")[0]
     rhs_g, rhs_a2 = [], []
     held = np.empty((4, len(su.codes[0])))  # each unit's g(1, X) - g(0, X), a1, h, g
     for run in short.runs:
@@ -159,9 +160,10 @@ def _cross_fit(
         short.own(h_short, run, held[2])
     g = x_tx.solve(short.joined(rhs_g), "g (short-sample projection)")[0]
     a2 = x_long.solve(short.joined(rhs_a2), "a2 (surrogate score)")[0]
+    scale = float(lu.scale[0])  # h and g are linear in the scaled y
     if q is None:
-        return SurrogateNuisances(h=x_long.fn(h[0]), g=x_tx.fn(g[0]), a1=x_tx.fn(a1[0], cfg.clip),
-                                  a2=x_long.fn(a2[0], cfg.clip))
+        return SurrogateNuisances(h=x_long.fn(h[0] / scale), g=x_tx.fn(g[0] / scale),
+                                  a1=x_tx.fn(a1[0], cfg.clip), a2=x_long.fn(a2[0], cfg.clip))
     for run in short.runs:
         g_vals = x_tx.values(g, None, run)
         short.own(g_vals[:, 1] - g_vals[:, 0], run, held[0])
@@ -172,8 +174,9 @@ def _cross_fit(
         x_long.own(x_long.values(h, None, run), run, held_long[1])
     s, y = _two_sample_scores(held[0], held[1:], (held_long[0], lu.outcome, held_long[1]))
     w_s, w_l = (np.ones(len(v)) if w is None else w for v, w in ((s, su.weights), (y, lu.weights)))
-    return (_UnitScores(s, np.empty((0, len(s))), w_s, short.fold, su.spread),  # no corrections
-            _UnitScores(y, np.empty((0, len(y))), w_l, long.fold, np.abs(held_long[0]) * lu.spread))
+    return (_UnitScores(s, np.empty((0, len(s))), w_s, short.fold, su.spread, scale),  # no corrections
+            _UnitScores(y, np.empty((0, len(y))), w_l, long.fold, np.abs(held_long[0]) * lu.spread,
+                        scale))
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:

@@ -589,23 +589,29 @@ class TestUnitScores:
         assert abs(report.theta_hat - scores.mean()) <= 1e-10 * (1.0 + abs(scores.mean()))
         assert abs(report.sigma_hat - scores.std()) <= 1e-10 * scores.std()
 
+    @pytest.mark.parametrize("factor", [2.0 ** 530, 2.0 ** 1015], ids=["2^530", "2^1015"])
+    @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
     @pytest.mark.parametrize("shift", [False, True], ids=["distinct", "per-row"])
-    def test_estimates_scale_exactly_with_the_outcome(self, dgp2, plan2, shift):
-        # Y x 2^530 squares past the float range. Scores are linear in Y and a
-        # power of two scales exactly, so nothing overflows and theta_hat and
-        # sigma_hat scale by 2^530.
+    def test_estimates_scale_exactly_with_the_outcome(self, dgp2, plan2, shift, clever, factor):
+        # Y x 2^530 squares past the float range, and a fold's sum of
+        # Y x 2^1015 passes it. Scores are linear in Y and a power of two
+        # scales exactly, so nothing overflows and theta_hat, sigma_hat and
+        # every per-fold mean scale by the factor.
         data = simulate(dgp2, 2000, 3)
         states = tuple(np.nextafter(s, np.inf) for s in data.states) if shift else data.states
 
         def estimate(c):
             panel = PanelDataset(states, data.treatments, data.outcome * c, data.treatment_arities)
-            return dml_estimate(panel, plan2, tabular_config(dgp2), 5, 1)
+            return dml_estimate(panel, plan2, tabular_config(dgp2), 5, 1, clever=clever)
 
         base = estimate(1.0)
         with np.errstate(over="raise", invalid="raise"):
-            big = estimate(2.0 ** 530)
-        assert big.theta_hat == pytest.approx(2.0 ** 530 * base.theta_hat, rel=1e-14, abs=0)
-        assert big.sigma_hat == pytest.approx(2.0 ** 530 * base.sigma_hat, rel=1e-14, abs=0)
+            big = estimate(factor)
+        assert big.theta_hat == pytest.approx(factor * base.theta_hat, rel=1e-14, abs=0)
+        assert big.sigma_hat == pytest.approx(factor * base.sigma_hat, rel=1e-14, abs=0)
+        for got, want in zip(big.per_fold, base.per_fold):
+            for key in ("score_mean", "correction_means", "clever_correction_means"):
+                assert np.array_equal(got.get(key, 0.0), factor * np.array(want.get(key, 0.0)))
 
     def test_sigma_of_scores_near_the_float_range(self, dgp2, plan2):
         # Injected nuisances make each row's score its own Y, close to the

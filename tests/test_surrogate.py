@@ -184,10 +184,13 @@ class TestSurrogateEstimate:
         b = surrogate_estimate(data, cfg, 4, 3)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("factor", [2.0 ** 530, 2.0 ** 1020], ids=["2^530", "2^1020"])
     @pytest.mark.parametrize("shift", [False, True], ids=["distinct", "per-row"])
-    def test_estimate_scales_exactly_with_the_long_outcome(self, tsd, shift):
-        # y x 2^530 squares past the float range; both samples' scores are
-        # linear in y, so theta_hat and sigma_hat scale exactly by 2^530.
+    def test_estimate_scales_exactly_with_the_long_outcome(self, tsd, shift, factor):
+        # y x 2^530 squares past the float range, and a training set's sum of
+        # y x 2^1020 passes it (|y| < 16, so y x 2^1020 is finite); both
+        # samples' scores are linear in y, so theta_hat and sigma_hat scale
+        # exactly by the factor.
         data = tsd.simulate(600, 500, 3)
         up = (lambda a: np.nextafter(a, np.inf)) if shift else (lambda a: a)
 
@@ -198,9 +201,9 @@ class TestSurrogateEstimate:
 
         base = estimate(1.0)
         with np.errstate(over="raise", invalid="raise"):
-            big = estimate(2.0 ** 530)
-        assert big.theta_hat == pytest.approx(2.0 ** 530 * base.theta_hat, rel=1e-14, abs=0)
-        assert big.sigma_hat == pytest.approx(2.0 ** 530 * base.sigma_hat, rel=1e-14, abs=0)
+            big = estimate(factor)
+        assert big.theta_hat == pytest.approx(factor * base.theta_hat, rel=1e-14, abs=0)
+        assert big.sigma_hat == pytest.approx(factor * base.sigma_hat, rel=1e-14, abs=0)
 
     def test_one_arm_short_sample_is_a_positivity_error(self, tsd):
         # The contrast targets both arms; with no treated record a1 does not exist.
