@@ -18,7 +18,6 @@ from .core import (
     PlanError,
     PolynomialFeatures,
     PositivityError,
-    Prefix,
     RandomFourierFeatures,
     SolverError,
     TabularFeatures,

@@ -15,7 +15,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,13 +37,6 @@ class PositivityError(RuntimeError):
     """A targeted treatment has zero propensity on a positive-mass state."""
 
 
-class Prefix(NamedTuple):
-    """Observable history at period t: states S_1..S_t and treatments T_1..T_{t-1}."""
-
-    states: tuple[NDArray, ...]
-    treatments: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One unit: M state vectors, M treatment codes, and the final outcome."""
@@ -61,10 +54,6 @@ class Trajectory:
     @property
     def num_periods(self) -> int:
         return len(self.states)
-
-    def prefix(self, period: int) -> Prefix:
-        """History visible when period `period` (1-based) is evaluated."""
-        return Prefix(self.states[:period], self.treatments[: period - 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,47 +158,48 @@ def _check_finite(values: NDArray, column: Callable[[int], str]) -> None:
 # Counterfactual plans
 # ---------------------------------------------------------------------------
 
-WeightRule = Callable[[Prefix], float]
-TargetRule = Callable[[Prefix], int]
-
 
 @dataclass(frozen=True)
 class EvalTerm:
     """One weighted evaluation point inside a period's moment.
 
-    `weight_batch` and `target_batch` consume a PanelDataset and return
-    per-row arrays; `weight` and `target` consume one row's observable prefix
-    and are optional fallbacks, evaluated in a row loop when the batch form is
-    absent. Each of the weight and the target needs one of its two forms.
-    Batch rules must be row-wise functions of each row's own states and
-    treatments, never of `outcome` or other rows: on all-tabular panels the
-    estimators pass them one row per distinct history.
+    `weight_batch` and `target_batch` each map a PanelDataset of n rows to n
+    values: the rows' weights and their integer target codes. `weights` and
+    `targets` are the only callers of the rules, and each checks the result
+    once: another shape (a scalar included) or a non-integral target is a
+    PlanError naming the period. The rules must be row-wise functions of each
+    row's own states and treatments, never of `outcome` or other rows: on
+    all-tabular panels the estimators pass them one row per distinct history.
     """
 
-    weight: WeightRule | None = None
-    target: TargetRule | None = None
     weight_batch: Callable[[PanelDataset], NDArray] | None = None
     target_batch: Callable[[PanelDataset], NDArray] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("weight", "target"):
-            if getattr(self, name) is None and getattr(self, f"{name}_batch") is None:
-                raise PlanError(f"evaluation term needs {name} or {name}_batch")
+        for name in ("weight_batch", "target_batch"):
+            if getattr(self, name) is None:
+                raise PlanError(f"evaluation term needs {name}")
 
     def weights(self, data: PanelDataset, period: int) -> NDArray:
-        if self.weight_batch is not None:
-            return np.asarray(self.weight_batch(data), dtype=float)
-        return np.array(
-            [self.weight(data.trajectory(i).prefix(period)) for i in range(data.n_units)]
-        )
+        return _rule_values(self.weight_batch(data), data.n_units,
+                            f"period {period}: weight rule", integral=False)
 
     def targets(self, data: PanelDataset, period: int) -> NDArray:
-        if self.target_batch is not None:
-            return np.asarray(self.target_batch(data), dtype=np.int64)
-        return np.array(
-            [self.target(data.trajectory(i).prefix(period)) for i in range(data.n_units)],
-            dtype=np.int64,
-        )
+        return _rule_values(self.target_batch(data), data.n_units,
+                            f"period {period}: target rule", integral=True)
+
+
+def _rule_values(out: NDArray, n: int, where: str, integral: bool) -> NDArray:
+    """A plan rule's result as n floats, or as n int64 codes when `integral`;
+    another shape or a non-integral code is a PlanError naming `where`."""
+    out = np.asarray(out)
+    if out.shape != (n,):
+        raise PlanError(f"{where} gave shape {out.shape}, expected ({n},)")
+    if integral and out.dtype.kind not in "biu":
+        whole = np.isfinite(out) & (out == np.rint(out))
+        if not whole.all():
+            raise PlanError(f"{where} gave the non-integral code {float(out[~whole][0]):g}")
+    return out.astype(np.int64 if integral else float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -234,12 +224,15 @@ class FixedSequence:
         return (_prefix_term(1.0, (), self.treatments[period - 1]),)
 
 
-Policy = Callable[[NDArray], int]
+Policy = Callable[[NDArray], NDArray]
 
 
 @dataclass(frozen=True)
 class DynamicPolicy:
-    """Deterministic state-feedback plan: treat with pi_t(S_t) in period t."""
+    """Deterministic state-feedback plan: treat with pi_t(S_t) in period t.
+
+    Each policy maps the period's (n, d_t) state matrix to n codes: period t's
+    one term is the unit weight and the target rule pi_t(data.states[t - 1])."""
 
     policies: tuple[Policy, ...]
 
@@ -254,22 +247,8 @@ class DynamicPolicy:
     def period_terms(self, period: int) -> tuple[EvalTerm, ...]:
         _check_period(period, self.num_periods)
         pi = self.policies[period - 1]
-
-        def target_batch(data: PanelDataset, pi=pi, t=period) -> NDArray:
-            s = data.states[t - 1]
-            # A policy written for one state may fail or give one value on the
-            # whole batch; it is then called row by row.
-            try:
-                out = np.asarray(pi(s))
-            except PlanError:
-                raise
-            except (TypeError, ValueError, IndexError):
-                out = None
-            if out is not None and out.shape == (data.n_units,):
-                return out.astype(np.int64)
-            return np.array([int(pi(s[i])) for i in range(s.shape[0])], dtype=np.int64)
-
-        return (EvalTerm(weight_batch=lambda d: np.ones(d.n_units), target_batch=target_batch),)
+        return (EvalTerm(weight_batch=lambda d: np.ones(d.n_units),
+                         target_batch=lambda d: pi(d.states[period - 1])),)
 
 
 def grid_policy(codes: Sequence[int]) -> Policy:

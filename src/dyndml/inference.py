@@ -204,7 +204,8 @@ def dml_estimate(
     scores, _, corrections = moment_scores(data, plan, nuisances)
     sizes, fold = [len(idx) for idx in folds], np.empty(data.n_units, dtype=np.intp)
     fold[np.concatenate(folds)] = np.repeat(np.arange(q_folds), sizes)
-    rows = _UnitScores(scores, corrections, np.ones(data.n_units), fold, np.zeros(data.n_units))
+    rows = _UnitScores.scaled(scores, corrections, np.ones(data.n_units), fold,
+                              np.zeros(data.n_units))
     return _report(rows, sizes, cfg, seed, clever)
 
 

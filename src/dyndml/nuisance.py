@@ -204,9 +204,6 @@ class _TrainingSets:
         held = np.asarray(held, dtype=float).reshape(-1, self.q)
         self.sizes = (held.sum(axis=1, keepdims=True) - held if self.folded else held).ravel()
 
-    def held(self, s: int) -> slice:
-        return slice(self.bounds[s], self.bounds[s + 1])
-
     def own(self, x: NDArray, run: slice, out: NDArray, at: NDArray | None = None) -> None:
         """Write into out (n,) each unit's entry of packed x (Q', m) for the set
         its fold is held out of, for the units of the folds in `run`: entry i of
@@ -556,8 +553,8 @@ def cross_fit(
     weights = np.ones(len(values)) if sets.weights is None else sets.weights
     spans = zip(sets.spans[:-1], sets.spans[1:], train_means.reshape(len(folds), -1, len(held)),
                 stages.scales.tolist())
-    return [(_UnitScores(values[a:b], corrections[:, a:b], weights[a:b], sets.fold[a:b],
-                         spread[a:b], scale), means / scale) for a, b, means, scale in spans]
+    return [(_UnitScores.scaled(values[a:b], corrections[:, a:b], weights[a:b], sets.fold[a:b],
+                                spread[a:b], scale), means / scale) for a, b, means, scale in spans]
 
 
 def fit_nested_regressions(
@@ -667,33 +664,40 @@ class _Units(NamedTuple):
 
 
 class _UnitScores(NamedTuple):
-    """A sample's held-out scores on its units, times `scale` (its outcome's,
-    `_units`): unit u stands for weights[u] rows of fold fold[u] whose scores
-    have mean values[u] (corrections[:, u] per period) and root sum of squared
-    deviations spread[u] about it. The means and sd are divided by `scale` last."""
+    """A sample's held-out scores on its units, times `scale`: unit u stands
+    for weights[u] rows of fold fold[u] whose scores have mean values[u]
+    (corrections[:, u] per period) and root sum of squared deviations
+    spread[u] about it. Made by `scaled`, whose power-of-two scale puts every
+    entry below 1 in magnitude; the means and sd are divided by it last."""
 
     values: NDArray
     corrections: NDArray
     weights: NDArray
     fold: NDArray
     spread: NDArray
-    scale: float = 1.0
+    scale: float
+
+    @classmethod
+    def scaled(cls, values: NDArray, corrections: NDArray, weights: NDArray, fold: NDArray,
+               spread: NDArray, scale: float = 1.0) -> "_UnitScores":
+        """The scores (times `scale`, the outcome's, `_units`) times `_scale` of
+        them all, folded into `scale`: exact, once per sample."""
+        s = _scale(values, corrections, spread)
+        return cls(values * s, corrections * s, weights, fold, spread * s, scale * s)
 
     def fold_means(self, sizes: Sequence[int]) -> NDArray:
         """(1 + M, Q): per fold, the mean score and corrections over its sizes[q] rows."""
-        scale = _scale(self.values, self.corrections)
-        return np.array([np.bincount(self.fold, self.weights * (v * scale), len(sizes))
-                         for v in (self.values, *self.corrections)]) / sizes / scale / self.scale
+        return np.array([np.bincount(self.fold, self.weights * v, len(sizes))
+                         for v in (self.values, *self.corrections)]) / sizes / self.scale
 
     def mean_sd(self) -> tuple[float, float]:
         """The mean and standard deviation of the n = sum w rows' scores:
         n sd^2 = sum_u w_u (s_u - mean)^2 + sum_u spread_u^2."""
-        scale = _scale(self.values, self.spread)
-        values, spread, n = self.values * scale, self.spread * scale, self.weights.sum()
-        mean = (self.weights * values).sum() / n
-        dev = values - mean
-        var = ((self.weights * dev * dev).sum() + (spread * spread).sum()) / n
-        return float(mean) / scale / self.scale, math.sqrt(var) / scale / self.scale
+        n = self.weights.sum()
+        mean = (self.weights * self.values).sum() / n
+        dev = self.values - mean
+        var = ((self.weights * dev * dev).sum() + (self.spread * self.spread).sum()) / n
+        return float(mean) / self.scale, math.sqrt(var) / self.scale
 
 
 def _scale(*arrays: NDArray) -> float:

@@ -32,6 +32,7 @@ from .core import (
     ValidationError,
     _check_codes,
     _code_weights,
+    _rule_values,
     moment_batch,
     moment_scores,
     tabular_fn,
@@ -295,24 +296,24 @@ def oracle_theta_potential(dgp: DiscreteDGP, plan: TreatmentPlan) -> float:
     """
     _check_plan(dgp, plan)
     if isinstance(plan, FixedSequence):
-        return _forced_value(dgp, lambda t, s: plan.treatments[t])
+        return _forced_value(dgp, lambda t, grid: np.full(len(grid), plan.treatments[t]))
     if isinstance(plan, DynamicPolicy):
-        return _forced_value(
-            dgp, lambda t, s: int(np.atleast_1d(plan.policies[t](np.array([float(s)])))[0])
-        )
+        return _forced_value(dgp, lambda t, grid: _rule_values(
+            plan.policies[t](grid), len(grid), f"period {t + 1}: policy", integral=True))
     if isinstance(plan, Contrast) and plan.component_plans is not None:
         return sum(c * oracle_theta_potential(dgp, p) for c, p in plan.component_plans)
     raise ValidationError("potential-outcome enumeration needs a plan with counterfactual semantics")
 
 
 def _forced_value(dgp: DiscreteDGP, choose) -> float:
+    """The value of forcing period t's codes choose(t, grid) on its (G_t, 1) grid column."""
     dist = dgp.initial.copy()
     m = dgp.num_periods
     total = 0.0
     for t in range(m):
-        codes = np.array([choose(t, s) for s in range(dgp.state_arities[t])], dtype=np.int64)
-        if codes.min() < 0 or codes.max() >= dgp.treatment_arities[t]:
-            raise ValidationError(f"plan targets an invalid code in period {t + 1}")
+        grid = np.arange(float(dgp.state_arities[t]))[:, None]
+        codes = choose(t, grid)
+        _check_codes(codes, dgp.treatment_arities[t], f"period {t + 1}")
         if t < m - 1:
             dist = np.einsum("s,su->u", dist, dgp.transitions[t][np.arange(len(codes)), codes])
         else:

@@ -174,9 +174,10 @@ def _cross_fit(
         x_long.own(x_long.values(h, None, run), run, held_long[1])
     s, y = _two_sample_scores(held[0], held[1:], (held_long[0], lu.outcome, held_long[1]))
     w_s, w_l = (np.ones(len(v)) if w is None else w for v, w in ((s, su.weights), (y, lu.weights)))
-    return (_UnitScores(s, np.empty((0, len(s))), w_s, short.fold, su.spread, scale),  # no corrections
-            _UnitScores(y, np.empty((0, len(y))), w_l, long.fold, np.abs(held_long[0]) * lu.spread,
-                        scale))
+    return (_UnitScores.scaled(s, np.empty((0, len(s))), w_s, short.fold, su.spread,  # no corrections
+                               scale),
+            _UnitScores.scaled(y, np.empty((0, len(y))), w_l, long.fold,
+                               np.abs(held_long[0]) * lu.spread, scale))
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:

@@ -103,8 +103,10 @@ class TestEvaluateMoment:
         # terms {(+1, target 1), (-1, target 0)} with g(s, a) = a gives 1 - 0 = 1
         terms = (
             (
-                EvalTerm(weight=lambda p: 1.0, target=lambda p: 1),
-                EvalTerm(weight=lambda p: -1.0, target=lambda p: 0),
+                EvalTerm(weight_batch=lambda d: np.ones(d.n_units),
+                         target_batch=lambda d: np.ones(d.n_units, dtype=np.int64)),
+                EvalTerm(weight_batch=lambda d: -np.ones(d.n_units),
+                         target_batch=lambda d: np.zeros(d.n_units, dtype=np.int64)),
             ),
         )
         plan = Contrast(terms=terms)
@@ -174,18 +176,48 @@ class TestPlans:
         expected = g.batch(data.states[0], codes)
         np.testing.assert_allclose(vals, expected)
 
-    def test_policy_error_surfaces_after_one_call(self, dgp2):
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError, TypeError, IndexError])
+    def test_policy_error_surfaces_after_one_call(self, dgp2, error):
+        # No error a policy raises on the batch makes it be called again.
         calls = []
 
         def broken(s):
             calls.append(np.shape(s))
-            raise RuntimeError("policy table unavailable")
+            raise error("policy table unavailable")
 
         policy = DynamicPolicy((broken, grid_policy([1, 1])))
         g = tabular_fn(np.arange(4.0).reshape(2, 2))
-        with pytest.raises(RuntimeError, match="policy table unavailable"):
+        with pytest.raises(error, match="policy table unavailable"):
             moment_batch(policy, 1, simulate(dgp2, 20, 1), g)
-        assert len(calls) == 1
+        assert calls == [(20, 1)]
+
+    def test_batch_policy_potential_outcomes_match_the_recursion(self, dgp2):
+        def sign(s):
+            return (s[:, 0] > 0).astype(np.int64)
+
+        policy = DynamicPolicy((sign, sign))
+        assert oracle_theta_potential(dgp2, policy) == pytest.approx(
+            oracle_theta(dgp2, policy), abs=1e-12)
+
+    @pytest.mark.parametrize("rules, message", [
+        ({"weight_batch": lambda d: 1.0}, r"period 2: weight rule gave shape \(\), expected"),
+        ({"weight_batch": lambda d: np.ones(d.n_units + 1)},
+         r"period 2: weight rule gave shape \(\d+,\), expected"),
+        ({"target_batch": lambda d: 1}, r"period 2: target rule gave shape \(\), expected"),
+        ({"target_batch": lambda d: np.full(d.n_units, 0.9)},
+         "period 2: target rule gave the non-integral code 0.9"),
+    ], ids=["scalar-weight", "long-weight", "scalar-target", "non-integral-target"])
+    def test_a_rule_result_that_is_not_one_code_per_row_is_rejected(self, dgp2, rules, message):
+        # A scalar is not broadcast, a wrong length is not cut, and 0.9 is not
+        # truncated to code 0, in every path that evaluates the plan.
+        good = {"weight_batch": lambda d: np.ones(d.n_units),
+                "target_batch": lambda d: np.ones(d.n_units, dtype=np.int64)}
+        plan = Contrast(terms=((EvalTerm(**good),), (EvalTerm(**{**good, **rules}),)))
+        data = simulate(dgp2, 200, 3)
+        with pytest.raises(PlanError, match=message):
+            moment_batch(plan, 2, data, tabular_fn(np.arange(4.0).reshape(2, 2)))
+        with pytest.raises(PlanError, match=message):
+            dml_estimate(data, plan, tabular_config(dgp2), 3, 4)
 
     @pytest.mark.parametrize(
         "table,state,message",
@@ -232,15 +264,6 @@ class TestPlans:
             moment_batch(policy, 1, simulate(dgp2, 20, 1), g)
         assert len(calls) == 1
 
-    def test_scalar_policy_falls_back_to_rows(self, dgp2):
-        data = simulate(dgp2, 30, 2)
-        g = tabular_fn(np.arange(4.0).reshape(2, 2))
-        scalar = DynamicPolicy((lambda s: int(s[0] > 0), grid_policy([1, 1])))
-        grid = DynamicPolicy((grid_policy([0, 1]), grid_policy([1, 1])))
-        np.testing.assert_array_equal(
-            moment_batch(scalar, 1, data, g), moment_batch(grid, 1, data, g)
-        )
-
     @pytest.mark.parametrize(
         "coefs,seqs",
         [
@@ -286,39 +309,11 @@ class TestPlans:
         with pytest.raises(PlanError, match="history-augmented"):
             Contrast.of_sequences([1.0, -1.0], [(1, 1, 1), (0, 1, 0)])
 
-    def test_plain_terms_without_batch_callables(self, dgp2):
-        # user-defined terms fall back to the per-row prefix loop everywhere:
-        # identification, representer recursion, and population moments
-        plan_fast = FixedSequence((1, 1))
-        slow_terms = tuple(
-            (EvalTerm(weight=lambda p: 1.0, target=lambda p: 1),) for _ in range(2)
-        )
-        plan_slow = Contrast(terms=slow_terms)
-        assert oracle_theta(dgp2, plan_slow) == pytest.approx(
-            oracle_theta(dgp2, plan_fast), abs=1e-12
-        )
-        data = simulate(dgp2, 50, 2)
-        g = tabular_fn(np.arange(4.0).reshape(2, 2))
-        np.testing.assert_allclose(
-            moment_batch(plan_slow, 2, data, g), moment_batch(plan_fast, 2, data, g)
-        )
-
-    @pytest.mark.parametrize("forms", [
-        ("weight", "target"),
-        ("weight_batch", "target_batch"),
-        ("weight", "target_batch"),
-        ("weight_batch", "target"),
-    ])
-    def test_terms_in_either_form_match_the_fixed_sequence(self, dgp2, forms):
-        # Each of a term's weight and target may come as a prefix rule, a
-        # batch rule, or both; every form gives the fixed sequence's values.
-        rules = {
-            "weight": lambda p: 1.0,
-            "target": lambda p: 1,
-            "weight_batch": lambda d: np.ones(d.n_units),
-            "target_batch": lambda d: np.ones(d.n_units, dtype=np.int64),
-        }
-        plan = Contrast(terms=tuple((EvalTerm(**{f: rules[f] for f in forms}),) for _ in (1, 2)))
+    def test_terms_in_either_form_match_the_fixed_sequence(self, dgp2):
+        # A term of batch rules gives the fixed sequence's values.
+        plan = Contrast(terms=tuple(
+            (EvalTerm(weight_batch=lambda d: np.ones(d.n_units),
+                      target_batch=lambda d: np.ones(d.n_units, dtype=np.int64)),) for _ in (1, 2)))
         fixed = FixedSequence((1, 1))
         data = simulate(dgp2, 80, 2)
         g = tabular_fn(np.arange(4.0).reshape(2, 2))
@@ -333,14 +328,12 @@ class TestPlans:
                 == dml_estimate(data, fixed, cfg, 3, 4).to_dict())
 
     @pytest.mark.parametrize("forms, missing", [
-        ({"target": lambda p: 1}, "weight"),
         ({"target_batch": lambda d: np.ones(d.n_units, dtype=np.int64)}, "weight"),
-        ({"weight": lambda p: 1.0}, "target"),
         ({"weight_batch": lambda d: np.ones(d.n_units)}, "target"),
         ({}, "weight"),
     ])
     def test_term_without_either_form_rejected(self, forms, missing):
-        with pytest.raises(PlanError, match=f"needs {missing} or {missing}_batch"):
+        with pytest.raises(PlanError, match=f"needs {missing}_batch"):
             EvalTerm(**forms)
 
     def test_randomized_policy_via_probability_weighted_terms(self):
@@ -353,8 +346,6 @@ class TestPlans:
 
         def term(t, k):
             return EvalTerm(
-                weight=lambda p, t=t, k=k: float(pi[t - 1][int(p.states[t - 1][0]), k]),
-                target=lambda p, k=k: k,
                 weight_batch=lambda d, t=t, k=k: pi[t - 1][
                     d.states[t - 1][:, 0].astype(int), k
                 ],

@@ -194,7 +194,7 @@ def test_public_names_pinned():
         "CombinedFn", "ConstantFn", "Contrast", "DiscreteDGP", "DynamicPolicy",
         "EstimateReport", "EvalTerm", "FitConfig", "FixedSequence",
         "FoldPlan", "LinearFn", "MCResult", "MomentValue", "NuisanceSet", "PanelDataset",
-        "Perturbation", "PlanError", "PolynomialFeatures", "PositivityError", "Prefix",
+        "Perturbation", "PlanError", "PolynomialFeatures", "PositivityError",
         "RandomFourierFeatures", "RateTable", "SolverError", "SurrogateNuisances",
         "SurrogatePair", "TabularFeatures", "Trajectory", "TreatmentPlan", "ValidationError",
         "core", "dgp_ref_1", "dgp_ref_2", "dml_estimate", "evaluate_moment",

@@ -629,6 +629,23 @@ class TestUnitScores:
         assert reports[1].theta_hat == 2.0 ** 1023 * reports[0].theta_hat
         assert reports[1].sigma_hat == 2.0 ** 1023 * reports[0].sigma_hat
 
+    def test_injected_oracle_with_an_outcome_near_the_float_range(self, dgp2, plan2):
+        # With the oracle's nuisances and Y x 2^1000, each score is
+        # a_2 Y 2^1000 plus terms some 300 decades smaller; its sums and
+        # squares pass the float range, the report does not.
+        data = simulate(dgp2, 1000, 4)
+        nus = oracle_nuisances(dgp2, plan2)
+        big = PanelDataset(data.states, data.treatments, data.outcome * 2.0 ** 1000,
+                           data.treatment_arities)
+        with np.errstate(over="raise", invalid="raise"):
+            report = dml_estimate(big, plan2, tabular_config(dgp2), 5, 1, nuisances=nus)
+        numbers = [report.theta_hat, report.sigma_hat, report.ci_lower, report.ci_upper]
+        numbers += [f["score_mean"] for f in report.per_fold]
+        assert np.isfinite(numbers).all()
+        scores = nus.representers[1].batch(data.states[1], data.treatments[:, 1]) * data.outcome
+        assert report.theta_hat / 2.0 ** 1000 == pytest.approx(scores.mean(), rel=1e-12)
+        assert report.sigma_hat / 2.0 ** 1000 == pytest.approx(scores.std(), rel=1e-12)
+
     def test_an_infinite_clip_is_written_as_a_string(self, dgp2, plan2):
         data = simulate(dgp2, 500, 2)
         report = dml_estimate(data, plan2, tabular_config(dgp2, clip=math.inf), 5, 0)

@@ -136,7 +136,7 @@ class TestSharedRightHandSides:
         folds = make_folds(n, q, 8).folds
         sets = _TrainingSets([f.shape[0] for f in folds], q_folds=q)
         codes = np.zeros(n, dtype=np.int64)
-        codes[sets.held(1)] = rng.integers(0, 2, folds[1].shape[0])
+        codes[sets.bounds[1]:sets.bounds[2]] = rng.integers(0, 2, folds[1].shape[0])
         y = rng.standard_normal(n) * 1e3
         scattered = np.zeros((2, n))
         scattered[codes, np.arange(n)] = y
@@ -151,7 +151,7 @@ class TestSharedRightHandSides:
         n, q = 300, 3
         sets = _TrainingSets([f.shape[0] for f in make_folds(n, q, 8).folds], q_folds=q)
         codes = np.zeros(n, dtype=np.int64)
-        codes[sets.held(1)] = rng.integers(0, 2, sets.held(1).stop - sets.held(1).start)
+        codes[sets.bounds[1]:sets.bounds[2]] = rng.integers(0, 2, sets.bounds[2] - sets.bounds[1])
         packed = np.zeros((q, 2, n))
         packed[:, codes, np.arange(n)] = rng.standard_normal((q, n)) * 1e3
         basis = np.asfortranarray(rng.standard_normal((n, 4)) + 10.0)
