@@ -21,10 +21,8 @@ from .core import (
     RandomFourierFeatures,
     SolverError,
     TabularFeatures,
-    Trajectory,
     TreatmentPlan,
     ValidationError,
-    evaluate_moment,
     grid_policy,
     moment_batch,
     read_panel_csv,
@@ -44,11 +42,9 @@ from .inference import (
 )
 from .moment import (
     CombinedFn,
-    MomentValue,
     Perturbation,
     mixed_bias,
     moment_scores,
-    orthogonal_moment,
     orthogonality_slope,
     perturbation_bias,
 )

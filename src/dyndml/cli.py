@@ -67,6 +67,7 @@ from .core import (
     TabularFeatures,
     TreatmentPlan,
     ValidationError,
+    _rng,
     grid_policy,
     moment_batch,
     read_panel_csv,
@@ -362,7 +363,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _diagnose_checks(dgp: DiscreteDGP, plan: TreatmentPlan, seed: int) -> list[dict]:
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     truth = oracle_nuisances(dgp, plan)
     theta = oracle_theta(dgp, plan)
     m = dgp.num_periods

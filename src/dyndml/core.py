@@ -37,25 +37,6 @@ class PositivityError(RuntimeError):
     """A targeted treatment has zero propensity on a positive-mass state."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One unit: M state vectors, M treatment codes, and the final outcome."""
-
-    states: tuple[NDArray, ...]
-    treatments: tuple[int, ...]
-    outcome: float
-
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.treatments) or len(self.states) < 1:
-            raise ValidationError(
-                "trajectory needs matching, nonempty state and treatment sequences"
-            )
-
-    @property
-    def num_periods(self) -> int:
-        return len(self.states)
-
-
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
     """n trajectories stored columnwise: per-period state matrices plus code/outcome arrays.
@@ -111,13 +92,6 @@ class PanelDataset:
     def period_dims(self) -> tuple[int, ...]:
         return tuple(s.shape[1] for s in self.states)
 
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            states=tuple(s[i] for s in self.states),
-            treatments=tuple(int(c) for c in self.treatments[i]),
-            outcome=float(self.outcome[i]),
-        )
-
     def subset(self, idx: NDArray) -> "PanelDataset":
         idx = np.asarray(idx)
         return PanelDataset(
@@ -127,23 +101,12 @@ class PanelDataset:
             treatment_arities=self.treatment_arities,
         )
 
-    @classmethod
-    def from_trajectories(
-        cls, trajectories: Sequence[Trajectory], treatment_arities: Sequence[int]
-    ) -> "PanelDataset":
-        if not trajectories:
-            raise ValidationError("dataset needs at least one trajectory")
-        m = trajectories[0].num_periods
-        for z in trajectories:
-            if z.num_periods != m:
-                raise ValidationError("all trajectories must share the period count")
-        states = tuple(
-            np.stack([np.atleast_1d(np.asarray(z.states[t], dtype=float)) for z in trajectories])
-            for t in range(m)
-        )
-        treatments = np.array([z.treatments for z in trajectories], dtype=np.int64)
-        outcome = np.array([z.outcome for z in trajectories], dtype=float)
-        return cls(states, treatments, outcome, tuple(treatment_arities))
+def _rng(seed: int) -> np.random.Generator:
+    """The PCG64 generator of a seed, which must be a non-negative integer
+    (a ValidationError otherwise): every seeded draw in the package."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _check_finite(values: NDArray, column: Callable[[int], str]) -> None:
@@ -166,10 +129,11 @@ class EvalTerm:
     `weight_batch` and `target_batch` each map a PanelDataset of n rows to n
     values: the rows' weights and their integer target codes. `weights` and
     `targets` are the only callers of the rules, and each checks the result
-    once: another shape (a scalar included) or a non-integral target is a
-    PlanError naming the period. The rules must be row-wise functions of each
-    row's own states and treatments, never of `outcome` or other rows: on
-    all-tabular panels the estimators pass them one row per distinct history.
+    once: another shape (a scalar included), a non-finite weight or a
+    non-integral target is a PlanError naming the period. The rules must be
+    row-wise functions of each row's own states and treatments, never of
+    `outcome` or other rows: on all-tabular panels the estimators pass them
+    one row per distinct history.
     """
 
     weight_batch: Callable[[PanelDataset], NDArray] | None = None
@@ -190,8 +154,9 @@ class EvalTerm:
 
 
 def _rule_values(out: NDArray, n: int, where: str, integral: bool) -> NDArray:
-    """A plan rule's result as n floats, or as n int64 codes when `integral`;
-    another shape or a non-integral code is a PlanError naming `where`."""
+    """A plan rule's result as n finite floats, or as n int64 codes when
+    `integral`; another shape, a non-finite weight or a non-integral code is a
+    PlanError naming `where`."""
     out = np.asarray(out)
     if out.shape != (n,):
         raise PlanError(f"{where} gave shape {out.shape}, expected ({n},)")
@@ -199,7 +164,10 @@ def _rule_values(out: NDArray, n: int, where: str, integral: bool) -> NDArray:
         whole = np.isfinite(out) & (out == np.rint(out))
         if not whole.all():
             raise PlanError(f"{where} gave the non-integral code {float(out[~whole][0]):g}")
-    return out.astype(np.int64 if integral else float, copy=False)
+    values = out.astype(np.int64 if integral else float, copy=False)
+    if not (integral or np.isfinite(values).all()):
+        raise PlanError(f"{where} gave the non-finite value {values[~np.isfinite(values)][0]:g}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -441,8 +409,6 @@ class FeatureMap(Protocol):
     @property
     def arity(self) -> int: ...
 
-    def __call__(self, state: NDArray, code: int) -> NDArray: ...
-
     def basis(self, states: NDArray) -> NDArray: ...
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray: ...
@@ -481,9 +447,8 @@ def _one_hot(index: NDArray, width: int) -> NDArray:
 
 
 class _FactoredMap:
-    """A feature map given by its state basis: `batch` and the one-row
-    `__call__` place each row's basis in the column block of its code, in the
-    order `_code_blocks` gives."""
+    """A feature map given by its state basis: `batch` places each row's basis
+    in the column block of its code, in the order `_code_blocks` gives."""
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
         codes = np.asarray(codes, dtype=np.int64)
@@ -493,9 +458,6 @@ class _FactoredMap:
         columns = _code_blocks(self, np.arange(self.dim))[codes]
         out[np.arange(basis.shape[0])[:, None], columns] = basis
         return out
-
-    def __call__(self, state: NDArray, code: int) -> NDArray:
-        return self.batch(np.atleast_2d(state), np.array([code]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -622,7 +584,7 @@ class RandomFourierFeatures(_FactoredMap):
             raise ValidationError("bad random Fourier feature configuration")
         if self.lengthscale <= 0:
             raise ValidationError("lengthscale must be positive")
-        rng = np.random.Generator(np.random.PCG64(self.seed))
+        rng = _rng(self.seed)
         omega = rng.standard_normal((self.n_features, self.state_dim)) / self.lengthscale
         phase = rng.uniform(0.0, 2.0 * np.pi, self.n_features)
         object.__setattr__(self, "_omega", omega)
@@ -641,9 +603,8 @@ class RandomFourierFeatures(_FactoredMap):
 
 
 class Fn(Protocol):
-    """Anything evaluable at (state vector, treatment code), scalar and batched."""
-
-    def __call__(self, state: NDArray, code: int) -> float: ...
+    """A function of (state vector, treatment code), evaluated on batches: row i
+    of `batch(states, codes)` is its value at (states[i], codes[i])."""
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray: ...
 
@@ -688,9 +649,6 @@ class LinearFn:
         v = self.code_values(self.features.basis(states))
         return np.take_along_axis(v, codes[:, None], axis=1)[:, 0]
 
-    def __call__(self, state: NDArray, code: int) -> float:
-        return float(self.batch(np.atleast_2d(state), np.array([code]))[0])
-
 
 @dataclass(frozen=True)
 class ConstantFn:
@@ -704,9 +662,6 @@ class ConstantFn:
 
     def batch(self, states: NDArray, codes: NDArray) -> NDArray:
         return np.full(np.atleast_2d(states).shape[0], self.value)
-
-    def __call__(self, state: NDArray, code: int) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -730,9 +685,6 @@ class CombinedFn:
             if c != 0.0:
                 out += c * np.asarray(fn.batch(states, codes), dtype=float)
         return out
-
-    def __call__(self, state: NDArray, code: int) -> float:
-        return float(self.batch(np.atleast_2d(state), np.array([code]))[0])
 
 
 def tabular_fn(table: NDArray, grid: NDArray | None = None, clip: float | None = None) -> LinearFn:
@@ -768,24 +720,14 @@ class NuisanceSet:
 # Moment evaluation and the orthogonal score
 # ---------------------------------------------------------------------------
 
-# A lone trajectory carries no treatment arities, so its one-row dataset leaves
-# them unbounded: only the evaluated function's own arity bounds plan targets.
-_UNBOUNDED_ARITY = int(np.iinfo(np.int64).max)
-
-
-def _one_row(z: Trajectory) -> PanelDataset:
-    return PanelDataset.from_trajectories([z], (_UNBOUNDED_ARITY,) * z.num_periods)
-
-
 def _code_weights(
     plan: TreatmentPlan, period: int, data: PanelDataset, arity: int | None
 ) -> NDArray:
     """The (n, K) code weights W_c = sum of w_k over the terms with d_k = c, so
     that m_period(Z; g) = sum_c W_c(Z) g(S_period, c) for any g: the plan terms'
     weights and targets alone, no function evaluated. Targets must lie in
-    0..arity-1 (the data's arity for the period when `arity` is None); K is
-    that bound, or one past the largest target when the bound is a lone
-    trajectory's unbounded arity. The column-major view of a (K, n) buffer."""
+    0..K-1, K being `arity`, or the data's arity for the period when `arity`
+    is None. The column-major view of a (K, n) buffer."""
     _check_period(period, plan.num_periods)
     if period > data.num_periods:
         raise PlanError(f"data has {data.num_periods} periods, plan asks for {period}")
@@ -794,8 +736,6 @@ def _code_weights(
     targets = [term.targets(data, period) for term in terms]
     for j, d in enumerate(targets):
         _check_codes(d, bound, f"period {period}, term {j}")
-    if bound == _UNBOUNDED_ARITY:
-        bound = max((int(d.max()) + 1 for d in targets), default=1)
     out = np.zeros((bound, data.n_units))
     cells = np.arange(data.n_units)
     for term, d in zip(terms, targets):
@@ -812,20 +752,6 @@ def moment_batch(plan: TreatmentPlan, period: int, data: PanelDataset, g: Fn) ->
     for c in np.flatnonzero(weights.any(axis=0)):
         out += weights[:, c] * g.batch(s, np.full(data.n_units, c))
     return out
-
-
-def evaluate_moment(plan: TreatmentPlan, period: int, z: Trajectory, g: Fn) -> float:
-    """m_period(z; g) for one trajectory: the one-row view of `moment_batch`."""
-    return float(moment_batch(plan, period, _one_row(z), g)[0])
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    """Score of one trajectory with its plug-in/correction decomposition."""
-
-    value: float
-    plug_in: float
-    corrections: tuple[float, ...]
 
 
 def moment_scores(
@@ -865,13 +791,6 @@ def _ladder(
     for c in corrections:
         values += c
     return values, plug, corrections
-
-
-def orthogonal_moment(z: Trajectory, plan: TreatmentPlan, nuisances: NuisanceSet) -> MomentValue:
-    """m_M(z; f-bar, a-bar) with the correction ladder retained: the one-row view
-    of `moment_scores`."""
-    values, plug, corrections = moment_scores(_one_row(z), plan, nuisances)
-    return MomentValue(float(values[0]), float(plug[0]), tuple(float(c) for c in corrections[:, 0]))
 
 
 # ---------------------------------------------------------------------------

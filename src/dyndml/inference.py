@@ -39,7 +39,9 @@ from .core import (
     SolverError,
     TreatmentPlan,
     ValidationError,
+    _rng,
     _write_csv,
+    tabular_fn,
 )
 from .moment import moment_scores
 from .nuisance import FitConfig, _UnitScores, cross_fit, fit_nuisances
@@ -52,7 +54,6 @@ from .oracle import (
     population_l2,
     simulate,
 )
-from .core import tabular_fn
 
 Z_95 = 1.96  # conventional 97.5% Gaussian quantile for the 95% interval
 
@@ -78,12 +79,13 @@ class FoldPlan:
 def make_folds(n: int, q_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle, then contiguous split; the first n mod Q folds
     take the remainder observations."""
+    if not isinstance(q_folds, (int, np.integer)):
+        raise ValidationError(f"the fold count must be an integer, got {q_folds!r}")
     if q_folds < 2:
         raise ValidationError("need at least two folds")
     if q_folds > n:
         raise ValidationError(f"cannot split {n} observations into {q_folds} folds")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(n)
+    perm = _rng(seed).permutation(n)
     sizes = [n // q_folds + (1 if q < n % q_folds else 0) for q in range(q_folds)]
     return FoldPlan(folds=tuple(np.split(perm, np.cumsum(sizes)[:-1])), seed=seed)
 

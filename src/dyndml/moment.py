@@ -1,8 +1,7 @@
 """Diagnostics of the debiased moment.
 
-The per-trajectory score lives in `core` and is re-exported here.
-`moment_scores` is its one implementation: the scalar form
-`orthogonal_moment` is its one-row view, and the population form
+The score lives in `core` and is re-exported here. `moment_scores` is its one
+implementation, one row per trajectory of a panel, and the population form
 `oracle.population_moment` is its probability-weighted mean over the
 enumerated path table. Diagnostics evaluate the score's population expectation exactly on
 enumerable processes: mixed-bias equality, numerical orthogonality slopes,
@@ -20,13 +19,11 @@ import numpy as np
 from .core import (
     CombinedFn,
     Fn,
-    MomentValue,
     NuisanceSet,
     PanelDataset,
     TreatmentPlan,
     ValidationError,
     moment_scores,
-    orthogonal_moment,
 )
 from .oracle import DiscreteDGP, oracle_nuisances, oracle_theta, population_moment
 

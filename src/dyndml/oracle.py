@@ -32,6 +32,7 @@ from .core import (
     ValidationError,
     _check_codes,
     _code_weights,
+    _rng,
     _rule_values,
     moment_batch,
     moment_scores,
@@ -217,7 +218,7 @@ def simulate(dgp: DiscreteDGP, n: int, seed: int) -> PanelDataset:
     """Draw n i.i.d. trajectories; deterministic given (dgp, n, seed)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(seed)
     m = dgp.num_periods
     states = np.zeros((m, n), dtype=np.int64)
     treats = np.zeros((m, n), dtype=np.int64)

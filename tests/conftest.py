@@ -33,3 +33,11 @@ def tabular_maps(dgp: DiscreteDGP) -> tuple[TabularFeatures, ...]:
 
 def tabular_config(dgp: DiscreteDGP, ridge=None, clip=None) -> FitConfig:
     return FitConfig(feature_maps=tabular_maps(dgp), ridge=ridge, clip=clip)
+
+
+def value_table(fn, states, arity: int) -> np.ndarray:
+    """fn's (G, arity) values at every (state row, code) pair, from one batch call."""
+    states = np.asarray(states, dtype=float).reshape(len(states), -1)
+    rows = states.shape[0]
+    codes = np.tile(np.arange(arity), rows)
+    return fn.batch(np.repeat(states, arity, axis=0), codes).reshape(rows, arity)

@@ -764,6 +764,26 @@ class TestSettings:
         assert main(self.mc_argv(files) + extra) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "diagnose"])
+    def test_negative_seed_exit_2(self, files, capsys, command):
+        data, out = files["dir"] / "d.csv", str(files["dir"] / "out.json")
+        main(["simulate", "--dgp", files["dgp2"], "--n", "200", "--seed", "1", "--out", str(data)])
+        argv = {
+            "simulate": ["--dgp", files["dgp2"], "--n", "200", "--seed", "-3", "--out", str(data)],
+            "estimate": ["--data", str(data), "--plan", files["plan11"], "--config",
+                         files["config"], "--seed", "-1", "--out", out],
+            "diagnose": ["--dgp", files["dgp2"], "--plan", files["plan11"], "--seed", "-1",
+                         "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -" in err and "Traceback" not in err
+
+    def test_mc_mixes_any_integer_seed(self, files):
+        # mc's seed only reaches a generator through mix_seed's 64-bit mask.
+        assert main(self.mc_argv(files) + ["--seed", "-1"]) == 0
+
     def test_precedence_and_empty_values(self, files, capsys, monkeypatch):
         data = files["dir"] / "d.csv"
         main(["simulate", "--dgp", files["dgp1"], "--n", "400", "--seed", "2", "--out", str(data)])

@@ -20,10 +20,8 @@ from dyndml import (
     RandomFourierFeatures,
     SurrogatePair,
     TabularFeatures,
-    Trajectory,
     ValidationError,
     dml_estimate,
-    evaluate_moment,
     grid_policy,
     moment_batch,
     oracle_theta,
@@ -38,19 +36,17 @@ from dyndml import (
 from dyndml.core import _write_csv
 
 
-def traj(states, treatments, y=0.0):
-    return Trajectory(
-        states=tuple(np.atleast_1d(np.asarray(s, dtype=float)) for s in states),
-        treatments=tuple(treatments),
-        outcome=y,
+def one_row(states, treatments, y=0.0):
+    """A one-unit panel with scalar states and binary treatments."""
+    return PanelDataset(
+        states=tuple(np.full((1, 1), s, dtype=float) for s in states),
+        treatments=np.array([treatments]),
+        outcome=np.array([y]),
+        treatment_arities=(2,) * len(states),
     )
 
 
 class TestDataModel:
-    def test_trajectory_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            Trajectory(states=(np.zeros(1),), treatments=(0, 1), outcome=0.0)
-
     def test_dataset_code_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="out of range"):
             PanelDataset(
@@ -84,20 +80,12 @@ class TestDataModel:
         with pytest.raises(ValidationError, match=f"non-finite value in {named}, row 2"):
             PanelDataset(tuple(states), np.zeros((4, 2), dtype=int), outcome, (2, 2))
 
-    def test_from_trajectories_round_trip(self):
-        zs = [traj([0.0, 1.0], [1, 0], 2.5), traj([1.0, 0.0], [0, 1], -1.0)]
-        data = PanelDataset.from_trajectories(zs, (2, 2))
-        assert data.n_units == 2
-        back = data.trajectory(1)
-        assert back.treatments == (0, 1)
-        assert back.outcome == -1.0
-
 
 class TestEvaluateMoment:
     def test_fixed_sequence_constant_function(self):
         plan = FixedSequence((1, 1))
-        z = traj([0.0, 1.0], [0, 0])
-        assert evaluate_moment(plan, 2, z, ConstantFn(7.0)) == 7.0
+        z = one_row([0.0, 1.0], [0, 0])
+        assert moment_batch(plan, 2, z, ConstantFn(7.0))[0] == 7.0
 
     def test_contrast_linearity_example(self):
         # terms {(+1, target 1), (-1, target 0)} with g(s, a) = a gives 1 - 0 = 1
@@ -111,27 +99,27 @@ class TestEvaluateMoment:
         )
         plan = Contrast(terms=terms)
         g = tabular_fn(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        z = traj([1.0], [0])
-        assert evaluate_moment(plan, 1, z, g) == pytest.approx(1.0, abs=1e-15)
+        z = one_row([1.0], [0])
+        assert moment_batch(plan, 1, z, g)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_tabular_lookup_example(self):
         plan = FixedSequence((1,))
         g = tabular_fn(np.array([[0.0, 2.0], [0.0, 4.0]]))
-        z = traj([1.0], [0])
-        assert evaluate_moment(plan, 1, z, g) == 4.0
+        z = one_row([1.0], [0])
+        assert moment_batch(plan, 1, z, g)[0] == 4.0
 
     def test_invalid_period_rejected(self):
         plan = FixedSequence((1,))
-        z = traj([0.0], [0])
+        z = one_row([0.0], [0])
         with pytest.raises(PlanError, match="period"):
-            evaluate_moment(plan, 2, z, ConstantFn(0.0))
+            moment_batch(plan, 2, z, ConstantFn(0.0))
 
     def test_out_of_range_target_names_period_and_term(self):
         plan = FixedSequence((3,))
         g = tabular_fn(np.zeros((2, 2)))
-        z = traj([0.0], [0])
+        z = one_row([0.0], [0])
         with pytest.raises(PlanError, match="period 1, term 0"):
-            evaluate_moment(plan, 1, z, g)
+            moment_batch(plan, 1, z, g)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -148,9 +136,9 @@ class TestEvaluateMoment:
         h_tab = np.array(hv).reshape(2, 2)
         g, h = tabular_fn(g_tab), tabular_fn(h_tab)
         combo = tabular_fn(alpha * g_tab + beta * h_tab)
-        z = traj([float(s)], [t])
-        lhs = evaluate_moment(plan, 1, z, combo)
-        rhs = alpha * evaluate_moment(plan, 1, z, g) + beta * evaluate_moment(plan, 1, z, h)
+        z = one_row([float(s)], [t])
+        lhs = moment_batch(plan, 1, z, combo)[0]
+        rhs = alpha * moment_batch(plan, 1, z, g)[0] + beta * moment_batch(plan, 1, z, h)[0]
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -206,7 +194,12 @@ class TestPlans:
         ({"target_batch": lambda d: 1}, r"period 2: target rule gave shape \(\), expected"),
         ({"target_batch": lambda d: np.full(d.n_units, 0.9)},
          "period 2: target rule gave the non-integral code 0.9"),
-    ], ids=["scalar-weight", "long-weight", "scalar-target", "non-integral-target"])
+        ({"weight_batch": lambda d: np.full(d.n_units, np.nan)},
+         "period 2: weight rule gave the non-finite value nan"),
+        ({"weight_batch": lambda d: np.where(d.treatments[:, 0] == 1, -np.inf, 1.0)},
+         "period 2: weight rule gave the non-finite value -inf"),
+    ], ids=["scalar-weight", "long-weight", "scalar-target", "non-integral-target",
+            "nan-weight", "inf-weight"])
     def test_a_rule_result_that_is_not_one_code_per_row_is_rejected(self, dgp2, rules, message):
         # A scalar is not broadcast, a wrong length is not cut, and 0.9 is not
         # truncated to code 0, in every path that evaluates the plan.
@@ -320,8 +313,8 @@ class TestPlans:
         for t in (1, 2):
             np.testing.assert_array_equal(moment_batch(plan, t, data, g),
                                           moment_batch(fixed, t, data, g))
-            z = data.trajectory(3)
-            assert evaluate_moment(plan, t, z, g) == evaluate_moment(fixed, t, z, g)
+            z = data.subset([3])
+            assert moment_batch(plan, t, z, g)[0] == moment_batch(fixed, t, z, g)[0]
         assert oracle_theta(dgp2, plan) == oracle_theta(dgp2, fixed)
         cfg = tabular_config(dgp2)
         assert (dml_estimate(data, plan, cfg, 3, 4).to_dict()
@@ -378,6 +371,11 @@ class TestFeatureMaps:
         np.testing.assert_array_equal(a.batch(states, codes), b.batch(states, codes))
         np.testing.assert_array_equal(a.batch(states, codes), a.batch(states, codes))
 
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_random_fourier_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed}"):
+            RandomFourierFeatures(state_dim=1, n_features=8, arity=2, seed=seed)
+
     def test_random_fourier_seed_changes_features(self):
         a = RandomFourierFeatures(state_dim=1, n_features=8, arity=2, seed=0)
         b = RandomFourierFeatures(state_dim=1, n_features=8, arity=2, seed=1)
@@ -387,20 +385,21 @@ class TestFeatureMaps:
 
     def test_polynomial_features_shape_and_values(self):
         pm = PolynomialFeatures(state_dim=1, degree=2, arity=2)
-        row = pm(np.array([3.0]), 1)
+        row = pm.batch(np.array([[3.0]]), np.array([1]))[0]
         assert pm.dim == 6
         np.testing.assert_allclose(row, [0, 0, 0, 1, 3, 9])
 
     def test_tabular_one_hot(self):
         tf = TabularFeatures(grid=np.array([0.0, 1.0]), arity=2)
-        np.testing.assert_array_equal(tf(np.array([1.0]), 0), [0, 0, 1, 0])
+        np.testing.assert_array_equal(tf.batch(np.array([[1.0]]), np.array([0]))[0], [0, 0, 1, 0])
 
     def test_linear_fn_clip(self):
         tf = TabularFeatures(grid=np.array([0.0]), arity=1)
         fn = LinearFn(tf, np.array([5.0]), clip=2.0)
-        assert fn(np.array([0.0]), 0) == 2.0
+        s, c = np.array([[0.0]]), np.array([0])
+        assert fn.batch(s, c)[0] == 2.0
         unclipped = LinearFn(tf, np.array([5.0]))
-        assert unclipped(np.array([0.0]), 0) == 5.0
+        assert unclipped.batch(s, c)[0] == 5.0
 
 
 class TestCsvRoundTrip:

@@ -1,5 +1,5 @@
-"""Pins for the single implementations: the one-row and population forms of the
-score and of plan-term evaluation must agree with the batch code they view.
+"""Pins for the single implementations: the population forms of the score and
+of plan-term evaluation must agree with the batch code they view.
 
 The reference loops below are the per-period ladders that the population and
 mixed-bias forms used to spell out; they must stay bit-equal to `moment_scores`.
@@ -32,7 +32,6 @@ from dyndml import (
     TabularFeatures,
     dgp_ref_2,
     dml_estimate,
-    evaluate_moment,
     grid_policy,
     make_folds,
     mix_seed,
@@ -40,7 +39,6 @@ from dyndml import (
     moment_batch,
     moment_scores,
     oracle_nuisances,
-    orthogonal_moment,
     population_moment,
     random_dgp,
     simulate,
@@ -130,21 +128,6 @@ class TestScoreViews:
             reference += float(paths.prob @ (a_vals * (u - f_vals)))
         assert formula == reference
 
-    def test_one_row_views_match_batch_rows(self, dgp2, kind):
-        plan = PLANS[kind]
-        nus = random_nuisances(np.random.Generator(np.random.PCG64(3)))
-        data = simulate(dgp2, 40, 4)
-        values, plug, corrections = moment_scores(data, plan, nus)
-        for t in (1, 2):
-            batch = moment_batch(plan, t, data, nus.regressions[t - 1])
-            for i in range(data.n_units):
-                assert evaluate_moment(plan, t, data.trajectory(i), nus.regressions[t - 1]) == batch[i]
-        for i in range(data.n_units):
-            mv = orthogonal_moment(data.trajectory(i), plan, nus)
-            assert mv.value == values[i]
-            assert mv.plug_in == plug[i]
-            assert mv.corrections == tuple(corrections[:, i])
-
 
 def test_constant_function_accepts_targets_beyond_observed_codes():
     plan = FixedSequence((5, 5))
@@ -155,16 +138,11 @@ def test_constant_function_accepts_targets_beyond_observed_codes():
         treatment_arities=(6, 6),
     )
     g = ConstantFn(2.5)
-    batch = moment_batch(plan, 2, data, g)
-    for i in range(3):
-        assert evaluate_moment(plan, 2, data.trajectory(i), g) == batch[i] == 2.5
+    np.testing.assert_array_equal(moment_batch(plan, 2, data, g), np.full(3, 2.5))
     nus = NuisanceSet(regressions=(g, g), representers=(ConstantFn(1.0), ConstantFn(-1.0)))
     values, plug, corrections = moment_scores(data, plan, nus)
-    for i in range(3):
-        mv = orthogonal_moment(data.trajectory(i), plan, nus)
-        assert (mv.value, mv.plug_in, mv.corrections) == (
-            values[i], plug[i], tuple(corrections[:, i])
-        )
+    np.testing.assert_array_equal(plug, np.full(3, 2.5))
+    np.testing.assert_array_equal(values, 2.5 - (data.outcome - 2.5))
 
 
 def test_feature_image_matches_moment_batch_on_zero_weight_rows():
@@ -193,16 +171,16 @@ def test_public_names_pinned():
     assert sorted(dyndml.__all__) == [
         "CombinedFn", "ConstantFn", "Contrast", "DiscreteDGP", "DynamicPolicy",
         "EstimateReport", "EvalTerm", "FitConfig", "FixedSequence",
-        "FoldPlan", "LinearFn", "MCResult", "MomentValue", "NuisanceSet", "PanelDataset",
+        "FoldPlan", "LinearFn", "MCResult", "NuisanceSet", "PanelDataset",
         "Perturbation", "PlanError", "PolynomialFeatures", "PositivityError",
         "RandomFourierFeatures", "RateTable", "SolverError", "SurrogateNuisances",
-        "SurrogatePair", "TabularFeatures", "Trajectory", "TreatmentPlan", "ValidationError",
-        "core", "dgp_ref_1", "dgp_ref_2", "dml_estimate", "evaluate_moment",
+        "SurrogatePair", "TabularFeatures", "TreatmentPlan", "ValidationError",
+        "core", "dgp_ref_1", "dgp_ref_2", "dml_estimate",
         "fit_clever_covariate", "fit_nested_regressions", "fit_recursive_riesz",
         "grid_policy", "inference", "make_folds", "mc_experiment", "mix_seed", "mixed_bias",
         "moment", "moment_batch", "moment_scores", "normal_quantile", "nuisance", "oracle",
         "oracle_nested_regressions", "oracle_nuisances", "oracle_riesz", "oracle_theta",
-        "oracle_theta_potential", "orthogonal_moment", "orthogonality_slope",
+        "oracle_theta_potential", "orthogonality_slope",
         "perturbation_bias", "population_l2", "population_moment", "population_riesz_loss",
         "random_dgp", "rate_diagnostics", "read_panel_csv", "read_surrogate_csvs",
         "riesz_loss", "riesz_step", "simulate", "surrogate", "surrogate_estimate",

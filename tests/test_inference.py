@@ -81,6 +81,23 @@ class TestFolds:
         with pytest.raises(ValidationError):
             make_folds(3, 4, 0)
 
+    @pytest.mark.parametrize("q_folds, seed, message", [
+        (2.5, 0, "the fold count must be an integer, got 2.5"),
+        (3.0, 0, "the fold count must be an integer, got 3.0"),
+        (3, -1, "seed must be a non-negative integer, got -1"),
+        (3, 1.0, "seed must be a non-negative integer, got 1.0"),
+    ])
+    def test_fold_count_and_seed_must_be_integers(self, dgp2, plan2, q_folds, seed, message):
+        with pytest.raises(ValidationError, match=message):
+            make_folds(10, q_folds, seed)
+        with pytest.raises(ValidationError, match=message):
+            dml_estimate(simulate(dgp2, 60, 1), plan2, tabular_config(dgp2), q_folds, seed)
+
+    def test_numpy_integer_fold_count_and_seed_fold_alike(self):
+        a, b = make_folds(50, np.int64(3), np.uint32(9)), make_folds(50, 3, 9)
+        for fa, fb in zip(a.folds, b.folds):
+            np.testing.assert_array_equal(fa, fb)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 300), q=st.integers(2, 12), seed=st.integers(0, 2**31))
     def test_partition_property(self, n, q, seed):

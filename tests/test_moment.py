@@ -12,7 +12,6 @@ from dyndml import (
     moment_scores,
     oracle_nuisances,
     oracle_theta,
-    orthogonal_moment,
     orthogonality_slope,
     perturbation_bias,
     population_moment,
@@ -29,13 +28,12 @@ class TestOrthogonalMoment:
     def test_one_period_aipw_reduction(self, dgp1, plan1):
         nus = oracle_nuisances(dgp1, plan1)
         data = simulate(dgp1, 50, 3)
-        for i in range(10):
-            z = data.trajectory(i)
-            mv = orthogonal_moment(z, plan1, nus)
-            f, a = nus.regressions[0], nus.representers[0]
-            s, t = z.states[0], z.treatments[0]
-            expected = f(s, 1) + a(s, t) * (z.outcome - f(s, t))
-            assert mv.value == pytest.approx(expected, abs=1e-13)
+        values, _, _ = moment_scores(data, plan1, nus)
+        f, a = nus.regressions[0], nus.representers[0]
+        s, t = data.states[0][:10], data.treatments[:10, 0]
+        expected = f.batch(s, np.ones(10, dtype=np.int64)) + a.batch(s, t) * (
+            data.outcome[:10] - f.batch(s, t))
+        np.testing.assert_allclose(values[:10], expected, rtol=0, atol=1e-13)
 
     def test_zero_representer_leaves_plug_in(self, dgp2, plan2):
         truth = oracle_nuisances(dgp2, plan2)
@@ -44,10 +42,9 @@ class TestOrthogonalMoment:
             representers=(ConstantFn(0.0), ConstantFn(0.0)),
         )
         data = simulate(dgp2, 20, 4)
-        for i in range(20):
-            mv = orthogonal_moment(data.trajectory(i), plan2, zeroed)
-            assert mv.value == mv.plug_in
-            assert mv.corrections == (0.0, 0.0)
+        values, plug, corrections = moment_scores(data, plan2, zeroed)
+        np.testing.assert_array_equal(values, plug)
+        np.testing.assert_array_equal(corrections, np.zeros((2, 20)))
 
     def test_decomposition_identity_bitwise(self, dgp2, plan2):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -62,8 +59,8 @@ class TestOrthogonalMoment:
             for t in range(2):
                 total += corrections[t, i]
             assert values[i] == total  # fixed summation order, bit-equal
-            mv = orthogonal_moment(data.trajectory(i), plan2, nus)
-            assert mv.value == pytest.approx(values[i], abs=1e-12)
+            row, _, _ = moment_scores(data.subset([i]), plan2, nus)
+            assert row[0] == pytest.approx(values[i], abs=1e-12)
 
     def test_empirical_mean_near_theta_with_oracle_nuisances(self, dgp2, plan2):
         nus = oracle_nuisances(dgp2, plan2)
@@ -186,10 +183,10 @@ class TestPerturbationType:
     def test_apply_shifts_only_named_periods(self, dgp2, plan2):
         truth = oracle_nuisances(dgp2, plan2)
         shifted = Perturbation(f_directions={2: ConstantFn(1.0)}).apply(truth, 0.5)
-        s = np.array([1.0])
-        assert shifted.regressions[0](s, 1) == truth.regressions[0](s, 1)
-        assert shifted.regressions[1](s, 1) == pytest.approx(
-            truth.regressions[1](s, 1) + 0.5, abs=1e-14
+        s, c = np.array([[1.0]]), np.array([1])
+        assert shifted.regressions[0].batch(s, c)[0] == truth.regressions[0].batch(s, c)[0]
+        assert shifted.regressions[1].batch(s, c)[0] == pytest.approx(
+            truth.regressions[1].batch(s, c)[0] + 0.5, abs=1e-14
         )
         assert population_moment(dgp2, plan2, shifted) == pytest.approx(
             oracle_theta(dgp2, plan2), abs=1e-12

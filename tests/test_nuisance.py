@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import tabular_config
+from conftest import tabular_config, value_table
 from dyndml import (
     ConstantFn,
     DiscreteDGP,
@@ -106,9 +106,7 @@ class TestNestedRegressions:
         cfg = tabular_config(dgp1, ridge=1e-8)
         (f1,) = fit_nested_regressions(data, plan1, cfg)
         oracle = oracle_nested_regressions(dgp1, plan1)[0]
-        for s in range(2):
-            for k in range(2):
-                assert f1(np.array([float(s)]), k) == pytest.approx(oracle[s, k], abs=0.05)
+        assert value_table(f1, [0.0, 1.0], 2) == pytest.approx(oracle, abs=0.05)
 
     def test_constant_outcome_exact(self):
         dgp = DiscreteDGP(
@@ -121,9 +119,7 @@ class TestNestedRegressions:
         data = simulate(dgp, 400, 17)
         cfg = tabular_config(dgp, ridge=0.0)
         for fn in fit_nested_regressions(data, FixedSequence((1, 0)), cfg):
-            for s in range(2):
-                for k in range(2):
-                    assert fn(np.array([float(s)]), k) == pytest.approx(3.25, abs=1e-12)
+            assert value_table(fn, [0.0, 1.0], 2) == pytest.approx(np.full((2, 2), 3.25), abs=1e-12)
 
     def test_deterministic_transition_composes_exactly(self):
         # S_2 = 1 - S_1 regardless of treatment; f_1 must equal f_2 after the flip
@@ -140,11 +136,10 @@ class TestNestedRegressions:
         plan = FixedSequence((1, 1))
         data = simulate(dgp, 600, 3)
         f1, f2 = fit_nested_regressions(data, plan, tabular_config(dgp, ridge=0.0))
-        for s in (0.0, 1.0):
-            for k in (0, 1):
-                assert f1(np.array([s]), k) == pytest.approx(
-                    f2(np.array([1.0 - s]), 1), abs=1e-12
-                )
+        flipped = f2.batch(np.array([[1.0], [0.0]]), np.ones(2, dtype=np.int64))  # f2(1 - s, 1)
+        assert value_table(f1, [0.0, 1.0], 2) == pytest.approx(
+            np.column_stack([flipped, flipped]), abs=1e-12
+        )
 
     def test_determinism_bit_identical(self, dgp2, plan2):
         data = simulate(dgp2, 2000, 5)
@@ -194,9 +189,7 @@ class TestRecursiveRiesz:
         data = simulate(dgp1, 100_000, 31)
         (a1,) = fit_recursive_riesz(data, plan1, tabular_config(dgp1, ridge=1e-8))
         oracle = oracle_riesz(dgp1, plan1)[0]
-        for s in range(2):
-            for k in range(2):
-                assert a1(np.array([float(s)]), k) == pytest.approx(oracle[s, k], abs=0.15)
+        assert value_table(a1, [0.0, 1.0], 2) == pytest.approx(oracle, abs=0.15)
 
     def test_uniform_propensity_constant_representer(self):
         dgp = DiscreteDGP(
@@ -207,8 +200,8 @@ class TestRecursiveRiesz:
         )
         data = simulate(dgp, 40_000, 4)
         (a1,) = fit_recursive_riesz(data, FixedSequence((1,)), tabular_config(dgp, ridge=1e-8))
-        for s in (0.0, 1.0):
-            assert a1(np.array([s]), 1) == pytest.approx(2.0, abs=0.1)
+        treated = a1.batch(np.array([[0.0], [1.0]]), np.ones(2, dtype=np.int64))
+        assert treated == pytest.approx(np.full(2, 2.0), abs=0.1)
 
     def test_normal_equations_residual(self, dgp2, plan2):
         data = simulate(dgp2, 3000, 6)

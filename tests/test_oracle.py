@@ -68,6 +68,11 @@ class TestSimulate:
         with pytest.raises(ValidationError, match=">= 1"):
             simulate(dgp1, 0, 0)
 
+    @pytest.mark.parametrize("seed", [-3, 2.0, "1"])
+    def test_seed_must_be_a_non_negative_integer(self, dgp1, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            simulate(dgp1, 10, seed)
+
     def test_mix_seed_deterministic_and_distinct(self):
         assert mix_seed(7, 3) == mix_seed(7, 3)
         streams = {mix_seed(7, r) for r in range(100)}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tabular_config
+from conftest import tabular_config, value_table
 from helpers_surrogate import TwoSampleDGP, two_sample_ref
 from dyndml import (
     Contrast,
@@ -73,11 +73,8 @@ class TestSurrogateFit:
     def test_a1_matches_inverse_propensities(self, tsd):
         data = tsd.simulate(60_000, 60_000, 3)
         nus = surrogate_fit(data, fit_cfg(tsd))
-        truth = tsd.a1_table()
-        for x in range(tsd.gx):
-            for t in range(2):
-                got = nus.a1(np.array([float(x)]), t)
-                assert got == pytest.approx(truth[t, x], abs=0.12)
+        truth = tsd.a1_table()  # indexed (t, x)
+        assert value_table(nus.a1, np.arange(tsd.gx), 2) == pytest.approx(truth.T, abs=0.12)
 
     def test_randomized_treatment_without_controls(self):
         dgp = TwoSampleDGP(
@@ -89,20 +86,17 @@ class TestSurrogateFit:
         )
         data = dgp.simulate(40_000, 2000, 5)
         nus = surrogate_fit(data, fit_cfg(dgp))
-        assert nus.a1(np.array([0.0]), 1) == pytest.approx(2.0, abs=0.1)
-        assert nus.a1(np.array([0.0]), 0) == pytest.approx(-2.0, abs=0.1)
+        got = nus.a1.batch(np.zeros((2, 1)), np.array([1, 0]))
+        assert got == pytest.approx(np.array([2.0, -2.0]), abs=0.1)
 
     def test_h_and_g_match_tables(self, tsd):
         data = tsd.simulate(50_000, 50_000, 7)
         nus = surrogate_fit(data, fit_cfg(tsd))
         g_true, h_true = tsd.g_table(), tsd.h_table()
-        for x in range(tsd.gx):
-            for t in range(2):
-                assert nus.g(np.array([float(x)]), t) == pytest.approx(g_true[t, x], abs=0.1)
-            for s in range(tsd.gs):
-                assert nus.h(np.array([float(s), float(x)]), 0) == pytest.approx(
-                    h_true[s, x], abs=0.1
-                )
+        assert value_table(nus.g, np.arange(tsd.gx), 2) == pytest.approx(g_true.T, abs=0.1)
+        pairs = np.array([(s, x) for s in range(tsd.gs) for x in range(tsd.gx)], dtype=float)
+        got = nus.h.batch(pairs, np.zeros(len(pairs), dtype=np.int64))
+        assert got == pytest.approx(h_true.ravel(), abs=0.1)
 
     def test_matched_laws_reduce_a2_to_one_sample_representer(self, tsd):
         # long sample re-uses the short sample's (X, S) rows, so the fitted a2
