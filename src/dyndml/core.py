@@ -12,6 +12,7 @@ representers.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -100,6 +101,13 @@ class PanelDataset:
             outcome=self.outcome[idx],
             treatment_arities=self.treatment_arities,
         )
+
+
+def _check_integer(value: int, name: str) -> None:
+    """A count must be a Python or numpy integer (a ValidationError otherwise)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
 
 def _rng(seed: int) -> np.random.Generator:
     """The PCG64 generator of a seed, which must be a non-negative integer
@@ -830,54 +838,103 @@ def _write_csv(
             w.writerows(zip(*(map(f, col[lo : lo + chunk].tolist()) for f, col in columns)))
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header names, each once, and the data rows as unparsed cells
-    (`_columns` parses them); every row must be as wide as the header."""
+def _read_csv(path: str) -> tuple[list[str], list[str], int]:
+    """Stripped header names, each once, the data cells in row-major order,
+    unparsed (`_columns` parses them), and the number of data rows; every row
+    must be as wide as the header."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            fields, cells, n, ragged = _tokens(fh.read())
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if fields is None:
         raise ValidationError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    body = rows[1:]
+    header = [h.strip() for h in fields]
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:
         raise ValidationError(f"{path}: repeated column {repeated[0]!r}")
-    if set(map(len, body)) - {len(header)}:
-        line, row = next((i, r) for i, r in enumerate(body, start=2) if len(r) != len(header))
+    if ragged is not None:
+        line, width = ragged
         raise ValidationError(
-            f"{path}: line {line} has {len(row)} fields, the header has {len(header)}"
+            f"{path}: line {line} has {width} fields, the header has {len(header)}"
         )
-    return header, body
+    return header, cells, n
 
 
-def _columns(path: str, header: list[str], body: list[list[str]]) -> dict[str, NDArray]:
-    """Each column parsed once, by name: treatment columns (named t...) with
-    Python's `int()` into int64, every other column with `float()`, so a cell is
-    accepted exactly when that call accepts it and the code fits in int64. Only
-    when a column fails are the rows walked in order, to raise ValidationError
-    naming the file, line and column of the first bad cell."""
+def _tokens(
+    text: str,
+) -> tuple[list[str] | None, list[str], int, tuple[int, int] | None]:
+    """`text` split as `csv.reader` splits it: the header's fields (None for an
+    empty text), the data cells in row-major order, the number of data rows, and
+    the line and field count of the first data row not as wide as the header
+    (None when every row is).
+
+    Records end at \\n, \\r\\n or a bare \\r, and fields are split on ","; a blank
+    record is a row of 0 fields, and a field longer than
+    `csv.field_size_limit()` raises csv.Error. Only a text with a '"' (RFC 4180
+    quoting) or a NUL (rejected before Python 3.11) goes to `csv.reader`."""
+    if not text:
+        return None, [], 0, None
+    if '"' in text or "\0" in text:
+        fields, *rows = csv.reader(io.StringIO(text, newline=""))
+    else:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        records = text.split("\n")
+        del text
+        if not records[-1]:
+            records.pop()  # the final newline ends the last record
+        limit = csv.field_size_limit()
+        if max(map(len, records)) > limit and any(
+            len(cell) > limit for record in records for cell in record.split(",")
+        ):
+            raise csv.Error(f"field larger than field limit ({limit})")
+        first = records.pop(0)
+        fields = first.split(",") if first else []
+        p, n = len(fields), len(records)
+        # One split for the whole body, a "\n" cell between records: every row
+        # is p wide exactly when the n - 1 separators fall every p + 1 cells.
+        cells = ",\n,".join(records).split(",")
+        if "" not in records and len(cells) == n * (p + 1) - 1:
+            if cells[p :: p + 1].count("\n") == n - 1:
+                del cells[p :: p + 1]
+                return fields, cells, n, None
+        del cells
+        rows = [record.split(",") if record else [] for record in records]
+    ragged = next(
+        ((line, len(row)) for line, row in enumerate(rows, start=2) if len(row) != len(fields)),
+        None,
+    )
+    return fields, list(itertools.chain.from_iterable(rows)), len(rows), ragged
+
+
+def _columns(path: str, header: list[str], cells: list[str], n: int) -> dict[str, NDArray]:
+    """Each column parsed once, by name, from the row-major `cells` of `n` rows:
+    treatment columns (named t...) with Python's `int()` into int64, every other
+    column with `float()`, so a cell is accepted exactly when that call accepts
+    it and the code fits in int64. Only when a column fails are the cells walked
+    in order, to raise ValidationError naming the file, line and column of the
+    first bad cell."""
+    p = len(header)
     kinds = [(int, np.int64) if name.startswith("t") else (float, np.float64) for name in header]
     try:
         return {
-            name: np.fromiter(map(kind, cells), dtype, len(body))
-            for name, (kind, dtype), cells in zip(header, kinds, zip(*body))
+            name: np.fromiter(map(kind, cells[j::p]), dtype, n)
+            for j, (name, (kind, dtype)) in enumerate(zip(header, kinds))
         }
     except (ValueError, OverflowError):
-        for line, row in enumerate(body, start=2):
-            for name, (kind, dtype), cell in zip(header, kinds, row):
-                try:
-                    dtype(kind(cell))
-                except (ValueError, OverflowError) as exc:
-                    problem = (
-                        "outside the int64 range" if isinstance(exc, OverflowError)
-                        else "not an integer" if kind is int else "not a number"
-                    )
-                    raise ValidationError(
-                        f"{path}: line {line}, column {name!r}: {cell!r} is {problem}"
-                    ) from None
+        for i, cell in enumerate(cells):
+            name, (kind, dtype) = header[i % p], kinds[i % p]
+            try:
+                dtype(kind(cell))
+            except (ValueError, OverflowError) as exc:
+                problem = (
+                    "outside the int64 range" if isinstance(exc, OverflowError)
+                    else "not an integer" if kind is int else "not a number"
+                )
+                raise ValidationError(
+                    f"{path}: line {i // p + 2}, column {name!r}: {cell!r} is {problem}"
+                ) from None
         raise
 
 
@@ -905,7 +962,7 @@ _PANEL_COLUMN = re.compile(r"s([1-9]\d*|0)_\d+|t([1-9]\d*|0)|y")
 def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) -> PanelDataset:
     """Load the wide schema; arities default to max observed code + 1 per period,
     which may not exceed the number of rows."""
-    header, body = _read_csv(path)
+    header, cells, n = _read_csv(path)
     periods: dict[str, int] = {}
     for name in header:
         match = _PANEL_COLUMN.fullmatch(name)
@@ -925,20 +982,20 @@ def read_panel_csv(path: str, treatment_arities: Sequence[int] | None = None) ->
     for name, period in periods.items():
         if not 1 <= period <= m:
             raise ValidationError(f"{path}: column {name!r} is outside the file's periods 1..{m}")
-    if not body:
+    if not n:
         raise ValidationError(f"{path}: no data rows")
-    columns = _columns(path, header, body)
-    states = tuple(_block(columns, names, len(body)) for names in state_cols)
-    treatments = _block(columns, [f"t{t}" for t in range(1, m + 1)], len(body))
+    columns = _columns(path, header, cells, n)
+    states = tuple(_block(columns, names, n) for names in state_cols)
+    treatments = _block(columns, [f"t{t}" for t in range(1, m + 1)], n)
     outcome = columns["y"]
     if treatment_arities is None:
         treatment_arities = tuple(int(treatments[:, t].max()) + 1 for t in range(m))
         for t, k in enumerate(treatment_arities, start=1):
             # Every code level below the largest is a column of the feature
             # maps; more levels than rows cannot all be observed.
-            if k > len(body):
+            if k > n:
                 raise ValidationError(
                     f"{path}: column t{t}: treatment code {k - 1} implies {k} treatment "
-                    f"levels, more than the file's {len(body)} rows"
+                    f"levels, more than the file's {n} rows"
                 )
     return PanelDataset(states, treatments, outcome, tuple(treatment_arities))

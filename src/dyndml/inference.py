@@ -39,6 +39,7 @@ from .core import (
     SolverError,
     TreatmentPlan,
     ValidationError,
+    _check_integer,
     _rng,
     _write_csv,
     tabular_fn,
@@ -79,8 +80,7 @@ class FoldPlan:
 def make_folds(n: int, q_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle, then contiguous split; the first n mod Q folds
     take the remainder observations."""
-    if not isinstance(q_folds, (int, np.integer)):
-        raise ValidationError(f"the fold count must be an integer, got {q_folds!r}")
+    _check_integer(q_folds, "the fold count")
     if q_folds < 2:
         raise ValidationError("need at least two folds")
     if q_folds > n:
@@ -364,6 +364,8 @@ def mc_experiment(
     (SolverError, PositivityError) are flagged rows excluded from the
     coverage summary; invalid inputs (ValidationError) abort the experiment.
     """
+    for value, name in ((reps, "reps"), (n, "n"), (jobs, "jobs")):
+        _check_integer(value, name)
     if reps < 1:
         raise ValidationError("need at least one replicate")
     if jobs < 1:

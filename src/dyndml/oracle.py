@@ -31,6 +31,7 @@ from .core import (
     TreatmentPlan,
     ValidationError,
     _check_codes,
+    _check_integer,
     _code_weights,
     _rng,
     _rule_values,
@@ -216,6 +217,7 @@ def _check_plan(dgp: DiscreteDGP, plan: TreatmentPlan) -> None:
 
 def simulate(dgp: DiscreteDGP, n: int, seed: int) -> PanelDataset:
     """Draw n i.i.d. trajectories; deterministic given (dgp, n, seed)."""
+    _check_integer(n, "n")
     if n < 1:
         raise ValidationError("n must be >= 1")
     rng = _rng(seed)

@@ -264,14 +264,15 @@ def _split_columns(path: str, header: list[str], other: str) -> tuple[list[str],
 
 
 def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
-    short_header, sb = _read_csv(short_path)
-    long_header, lb = _read_csv(long_path)
-    if not sb or not lb:
+    short_header, short_cells, ns = _read_csv(short_path)
+    long_header, long_cells, nl = _read_csv(long_path)
+    if not ns or not nl:
         raise ValidationError("surrogate samples must be nonempty")
     xs, ss = _split_columns(short_path, short_header, "t")
     xl, sl = _split_columns(long_path, long_header, "y")
-    short, long_ = _columns(short_path, short_header, sb), _columns(long_path, long_header, lb)
+    short = _columns(short_path, short_header, short_cells, ns)
+    long_ = _columns(long_path, long_header, long_cells, nl)
     return SurrogatePair(
-        _block(short, xs, len(sb)), short["t"], _block(short, ss, len(sb)),
-        _block(long_, xl, len(lb)), _block(long_, sl, len(lb)), long_["y"],
+        _block(short, xs, ns), short["t"], _block(short, ss, ns),
+        _block(long_, xl, nl), _block(long_, sl, nl), long_["y"],
     )

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -656,6 +657,7 @@ class TestCsvSchemaErrors:
             ("s1_1,t1,y\n0,1,2\n1,0,abc\n", "line 3, column 'y': 'abc' is not a number"),
             ("s1_1,t1,y\n0,1.5,2\n", "line 2, column 't1': '1.5' is not an integer"),
             ("s1_1,t1,y\n0,1,2\n1,0\n", "line 3 has 2 fields, the header has 3"),
+            ("s1_1,t1,y\n0,1,2\n\n1,0,3\n", "line 3 has 0 fields, the header has 3"),
             ("s1_1,t1,y\n0,1,2\n1,0,nan\n", "non-finite value in outcome y, row 1"),
             ("s1_1,s3_1,t0,t1,y\n0,1,1,1,2\n", "column 's3_1' is outside the file's periods 1..1"),
             ("s1_1,t1,t1,y,y\n0,1,0,2,3\n", "repeated column 't1'"),
@@ -710,6 +712,41 @@ class TestCsvSchemaErrors:
         argv = ["estimate", "--data", str(panel), "--plan", files["plan1"], "--out", "r.json"]
         assert main(argv) == 2
         assert f"cannot read {panel}" in capsys.readouterr().err
+
+
+def test_quoted_and_crlf_panels_read_the_same(files):
+    """One panel as `simulate` writes it (CRLF ends), with LF ends, with every
+    cell quoted, and with an R-style quoted header over a CRLF body: the same
+    arrays and a byte-identical report from each."""
+    crlf = files["dir"] / "crlf.csv"
+    argv = ["simulate", "--dgp", files["dgp2"], "--n", "300", "--seed", "4", "--out", str(crlf)]
+    assert main(argv) == 0
+    with crlf.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert crlf.read_bytes().count(b"\r\n") == len(rows)
+    texts = {
+        "lf": "".join(",".join(row) + "\n" for row in rows),
+        "r": ",".join(f'"{name}"' for name in rows[0]) + "\r\n"
+        + "".join(",".join(row) + "\r\n" for row in rows[1:]),
+    }
+    paths = {"crlf": crlf}
+    for name, text in texts.items():
+        paths[name] = files["dir"] / f"{name}.csv"
+        paths[name].write_bytes(text.encode())
+    paths["quoted"] = files["dir"] / "quoted.csv"
+    with paths["quoted"].open("w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    reports = {}
+    for name, path in paths.items():
+        data = read_panel_csv(str(path))
+        arrays = (*data.states, data.treatments, data.outcome)
+        reports[name] = ([a.tobytes() for a in arrays], data.treatment_arities)
+        out = files["dir"] / f"{name}.json"
+        argv = ["estimate", "--data", str(path), "--plan", files["plan11"], "--config",
+                files["config"], "--out", str(out)]
+        assert main(argv) == 0
+        reports[name] += (out.read_bytes(),)
+    assert all(report == reports["crlf"] for report in reports.values())
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from dyndml import (
     tabular_fn,
     write_panel_csv,
 )
-from dyndml.core import _write_csv
+from dyndml.core import _read_csv, _write_csv
 
 
 def one_row(states, treatments, y=0.0):
@@ -565,6 +566,78 @@ class TestCsvCellParsing:
         _assert_same_arrays(
             [getattr(got, f) for f in fields], [getattr(want, f) for f in fields]
         )
+
+
+# Quote-free text: digits, the characters of numbers, whitespace, record ends, and
+# characters that str.splitlines() would split on but csv.reader keeps in a cell.
+_TEXT_CHARS = [*"0123456789.-e \t", "\x00", "\u2028", "\x85"]
+_RECORD_ENDS = ["\n", "\r\n", "\r"]
+_FIELD = st.lists(st.sampled_from(_TEXT_CHARS), max_size=5).map("".join)
+
+
+@st.composite
+def _quote_free_texts(draw):
+    """Records of fields joined by "," and ended by any record end, the final
+    one optional; the header is distinct names or arbitrary fields, and a row
+    is as wide as the header, of any width, or blank."""
+    width = draw(st.integers(0, 4))
+    header = draw(st.one_of(
+        st.just([f"c{j}" for j in range(width)]), st.lists(_FIELD, max_size=4)
+    ))
+    rows = draw(st.lists(st.one_of(
+        st.lists(_FIELD, min_size=width, max_size=width),
+        st.lists(_FIELD, max_size=5),
+        st.just([]),
+    ), max_size=6))
+    records = [",".join(r) for r in [header, *rows]]
+    ends = draw(st.lists(st.sampled_from(_RECORD_ENDS), min_size=len(records),
+                         max_size=len(records)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(r + end for r, end in zip(records, ends))
+
+
+_TEXT_SOUP = st.lists(st.sampled_from([*_TEXT_CHARS, ",", *_RECORD_ENDS])).map("".join)
+
+
+def _csv_reader_reference(path, text):
+    """What `csv.reader` makes of `text` under the readers' rules: the stripped
+    header, the data cells in row-major order and the number of data rows, or
+    the message of the ValidationError."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        return f"cannot read {path}: {exc}"
+    if not rows:
+        return f"{path}: empty file"
+    header = [h.strip() for h in rows[0]]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        return f"{path}: repeated column {repeated[0]!r}"
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            return f"{path}: line {line} has {len(row)} fields, the header has {len(header)}"
+    return header, [cell for row in rows[1:] for cell in row], len(rows) - 1
+
+
+class TestCsvTokenizer:
+    """On text with no quote character the readers split records and fields
+    exactly as `csv.reader` does: header, cells, row count, the ragged-row
+    message (a blank record has 0 fields) and the field-size-limit message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(_quote_free_texts(), _TEXT_SOUP), limit=st.sampled_from([4, 131072]))
+    def test_split_matches_csv_reader(self, tmp_path_factory, text, limit):
+        path = str(tmp_path_factory.mktemp("text") / "data.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        default = csv.field_size_limit(limit)
+        try:
+            want = _csv_reader_reference(path, text)
+            got = _outcome(lambda: _read_csv(path))
+        finally:
+            csv.field_size_limit(default)
+        assert got == want
 
 
 class TestScalarGridLookup:

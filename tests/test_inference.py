@@ -355,6 +355,20 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="jobs must be >= 1"):
             mc_experiment(dgp2, plan2, tabular_config(dgp2), 2, 100, 2, seed=1, jobs=0)
 
+    @pytest.mark.parametrize("reps, n, jobs, message", [
+        (2.5, 100, 1, "reps must be an integer, got 2.5"),
+        (2, 100.0, 1, "n must be an integer, got 100.0"),
+        (2, 100, 2.0, "jobs must be an integer, got 2.0"),
+    ])
+    def test_counts_must_be_integers(self, dgp2, plan2, reps, n, jobs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            mc_experiment(dgp2, plan2, tabular_config(dgp2), reps, n, 3, 0, jobs=jobs)
+
+    def test_numpy_integer_counts_run_alike(self, dgp2, plan2):
+        cfg = tabular_config(dgp2)
+        a = mc_experiment(dgp2, plan2, cfg, np.int64(2), np.int32(100), 3, 0, jobs=np.int64(1))
+        assert a.rows == mc_experiment(dgp2, plan2, cfg, 2, 100, 3, 0).rows
+
     def test_csv_schema(self, dgp2, plan2, tmp_path):
         result = mc_experiment(dgp2, plan2, tabular_config(dgp2), 3, 300, 3, seed=1)
         out = tmp_path / "mc.csv"

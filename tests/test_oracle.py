@@ -68,6 +68,16 @@ class TestSimulate:
         with pytest.raises(ValidationError, match=">= 1"):
             simulate(dgp1, 0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0])
+    def test_n_must_be_an_integer(self, dgp1, n):
+        with pytest.raises(ValidationError, match=f"^n must be an integer, got {n}$"):
+            simulate(dgp1, n, 0)
+
+    def test_numpy_integer_n_draws_alike(self, dgp1):
+        a, b = simulate(dgp1, np.int64(10), 3), simulate(dgp1, 10, 3)
+        np.testing.assert_array_equal(a.treatments, b.treatments)
+        np.testing.assert_array_equal(a.outcome, b.outcome)
+
     @pytest.mark.parametrize("seed", [-3, 2.0, "1"])
     def test_seed_must_be_a_non_negative_integer(self, dgp1, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
