@@ -50,8 +50,8 @@ from .moment import (
 )
 from .nuisance import (
     FitConfig,
-    fit_clever_covariate,
     fit_nested_regressions,
+    fit_nuisances,
     fit_recursive_riesz,
     riesz_loss,
 )

@@ -109,6 +109,13 @@ def _check_integer(value: int, name: str) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_clip(clip: float | None) -> None:
+    """A clip bound must be positive (a ValidationError otherwise, NaN too);
+    inf clips nothing."""
+    if clip is not None and not clip > 0:
+        raise ValidationError("clip bound must be positive")
+
+
 def _rng(seed: int) -> np.random.Generator:
     """The PCG64 generator of a seed, which must be a non-negative integer
     (a ValidationError otherwise): every seeded draw in the package."""
@@ -636,8 +643,7 @@ class LinearFn:
             raise ValidationError(
                 f"weight length {w.shape} does not match feature dimension {self.features.dim}"
             )
-        if self.clip is not None and self.clip <= 0:
-            raise ValidationError("clip bound must be positive")
+        _check_clip(self.clip)
         object.__setattr__(self, "_blocks", _code_blocks(self.features, w))  # row c: beta_c
 
     @property

@@ -80,6 +80,7 @@ class FoldPlan:
 def make_folds(n: int, q_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle, then contiguous split; the first n mod Q folds
     take the remainder observations."""
+    _check_integer(n, "n")
     _check_integer(q_folds, "the fold count")
     if q_folds < 2:
         raise ValidationError("need at least two folds")
@@ -461,8 +462,11 @@ def rate_diagnostics(
     """
     if dgp is None:
         raise ValidationError("rate diagnostics need an enumerable process (oracle mode)")
-    if len(ns) < 2:
-        raise ValidationError("need at least two sample sizes")
+    if len(set(ns)) < 2:
+        raise ValidationError(f"ns must hold at least two distinct sample sizes, got {list(ns)}")
+    _check_integer(reps, "reps")
+    if reps < 1:
+        raise ValidationError(f"reps must be at least 1, got {reps}")
     m = dgp.num_periods
     f_truth = [tabular_fn(tb) for tb in oracle_nested_regressions(dgp, plan)]
     a_truth = [tabular_fn(tb) for tb in oracle_riesz(dgp, plan)]

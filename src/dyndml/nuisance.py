@@ -63,6 +63,7 @@ from .core import (
     TabularFeatures,
     TreatmentPlan,
     ValidationError,
+    _check_clip,
     _check_codes,
     _check_factored,
     _code_blocks,
@@ -82,6 +83,10 @@ GRID_TOLERANCE = 1e-9
 # at most this many packed entries (1 MB) per code: every fold at once on small
 # panels, as few as one on large ones.
 _PACKED = 2 ** 17
+
+# A clever border's Schur complement at most this share of its d is rounding (over 1000
+# times the largest measured): the column is in the design's span; the set keeps the plain fit.
+_IN_SPAN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,7 @@ class FitConfig:
             object.__setattr__(self, "ridge", float(self.ridge))
         if self.clip is not None:
             object.__setattr__(self, "clip", float(self.clip))
-            if not self.clip > 0:  # NaN too; inf clips nothing
-                raise ValidationError("clip bound must be positive")
+        _check_clip(self.clip)
         for r in self.ridge if isinstance(self.ridge, tuple) else (self.ridge,):
             if r is not None and not math.isfinite(r):
                 raise ValidationError(f"ridge penalty must be finite, got {r}")
@@ -352,9 +356,11 @@ class _Design:
         batched call; a SolverError names the set's fold and `where`. A border
         (b, d, e) = (X'c/n_s, c'c/n_s, c'u/n_s) appends one unpenalized design
         column c with coefficient gamma: the blocks are solved for [rhs, b],
-        then gamma from the Schur complement d - b'A^-1 b. A set with d = 0
-        keeps the plain fit, gamma 0. Returns (beta, gamma), gamma 0 without
-        a border."""
+        then gamma from the Schur complement d - b'A^-1 b, never negative in
+        exact arithmetic. A set whose complement is at most _IN_SPAN d (c = 0, or c in
+        the span of the blocks at zero penalty) keeps the plain fit, gamma 0,
+        whose normal equations already give c'(u - X beta) = 0 there. Returns
+        (beta, gamma), gamma 0 without a border."""
         grams, lam = self.systems()
         a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
 
@@ -366,11 +372,8 @@ class _Design:
         b, d, e = border
         x = _solve_spd(a[:, :, None], np.stack([rhs, b], axis=2), lam[:, None, None],
                        self.layout[:, None], name)
-        live, schur = d > 0.0, d - np.einsum("skj,skj->s", b, x[:, :, 1])
-        bad = np.flatnonzero(live & ~(schur > 0.0))
-        if bad.size:  # the bordered system is not positive definite
-            raise SolverError(f"{name((bad[0],))}singular normal equations (rank-deficient "
-                              "design); set a positive ridge penalty")
+        schur = d - np.einsum("skj,skj->s", b, x[:, :, 1])
+        live = schur > _IN_SPAN * d
         gamma = np.where(live, e - np.einsum("skj,skj->s", b, x[:, :, 0]), 0.0)
         gamma /= np.where(live, schur, 1.0)
         return x[:, :, 0] - gamma[:, None, None] * x[:, :, 1], gamma
@@ -388,11 +391,9 @@ class _Stages:
     observed codes and the per-set Gram blocks) and the (K, n) code weights
     W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c), over the
     stacked units. Once the bases exist it keeps neither the units' states nor
-    their codes, except in a one-set fit, where a representer given as a
-    function (`fit_clever_covariate`) is evaluated on the states. Each pass
-    visits the periods once and solves every training set's stage in one
-    batched call. Right-hand sides are B_t'(W_c v) (forward) and
-    B_t'(1{T_t = c} u) (backward) over a set's units (`_TrainingSets.means`);
+    their codes. Each pass visits the periods once and solves every training
+    set's stage in one batched call. Right-hand sides are B_t'(W_c v) (forward)
+    and B_t'(1{T_t = c} u) (backward) over a set's units (`_TrainingSets.means`);
     the sets' fitted functions are valued packed, every set of a replicate in
     one product.
     """
@@ -414,7 +415,6 @@ class _Stages:
         units = _Units(*([_joined(c) for c in zip(*field)] for field in fields[:3]),
                        *map(_joined, fields[3:]))
         self.outcome, self.spread, self.scales = units.outcome, units.spread, units.scale
-        self.states = units.states if folds is None else None  # for `representer`
         view = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1), units.outcome,
                             tuple(phi.arity for phi in cfg.feature_maps))
         self.code_weights = [_code_weights(plan, t, view, phi.arity).T
@@ -428,15 +428,6 @@ class _Stages:
         for design, weights in zip(self.designs, self.code_weights):
             design.require(weights)
             design.systems()  # every Gram before the passes allocate their values
-
-    def representer(self, t: int, a: NDArray | Fn, run: slice) -> NDArray:
-        """Packed per-code values (Q', K, n) for `run` of period t's representers:
-        the sets' fitted (S, K, q) coefficient blocks a, clipped by cfg.clip, or
-        with one set any function a, evaluated at every code."""
-        if isinstance(a, np.ndarray):
-            return self.designs[t - 1].values(a, self.cfg.clip, run)
-        return np.stack([a.batch(self.states[t - 1], np.full(len(self.outcome), c))
-                         for c in range(self.designs[t - 1].phi.arity)])[None]
 
     def moment(self, t: int, values: NDArray) -> NDArray:
         """m_t(Z; g) on the units, of g's per-code values (..., K, n)."""
@@ -465,18 +456,18 @@ class _Stages:
         return coefs, held
 
     def regressions(
-        self, representers: Sequence[NDArray | Fn] | None, clever: bool
+        self, representers: Sequence[NDArray] | None
     ) -> tuple[list[NDArray], NDArray, NDArray, NDArray, NDArray]:
         """The backward pass of `fit_nested_regressions` for every training set.
-        With `clever`, set s's representer for the period joins its design as
-        an unpenalized column (`fit_clever_covariate`): the fit is the linear
-        part plus gamma_s times that representer, representers[t-1] as
-        `representer` takes it. Each solved stage is valued a run of sets at a
-        time, and the run's pseudo-outcomes go straight into the previous
-        period's right-hand side. Returns (coefs, gammas (M, S),
-        held, train_means, plug): held[t-1] holds (u_t, f_t) (2, units) on
-        every unit, from the nuisances of the set its fold holds out (the one
-        set without folds), and plug m_1(Z; f_1) likewise; with `clever` train_means[s, t-1]
+        Given the sets' representer coefficients (per period (S, K, q), from
+        `riesz`), the fit is clever: set s's representer for the period, clipped
+        by cfg.clip, joins its design as an unpenalized column, and the fit is
+        the linear part plus gamma_s times it. Each solved stage is valued a run
+        of sets at a time, and the run's pseudo-outcomes go straight into the
+        previous period's right-hand side. Returns (coefs, gammas (M, S), held,
+        train_means, plug): held[t-1] holds (u_t, f_t) (2, units) on every unit,
+        from the nuisances of the set its fold holds out (the one set without
+        folds), and plug m_1(Z; f_1) likewise; when clever, train_means[s, t-1]
         is the mean of a_t (u_t - f_t) over the set's training rows, from its
         normal equations."""
         m, sets, n = len(self.designs), self.sets, len(self.outcome)
@@ -484,7 +475,7 @@ class _Stages:
         gammas = np.zeros((m, len(sets.sizes)))
         held, plug = np.empty((m, 2, n)), np.empty(n)
         train_means = np.zeros((len(sets.sizes), m))
-        y, last = self.outcome, self.designs[-1]
+        y, last, clever = self.outcome, self.designs[-1], representers is not None
         rhs = sets.means(last.scatter(y), last.basis)
         borders = [self._border(m, representers[-1], y, run) for run in sets.runs] if clever else []
         for t in range(m, 0, -1):
@@ -501,8 +492,8 @@ class _Stages:
             for run in sets.runs:
                 values = design.values(coefs[t - 1], None, run)
                 if clever:
-                    values += sets.spread(gammas[t - 1], run)[:, None] * self.representer(
-                        t, representers[t - 1], run)
+                    values += sets.spread(gammas[t - 1], run)[:, None] * design.values(
+                        representers[t - 1], self.cfg.clip, run)
                 u = self.moment(t, values)  # u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
                 design.own(values, run, held[t - 1, 1])
                 sets.own(u, run, held[t - 2, 0] if t > 1 else plug)
@@ -515,12 +506,12 @@ class _Stages:
         held[m - 1, 0] = y
         return coefs, gammas, held, train_means, plug
 
-    def _border(self, t: int, rep: NDArray | Fn, u: NDArray, run: slice) -> tuple[NDArray, NDArray]:
-        """For the sets of `run`, the border sums of period t's representer a
-        (`representer`) given the pseudo-outcome u: X'a and (a'a, a'u)
-        (`_Design.solve`)."""
+    def _border(self, t: int, rep: NDArray, u: NDArray, run: slice) -> tuple[NDArray, NDArray]:
+        """For the sets of `run`, the border sums of period t's representer a,
+        the sets' coefficient blocks rep clipped by cfg.clip, given the
+        pseudo-outcome u: X'a and (a'a, a'u) (`_Design.solve`)."""
         design = self.designs[t - 1]
-        a = design.pick(self.representer(t, rep, run))
+        a = design.pick(design.values(rep, self.cfg.clip, run))
         return (self.sets.means(design.scatter(a), design.basis, run),
                 self.sets.means(np.stack([a * a, a * u], axis=1), np.ones((a.shape[-1], 1)), run))
 
@@ -547,7 +538,7 @@ def cross_fit(
     a_t (u_t - f_t) over the fold's training rows."""
     stages = _Stages(panels, plan, cfg, folds)
     representers, held_a = stages.riesz()
-    _, _, held, train_means, plug = stages.regressions(representers, clever)
+    _, _, held, train_means, plug = stages.regressions(representers if clever else None)
     values, _, corrections = _ladder(plug, ((a, u, f) for a, (u, f) in zip(held_a, held)))
     sets, spread = stages.sets, np.abs(held_a[-1]) * stages.spread
     weights = np.ones(len(values)) if sets.weights is None else sets.weights
@@ -562,7 +553,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    return _regression_fns(_Stages([data], plan, cfg), None, (), clever=False)
+    return _regression_fns(_Stages([data], plan, cfg), None, ())
 
 
 def riesz_loss(
@@ -603,43 +594,32 @@ def fit_recursive_riesz(
     return [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, stages.riesz()[0])]
 
 
-def fit_clever_covariate(
-    data: PanelDataset,
-    plan: TreatmentPlan,
-    representers: Sequence[Fn],
-    cfg: FitConfig,
-) -> list[CombinedFn]:
-    """Backward regression pass with the period's representer appended as an
-    unpenalized design column, so every debiasing correction term has
-    empirical mean zero by the normal equations and plug-in estimation
-    already equals the debiased estimate. Period t's fit is
-    CombinedFn(((1.0, LinearFn(phi_t, w)), (gamma, representers[t-1])))."""
-    stages = _Stages([data], plan, cfg)
-    if len(representers) != data.num_periods:
-        raise ValidationError("need one representer per period")
-    return _regression_fns(stages, representers, representers, clever=True)
-
-
 def fit_nuisances(
     data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, clever: bool = False
 ):
-    """Fit both sequences on one sample; returns (regressions, representers)."""
+    """Fit both sequences on one sample; returns (regressions, representers).
+    With `clever`, each regression has its period's fitted representer a_t as
+    an unpenalized design column, so every debiasing correction term has
+    empirical mean zero by the normal equations and plug-in estimation already
+    equals the debiased estimate: period t's fit is CombinedFn(((1.0,
+    LinearFn(phi_t, w)), (gamma, a_t))), gamma 0 where a_t lies in phi_t's span
+    (`_Design.solve`), as an unclipped one does at zero ridge."""
     stages = _Stages([data], plan, cfg)
     coefs = stages.riesz()[0]
     representers = [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, coefs)]
-    return _regression_fns(stages, coefs, representers, clever), representers
+    return _regression_fns(stages, coefs if clever else None, representers), representers
 
 
 def _regression_fns(
-    stages: _Stages, fitted: Sequence[NDArray | Fn], representers: Sequence[Fn], clever: bool,
+    stages: _Stages, coefs: Sequence[NDArray] | None, representers: Sequence[Fn],
 ) -> list:
-    """The one-set backward pass as functions, given the representers as
-    `_Stages.regressions` takes them: with `clever`, period t's is
+    """The one-set backward pass as functions, clever given the representers'
+    coefficients `coefs` (`_Stages.regressions`): then period t's is
     CombinedFn(((1.0, linear part), (gamma, representers[t-1])))."""
-    coefs, gammas = stages.regressions(fitted, clever)[:2]
+    fitted, gammas = stages.regressions(coefs)[:2]
     scale = stages.scales[0]  # the fits are linear in the scaled outcome
-    fns = [design.fn(coef[0] / scale) for design, coef in zip(stages.designs, coefs)]
-    if not clever:
+    fns = [design.fn(coef[0] / scale) for design, coef in zip(stages.designs, fitted)]
+    if coefs is None:
         return fns
     return [CombinedFn(((1.0, f), (float(g[0] / scale), a)))
             for f, g, a in zip(fns, gammas, representers)]

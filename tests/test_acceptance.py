@@ -17,7 +17,7 @@ from dyndml import (
     dgp_ref_1,
     dgp_ref_2,
     dml_estimate,
-    fit_clever_covariate,
+    fit_nuisances,
     fit_recursive_riesz,
     mc_experiment,
     mix_seed,
@@ -245,8 +245,7 @@ def test_criterion_8_clever_covariate():
     plan = FixedSequence((1, 1))
     cfg = tabular_config(dgp)
     data = simulate(dgp, 6000, 171)
-    representers = fit_recursive_riesz(data, plan, cfg)
-    regressions = fit_clever_covariate(data, plan, representers, cfg)
+    regressions, representers = fit_nuisances(data, plan, cfg, clever=True)
     bundle = NuisanceSet(tuple(regressions), tuple(representers))
     values, plug, corrections = moment_scores(data, plan, bundle)
     worst_corr = max(abs(float(c.mean())) for c in corrections)

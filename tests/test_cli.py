@@ -254,6 +254,21 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "fold" in err
 
+    def test_rank_deficient_design_exit_3(self, files, capsys):
+        # Constant states make the polynomial basis 1, s, s^2 one column three times.
+        sample = dyndml.oracle.simulate(dyndml.oracle.dgp_ref_2(), 2000, 3)
+        ones = np.ones((sample.n_units, 1))
+        data = files["dir"] / "ones.csv"
+        write_panel_csv(PanelDataset((ones, ones), sample.treatments, sample.outcome,
+                                     sample.treatment_arities), str(data))
+        cfg = files["dir"] / "poly0.cfg"
+        cfg.write_text("features = polynomial\nridge = 0\n")
+        argv = ["estimate", "--data", str(data), "--plan", files["plan11"], "--config", str(cfg),
+                "--out", str(files["dir"] / "r.json")]
+        assert main(argv) == 3
+        assert ("fold 0: period 1: singular normal equations (rank-deficient design); set a "
+                "positive ridge penalty") in capsys.readouterr().err
+
     @pytest.mark.parametrize("setting, message", [
         ("ridge = nan", "ridge penalty must be finite, got nan"),
         ("ridge = inf", "ridge penalty must be finite, got inf"),

@@ -176,7 +176,7 @@ def test_public_names_pinned():
         "RandomFourierFeatures", "RateTable", "SolverError", "SurrogateNuisances",
         "SurrogatePair", "TabularFeatures", "TreatmentPlan", "ValidationError",
         "core", "dgp_ref_1", "dgp_ref_2", "dml_estimate",
-        "fit_clever_covariate", "fit_nested_regressions", "fit_recursive_riesz",
+        "fit_nested_regressions", "fit_nuisances", "fit_recursive_riesz",
         "grid_policy", "inference", "make_folds", "mc_experiment", "mix_seed", "mixed_bias",
         "moment", "moment_batch", "moment_scores", "normal_quantile", "nuisance", "oracle",
         "oracle_nested_regressions", "oracle_nuisances", "oracle_riesz", "oracle_theta",

@@ -93,6 +93,15 @@ class TestFolds:
         with pytest.raises(ValidationError, match=message):
             dml_estimate(simulate(dgp2, 60, 1), plan2, tabular_config(dgp2), q_folds, seed)
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (10.0, "n must be an integer, got 10.0"),
+    ])
+    def test_row_count_must_be_an_integer(self, n, message):
+        with pytest.raises(ValidationError) as err:
+            make_folds(n, 2, 0)
+        assert str(err.value) == message
+
     def test_numpy_integer_fold_count_and_seed_fold_alike(self):
         a, b = make_folds(50, np.int64(3), np.uint32(9)), make_folds(50, 3, 9)
         for fa, fb in zip(a.folds, b.folds):
@@ -509,6 +518,18 @@ class TestRateDiagnostics:
     def test_requires_oracle(self, plan1, dgp1):
         with pytest.raises(ValidationError, match="oracle"):
             rate_diagnostics(None, plan1, tabular_config(dgp1), (100, 200), 0)
+
+    @pytest.mark.parametrize("ns, reps, message", [
+        ([200, 400], 0, "reps must be at least 1, got 0"),
+        ([200, 400], -1, "reps must be at least 1, got -1"),
+        ([200, 400], 1.5, "reps must be an integer, got 1.5"),
+        ([400, 400], 1, "ns must hold at least two distinct sample sizes, got [400, 400]"),
+        ([400], 1, "ns must hold at least two distinct sample sizes, got [400]"),
+    ])
+    def test_bad_reps_or_sizes_are_rejected(self, dgp2, plan2, ns, reps, message):
+        with pytest.raises(ValidationError) as err:
+            rate_diagnostics(dgp2, plan2, tabular_config(dgp2), ns, 0, reps=reps)
+        assert str(err.value) == message
 
 
 class TestTypedFoldErrors:

@@ -5,20 +5,21 @@ import pytest
 
 from conftest import tabular_config, value_table
 from dyndml import (
-    ConstantFn,
+    Contrast,
     DiscreteDGP,
     FitConfig,
     FixedSequence,
     LinearFn,
     NuisanceSet,
+    PanelDataset,
     PolynomialFeatures,
     RandomFourierFeatures,
     SolverError,
     TabularFeatures,
     ValidationError,
     dml_estimate,
-    fit_clever_covariate,
     fit_nested_regressions,
+    fit_nuisances,
     fit_recursive_riesz,
     moment_scores,
     oracle_nested_regressions,
@@ -80,6 +81,14 @@ class TestFitConfig:
         with pytest.raises(ValidationError) as err:
             FitConfig(feature_maps=self.MAPS, **setting)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("clip", [np.nan, 0.0, -1.0])
+    def test_a_function_takes_the_configs_clip_rule(self, clip):
+        for make in (lambda: FitConfig(feature_maps=self.MAPS, clip=clip),
+                     lambda: LinearFn(self.MAPS[0], np.zeros(4), clip=clip)):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value) == "clip bound must be positive"
 
     def test_array_ridge_is_per_period_and_infinite_clip_clips_nothing(self, dgp2, plan2):
         cfg = FitConfig(feature_maps=self.MAPS, ridge=np.array([1e-3, 1e-2]), clip=np.inf)
@@ -261,20 +270,21 @@ class TestCleverCovariate:
     def test_first_order_conditions_vanish(self, dgp2, plan2):
         data = simulate(dgp2, 4000, 13)
         cfg = tabular_config(dgp2)
-        reps = fit_recursive_riesz(data, plan2, cfg)
-        regs = fit_clever_covariate(data, plan2, reps, cfg)
+        regs, reps = fit_nuisances(data, plan2, cfg, clever=True)
         _, _, corrections = moment_scores(
             data, plan2, NuisanceSet(tuple(regs), tuple(reps))
         )
         for t in range(2):
             assert abs(corrections[t].mean()) <= 1e-8
 
-    def test_zero_representer_reduces_to_plain_fit(self, dgp2, plan2):
+    def test_zero_representer_reduces_to_plain_fit(self, dgp2):
+        # A zero-weight contrast has the representer 0 in every period (d = 0).
         data = simulate(dgp2, 2000, 23)
         cfg = tabular_config(dgp2)
-        zeros = [ConstantFn(0.0), ConstantFn(0.0)]
-        clever = fit_clever_covariate(data, plan2, zeros, cfg)
-        plain = fit_nested_regressions(data, plan2, cfg)
+        plan = Contrast.of_sequences([0.0], [(1, 1)])
+        clever, reps = fit_nuisances(data, plan, cfg, clever=True)
+        assert all(not a.weights.any() for a in reps)
+        plain = fit_nested_regressions(data, plan, cfg)
         for fc, fp in zip(clever, plain):
             (one, linear), (gamma, _) = fc.parts
             np.testing.assert_array_equal(linear.weights, fp.weights)
@@ -283,10 +293,42 @@ class TestCleverCovariate:
     def test_plug_in_equals_debiased(self, dgp2, plan2):
         data = simulate(dgp2, 4000, 29)
         cfg = tabular_config(dgp2)
-        reps = fit_recursive_riesz(data, plan2, cfg)
-        regs = fit_clever_covariate(data, plan2, reps, cfg)
+        regs, reps = fit_nuisances(data, plan2, cfg, clever=True)
         values, plug, _ = moment_scores(data, plan2, NuisanceSet(tuple(regs), tuple(reps)))
         assert plug.mean() == pytest.approx(values.mean(), abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 21, 137])
+    def test_zero_ridge_border_in_the_span_keeps_the_plain_estimate(self, dgp1, plan1, seed):
+        # At zero ridge a fitted representer lies in its own design's span, so
+        # its Schur complement is 0 up to rounding: the border rule, not the
+        # sign of that rounding, decides, and the plain fit is kept.
+        data = simulate(dgp1, 500, seed)
+        cfg = FitConfig((TabularFeatures(np.arange(2.0), 2),), ridge=0.0)
+        clever = dml_estimate(data, plan1, cfg, 2, 1, clever=True)
+        plain = dml_estimate(data, plan1, cfg, 2, 1)
+        assert clever.theta_hat == plain.theta_hat
+        assert all(abs(c) <= 1e-8 for f in clever.per_fold for c in f["clever_correction_means"])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_ridge_one_sample_fit_has_gamma_zero(self, dgp2, plan2, seed):
+        data = simulate(dgp2, 2000, seed)
+        regs, reps = fit_nuisances(data, plan2, tabular_config(dgp2, ridge=0.0), clever=True)
+        assert [fit.parts[1][0] for fit in regs] == [0.0, 0.0]
+        _, _, corrections = moment_scores(data, plan2, NuisanceSet(tuple(regs), tuple(reps)))
+        for t in range(2):
+            assert abs(corrections[t].mean()) <= 1e-8
+
+    def test_rank_deficient_design_at_zero_ridge_is_a_solver_error(self, dgp2, plan2):
+        # Constant states make the degree-2 monomials 1, s, s^2 one column three
+        # times: every Gram block has mass but no Cholesky factor.
+        data = simulate(dgp2, 2000, 3)
+        ones = np.ones((data.n_units, 1))
+        panel = PanelDataset((ones, ones), data.treatments, data.outcome, data.treatment_arities)
+        cfg = FitConfig((PolynomialFeatures(1, 2, 2),) * 2, ridge=0.0)
+        with pytest.raises(SolverError) as err:
+            dml_estimate(panel, plan2, cfg, 5, 0)
+        assert str(err.value) == ("fold 0: period 1: singular normal equations (rank-deficient "
+                                  "design); set a positive ridge penalty")
 
 
 class TestConsistencyRate:
