@@ -13,9 +13,10 @@ design once on the whole panel and solves it for every fold's training rows,
 scoring the held-out units from the same designs (see the `nuisance` module).
 A unit stands for w_u rows (`nuisance._UnitScores`), so theta = sum_u w_u s_u / n,
 n sigma^2 = sum_u w_u (s_u - theta)^2 + sum_u r_u^2, and fold means are unit sums.
-Its training sets are grouped by replicate, so the Monte Carlo harness fits a
-chunk of MC_CHUNK_ROWS rows of replicates in one pass (`_estimates`), each
-replicate folded, checked and reported as `dml_estimate` does it alone.
+Its training sets are grouped by replicate, so the Monte Carlo harness
+reduces each replicate to its units and fits a chunk of up to MC_CHUNK_UNITS
+units of replicates in one pass (`_estimates`), each replicate folded,
+checked and reported as `dml_estimate` does it alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,7 +47,8 @@ from .core import (
     tabular_fn,
 )
 from .moment import moment_scores
-from .nuisance import FitConfig, _UnitScores, cross_fit, fit_nuisances
+from .nuisance import (FitConfig, _Units, _UnitScores, cross_fit, fit_nuisances, panel_units,
+                       stack_units)
 from .oracle import (
     DiscreteDGP,
     mix_seed,
@@ -77,18 +80,31 @@ class FoldPlan:
         return np.sort(np.concatenate([f for i, f in enumerate(self.folds) if i != q]))
 
 
-def make_folds(n: int, q_folds: int, seed: int) -> FoldPlan:
-    """Seeded uniform shuffle, then contiguous split; the first n mod Q folds
-    take the remainder observations."""
+def _fold_sizes(n: int, q_folds: int) -> list[int]:
+    """The sizes of the Q folds of n observations: the first n mod Q folds take
+    the remainder observations."""
     _check_integer(n, "n")
     _check_integer(q_folds, "the fold count")
     if q_folds < 2:
         raise ValidationError("need at least two folds")
     if q_folds > n:
         raise ValidationError(f"cannot split {n} observations into {q_folds} folds")
+    return [n // q_folds + (1 if q < n % q_folds else 0) for q in range(q_folds)]
+
+
+def make_folds(n: int, q_folds: int, seed: int) -> FoldPlan:
+    """Seeded uniform shuffle, then contiguous split into `_fold_sizes`."""
+    sizes = _fold_sizes(n, q_folds)
     perm = _rng(seed).permutation(n)
-    sizes = [n // q_folds + (1 if q < n % q_folds else 0) for q in range(q_folds)]
     return FoldPlan(folds=tuple(np.split(perm, np.cumsum(sizes)[:-1])), seed=seed)
+
+
+def _fold_labels(n: int, q_folds: int, seed: int) -> NDArray:
+    """Each observation's fold in make_folds(n, q_folds, seed), as small ints."""
+    sizes = _fold_sizes(n, q_folds)
+    labels = np.empty(n, dtype=np.min_scalar_type(q_folds - 1))
+    labels[_rng(seed).permutation(n)] = np.repeat(np.arange(q_folds, dtype=labels.dtype), sizes)
+    return labels
 
 
 @dataclass
@@ -202,44 +218,42 @@ def dml_estimate(
     one-replicate case of `_estimates`. Deterministic given all inputs.
     """
     if nuisances is None:
-        return _estimates([data], [data.n_units], plan, cfg, q_folds, [seed], clever)[0]
-    folds = make_folds(data.n_units, q_folds, seed).folds
+        units = panel_units(data, plan, cfg, _fold_labels(data.n_units, q_folds, seed), q_folds)
+        return _estimates(units, data.n_units, plan, cfg, q_folds, [seed], clever)[0]
+    fold = _fold_labels(data.n_units, q_folds, seed)
     scores, _, corrections = moment_scores(data, plan, nuisances)
-    sizes, fold = [len(idx) for idx in folds], np.empty(data.n_units, dtype=np.intp)
-    fold[np.concatenate(folds)] = np.repeat(np.arange(q_folds), sizes)
     rows = _UnitScores.scaled(scores, corrections, np.ones(data.n_units), fold,
                               np.zeros(data.n_units))
-    return _report(rows, sizes, cfg, seed, clever)
+    return _report(rows, data.n_units, q_folds, cfg, seed, clever)
 
 
 def _estimates(
-    panels: Iterable[PanelDataset],
-    sizes: Sequence[int],
+    units: _Units,
+    n: int,
     plan: TreatmentPlan,
     cfg: FitConfig,
     q_folds: int,
     seeds: Sequence[int],
     clever: bool = False,
 ) -> list[EstimateReport]:
-    """The cross-fitted estimate of each panel (a replicate of sizes[r] rows,
-    folded with seeds[r]), all fitted in one stage-engine pass
-    (`nuisance.cross_fit`), which takes the panels one at a time. Each report
-    is the one the panel gets alone, up to rounding, and each panel is checked
-    as it is alone; an error names no panel."""
-    folds = [make_folds(n, q_folds, s).folds for n, s in zip(sizes, seeds)]
-    fits = cross_fit(panels, plan, cfg, folds, clever)
-    return [_report(units, [len(idx) for idx in f], cfg, s, clever,
-                    train_means if clever else None)
-            for (units, train_means), f, s in zip(fits, folds, seeds)]
+    """The cross-fitted estimate of each replicate of n rows, given as their
+    stacked units (`nuisance.stack_units` of `nuisance.panel_units`, replicate
+    r's rows folded with seeds[r]), all fitted in one stage-engine pass
+    (`nuisance.cross_fit`). Each report is the one the replicate gets alone,
+    up to rounding; an error names no replicate."""
+    fits = cross_fit(units, plan, cfg, q_folds, clever)
+    return [_report(scores, n, q_folds, cfg, s, clever, train_means if clever else None)
+            for (scores, train_means), s in zip(fits, seeds)]
 
 
 def _report(
-    units: _UnitScores, sizes: Sequence[int], cfg: FitConfig, seed: int, clever: bool,
+    units: _UnitScores, n: int, q_folds: int, cfg: FitConfig, seed: int, clever: bool,
     train_means: NDArray | None = None,
 ) -> EstimateReport:
-    """The report of a panel's held-out unit scores, fold q holding sizes[q] rows.
-    With `train_means` (Q, M), each fold also reports the clever covariate's
-    training-row correction means."""
+    """The report of a sample's held-out unit scores, its n rows in folds of
+    `_fold_sizes`. With `train_means` (Q, M), each fold also reports the clever
+    covariate's training-row correction means."""
+    sizes = _fold_sizes(n, q_folds)
     means = units.fold_means(sizes)
     _check_fold_scores(means)
     per_fold: list[dict] = []
@@ -260,8 +274,7 @@ def _report(
         ridge_default="1e-3 * n^-0.5 * trace-normalized" if cfg.ridge is None else None,
         clever_covariate=clever,
     )
-    return EstimateReport._with_interval(*units.mean_sd(), int(sum(sizes)), len(sizes), seed,
-                                         per_fold, config)
+    return EstimateReport._with_interval(*units.mean_sd(), n, q_folds, seed, per_fold, config)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +350,15 @@ def _failure_cause(message: str) -> str:
     return re.sub(r"column \d+ ", "column ", re.sub(r"^(fold \d+: )?(period \d+: )?", "", message))
 
 
-# A Monte Carlo chunk is as many whole replicates as fit in this many rows, and
-# at least one; `mc_experiment` fits each chunk in one stage-engine pass. It is
-# a constant, so the chunks, and every result, are the same for any `jobs`.
-MC_CHUNK_ROWS = 8192
+# A Monte Carlo chunk is as many whole replicates as fit in this many units (the
+# rows of a replicate fitted row by row, its distinct histories on its grids;
+# `nuisance.panel_units`), and at least one; `mc_experiment` fits each chunk in
+# one stage-engine pass. A replicate counts as its units or, if more, its Gram
+# entries (Q K_t q_t^2 per period, `nuisance._Design.systems`), but never as
+# more than its rows: so a chunk holds no more Gram entries than this or than
+# a chunk of this many rows did, and never fewer replicates. It is a constant,
+# so the chunks, and every result, are the same for any `jobs`.
+MC_CHUNK_UNITS = 8192
 
 
 def mc_experiment(
@@ -356,14 +374,19 @@ def mc_experiment(
 ) -> MCResult:
     """Run `reps` independent seed-mixed replicates of dml_estimate.
 
-    Replicate r simulates with mix_seed(seed, r) and folds with a further
-    derived seed. Replicates are fitted in chunks of MC_CHUNK_ROWS rows
-    (`_estimates`), and `jobs` threads take whole chunks, so results are
-    identical for any jobs count and each replicate's estimate is its own
-    dml_estimate's up to rounding. A chunk that raises is rerun one replicate
-    at a time, so each failure reads as it does alone. Numerical failures
-    (SolverError, PositivityError) are flagged rows excluded from the
-    coverage summary; invalid inputs (ValidationError) abort the experiment.
+    Replicate r simulates with mix_seed(seed, r), folds with a further derived
+    seed and is reduced to its units at once (`nuisance.panel_units`); a chunk
+    closes before the replicate whose units (or Gram entries, up to its n
+    rows, if more) would take it past MC_CHUNK_UNITS, and is fitted in one
+    stage-engine pass (`_estimates`). So results are identical for any jobs
+    count, and each replicate's estimate is its own dml_estimate's up to
+    rounding. Up to `jobs` chunks are reduced, then fitted on as many
+    threads; a lone chunk is fitted in the calling thread, so jobs = 1, or a
+    run of one chunk, starts no thread. A chunk that raises is rerun one
+    replicate at a time, each on its own units, so each failure reads as it
+    does alone. Numerical failures (SolverError, PositivityError) are flagged
+    rows excluded from the coverage summary; invalid inputs (ValidationError)
+    abort the experiment.
     """
     for value, name in ((reps, "reps"), (n, "n"), (jobs, "jobs")):
         _check_integer(value, name)
@@ -371,31 +394,55 @@ def mc_experiment(
         raise ValidationError("need at least one replicate")
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
+    _fold_sizes(n, q_folds)  # before any replicate is simulated
     theta_true = oracle_theta(dgp, plan)
 
-    def run(chunk: range) -> list[MCRow]:
-        seeds = [mix_seed(seed, r) for r in chunk]
+    def fold_seed(r: int) -> int:
+        return mix_seed(mix_seed(seed, r), 1)
+
+    def fit(chunk: tuple[list[int], _Units]) -> list[MCRow]:
+        taken, units = chunk
         try:
-            reports = _estimates((simulate(dgp, n, s) for s in seeds), [n] * len(chunk), plan, cfg,
-                                 q_folds, [mix_seed(s, 1) for s in seeds], clever)
+            reports = _estimates(units, n, plan, cfg, q_folds, list(map(fold_seed, taken)), clever)
         except (ValidationError, SolverError, PositivityError) as exc:
-            if len(chunk) > 1:
-                return [row for r in chunk for row in run(range(r, r + 1))]
+            if len(taken) > 1:
+                return [row for r, one in zip(taken, units.replicates(q_folds))
+                        for row in fit(([r], one))]
             if isinstance(exc, ValidationError):
                 raise
-            return [MCRow(rep=chunk[0], failed=1, message=str(exc))]
+            return [MCRow(rep=taken[0], failed=1, message=str(exc))]
         return [MCRow(rep=r, theta_hat=report.theta_hat, sigma_hat=report.sigma_hat,
                       ci_lower=report.ci_lower, ci_upper=report.ci_upper,
                       covered=int(report.ci_lower <= theta_true <= report.ci_upper))
-                for r, report in zip(chunk, reports)]
+                for r, report in zip(taken, reports)]
 
-    size = max(1, MC_CHUNK_ROWS // max(n, 1))
-    chunks = [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
-    if jobs == 1:
-        rows = [row for chunk in chunks for row in run(chunk)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(run, chunks) for row in part]
+    grams = q_folds * sum(phi.dim ** 2 // phi.arity for phi in cfg.feature_maps)
+
+    def chunks() -> Iterator[tuple[list[int], _Units]]:
+        taken: list[int] = []
+        parts: list[_Units] = []
+        size = 0
+        for r in range(reps):
+            units = panel_units(simulate(dgp, n, mix_seed(seed, r)), plan, cfg,
+                                _fold_labels(n, q_folds, fold_seed(r)), q_folds)
+            cost = max(len(units.outcome), min(grams, n))
+            if parts and size + cost > MC_CHUNK_UNITS:
+                chunk, taken, parts, size = (taken, stack_units(parts)), [], [], 0
+                yield chunk  # its replicates' units live on in the stack alone
+                del chunk    # from here the caller alone holds the stack
+            taken.append(r)
+            parts.append(units)
+            size += cost
+        del units
+        chunk, parts = (taken, stack_units(parts)), []
+        yield chunk
+
+    pending, rows = chunks(), []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:  # a thread starts only at a submit
+        while batch := list(islice(pending, jobs)):
+            fitted = pool.map(fit, batch) if len(batch) > 1 else [fit(batch[0])]
+            rows += [row for part in fitted for row in part]
+            del batch, fitted  # no fitted chunk is held while the next are reduced
     ok = [row for row in rows if not row.failed]
     if ok:
         thetas = np.array([row.theta_hat for row in ok])

@@ -23,13 +23,13 @@ batched call. Cross-fitting (`cross_fit`) solves one training set per fold and
 scores the held-out rows from the same bases; the public fits are the
 one-training-set case.
 
-The training sets are grouped by replicate: a panel may stack several
-replicates' rows (a Monte Carlo chunk), each with its own folds, and a set
-is one fold's complement within its replicate. Every sum stays within a
-replicate, each set's fitted functions are valued on its replicate's units
-only, all the sets of a replicate in one product, and every check a lone
-panel gets is made per replicate, so each replicate's estimate is the one it
-gets alone, up to rounding.
+The training sets are grouped by replicate: the engine may fit the stacked
+units of several replicates (a Monte Carlo chunk, `stack_units`), each
+reduced with its own folds, and a set is one fold's complement within its
+replicate. Every sum stays within a replicate, each set's fitted functions
+are valued on its replicate's units only, all the sets of a replicate in one
+product, and every check a lone panel gets is made per replicate, so each
+replicate's estimate is the one it gets alone, up to rounding.
 
 Every sample, a replicate's panel or a surrogate sample, becomes its units in
 one step, `_units`, the only reordering: on all-tabular samples on their grids
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -225,9 +225,10 @@ class _TrainingSets:
         """The weighted mean over each set's units of x_i basis_i: for an input
         every set shares, x (..., n), every set's (S, ..., q); for x packed
         (Q', ..., n) for `run`, (R, Q', ..., q) (`joined` stacks the runs'
-        parts)."""
-        return self._combine(_blocks(x if self.weights is None else x * self.weights, basis,
-                                     self.bounds), run)
+        parts). The weights scale the basis, not the wider packed x."""
+        if self.weights is not None:
+            basis = basis * self.weights[:, None]
+        return self._combine(_blocks(x, basis, self.bounds), run)
 
     def joined(self, parts: Sequence[NDArray]) -> NDArray:
         """(S, ...): the runs' (R, Q', ...) parts in set order."""
@@ -270,9 +271,11 @@ class _TrainingSets:
 
 def _blocks(x: NDArray, basis: NDArray, bounds: NDArray) -> NDArray:
     """(B, ..., q): x[..., a:b] @ basis[a:b] for each run [a, b) between
-    consecutive bounds, one GEMM per run."""
+    consecutive bounds, one GEMM per run, each into its own slice."""
     flat, cuts = x.reshape(-1, x.shape[-1]), bounds.tolist()
-    sums = np.stack([flat[:, a:b] @ basis[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+    sums = np.empty((len(cuts) - 1, flat.shape[0], basis.shape[1]))
+    for out, a, b in zip(sums, cuts[:-1], cuts[1:]):
+        np.matmul(flat[:, a:b], basis[a:b], out=out)
     return sums.reshape(sums.shape[:1] + x.shape[:-1] + basis.shape[1:])
 
 
@@ -319,11 +322,12 @@ class _Design:
         """Packed (Q', K, n) for `run`: every set's linear function with (K, q)
         coefficient blocks coef[s] (S, K, q) at every code, on its replicate's
         units, clipped to [-clip, clip]."""
-        spans = self.sets.spans
+        spans = self.sets.spans.tolist()
         by_rep = coef.reshape((-1, self.sets.q) + coef.shape[1:])[:, run]
-        parts = [(c.reshape(-1, c.shape[-1]) @ self.basis[a:b].T).reshape(c.shape[:2] + (b - a,))
-                 for c, a, b in zip(by_rep, spans[:-1], spans[1:])]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        out = np.empty(by_rep.shape[1:3] + (spans[-1],))
+        flat = out.reshape(-1, spans[-1])  # each replicate's product into its own columns
+        for c, a, b in zip(by_rep, spans[:-1], spans[1:]):
+            np.matmul(c.reshape(-1, c.shape[-1]), self.basis[a:b].T, out=flat[:, a:b])
         return out if clip is None else np.clip(out, -clip, clip, out=out)
 
     def own(self, values: NDArray, run: slice, out: NDArray) -> None:
@@ -332,7 +336,7 @@ class _Design:
 
     def pick(self, values: NDArray) -> NDArray:
         """(..., n): each unit's entry at its own code, of `values` (..., K, n)."""
-        return values.reshape(values.shape[:-2] + (-1,))[..., self.flat]
+        return np.take(values.reshape(values.shape[:-2] + (-1,)), self.flat, axis=-1)
 
     def scatter(self, v: NDArray) -> NDArray:
         """(..., K, n): v (..., n) at each unit's own code, zero at the others."""
@@ -380,51 +384,35 @@ class _Design:
 
 
 class _Stages:
-    """Both nuisance passes over the panels of one or more replicates, solved
-    for several training sets (`_TrainingSets`). With `folds`, folds[r] are
-    replicate r's fold index arrays into its own rows, and each fold of each
-    replicate holds out one training set; without, the one panel is one set.
+    """Both nuisance passes over the units of one or more replicates, stacked
+    (`stack_units` of `panel_units`), solved for several training sets
+    (`_TrainingSets`). With `q_folds`, each replicate's units carry their
+    folds, and each fold of each replicate holds out one training set;
+    without, the one replicate is one set.
 
-    Each replicate is checked and reduced to its units (`_units`) as it would
-    be alone, and the units of all replicates are stacked. Per period the
-    engine keeps one factored design (`_Design`: the state basis B_t, the
-    observed codes and the per-set Gram blocks) and the (K, n) code weights
-    W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c), over the
-    stacked units. Once the bases exist it keeps neither the units' states nor
-    their codes. Each pass visits the periods once and solves every training
-    set's stage in one batched call. Right-hand sides are B_t'(W_c v) (forward)
-    and B_t'(1{T_t = c} u) (backward) over a set's units (`_TrainingSets.means`);
-    the sets' fitted functions are valued packed, every set of a replicate in
-    one product.
+    Per period the engine keeps one factored design (`_Design`: the state
+    basis B_t, the observed codes and the per-set Gram blocks) and the (K, n)
+    code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c),
+    over the stacked units. Once the bases exist it keeps neither the units'
+    states nor their codes. Each pass visits the periods once and solves
+    every training set's stage in one batched call. Right-hand sides are
+    B_t'(W_c v) (forward) and B_t'(1{T_t = c} u) (backward) over a set's units
+    (`_TrainingSets.means`); the sets' fitted functions are valued packed,
+    every set of a replicate in one product.
     """
 
-    def __init__(
-        self, panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
-        folds: Sequence[Sequence[NDArray]] | None = None,
-    ) -> None:
-        self.plan, self.cfg, parts = plan, cfg, []
-        names = [f"period {t}" for t in range(1, len(cfg.feature_maps) + 1)]
-        for r, data in enumerate(panels):  # each replicate's rows live only for its units
-            _check_setup(data, plan, cfg)
-            parts.append(_units(list(zip(cfg.feature_maps, data.states, data.treatments.T)),
-                                data.outcome, None if folds is None else folds[r], names))
-        if any(u.weights is not None for u in parts):  # rows as units count once
-            parts = [u if u.weights is not None else u._replace(weights=np.ones(len(u.codes[0])))
-                     for u in parts]
-        fields = list(zip(*parts))  # each field's values, replicate by replicate
-        units = _Units(*([_joined(c) for c in zip(*field)] for field in fields[:3]),
-                       *map(_joined, fields[3:]))
+    def __init__(self, units: _Units, plan: TreatmentPlan, cfg: FitConfig,
+                 q_folds: int | None = None) -> None:
+        self.plan, self.cfg = plan, cfg
         self.outcome, self.spread, self.scales = units.outcome, units.spread, units.scale
         view = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1), units.outcome,
                             tuple(phi.arity for phi in cfg.feature_maps))
         self.code_weights = [_code_weights(plan, t, view, phi.arity).T
                              for t, phi in enumerate(cfg.feature_maps, start=1)]
-        self.sets = sets = _TrainingSets(units.counts, units.weights,
-                                         None if folds is None else len(folds[0]))
-        self.designs = [_Design(phi, units, t - 1, sets, cfg, t, name)
-                        for t, (phi, name) in enumerate(zip(cfg.feature_maps, names), start=1)]
-        # The bases exist: the Grams need no panel, states or codes.
-        del data, parts, fields, units, view
+        self.sets = sets = _TrainingSets(units.counts, units.weights, q_folds)
+        self.designs = [_Design(phi, units, t - 1, sets, cfg, t, f"period {t}")
+                        for t, phi in enumerate(cfg.feature_maps, start=1)]
+        del view  # the designs exist: the Grams need no stacked codes
         for design, weights in zip(self.designs, self.code_weights):
             design.require(weights)
             design.systems()  # every Gram before the passes allocate their values
@@ -496,12 +484,14 @@ class _Stages:
                         representers[t - 1], self.cfg.clip, run)
                 u = self.moment(t, values)  # u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
                 design.own(values, run, held[t - 1, 1])
+                del values  # before the previous period's packed right-hand side
                 sets.own(u, run, held[t - 2, 0] if t > 1 else plug)
                 if t > 1:
                     prev = self.designs[t - 2]
                     parts.append(sets.means(prev.scatter(u), prev.basis, run))
                     if clever:
                         borders.append(self._border(t - 1, representers[t - 2], u, run))
+                del u  # before the next run or period values theirs
             rhs = sets.joined(parts) if t > 1 else rhs
         held[m - 1, 0] = y
         return coefs, gammas, held, train_means, plug
@@ -516,6 +506,18 @@ class _Stages:
                 self.sets.means(np.stack([a * a, a * u], axis=1), np.ones((a.shape[-1], 1)), run))
 
 
+def stack_units(parts: Sequence[_Units]) -> _Units:
+    """The units of several replicates (`panel_units`) one after another, as
+    `_Stages` fits them: when some replicate's units are weighted, the units
+    of one whose units are its rows count once (weights 1)."""
+    if any(u.weights is not None for u in parts):
+        parts = [u if u.weights is not None else u._replace(weights=np.ones(len(u.outcome)))
+                 for u in parts]
+    fields = list(zip(*parts))  # each field's values, replicate by replicate
+    return _Units(*([_joined(c) for c in zip(*field)] for field in fields[:3]),
+                  *map(_joined, fields[3:]))
+
+
 def _joined(arrays: Sequence[NDArray | None]) -> NDArray | None:
     """The arrays one after another (one array itself), or None if any is None."""
     if any(a is None for a in arrays):
@@ -523,27 +525,40 @@ def _joined(arrays: Sequence[NDArray | None]) -> NDArray | None:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def panel_units(
+    data: PanelDataset, plan: TreatmentPlan, cfg: FitConfig, fold: NDArray | None = None,
+    q_folds: int = 1,
+) -> _Units:
+    """The units the engine fits a panel on (`_units`), its rows in folds
+    fold[i] of q_folds (one fold without), after the checks the panel gets
+    alone (`_check_setup`). No array of the panel's rows outlives the call."""
+    _check_setup(data, plan, cfg)
+    return _units(list(zip(cfg.feature_maps, data.states, data.treatments.T)), data.outcome,
+                  fold, q_folds, [f"period {t}" for t in range(1, data.num_periods + 1)])
+
+
 def cross_fit(
-    panels: Iterable[PanelDataset], plan: TreatmentPlan, cfg: FitConfig,
-    folds: Sequence[Sequence[NDArray]], clever: bool = False,
+    units: _Units, plan: TreatmentPlan, cfg: FitConfig, q_folds: int,
+    clever: bool = False,
 ) -> list[tuple[_UnitScores, NDArray]]:
-    """Fit both nuisance sequences once per fold of each panel (a replicate,
-    folds[r] being its folds) on the panel's rows outside it, and score the
-    fold's units with them, in one pass of the stage engine; each panel gets
-    the estimate it gets alone, up to rounding. A unit's score is `core._ladder`
-    of its held-out plug-in and (a_t, u_t, f_t), u_M its mean outcome: its
-    rows' mean score, their spread |a_M| times its outcomes' spread, both in
-    the panel's outcome scale (`_units`). Returns per panel its `_UnitScores`
-    and, with `clever`, per fold and period (Q, M) the mean correction
-    a_t (u_t - f_t) over the fold's training rows."""
-    stages = _Stages(panels, plan, cfg, folds)
+    """Fit both nuisance sequences once per fold of each replicate, given the
+    replicates' stacked units (`stack_units`, each folded in q_folds folds),
+    on its units outside it, and score the fold's units with them, in one
+    pass of the stage engine; each replicate gets the estimate it gets alone,
+    up to rounding. A unit's score is `core._ladder` of its held-out plug-in
+    and (a_t, u_t, f_t), u_M its mean outcome: its rows' mean score, their
+    spread |a_M| times its outcomes' spread, both in the replicate's outcome
+    scale (`_units`). Returns per replicate its `_UnitScores` and, with
+    `clever`, per fold and period (Q, M) the mean correction a_t (u_t - f_t)
+    over the fold's training rows."""
+    stages = _Stages(units, plan, cfg, q_folds)
     representers, held_a = stages.riesz()
     _, _, held, train_means, plug = stages.regressions(representers if clever else None)
     values, _, corrections = _ladder(plug, ((a, u, f) for a, (u, f) in zip(held_a, held)))
     sets, spread = stages.sets, np.abs(held_a[-1]) * stages.spread
     weights = np.ones(len(values)) if sets.weights is None else sets.weights
-    spans = zip(sets.spans[:-1], sets.spans[1:], train_means.reshape(len(folds), -1, len(held)),
-                stages.scales.tolist())
+    spans = zip(sets.spans[:-1], sets.spans[1:],
+                train_means.reshape(len(units.scale), -1, len(held)), stages.scales.tolist())
     return [(_UnitScores.scaled(values[a:b], corrections[:, a:b], weights[a:b], sets.fold[a:b],
                                 spread[a:b], scale), means / scale) for a, b, means, scale in spans]
 
@@ -553,7 +568,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    return _regression_fns(_Stages([data], plan, cfg), None, ())
+    return _regression_fns(_Stages(panel_units(data, plan, cfg), plan, cfg), None, ())
 
 
 def riesz_loss(
@@ -590,7 +605,7 @@ def fit_recursive_riesz(
     closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)], where
     Phi_t(Z) = sum_k w_k(Z) phi_t(S_t, d_k(Z)) is the feature image of the
     period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
-    stages = _Stages([data], plan, cfg)
+    stages = _Stages(panel_units(data, plan, cfg), plan, cfg)
     return [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, stages.riesz()[0])]
 
 
@@ -604,7 +619,7 @@ def fit_nuisances(
     equals the debiased estimate: period t's fit is CombinedFn(((1.0,
     LinearFn(phi_t, w)), (gamma, a_t))), gamma 0 where a_t lies in phi_t's span
     (`_Design.solve`), as an unclipped one does at zero ridge."""
-    stages = _Stages([data], plan, cfg)
+    stages = _Stages(panel_units(data, plan, cfg), plan, cfg)
     coefs = stages.riesz()[0]
     representers = [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, coefs)]
     return _regression_fns(stages, coefs if clever else None, representers), representers
@@ -641,6 +656,17 @@ class _Units(NamedTuple):
     counts: NDArray
     weights: NDArray | None
     scale: NDArray
+
+    def replicates(self, q_folds: int) -> list[_Units]:
+        """Each stacked replicate's own units (views; `stack_units` undone, but
+        rows as units keep the weights 1 it gave them, which fit alike)."""
+        ends = np.cumsum(self.counts.reshape(-1, q_folds).sum(axis=1)).tolist()
+        return [_Units(*([None if c is None else c[a:b] for c in field]
+                         for field in (self.states, self.codes, self.cells)),
+                       self.outcome[a:b], self.spread[a:b],
+                       self.counts[r * q_folds:(r + 1) * q_folds],
+                       None if self.weights is None else self.weights[a:b], self.scale[r:r + 1])
+                for r, (a, b) in enumerate(zip([0] + ends[:-1], ends))]
 
 
 class _UnitScores(NamedTuple):
@@ -690,16 +716,16 @@ def _scale(*arrays: NDArray) -> float:
 
 def _units(
     columns: Sequence[tuple[FeatureMap, NDArray, NDArray]], outcome: NDArray,
-    folds: Sequence[NDArray] | None, names: Sequence[str],
+    fold: NDArray | None, q_folds: int, names: Sequence[str],
 ) -> _Units:
     """The units the engine fits a sample on, from its columns (map, states,
-    codes), its outcome and its folds. A code outside its map's arity is
-    a PlanError naming the column (`names`), and a tabular state farther than
-    GRID_TOLERANCE from its grid row a ValidationError naming the column and
-    the first such row in the caller's order. The outcome is scaled once, by
-    the power of two `_scale` gives (exact), so that no sum of it or square of
-    a deviation overflows where the estimate is representable; the units carry
-    that scale.
+    codes), its outcome and each row's fold, fold[i] of q_folds (None: one
+    fold). A code outside its map's arity is a PlanError naming the column
+    (`names`), and a tabular state farther than GRID_TOLERANCE from its grid
+    row a ValidationError naming the column and the first such row in the
+    caller's order. The outcome is scaled once, by the power of two `_scale`
+    gives (exact), so that no sum of it or square of a deviation overflows
+    where the estimate is representable; the units carry that scale.
 
     The units are the distinct (fold, per-column grid row and code) rows,
     weighted by their counts, with their rows' mean outcome and its spread,
@@ -710,7 +736,6 @@ def _units(
     unweighted and with zero spread, sorted within each fold and taken one
     fold after another."""
     n, cells, exact = columns[0][1].shape[0], [], True
-    folds = [np.arange(n)] if folds is None else folds  # one fold: every row
     for (phi, states, codes), name in zip(columns, names):
         _check_codes(codes, phi.arity, name)
         cells.append(phi.state_index(states) if isinstance(phi, TabularFeatures) else None)
@@ -723,12 +748,10 @@ def _units(
                     f"tabular grid (nearest grid row {nearest[rows[0]].tolist()}, tolerance "
                     f"{GRID_TOLERANCE:g} x (1 + |grid value|))")
     scale = _scale(outcome)
-    shape = [len(folds)] + [size for phi, _, _ in columns if isinstance(phi, TabularFeatures)
-                            for size in (phi.grid.shape[0], phi.arity)]
+    shape = [q_folds] + [size for phi, _, _ in columns if isinstance(phi, TabularFeatures)
+                         for size in (phi.grid.shape[0], phi.arity)]
     if exact and len(shape) == 1 + 2 * len(columns) and math.prod(shape) <= n:
-        key = np.zeros(n, dtype=np.int64)
-        for q, idx in enumerate(folds):
-            key[idx] = q
+        key = np.zeros(n, dtype=np.int64) if fold is None else fold.astype(np.int64)
         for (phi, _, codes), cell in zip(columns, cells):
             key *= phi.grid.shape[0]
             key += cell
@@ -736,7 +759,7 @@ def _units(
             key += codes
         counts = np.bincount(key, minlength=math.prod(shape))
         units = np.flatnonzero(counts)
-        fold, *digits = np.unravel_index(units, shape)
+        held, *digits = np.unravel_index(units, shape)
         mean = np.bincount(key, outcome * scale, counts.shape[0])
         np.divide(mean, counts, out=mean, where=counts > 0)
         dev = (mean / scale)[key]  # Y - mean, then scaled: exact, and one n-array
@@ -745,9 +768,10 @@ def _units(
         spread = np.sqrt(np.bincount(key, np.square(dev, out=dev), counts.shape[0])[units])
         return _Units(
             [phi.grid[c] for (phi, _, _), c in zip(columns, digits[::2])], digits[1::2],
-            digits[::2], mean[units], spread, np.bincount(fold, minlength=shape[0]),
+            digits[::2], mean[units], spread, np.bincount(held, minlength=q_folds),
             counts[units].astype(float), np.array([scale]))
-    order = np.concatenate([np.sort(idx) for idx in folds])  # a fold's rows in memory order
+    # a fold's rows in memory order, one fold after another
+    order = np.arange(n) if fold is None else np.argsort(fold, kind="stable")
 
     def rows(a: NDArray | None) -> NDArray | None:  # gathered along memory order
         return None if a is None else np.take(a.T, order, axis=-1).T
@@ -755,7 +779,8 @@ def _units(
     y = rows(outcome)
     y *= scale
     return _Units([rows(c[1]) for c in columns], [rows(c[2]) for c in columns],
-                  list(map(rows, cells)), y, np.zeros(n), np.array([len(idx) for idx in folds]),
+                  list(map(rows, cells)), y, np.zeros(n),
+                  np.array([n]) if fold is None else np.bincount(fold, minlength=q_folds),
                   None, np.array([scale]))
 
 

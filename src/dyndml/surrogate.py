@@ -41,7 +41,8 @@ from .core import (
     _read_csv,
     _write_csv,
 )
-from .inference import EstimateReport, _check_fold_scores, _config_echo, make_folds
+from .inference import (EstimateReport, _check_fold_scores, _config_echo, _fold_labels,
+                        _fold_sizes)
 from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets, _UnitScores, _units
 from .oracle import mix_seed
 
@@ -110,15 +111,16 @@ class SurrogateNuisances:
 
 
 def _cross_fit(
-    data: SurrogatePair, cfg: FitConfig, folds_s: tuple | None = None, folds_l: tuple | None = None
+    data: SurrogatePair, cfg: FitConfig, q_folds: int | None = None,
+    fold_s: NDArray | None = None, fold_l: NDArray | None = None,
 ) -> SurrogateNuisances | tuple[_UnitScores, _UnitScores]:
     """All four nuisances for every pair (short set s, long set s) of training
     sets, each stage solved for every pair in one batched call on three
     factored designs built once on the samples' units (`nuisance._units`).
     Without folds, the nuisances fitted on the whole samples; with each
-    sample's folds, the held-out scores of each sample's units
-    (`nuisance._UnitScores`), a long unit's at its mean y, both samples'
-    in the long outcome's scale.
+    sample's row folds (fold_s, fold_l, of q_folds), the held-out scores of
+    each sample's units (`nuisance._UnitScores`), a long unit's at its mean
+    y, both samples' in the long outcome's scale.
 
     a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))], whose right-hand side
     carries the code weights W = [-1, +1]; a2 minimizes the cross-sample risk
@@ -136,11 +138,12 @@ def _cross_fit(
     phi_tx, phi_sx = cfg.feature_maps
     names = ("short sample (X, T)", "short sample (S, X)", "long sample (S, X)")
     zeros_s, zeros_l = (np.zeros(n, dtype=np.int64) for n in (data.n_short, data.n_long))
+    q = q_folds or 1
     su = _units([(phi_tx, data.short_x, data.short_t), (phi_sx, data.short_sx, zeros_s)],
-                np.zeros(data.n_short), folds_s, names[:2])  # no outcome: no spread
-    lu = _units([(phi_sx, data.long_sx, zeros_l)], data.long_y, folds_l, names[2:])
-    q = None if folds_s is None else len(folds_s)
-    short, long = _TrainingSets(su.counts, su.weights, q), _TrainingSets(lu.counts, lu.weights, q)
+                np.zeros(data.n_short), fold_s, q, names[:2])  # no outcome: no spread
+    lu = _units([(phi_sx, data.long_sx, zeros_l)], data.long_y, fold_l, q, names[2:])
+    short = _TrainingSets(su.counts, su.weights, q_folds)
+    long = _TrainingSets(lu.counts, lu.weights, q_folds)
     x_tx = _Design(phi_tx, su, 0, short, cfg, 1, names[0])
     x_short = _Design(phi_sx, su, 1, short, cfg, 2, names[1])
     x_long = _Design(phi_sx, lu, 0, long, cfg, 2, names[2])
@@ -161,7 +164,7 @@ def _cross_fit(
     g = x_tx.solve(short.joined(rhs_g), "g (short-sample projection)")[0]
     a2 = x_long.solve(short.joined(rhs_a2), "a2 (surrogate score)")[0]
     scale = float(lu.scale[0])  # h and g are linear in the scaled y
-    if q is None:
+    if q_folds is None:
         return SurrogateNuisances(h=x_long.fn(h[0] / scale), g=x_tx.fn(g[0] / scale),
                                   a1=x_tx.fn(a1[0], cfg.clip), a2=x_long.fn(a2[0], cfg.clip))
     for run in short.runs:
@@ -219,10 +222,10 @@ def surrogate_estimate(
     V_short + V_long * n_short/n_long under the single-sqrt(n_short) report
     convention, so sigma^2 / n_short = V_s/n_s + V_l/n_l.
     """
-    folds_s = make_folds(data.n_short, q_folds, seed).folds
-    folds_l = make_folds(data.n_long, q_folds, mix_seed(seed, 1)).folds
-    short, long = _cross_fit(data, cfg, folds_s, folds_l)
-    sizes_s, sizes_l = [len(idx) for idx in folds_s], [len(idx) for idx in folds_l]
+    fold_s = _fold_labels(data.n_short, q_folds, seed)
+    fold_l = _fold_labels(data.n_long, q_folds, mix_seed(seed, 1))
+    short, long = _cross_fit(data, cfg, q_folds, fold_s, fold_l)
+    sizes_s, sizes_l = _fold_sizes(data.n_short, q_folds), _fold_sizes(data.n_long, q_folds)
     means_s, means_l = short.fold_means(sizes_s)[0], long.fold_means(sizes_l)[0]
     _check_fold_scores(means_s, means_l)
     per_fold = [{"fold": q, "short_size": sizes_s[q], "long_size": sizes_l[q],

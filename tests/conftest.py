@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dyndml import DiscreteDGP, FitConfig, FixedSequence, TabularFeatures, dgp_ref_1, dgp_ref_2
+from dyndml import (DiscreteDGP, FitConfig, FixedSequence, PanelDataset, TabularFeatures, dgp_ref_1,
+                    dgp_ref_2)
 
 
 @pytest.fixture
@@ -41,3 +42,10 @@ def value_table(fn, states, arity: int) -> np.ndarray:
     rows = states.shape[0]
     codes = np.tile(np.arange(arity), rows)
     return fn.batch(np.repeat(states, arity, axis=0), codes).reshape(rows, arity)
+
+
+def one_ulp_off(data: PanelDataset) -> PanelDataset:
+    """The panel with every state one ulp above its grid row: within
+    GRID_TOLERANCE of it, so the engine fits this copy row by row."""
+    return PanelDataset(tuple(np.nextafter(s, np.inf) for s in data.states), data.treatments,
+                        data.outcome, data.treatment_arities)

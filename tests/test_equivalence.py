@@ -49,6 +49,7 @@ from dyndml import (
 )
 from dyndml.moment import nuisance_difference
 from dyndml.nuisance import _Design, _TrainingSets, _units, fit_nuisances
+from conftest import one_ulp_off
 from helpers_surrogate import two_sample_ref
 
 # FixedSequence((1, 1)) spelled with batch rules alone.
@@ -300,16 +301,12 @@ def test_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features, clev
 
 
 def panel_units(data, maps, folds):
-    """The units the engine fits a panel on (`_units`, as `_Stages` calls it)."""
-    return _units(list(zip(maps, data.states, data.treatments.T)), data.outcome, folds,
-                  [f"period {t}" for t in range(1, len(maps) + 1)])
-
-
-def one_ulp_off(data):
-    """The panel with every state one ulp above its grid row: within
-    GRID_TOLERANCE of it, so the engine fits this copy row by row."""
-    return PanelDataset(tuple(np.nextafter(s, np.inf) for s in data.states), data.treatments,
-                        data.outcome, data.treatment_arities)
+    """The units the engine fits a panel on (`_units`, as `nuisance.panel_units` calls it)."""
+    fold = np.empty(data.n_units, dtype=np.intp)
+    for q, idx in enumerate(folds):
+        fold[idx] = q
+    return _units(list(zip(maps, data.states, data.treatments.T)), data.outcome, fold,
+                  len(folds), [f"period {t}" for t in range(1, len(maps) + 1)])
 
 
 @pytest.mark.parametrize("ridge", [None, (1e-3, 1e-2)], ids=["default-ridge", "per-period-ridge"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tabular_config
+from conftest import one_ulp_off, tabular_config
 from dyndml import (
     ConstantFn,
     Contrast,
@@ -42,6 +42,21 @@ from dyndml import (
 from dyndml import inference, nuisance
 from dyndml.inference import _failure_cause
 from dyndml.nuisance import fit_nuisances
+
+
+def spy_chunks(monkeypatch, shift=None):
+    """The (replicates, units) of each stage-engine pass of `mc_experiment`, its
+    replicates' panels passed through `shift` if given."""
+    seen, cross_fit = [], inference.cross_fit
+
+    def spy(units, *args, **kwargs):
+        seen.append((len(units.scale), len(units.outcome)))
+        return cross_fit(units, *args, **kwargs)
+
+    monkeypatch.setattr("dyndml.inference.cross_fit", spy)
+    if shift is not None:
+        monkeypatch.setattr("dyndml.inference.simulate", lambda *a: shift(simulate(*a)))
+    return seen
 
 
 class TestNormalQuantile:
@@ -319,10 +334,15 @@ class TestMonteCarlo:
         assert row.sigma_hat == manual.sigma_hat
         assert result.rmse == abs(manual.theta_hat - result.theta_true)
 
-    def test_jobs_bitwise_equal(self, dgp2, plan2):
+    def test_jobs_bitwise_equal(self, monkeypatch, dgp2, plan2):
+        # Replicates one ulp off the grid are fitted row by row, 5 of 1500 rows
+        # to a chunk, so the threads have chunks to share.
         cfg = tabular_config(dgp2)
-        serial = mc_experiment(dgp2, plan2, cfg, 12, 400, 4, seed=9, jobs=1)
-        parallel = mc_experiment(dgp2, plan2, cfg, 12, 400, 4, seed=9, jobs=4)
+        seen = spy_chunks(monkeypatch, one_ulp_off)
+        serial = mc_experiment(dgp2, plan2, cfg, 12, 1500, 4, seed=9, jobs=1)
+        assert [k for k, _ in seen] == [5, 5, 2]
+        parallel = mc_experiment(dgp2, plan2, cfg, 12, 1500, 4, seed=9, jobs=4)
+        assert seen[3:] == seen[:3]
         for a, b in zip(serial.rows, parallel.rows):
             assert (a.rep, a.theta_hat, a.sigma_hat, a.covered) == (
                 b.rep,
@@ -398,43 +418,36 @@ class TestMonteCarlo:
 
 
 class TestStackedReplicates:
-    """`mc_experiment` fits a chunk of MC_CHUNK_ROWS rows of replicates in one
-    stage-engine pass; every replicate still gets what dml_estimate gives it
-    alone, and a chunk that fails is rerun one replicate at a time."""
+    """`mc_experiment` fits a chunk of up to MC_CHUNK_UNITS units of replicates
+    in one stage-engine pass; every replicate still gets what dml_estimate
+    gives it alone, and a chunk that fails is rerun one replicate at a time."""
 
     @staticmethod
-    def chunks(monkeypatch):
-        seen, cross_fit = [], inference.cross_fit
-
-        def spy(data, plan, cfg, folds, clever=False):
-            seen.append(len(folds))
-            return cross_fit(data, plan, cfg, folds, clever)
-
-        monkeypatch.setattr("dyndml.inference.cross_fit", spy)
-        return seen
-
-    @staticmethod
-    def alone(dgp, plan, cfg, n, q, seed, r):
+    def alone(dgp, plan, cfg, n, q, seed, r, shift=None):
         rep_seed = mix_seed(seed, r)
-        return dml_estimate(simulate(dgp, n, rep_seed), plan, cfg, q, mix_seed(rep_seed, 1))
+        data = simulate(dgp, n, rep_seed)
+        return dml_estimate(data if shift is None else shift(data), plan, cfg, q,
+                            mix_seed(rep_seed, 1))
 
     @pytest.mark.parametrize("packed", [None, 1], ids=["all-folds", "fold-by-fold"])
-    @pytest.mark.parametrize("n, q, reps, chunks", [
-        (2000, 5, 10, [4, 4, 2]),  # distinct histories; 10 is no multiple of 8192 // 2000
-        (24, 3, 20, [20]),         # key space 3 * 16 = 48 > 24: per row
-    ], ids=["distinct-histories", "per-row"])
-    def test_each_replicate_matches_its_own_estimate(self, monkeypatch, n, q, reps, chunks,
-                                                     packed):
+    @pytest.mark.parametrize("n, q, reps, shift, chunks", [
+        (2000, 5, 10, None, [10]),               # at most 5 * 16 distinct histories each
+        (2000, 5, 10, one_ulp_off, [4, 4, 2]),   # per row: 2000 units each
+        (24, 3, 20, None, [20]),                 # key space 3 * 16 = 48 > 24: per row
+    ], ids=["distinct-histories", "one-ulp-off", "per-row"])
+    def test_each_replicate_matches_its_own_estimate(self, monkeypatch, n, q, reps, shift,
+                                                     chunks, packed):
         dgp, cfg = dgp_ref_2(), tabular_config(dgp_ref_2())
         plan = DynamicPolicy((grid_policy([1, 0]), grid_policy([0, 1])))
-        seen = self.chunks(monkeypatch)
+        seen = spy_chunks(monkeypatch, shift)
         with monkeypatch.context() as patch:
             if packed:  # value the chunk's training sets one fold at a time (`_PACKED`)
                 patch.setattr("dyndml.nuisance._PACKED", packed)
             result = mc_experiment(dgp, plan, cfg, reps, n, q, seed=21)
-        assert seen == chunks and result.n_failed == 0
+        assert [k for k, _ in seen] == chunks and result.n_failed == 0
+        assert all(units <= inference.MC_CHUNK_UNITS for _, units in seen)
         for r, row in enumerate(result.rows):
-            want = self.alone(dgp, plan, cfg, n, q, 21, r)
+            want = self.alone(dgp, plan, cfg, n, q, 21, r, shift)
             for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
                 got, expected = getattr(row, key), getattr(want, key)
                 assert abs(got - expected) <= 1e-12 * abs(expected)
@@ -443,9 +456,11 @@ class TestStackedReplicates:
         # Eight replicates of 3 rows stack to 24 rows, but each replicate has
         # 3 rows for a map of 4 cells.
         dgp = dgp_ref_2()
-        with pytest.raises(ValidationError, match=r"^tabular feature map for period 1 has 4 "
-                                                  r"cells, more than its 3 rows"):
-            mc_experiment(dgp, FixedSequence((1, 1)), tabular_config(dgp), 8, 3, 2, seed=0)
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError, match=r"^tabular feature map for period 1 has "
+                                                      r"4 cells, more than its 3 rows"):
+                mc_experiment(dgp, FixedSequence((1, 1)), tabular_config(dgp), 8, 3, 2, seed=0,
+                              jobs=jobs)
 
     def test_a_replicate_without_the_targeted_code_fails_alone(self, monkeypatch):
         # P(T = 1) = 0.1: of replicates 0-4 (one chunk) only replicate 3 has no
@@ -454,9 +469,9 @@ class TestStackedReplicates:
                           propensities=(np.array([[0.9, 0.1], [0.9, 0.1]]),), transitions=(),
                           outcome_mean=np.array([[0.0, 1.0], [1.0, 2.0]]), sigma_y=1.0)
         plan, cfg = FixedSequence((1,)), tabular_config(dgp)
-        seen = self.chunks(monkeypatch)
+        seen = spy_chunks(monkeypatch)
         result = mc_experiment(dgp, plan, cfg, 5, 30, 3, seed=12)
-        assert seen == [5, 1, 1, 1, 1, 1]  # the chunk, then each replicate alone
+        assert [k for k, _ in seen] == [5, 1, 1, 1, 1, 1]  # the chunk, then each alone
         assert [row.failed for row in result.rows] == [0, 0, 0, 1, 0]
         with pytest.raises(PositivityError) as alone:
             self.alone(dgp, plan, cfg, 30, 3, 12, 3)

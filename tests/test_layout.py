@@ -14,9 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import one_ulp_off
 from helpers_surrogate import two_sample_ref
 from dyndml import (
     Contrast,
+    DiscreteDGP,
+    DynamicPolicy,
     FitConfig,
     FixedSequence,
     LinearFn,
@@ -26,11 +29,13 @@ from dyndml import (
     TabularFeatures,
     dgp_ref_2,
     dml_estimate,
+    grid_policy,
     make_folds,
+    mc_experiment,
     simulate,
     surrogate_estimate,
 )
-from dyndml import nuisance
+from dyndml import inference, nuisance
 from dyndml.nuisance import _TrainingSets
 
 
@@ -220,3 +225,60 @@ class TestRunsBoundMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * 8 * n
+
+
+class TestMonteCarloChunksBoundMemory:
+    """A Monte Carlo chunk holds its replicates' units, not their rows, and no
+    array of a replicate's rows outlives its reduction to units; nor do its
+    Grams pass what a chunk of MC_CHUNK_UNITS rows held."""
+
+    @staticmethod
+    def run(monkeypatch, dgp, plan, cfg, reps):
+        """The (replicates, units) of each chunk, and the tracemalloc peak."""
+        seen, cross_fit = [], inference.cross_fit
+
+        def spy(units, *args, **kwargs):
+            seen.append((len(units.scale), len(units.outcome)))
+            return cross_fit(units, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "cross_fit", spy)
+        tracemalloc.start()
+        try:
+            mc_experiment(dgp, plan, cfg, reps, 2000, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return seen, peak
+
+    @pytest.mark.parametrize("reps, shift, chunks", [
+        (100, False, None),                # at most 5 * 16 distinct histories each: one chunk
+        (10, True, [8000, 8000, 4000]),    # one ulp off the grid: 2000 rows as units each
+    ], ids=["distinct-histories", "per-row"])
+    def test_peak_is_a_few_dozen_doubles_per_chunk_unit(self, monkeypatch, reps, shift, chunks):
+        # Measured at about 64 (distinct histories) and 60 (per row) doubles
+        # per unit of the largest chunk; the bound leaves 1.5x of that.
+        if shift:
+            monkeypatch.setattr(inference, "simulate", lambda *a: one_ulp_off(simulate(*a)))
+        plan = DynamicPolicy((grid_policy([1, 0]), grid_policy([0, 1])))
+        cfg = FitConfig(feature_maps=(TabularFeatures(np.arange(2.0), 2),) * 2)
+        seen, peak = self.run(monkeypatch, dgp_ref_2(), plan, cfg, reps)
+        units = [u for _, u in seen]
+        assert units == chunks if chunks else len(units) == 1
+        assert peak <= 96 * 8 * max(units)
+
+    def test_wide_grids_with_few_histories_chunk_by_rows(self, monkeypatch):
+        # A 64-row grid with every state on 3 of its rows: about 30 units but
+        # 5 * 2 * 64^2 Gram entries a replicate, so a chunk takes the 4
+        # replicates 8192 rows of n = 2000 take. Measured at about 3.7 doubles
+        # per Gram entry of a chunk; the bound leaves 1.5x of that. One chunk
+        # of all 12 would take about 15 MB.
+        g = 64
+        initial = np.zeros(g)
+        initial[:3] = 1 / 3
+        dgp = DiscreteDGP(initial=initial, propensities=(np.full((g, 2), 0.5),), transitions=(),
+                          outcome_mean=np.arange(2.0 * g).reshape(g, 2), sigma_y=1.0)
+        cfg = FitConfig(feature_maps=(TabularFeatures(np.arange(float(g)), 2),))
+        seen, peak = self.run(monkeypatch, dgp, FixedSequence((1,)), cfg, 12)
+        assert [k for k, _ in seen] == [4, 4, 4]
+        assert max(u for _, u in seen) <= 4 * 5 * 3 * 2
+        assert peak <= 6 * 8 * (4 * 5 * 2 * g * g)
