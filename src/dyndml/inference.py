@@ -80,15 +80,16 @@ class FoldPlan:
         return np.sort(np.concatenate([f for i, f in enumerate(self.folds) if i != q]))
 
 
-def _fold_sizes(n: int, q_folds: int) -> list[int]:
+def _fold_sizes(n: int, q_folds: int, sample: str = "") -> list[int]:
     """The sizes of the Q folds of n observations: the first n mod Q folds take
-    the remainder observations."""
+    the remainder observations. More folds than observations is an error
+    prefixed by `sample`, naming the sample they belong to."""
     _check_integer(n, "n")
     _check_integer(q_folds, "the fold count")
     if q_folds < 2:
         raise ValidationError("need at least two folds")
     if q_folds > n:
-        raise ValidationError(f"cannot split {n} observations into {q_folds} folds")
+        raise ValidationError(f"{sample}cannot split {n} observations into {q_folds} folds")
     return [n // q_folds + (1 if q < n % q_folds else 0) for q in range(q_folds)]
 
 

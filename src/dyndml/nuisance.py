@@ -12,9 +12,10 @@ Both passes run stage-major in one implementation, `_Stages`, on factored
 designs (`_Design`): a feature map is a state basis times treatment
 indicators, so per period the engine keeps one basis B_t = phi_t.basis(S_t)
 and the code weights W_t of the plan's terms (m_t(Z; g) = sum_c W_c g(S_t, c))
-and never builds the n x p design or moment image. Every per-row array is
-column-major, so elementwise passes run along contiguous columns. The
-training sets are `_TrainingSets`, which the surrogate estimator shares. Every
+and never builds the n x p design or moment image. A period may be fitted on
+one sample and its moment formed on the previous period's: the surrogate
+estimator is a two-period `_Stages` over its two samples. Every per-row array
+is column-major, so elementwise passes run along contiguous columns. Every
 sum over a set, a Gram (block-diagonal by code) or a right-hand side, whether
 every set shares its input or not, is one reduction: one product per fold
 block (per (fold, code) block for Grams), then each set adds the other folds'
@@ -384,116 +385,113 @@ class _Design:
 
 
 class _Stages:
-    """Both nuisance passes over the units of one or more replicates, stacked
-    (`stack_units` of `panel_units`), solved for several training sets
-    (`_TrainingSets`). With `q_folds`, each replicate's units carry their
-    folds, and each fold of each replicate holds out one training set;
-    without, the one replicate is one set.
+    """Both nuisance passes of an M-period recursion, each stage solved for
+    every training set (`_TrainingSets`) in one batched call. Period t has a
+    fit design (`_Design`: the state basis B_t, the codes and the per-set Gram
+    blocks), on whose units f_t and a_t are fitted and valued, and an image
+    design on the units of period t-1's sample (its own for t = 1), where the
+    (K, n) code weights W_t form m_t(Z; g) = sum_c W_c g(S_t, c) and where
+    u_{t-1} and a_{t-1} live; the last period's units carry the outcome. A
+    panel (`_panel_stages`) is one sample, each image its period's design; the
+    surrogate (`surrogate._cross_fit`) is two, their sets paired by fold.
 
-    Per period the engine keeps one factored design (`_Design`: the state
-    basis B_t, the observed codes and the per-set Gram blocks) and the (K, n)
-    code weights W_t of the plan's terms, so m_t(Z; g) = sum_c W_c g(S_t, c),
-    over the stacked units. Once the bases exist it keeps neither the units'
-    states nor their codes. Each pass visits the periods once and solves
-    every training set's stage in one batched call. Right-hand sides are
-    B_t'(W_c v) (forward) and B_t'(1{T_t = c} u) (backward) over a set's units
-    (`_TrainingSets.means`); the sets' fitted functions are valued packed,
-    every set of a replicate in one product.
+    Each pass visits the periods once. Right-hand sides are B_t'(W_c a_{t-1})
+    (forward) and B_t'(1{T_t = c} u_t) (backward) over a set's units
+    (`_TrainingSets.means`); fitted functions are valued packed, every set of
+    a replicate in one product. names[t-1] names period t's (forward,
+    backward) stage in errors.
     """
 
-    def __init__(self, units: _Units, plan: TreatmentPlan, cfg: FitConfig,
-                 q_folds: int | None = None) -> None:
-        self.plan, self.cfg = plan, cfg
-        self.outcome, self.spread, self.scales = units.outcome, units.spread, units.scale
-        view = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1), units.outcome,
-                            tuple(phi.arity for phi in cfg.feature_maps))
-        self.code_weights = [_code_weights(plan, t, view, phi.arity).T
-                             for t, phi in enumerate(cfg.feature_maps, start=1)]
-        self.sets = sets = _TrainingSets(units.counts, units.weights, q_folds)
-        self.designs = [_Design(phi, units, t - 1, sets, cfg, t, f"period {t}")
-                        for t, phi in enumerate(cfg.feature_maps, start=1)]
-        del view  # the designs exist: the Grams need no stacked codes
-        for design, weights in zip(self.designs, self.code_weights):
-            design.require(weights)
+    def __init__(self, designs: Sequence[_Design], images: Sequence[_Design],
+                 weights: Sequence[NDArray], names: Sequence[tuple[str, str]], units: _Units,
+                 cfg: FitConfig) -> None:
+        self.designs, self.images, self.code_weights, self.names = designs, images, weights, names
+        self.cfg, self.outcome, self.scales = cfg, units.outcome, units.scale
+        for image, w in zip(images, weights):
+            image.require(w)
+        for design in designs:
             design.systems()  # every Gram before the passes allocate their values
 
     def moment(self, t: int, values: NDArray) -> NDArray:
-        """m_t(Z; g) on the units, of g's per-code values (..., K, n)."""
+        """m_t(Z; g) on the image's units, of g's per-code values (..., K, n)."""
         return np.einsum("kn,...kn->...n", self.code_weights[t - 1], values)
 
-    def riesz(self) -> tuple[list[NDArray], NDArray]:
+    def riesz(self) -> tuple[list[NDArray], list[NDArray]]:
         """The forward pass of `fit_recursive_riesz` for every training set: per
         period the (S, K, q) coefficients, and held[t-1], each unit's
-        a_t(S_t, T_t) from the set its fold holds out (the one set without folds). The right-hand side is
-        B_t'(W_c a_{t-1}(S_{t-1}, T_{t-1})) over the set's units, valued a run
-        of sets at a time."""
-        sets, m = self.sets, len(self.designs)
+        a_t(S_t, T_t) from the set its fold holds out (the one set without
+        folds). The right-hand side is B_t'(W_c a_{t-1}) over a set's image units."""
+        m, first = len(self.designs), self.images[0]
         coefs: list[NDArray] = []
-        held = np.empty((m, len(self.outcome)))
-        rhs = sets.means(self.code_weights[0], self.designs[0].basis)
+        held = [np.empty(len(d.codes)) for d in self.designs]
+        rhs = first.sets.means(self.code_weights[0], first.basis)
         for t, design in enumerate(self.designs, start=1):
-            coefs.append(design.solve(rhs, f"period {t}")[0])
+            coefs.append(design.solve(rhs, self.names[t - 1][0])[0])
             parts = []
-            for run in sets.runs:
+            for run in design.sets.runs:
                 a = design.pick(design.values(coefs[-1], self.cfg.clip, run))
-                sets.own(a, run, held[t - 1])
+                design.sets.own(a, run, held[t - 1])
                 if t < m:
-                    parts.append(sets.means(self.code_weights[t] * a[:, None],
-                                            self.designs[t].basis, run))
-            rhs = sets.joined(parts) if t < m else rhs
+                    parts.append(design.sets.means(self.code_weights[t] * a[:, None],
+                                                   self.images[t].basis, run))
+            rhs = design.sets.joined(parts) if t < m else rhs
         return coefs, held
 
     def regressions(
         self, representers: Sequence[NDArray] | None
-    ) -> tuple[list[NDArray], NDArray, NDArray, NDArray, NDArray]:
+    ) -> tuple[list[NDArray], NDArray, list[NDArray], NDArray, NDArray]:
         """The backward pass of `fit_nested_regressions` for every training set.
         Given the sets' representer coefficients (per period (S, K, q), from
-        `riesz`), the fit is clever: set s's representer for the period, clipped
-        by cfg.clip, joins its design as an unpenalized column, and the fit is
-        the linear part plus gamma_s times it. Each solved stage is valued a run
-        of sets at a time, and the run's pseudo-outcomes go straight into the
-        previous period's right-hand side. Returns (coefs, gammas (M, S), held,
-        train_means, plug): held[t-1] holds (u_t, f_t) (2, units) on every unit,
-        from the nuisances of the set its fold holds out (the one set without
-        folds), and plug m_1(Z; f_1) likewise; when clever, train_means[s, t-1]
-        is the mean of a_t (u_t - f_t) over the set's training rows, from its
-        normal equations."""
-        m, sets, n = len(self.designs), self.sets, len(self.outcome)
+        `riesz`), the fit is clever: set s's representer for the period,
+        clipped by cfg.clip, joins its design as an unpenalized column, and the
+        fit is the linear part plus gamma_s times it. Each solved stage is
+        valued on its image a run of sets at a time, and the run's
+        pseudo-outcomes go straight into the previous period's right-hand side.
+        Returns (coefs, gammas (M, S), held, train_means, plug): held[t-1] holds
+        (u_t, f_t) (2, units) on period t's units, from the nuisances of the
+        set its fold holds out (the one set without folds), and plug
+        m_1(Z; f_1) likewise; when clever, train_means[s, t-1] is the mean of
+        a_t (u_t - f_t) over the set's training rows, from its normal equations."""
+        m, last, clever = len(self.designs), self.designs[-1], representers is not None
         coefs: list[NDArray] = [np.empty(0)] * m
-        gammas = np.zeros((m, len(sets.sizes)))
-        held, plug = np.empty((m, 2, n)), np.empty(n)
-        train_means = np.zeros((len(sets.sizes), m))
-        y, last, clever = self.outcome, self.designs[-1], representers is not None
+        gammas = np.zeros((m, len(last.sets.sizes)))
+        held = [np.empty((2, len(d.codes))) for d in self.designs]
+        plug, train_means = np.empty_like(held[0][0]), np.zeros((len(last.sets.sizes), m))
+        y, sets = self.outcome, last.sets
         rhs = sets.means(last.scatter(y), last.basis)
         borders = [self._border(m, representers[-1], y, run) for run in sets.runs] if clever else []
         for t in range(m, 0, -1):
-            design, border = self.designs[t - 1], None
+            design, image, border = self.designs[t - 1], self.images[t - 1], None
             if clever:
-                b, de = (sets.joined(parts) for parts in zip(*borders))
+                b, de = (design.sets.joined(parts) for parts in zip(*borders))
                 border = (b, *de[..., 0].T)
-            coefs[t - 1], gammas[t - 1] = design.solve(rhs, f"period {t}", border)
+            coefs[t - 1], gammas[t - 1] = design.solve(rhs, self.names[t - 1][1], border)
             if clever:  # the mean of a (u - f) on the training rows
                 b, d, e = border
                 train_means[:, t - 1] = (e - np.einsum("skj,skj->s", b, coefs[t - 1])
                                          - d * gammas[t - 1])
+            if image is not design:  # f_t on its own units, u_{t-1} on the image's below
+                for run in design.sets.runs:
+                    design.own(design.values(coefs[t - 1], None, run), run, held[t - 1][1])
             parts, borders = [], []
-            for run in sets.runs:
-                values = design.values(coefs[t - 1], None, run)
+            for run in image.sets.runs:
+                values = image.values(coefs[t - 1], None, run)
                 if clever:
-                    values += sets.spread(gammas[t - 1], run)[:, None] * design.values(
+                    values += image.sets.spread(gammas[t - 1], run)[:, None] * image.values(
                         representers[t - 1], self.cfg.clip, run)
                 u = self.moment(t, values)  # u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
-                design.own(values, run, held[t - 1, 1])
+                if image is design:
+                    design.own(values, run, held[t - 1][1])
                 del values  # before the previous period's packed right-hand side
-                sets.own(u, run, held[t - 2, 0] if t > 1 else plug)
+                image.sets.own(u, run, held[t - 2][0] if t > 1 else plug)
                 if t > 1:
                     prev = self.designs[t - 2]
-                    parts.append(sets.means(prev.scatter(u), prev.basis, run))
+                    parts.append(prev.sets.means(prev.scatter(u), prev.basis, run))
                     if clever:
                         borders.append(self._border(t - 1, representers[t - 2], u, run))
                 del u  # before the next run or period values theirs
-            rhs = sets.joined(parts) if t > 1 else rhs
-        held[m - 1, 0] = y
+            rhs = image.sets.joined(parts) if t > 1 else rhs
+        held[m - 1][0] = y
         return coefs, gammas, held, train_means, plug
 
     def _border(self, t: int, rep: NDArray, u: NDArray, run: slice) -> tuple[NDArray, NDArray]:
@@ -501,9 +499,27 @@ class _Stages:
         the sets' coefficient blocks rep clipped by cfg.clip, given the
         pseudo-outcome u: X'a and (a'a, a'u) (`_Design.solve`)."""
         design = self.designs[t - 1]
-        a = design.pick(design.values(rep, self.cfg.clip, run))
-        return (self.sets.means(design.scatter(a), design.basis, run),
-                self.sets.means(np.stack([a * a, a * u], axis=1), np.ones((a.shape[-1], 1)), run))
+        a, means = design.pick(design.values(rep, self.cfg.clip, run)), design.sets.means
+        return (means(design.scatter(a), design.basis, run),
+                means(np.stack([a * a, a * u], axis=1), np.ones((a.shape[-1], 1)), run))
+
+
+def _panel_stages(units: _Units, plan: TreatmentPlan, cfg: FitConfig,
+                  q_folds: int | None = None) -> _Stages:
+    """The stages of a panel's units, one or more replicates stacked
+    (`stack_units`): one sample, each period's image its own design. With
+    `q_folds`, each fold of each replicate holds out one training set;
+    without, the one replicate is one set."""
+    view = PanelDataset(tuple(units.states), np.stack(units.codes, axis=1), units.outcome,
+                        tuple(phi.arity for phi in cfg.feature_maps))
+    code_weights = [_code_weights(plan, t, view, phi.arity).T
+                    for t, phi in enumerate(cfg.feature_maps, start=1)]
+    sets = _TrainingSets(units.counts, units.weights, q_folds)
+    designs = [_Design(phi, units, t - 1, sets, cfg, t, f"period {t}")
+               for t, phi in enumerate(cfg.feature_maps, start=1)]
+    del view  # the designs exist: the Grams need no stacked codes
+    return _Stages(designs, designs, code_weights,
+                   [(f"period {t}",) * 2 for t in range(1, len(designs) + 1)], units, cfg)
 
 
 def stack_units(parts: Sequence[_Units]) -> _Units:
@@ -551,11 +567,11 @@ def cross_fit(
     scale (`_units`). Returns per replicate its `_UnitScores` and, with
     `clever`, per fold and period (Q, M) the mean correction a_t (u_t - f_t)
     over the fold's training rows."""
-    stages = _Stages(units, plan, cfg, q_folds)
+    stages = _panel_stages(units, plan, cfg, q_folds)
     representers, held_a = stages.riesz()
     _, _, held, train_means, plug = stages.regressions(representers if clever else None)
     values, _, corrections = _ladder(plug, ((a, u, f) for a, (u, f) in zip(held_a, held)))
-    sets, spread = stages.sets, np.abs(held_a[-1]) * stages.spread
+    sets, spread = stages.designs[0].sets, np.abs(held_a[-1]) * units.spread
     weights = np.ones(len(values)) if sets.weights is None else sets.weights
     spans = zip(sets.spans[:-1], sets.spans[1:],
                 train_means.reshape(len(units.scale), -1, len(held)), stages.scales.tolist())
@@ -568,7 +584,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    return _regression_fns(_Stages(panel_units(data, plan, cfg), plan, cfg), None, ())
+    return _regression_fns(_panel_stages(panel_units(data, plan, cfg), plan, cfg), None, ())
 
 
 def riesz_loss(
@@ -605,7 +621,7 @@ def fit_recursive_riesz(
     closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)], where
     Phi_t(Z) = sum_k w_k(Z) phi_t(S_t, d_k(Z)) is the feature image of the
     period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
-    stages = _Stages(panel_units(data, plan, cfg), plan, cfg)
+    stages = _panel_stages(panel_units(data, plan, cfg), plan, cfg)
     return [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, stages.riesz()[0])]
 
 
@@ -619,7 +635,7 @@ def fit_nuisances(
     equals the debiased estimate: period t's fit is CombinedFn(((1.0,
     LinearFn(phi_t, w)), (gamma, a_t))), gamma 0 where a_t lies in phi_t's span
     (`_Design.solve`), as an unclipped one does at zero ridge."""
-    stages = _Stages(panel_units(data, plan, cfg), plan, cfg)
+    stages = _panel_stages(panel_units(data, plan, cfg), plan, cfg)
     coefs = stages.riesz()[0]
     representers = [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, coefs)]
     return _regression_fns(stages, coefs if clever else None, representers), representers

@@ -365,46 +365,17 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
 
 
 def oracle_riesz(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDArray]:
-    """Exact representer tables a_1..a_M by forward recursion.
-
-    Fixed sequences use the closed inverse-propensity form
-    a_t(s, tau_t) = E[a_{t-1} | S_t = s] / P(T_t = tau_t | S_t = s); general
-    plans solve the indicator linear system of `riesz_step`.
-    """
+    """Exact representer tables a_1..a_M by forward recursion: each period
+    solves the indicator linear system of `riesz_step`. For a fixed sequence
+    this is the inverse-propensity form
+    a_t(s, tau_t) = E[a_{t-1} | S_t = s] / P(T_t = tau_t | S_t = s)."""
     _check_plan(dgp, plan)
     tables: list[NDArray] = []
     prev: Fn | None = None
     for t in range(1, dgp.num_periods + 1):
-        if isinstance(plan, FixedSequence):
-            tables.append(_riesz_fixed_step(dgp, plan.treatments[t - 1], t, prev))
-        else:
-            tables.append(riesz_step(dgp, plan, t, prev))
+        tables.append(riesz_step(dgp, plan, t, prev))
         prev = tabular_fn(tables[-1])
     return tables
-
-
-def _riesz_fixed_step(dgp: DiscreteDGP, tau: int, period: int, prev: Fn | None) -> NDArray:
-    paths = dgp.paths()
-    g_s, k_s = dgp.state_arities[period - 1], dgp.treatment_arities[period - 1]
-    _check_codes(np.array([tau]), k_s, f"period {period}, term 0")
-    prev_vals = _prev_values(paths.data, period, prev)
-    s_col = paths.states[:, period - 1]
-    num = np.zeros(g_s)
-    mass = np.zeros(g_s)
-    np.add.at(num, s_col, paths.prob * prev_vals)
-    np.add.at(mass, s_col, paths.prob)
-    table = np.zeros((g_s, k_s))
-    for s in range(g_s):
-        if mass[s] <= 0:
-            continue
-        pi = dgp.propensities[period - 1][s, tau]
-        if pi <= 0:
-            raise PositivityError(
-                f"positivity violation at period {period}, state {s}: targeted treatment "
-                f"{tau} has zero probability"
-            )
-        table[s, tau] = (num[s] / mass[s]) / pi
-    return table
 
 
 def population_moment(dgp: DiscreteDGP, plan: TreatmentPlan, nuisances: NuisanceSet) -> float:

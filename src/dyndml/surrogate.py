@@ -10,15 +10,15 @@ the short sample, and the change-of-measure representer a2(S, X), trained
 under the long-sample norm against a short-sample functional, on the long
 sample.
 
-`surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`. Each
+`surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`: a
+two-period recursion on the panel's stage engine (`nuisance._Stages`). Each
 sample becomes its units as a panel does (`nuisance._units`: distinct (fold,
-x, t, s) rows when all-tabular), with a `nuisance._TrainingSets` per sample
-and the factored designs of `nuisance._Design` on the units: the bases of
-phi_sx(long S, X), phi_tx(X, T) and phi_sx(short S, X) are built once per
-call; phi_sx is evaluated at code 0, and phi_tx(X, 1) - phi_tx(X, 0) is the
-code weights W = [-1, +1]. Each of the stages h, a1, g and a2 is solved for
-every pair of training sets in one batched call, and each sample is scored
-on its units as a panel is (`nuisance._UnitScores`), a2 (y - h) standing for a_M.
+x, t, s) rows when all-tabular), with a `nuisance._TrainingSets` per sample.
+Period 1 is phi_tx(X, T) on the short units, its code weights the contrast
+W = [-1, +1]: a1 = a_1 and g = f_1. Period 2 is phi_sx(S, X) fitted on the
+long units, its moment h(S, X) formed on the short units (W = 1 at code 0):
+h = f_2 and a2 = a_2. Each sample is scored on its units as a panel is
+(`nuisance._UnitScores`), a2 (y - h) standing for a_M.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .core import (
 )
 from .inference import (EstimateReport, _check_fold_scores, _config_echo, _fold_labels,
                         _fold_sizes)
-from .nuisance import FitConfig, _check_tabular_cells, _Design, _TrainingSets, _UnitScores, _units
+from .nuisance import (FitConfig, _check_tabular_cells, _Design, _regression_fns, _Stages,
+                       _TrainingSets, _UnitScores, _units)
 from .oracle import mix_seed
 
 
@@ -115,17 +116,17 @@ def _cross_fit(
     fold_s: NDArray | None = None, fold_l: NDArray | None = None,
 ) -> SurrogateNuisances | tuple[_UnitScores, _UnitScores]:
     """All four nuisances for every pair (short set s, long set s) of training
-    sets, each stage solved for every pair in one batched call on three
+    sets: the module's two-period recursion on `nuisance._Stages`, over three
     factored designs built once on the samples' units (`nuisance._units`).
     Without folds, the nuisances fitted on the whole samples; with each
     sample's row folds (fold_s, fold_l, of q_folds), the held-out scores of
     each sample's units (`nuisance._UnitScores`), a long unit's at its mean
     y, both samples' in the long outcome's scale.
 
-    a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))], whose right-hand side
-    carries the code weights W = [-1, +1]; a2 minimizes the cross-sample risk
-    E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a ridge penalty on the
-    normalized Gram. phi_sx is evaluated at code 0 throughout.
+    a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))]; a2 minimizes the
+    cross-sample risk E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a ridge
+    penalty on the normalized Gram. The backward pass runs first, as it needs
+    no representers: the stages are solved h, g, a1, a2.
     """
     if len(cfg.feature_maps) != 2:
         raise ValidationError(
@@ -145,42 +146,27 @@ def _cross_fit(
     short = _TrainingSets(su.counts, su.weights, q_folds)
     long = _TrainingSets(lu.counts, lu.weights, q_folds)
     x_tx = _Design(phi_tx, su, 0, short, cfg, 1, names[0])
-    x_short = _Design(phi_sx, su, 1, short, cfg, 2, names[1])
     x_long = _Design(phi_sx, lu, 0, long, cfg, 2, names[2])
-    contrast = np.broadcast_to(np.array([[-1.0], [1.0]]), (2, len(su.codes[0])))
-    x_tx.require(contrast)
-    h = x_long.solve(long.means(x_long.scatter(lu.outcome), x_long.basis),
-                     "h (long-sample regression)")[0]
-    a1 = x_tx.solve(short.means(contrast, x_tx.basis), "a1 (treatment representer)")[0]
-    rhs_g, rhs_a2 = [], []
-    held = np.empty((4, len(su.codes[0])))  # each unit's g(1, X) - g(0, X), a1, h, g
-    for run in short.runs:
-        h_short = x_short.pick(x_short.values(h, None, run))
-        a1_vals = x_tx.pick(x_tx.values(a1, cfg.clip, run))
-        rhs_g.append(short.means(x_tx.scatter(h_short), x_tx.basis, run))
-        rhs_a2.append(short.means(x_short.scatter(a1_vals), x_short.basis, run))
-        short.own(a1_vals, run, held[1])
-        short.own(h_short, run, held[2])
-    g = x_tx.solve(short.joined(rhs_g), "g (short-sample projection)")[0]
-    a2 = x_long.solve(short.joined(rhs_a2), "a2 (surrogate score)")[0]
-    scale = float(lu.scale[0])  # h and g are linear in the scaled y
+    n = len(su.codes[0])
+    stages = _Stages(
+        [x_tx, x_long], [x_tx, _Design(phi_sx, su, 1, short, cfg, 2, names[1])],
+        [np.broadcast_to(np.array([[-1.0], [1.0]]), (2, n)),
+         np.broadcast_to(np.eye(phi_sx.arity, 1), (phi_sx.arity, n))],
+        [("a1 (treatment representer)", "g (short-sample projection)"),
+         ("a2 (surrogate score)", "h (long-sample regression)")], lu, cfg)
     if q_folds is None:
-        return SurrogateNuisances(h=x_long.fn(h[0] / scale), g=x_tx.fn(g[0] / scale),
-                                  a1=x_tx.fn(a1[0], cfg.clip), a2=x_long.fn(a2[0], cfg.clip))
-    for run in short.runs:
-        g_vals = x_tx.values(g, None, run)
-        short.own(g_vals[:, 1] - g_vals[:, 0], run, held[0])
-        x_tx.own(g_vals, run, held[3])
-    held_long = np.empty((2, len(lu.codes[0])))  # each unit's a2, h
-    for run in long.runs:
-        x_long.own(x_long.values(a2, cfg.clip, run), run, held_long[0])
-        x_long.own(x_long.values(h, None, run), run, held_long[1])
-    s, y = _two_sample_scores(held[0], held[1:], (held_long[0], lu.outcome, held_long[1]))
+        g, h = _regression_fns(stages, None, ())
+        a1, a2 = (d.fn(c[0], cfg.clip) for d, c in zip(stages.designs, stages.riesz()[0]))
+        return SurrogateNuisances(h=h, g=g, a1=a1, a2=a2)
+    _, _, (short_held, long_held), _, plug = stages.regressions(None)
+    a1, a2 = stages.riesz()[1]
+    s, y = _two_sample_scores(plug, (a1, *short_held), (a2, *long_held))
+    scale = float(lu.scale[0])
     w_s, w_l = (np.ones(len(v)) if w is None else w for v, w in ((s, su.weights), (y, lu.weights)))
     return (_UnitScores.scaled(s, np.empty((0, len(s))), w_s, short.fold, su.spread,  # no corrections
                                scale),
             _UnitScores.scaled(y, np.empty((0, len(y))), w_l, long.fold,
-                               np.abs(held_long[0]) * lu.spread, scale))
+                               np.abs(a2) * lu.spread, scale))
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
@@ -222,10 +208,11 @@ def surrogate_estimate(
     V_short + V_long * n_short/n_long under the single-sqrt(n_short) report
     convention, so sigma^2 / n_short = V_s/n_s + V_l/n_l.
     """
+    sizes_s = _fold_sizes(data.n_short, q_folds, "short sample: ")
+    sizes_l = _fold_sizes(data.n_long, q_folds, "long sample: ")
     fold_s = _fold_labels(data.n_short, q_folds, seed)
     fold_l = _fold_labels(data.n_long, q_folds, mix_seed(seed, 1))
     short, long = _cross_fit(data, cfg, q_folds, fold_s, fold_l)
-    sizes_s, sizes_l = _fold_sizes(data.n_short, q_folds), _fold_sizes(data.n_long, q_folds)
     means_s, means_l = short.fold_means(sizes_s)[0], long.fold_means(sizes_l)[0]
     _check_fold_scores(means_s, means_l)
     per_fold = [{"fold": q, "short_size": sizes_s[q], "long_size": sizes_l[q],

@@ -587,6 +587,18 @@ class TestSurrogateCommand:
         assert "tabular feature map for (S, X) has" in err and "more than its 50 rows" in err
         assert "features = polynomial | fourier" in err
 
+    @pytest.mark.parametrize("sample", ["short", "long"])
+    def test_surrogate_sample_with_fewer_rows_than_folds_exit_2(self, files, capsys, sample):
+        sizes = {"short": 60, "long": 50, sample: 2}
+        data = two_sample_ref().simulate(sizes["short"], sizes["long"], 2)
+        short, long_ = files["dir"] / "short.csv", files["dir"] / "long.csv"
+        write_surrogate_csvs(data, str(short), str(long_))
+        argv = ["surrogate-estimate", "--short", str(short), "--long", str(long_), "--Q", "3",
+                "--out", str(files["dir"] / "sur.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {sample} sample: cannot split 2 observations into 3 folds\n"
+
     def test_files_without_controls(self, files):
         """No x_* columns: one tabular cell for the controls, so the estimate
         is a plain treatment contrast of the surrogate index."""

@@ -511,9 +511,15 @@ def test_surrogate_cross_fit_matches_per_fold_refits(features, clip, ridge):
             assert abs(got[key] - want[key]) <= tol
 
 
+@pytest.mark.parametrize("packed", [1, 1000, 1500])
 @pytest.mark.parametrize("features", ["tabular", "polynomial"])
-def test_surrogate_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features):
-    monkeypatch.setattr(dyndml.nuisance, "_PACKED", 1)  # one fold per run, as on large samples
+def test_surrogate_fold_by_fold_runs_match_the_per_fold_refits(monkeypatch, features, packed):
+    # Each sample is valued a run of folds at a time (`_PACKED` entries per code).
+    # At 1 every run is one fold, as on large samples. On the 600 + 500 polynomial
+    # rows, 1000 runs the short sample one fold at a time but the long one in
+    # folds [0:2] and [2:3], and 1500 runs the long sample in one run: the
+    # short-sample image of h and the long design it is fitted on run apart.
+    monkeypatch.setattr(dyndml.nuisance, "_PACKED", packed)
     test_surrogate_cross_fit_matches_per_fold_refits(features, SURROGATE_CLIP, None)
 
 
@@ -599,4 +605,24 @@ def test_surrogate_zero_ridge_fails_the_fold_missing_a_long_cell():
     data = SurrogatePair(data.short_x, data.short_t, data.short_s, data.long_x, long_s, data.long_y)
     cfg = FitConfig(feature_maps=tsd.feature_maps(), ridge=0.0)
     with pytest.raises(SolverError, match=r"^fold 1: h \(long-sample regression\): singular"):
+        surrogate_estimate(data, cfg, 3, 5)
+
+
+def test_surrogate_zero_ridge_fails_the_fold_missing_a_short_cell():
+    # Every treated short record with X = 1 falls in short fold 1, so fold 1's
+    # complement has no mass on that (X, T) column. g and a1 share the short
+    # Gram; the backward pass runs first, so g is the stage that fails.
+    tsd = two_sample_ref()
+    data = tsd.simulate(600, 500, 3)
+    fold = np.zeros(data.n_short, dtype=bool)
+    fold[make_folds(data.n_short, 3, 5).folds[1]] = True
+    short_t = data.short_t.copy()
+    cell = (data.short_x[:, 0] == 1.0) & (short_t == 1)
+    assert (cell & fold).any()
+    short_t[cell & ~fold] = 0
+    data = SurrogatePair(data.short_x, short_t, data.short_s, data.long_x, data.long_s, data.long_y)
+    cfg = FitConfig(feature_maps=tsd.feature_maps(), ridge=0.0)
+    with pytest.raises(SolverError, match=r"^fold 1: g \(short-sample projection\): singular "
+                                          r"system with zero penalty: design column 3 has no mass "
+                                          r"\(rank deficient\)$"):
         surrogate_estimate(data, cfg, 3, 5)

@@ -603,7 +603,7 @@ class TestTypedFoldErrors:
 
         def blown(self, *args):
             out = regressions(self, *args)
-            out[4][self.sets.fold == 2] = np.inf
+            out[4][self.designs[0].sets.fold == 2] = np.inf
             return out
 
         monkeypatch.setattr(nuisance._Stages, "regressions", blown)

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+from numpy.typing import NDArray
 import pytest
 
 from dyndml import (
@@ -269,6 +270,70 @@ class TestRiesz:
         with pytest.warns(RuntimeWarning, match="zero-mass"):
             tables = oracle_riesz(dgp, plan)
         assert tables[1][2, 1] == 0.0
+
+
+class TestFixedSequenceRiesz:
+    """PAPER.md's inverse-propensity form of a fixed sequence's representers,
+    against `oracle_riesz`, which solves `riesz_step`'s indicator system for
+    every plan; and the edge cases of that system."""
+
+    @pytest.mark.parametrize("periods", [1, 2, 3])
+    def test_inverse_propensity_form(self, periods):
+        # a_t(s, tau_t) = E[a_{t-1} | S_t = s] / P(T_t = tau_t | S_t = s), and 0
+        # at every other code, written out on the enumerated paths.
+        for seed in range(40):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            dgp = random_dgp(rng, periods=periods)
+            taus = tuple(int(rng.integers(0, 2)) for _ in range(periods))
+            paths = dgp.paths()
+            prev = np.ones(paths.prob.shape[0])  # a_0 = 1
+            for t, (got, tau) in enumerate(zip(oracle_riesz(dgp, FixedSequence(taus)), taus)):
+                s_col = paths.states[:, t]
+                mass = np.bincount(s_col, paths.prob, got.shape[0])
+                given = np.bincount(s_col, paths.prob * prev, got.shape[0]) / mass
+                want = np.zeros_like(got)
+                want[:, tau] = given / dgp.propensities[t][:, tau]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                prev = want[s_col, paths.treatments[:, t]]
+
+    @staticmethod
+    def two_period(props_2: list, transition: NDArray) -> DiscreteDGP:
+        return DiscreteDGP(
+            initial=np.array([0.5, 0.5]),
+            propensities=(np.full((2, 2), 0.5), np.array(props_2)),
+            transitions=(transition,),
+            outcome_mean=np.zeros((transition.shape[-1], 2)),
+            check_positivity=False,
+        )
+
+    def test_on_sequence_zero_propensity_is_a_positivity_error(self):
+        # State 1 of period 2 is reached on the sequence, and never takes code 1.
+        dgp = self.two_period([[0.5, 0.5], [1.0, 0.0]], np.full((2, 2, 2), 0.5))
+        with pytest.raises(PositivityError, match=r"^positivity violation at period 2, state 1: "
+                                                  r"targeted treatment 1 has zero probability$"):
+            oracle_riesz(dgp, FixedSequence((1, 1)))
+
+    def test_unreached_targeted_cell_warns_and_is_zero(self):
+        # No path reaches state 2 of period 2.
+        transition = np.zeros((2, 2, 3))
+        transition[..., :2] = 0.5
+        dgp = self.two_period(np.full((3, 2), 0.5).tolist(), transition)
+        with pytest.warns(RuntimeWarning, match=r"^period 2: zero-mass cells \[\(2, 1\)\] "
+                                                r"assigned minimum-norm value 0$"):
+            tables = oracle_riesz(dgp, FixedSequence((1, 1)))
+        assert tables[1][2, 1] == 0.0
+
+    def test_zero_propensity_reached_off_the_sequence_warns_and_is_zero(self):
+        # State 1 of period 2 is reached only after code 0 at period 1, off the
+        # sequence, so a_1 is 0 on every path to it: it is not targeted mass.
+        transition = np.zeros((2, 2, 2))
+        transition[:, 0, 1] = transition[:, 1, 0] = 1.0
+        dgp = self.two_period([[0.5, 0.5], [1.0, 0.0]], transition)
+        with pytest.warns(RuntimeWarning, match=r"^period 2: zero-mass cells \[\(1, 1\)\] "
+                                                r"assigned minimum-norm value 0$"):
+            tables = oracle_riesz(dgp, FixedSequence((1, 1)))
+        assert tables[1][1, 1] == 0.0
+        np.testing.assert_array_equal(tables[1][0], [0.0, 4.0])
 
 
 class TestPopulationMoment:

@@ -208,6 +208,14 @@ class TestSurrogateEstimate:
                                                   r"treatment code 1, which no row has$"):
             surrogate_estimate(one_arm, fit_cfg(tsd), 4, 3)
 
+    @pytest.mark.parametrize("sample", ["short", "long"])
+    def test_fewer_rows_than_folds_names_the_sample(self, tsd, sample):
+        sizes = {"short": 100, "long": 100, sample: 2}
+        data = tsd.simulate(sizes["short"], sizes["long"], 1)
+        with pytest.raises(ValidationError, match=f"^{sample} sample: cannot split 2 observations "
+                                                  "into 3 folds$"):
+            surrogate_estimate(data, fit_cfg(tsd), 3, 0)
+
     def test_reduces_to_one_period_aipw(self):
         # append S == Y to a one-period panel and use it as both samples:
         # the two-sample machinery must reproduce the M=1 contrast estimate
