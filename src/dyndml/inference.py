@@ -244,7 +244,7 @@ def _estimates(
     up to rounding; an error names no replicate."""
     fits = cross_fit(units, plan, cfg, q_folds, clever)
     return [_report(scores, n, q_folds, cfg, s, clever, train_means if clever else None)
-            for (scores, train_means), s in zip(fits, seeds)]
+            for ((scores,), train_means), s in zip(fits, seeds)]
 
 
 def _report(
@@ -383,10 +383,11 @@ def mc_experiment(
     count, and each replicate's estimate is its own dml_estimate's up to
     rounding. Up to `jobs` chunks are reduced, then fitted on as many
     threads; a lone chunk is fitted in the calling thread, so jobs = 1, or a
-    run of one chunk, starts no thread. A chunk that raises is rerun one
-    replicate at a time, each on its own units, so each failure reads as it
-    does alone. Numerical failures (SolverError, PositivityError) are flagged
-    rows excluded from the coverage summary; invalid inputs (ValidationError)
+    run of one chunk, starts no thread. A chunk that raises is halved, each
+    half refitted on its units, until each failing replicate is fitted alone
+    (k failures in about k log2(R) fits), so each failure reads as it does
+    alone. Numerical failures (SolverError, PositivityError) are flagged rows
+    excluded from the coverage summary; invalid inputs (ValidationError)
     abort the experiment.
     """
     for value, name in ((reps, "reps"), (n, "n"), (jobs, "jobs")):
@@ -406,9 +407,10 @@ def mc_experiment(
         try:
             reports = _estimates(units, n, plan, cfg, q_folds, list(map(fold_seed, taken)), clever)
         except (ValidationError, SolverError, PositivityError) as exc:
-            if len(taken) > 1:
-                return [row for r, one in zip(taken, units.replicates(q_folds))
-                        for row in fit(([r], one))]
+            if len(taken) > 1:  # halve it until each failing replicate stands alone
+                half = len(taken) // 2
+                return [row for part in zip((taken[:half], taken[half:]), units.halves(q_folds))
+                        for row in fit(part)]
             if isinstance(exc, ValidationError):
                 raise
             return [MCRow(rep=taken[0], failed=1, message=str(exc))]

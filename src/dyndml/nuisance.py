@@ -19,10 +19,11 @@ is column-major, so elementwise passes run along contiguous columns. Every
 sum over a set, a Gram (block-diagonal by code) or a right-hand side, whether
 every set shares its input or not, is one reduction: one product per fold
 block (per (fold, code) block for Grams), then each set adds the other folds'
-blocks of its replicate. Each stage's set x code systems are solved in one
-batched call. Cross-fitting (`cross_fit`) solves one training set per fold and
-scores the held-out rows from the same bases; the public fits are the
-one-training-set case.
+blocks of its replicate. Each design's set x code systems are formed and
+checked once, as the stages are built, and each stage solves them in one
+batched call. The engine gives two results: `_Stages.scores`, the held-out
+scores of one training set per fold (`cross_fit`), and `_Stages.fit`, the
+one-training-set fit as functions (the public fits).
 
 The training sets are grouped by replicate: the engine may fit the stacked
 units of several replicates (a Monte Carlo chunk, `stack_units`), each
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -139,32 +140,6 @@ class FitConfig:
         if gram.ndim > 2:
             trace, p = trace.sum(axis=-1), p * gram.shape[-3]
         return DEFAULT_RIDGE_SCALE * np.asarray(n, dtype=float) ** -0.5 * trace / p
-
-
-def _solve_spd(
-    a: NDArray, b: NDArray, lam: NDArray, columns: NDArray, name: Callable[[tuple], str],
-) -> NDArray:
-    """x with a x = b for symmetric positive definite systems stacked on the
-    leading axes: a (..., m, m), b (..., m), lam each system's penalty. One
-    Cholesky call checks every system and one call solves them. The first
-    failing system, at index i in C order, raises SolverError prefixed by
-    name(i): under a zero penalty for its first column with no mass (numbered
-    by columns[i]), else for failing the Cholesky check."""
-    stack = a.shape[:-2]
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    empty = (np.broadcast_to(lam, stack)[..., None] == 0.0) & (diag <= 0.0)
-    if empty.any() or not _positive_definite(a):
-        cols = np.broadcast_to(columns, diag.shape)
-        for i in np.ndindex(stack):
-            if empty[i].any():
-                raise SolverError(
-                    f"{name(i)}singular system with zero penalty: design column "
-                    f"{int(cols[i][empty[i]].min())} has no mass (rank deficient)"
-                )
-            if not _positive_definite(a[i]):
-                raise SolverError(f"{name(i)}singular normal equations (rank-deficient design); "
-                                  "set a positive ridge penalty")
-    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def _positive_definite(a: NDArray) -> bool:
@@ -299,7 +274,7 @@ class _Design:
         self.flat = np.multiply(self.codes, self.codes.shape[0], dtype=np.intp)
         self.flat += np.arange(self.codes.shape[0])
         self.layout = _code_blocks(phi, np.arange(phi.dim))
-        self._systems: tuple[NDArray, NDArray] | None = None
+        self._systems: NDArray | None = None
 
     def require(self, weights: NDArray) -> None:
         """A PositivityError naming the first code that carries weight in
@@ -345,38 +320,57 @@ class _Design:
         out[..., self.flat] = v
         return out.reshape(v.shape[:-1] + (self.phi.arity, -1))
 
-    def systems(self) -> tuple[NDArray, NDArray]:
-        """Every set's Gram blocks (S, K, q, q) and penalty (S,), computed once."""
+    def systems(self) -> NDArray:
+        """Every set's penalized Gram blocks G_s + lam_s I (S, K, q, q), lam_s
+        resolved from G_s by cfg.stage_ridge: formed and checked once, as
+        `_Stages` is built. The first failing set (then code), named by its fold
+        and the design, raises a ValidationError if lam_s swamps the Gram (every
+        diagonal entry g has g + lam_s == lam_s: the fit would be 0), else a
+        SolverError under a zero penalty for its first column with no mass, else
+        for failing the Cholesky check (one call checks every block)."""
         if self._systems is None:
             grams, sizes = self.sets.grams(self.basis, self.codes, self.phi.arity), self.sets.sizes
-            self._systems = grams, np.broadcast_to(
-                self.cfg.stage_ridge(self.period, grams, sizes), sizes.shape)
+            lam = np.broadcast_to(self.cfg.stage_ridge(self.period, grams, sizes), sizes.shape)
+            diag = np.diagonal(grams, axis1=-2, axis2=-1)
+            top = diag.max(axis=(1, 2))
+            swamped = (top > 0.0) & (top + lam == lam)  # then so is every smaller entry
+            empty = (lam[:, None, None] == 0.0) & (diag <= 0.0)
+            a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
+            if swamped.any() or empty.any() or not _positive_definite(a):
+                for s, k in np.ndindex(a.shape[:2]):
+                    where = (f"fold {s % self.sets.q}: " if self.sets.folded else "") + self.name
+                    if swamped[s]:
+                        raise ValidationError(
+                            f"{where}: ridge penalty {lam[s]:g} swamps the Gram (every diagonal "
+                            "entry g has g + ridge == ridge), so the fit would be 0; lower it")
+                    if empty[s, k].any():
+                        column = int(self.layout[k][empty[s, k]].min())
+                        raise SolverError(f"{where}: singular system with zero penalty: design "
+                                          f"column {column} has no mass (rank deficient)")
+                    if not _positive_definite(a[s, k]):
+                        raise SolverError(f"{where}: singular normal equations (rank-deficient "
+                                          "design); set a positive ridge penalty")
+            self._systems = a
         return self._systems
 
     def solve(
-        self, rhs: NDArray, where: str, border: tuple[NDArray, NDArray, NDArray] | None = None,
+        self, rhs: NDArray, border: tuple[NDArray, NDArray, NDArray] | None = None,
     ) -> tuple[NDArray, NDArray]:
         """Per set s, the coefficient blocks (S, K, q) of (G_s + lam_s I) beta =
-        rhs_s, lam_s resolved from the full Gram G_s by cfg.stage_ridge, in one
-        batched call; a SolverError names the set's fold and `where`. A border
-        (b, d, e) = (X'c/n_s, c'c/n_s, c'u/n_s) appends one unpenalized design
-        column c with coefficient gamma: the blocks are solved for [rhs, b],
-        then gamma from the Schur complement d - b'A^-1 b, never negative in
-        exact arithmetic. A set whose complement is at most _IN_SPAN d (c = 0, or c in
-        the span of the blocks at zero penalty) keeps the plain fit, gamma 0,
-        whose normal equations already give c'(u - X beta) = 0 there. Returns
-        (beta, gamma), gamma 0 without a border."""
-        grams, lam = self.systems()
-        a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
-
-        def name(index: tuple) -> str:
-            return (f"fold {index[0] % self.sets.q}: " if self.sets.folded else "") + f"{where}: "
-
+        rhs_s (`systems`), in one batched call. A border (b, d, e) = (X'c/n_s,
+        c'c/n_s, c'u/n_s) appends one unpenalized design column c with
+        coefficient gamma: the blocks are solved for rhs and for b, one
+        right-hand side per factorization, then gamma from the Schur complement
+        d - b'A^-1 b, never negative in exact arithmetic. A set whose complement
+        is at most _IN_SPAN d (c = 0, or c in the span of the blocks at zero
+        penalty) keeps the plain fit, gamma 0, whose normal equations already
+        give c'(u - X beta) = 0 there. Returns (beta, gamma), gamma 0 without a
+        border."""
+        a = self.systems()
         if border is None:
-            return _solve_spd(a, rhs, lam[:, None], self.layout, name), np.zeros(len(rhs))
+            return np.linalg.solve(a, rhs[..., None])[..., 0], np.zeros(len(rhs))
         b, d, e = border
-        x = _solve_spd(a[:, :, None], np.stack([rhs, b], axis=2), lam[:, None, None],
-                       self.layout[:, None], name)
+        x = np.linalg.solve(a[:, :, None], np.stack([rhs, b], axis=2)[..., None])[..., 0]
         schur = d - np.einsum("skj,skj->s", b, x[:, :, 1])
         live = schur > _IN_SPAN * d
         gamma = np.where(live, e - np.einsum("skj,skj->s", b, x[:, :, 0]), 0.0)
@@ -393,28 +387,63 @@ class _Stages:
     (K, n) code weights W_t form m_t(Z; g) = sum_c W_c g(S_t, c) and where
     u_{t-1} and a_{t-1} live; the last period's units carry the outcome. A
     panel (`_panel_stages`) is one sample, each image its period's design; the
-    surrogate (`surrogate._cross_fit`) is two, their sets paired by fold.
+    surrogate (`surrogate._stages`) is two, their sets paired by fold.
 
-    Each pass visits the periods once. Right-hand sides are B_t'(W_c a_{t-1})
+    Every check is made as the stages are built: each image's targeted codes
+    (`_Design.require`), then each design's systems (`_Design.systems`). Each
+    pass visits the periods once. Right-hand sides are B_t'(W_c a_{t-1})
     (forward) and B_t'(1{T_t = c} u_t) (backward) over a set's units
     (`_TrainingSets.means`); fitted functions are valued packed, every set of
-    a replicate in one product. names[t-1] names period t's (forward,
-    backward) stage in errors.
+    a replicate in one product. Consumers take `fit` (the one-set fit as
+    functions) or `scores` (the held-out scores).
     """
 
     def __init__(self, designs: Sequence[_Design], images: Sequence[_Design],
-                 weights: Sequence[NDArray], names: Sequence[tuple[str, str]], units: _Units,
-                 cfg: FitConfig) -> None:
-        self.designs, self.images, self.code_weights, self.names = designs, images, weights, names
-        self.cfg, self.outcome, self.scales = cfg, units.outcome, units.scale
+                 weights: Sequence[NDArray], units: _Units, cfg: FitConfig) -> None:
+        self.designs, self.images, self.code_weights, self.cfg = designs, images, weights, cfg
+        self.outcome, self.spread, self.scales = units.outcome, units.spread, units.scale
         for image, w in zip(images, weights):
             image.require(w)
         for design in designs:
             design.systems()  # every Gram before the passes allocate their values
 
-    def moment(self, t: int, values: NDArray) -> NDArray:
-        """m_t(Z; g) on the image's units, of g's per-code values (..., K, n)."""
-        return np.einsum("kn,...kn->...n", self.code_weights[t - 1], values)
+    def fit(self, clever: bool = False) -> tuple[list[Fn], list[LinearFn]]:
+        """The one-set fit as functions, the outcome's scale undone:
+        (regressions, representers), one per period. With `clever`, period t's
+        regression is CombinedFn(((1.0, linear part), (gamma, a_t)))."""
+        coefs = self.riesz()[0]
+        representers = [d.fn(c[0], self.cfg.clip) for d, c in zip(self.designs, coefs)]
+        fitted, gammas = self.regressions(coefs if clever else None)[:2]
+        scale = self.scales[0]  # the fits are linear in the scaled outcome
+        fns = [d.fn(c[0] / scale) for d, c in zip(self.designs, fitted)]
+        if clever:
+            fns = [CombinedFn(((1.0, f), (float(g[0] / scale), a)))
+                   for f, g, a in zip(fns, gammas, representers)]
+        return fns, representers
+
+    def scores(self, clever: bool = False) -> list[tuple[tuple[_UnitScores, ...], NDArray]]:
+        """Per replicate, each sample's held-out `_UnitScores`, in the order of
+        the periods fitted on them, and with `clever` per fold and period (Q, M)
+        the mean correction a_t (u_t - f_t) over the fold's training rows
+        (zeros without). A unit's score is `core._ladder` of the nuisances of
+        the set its fold holds out: the plug-in m_1(Z; f_1) on period 1's units,
+        correction t on period t's, and |a_M| times the outcome spread on the
+        last period's, in the replicate's outcome scale (`_units`)."""
+        coefs, held_a = self.riesz()
+        _, _, held, train_means, plug = self.regressions(coefs if clever else None)
+        first, last, samples = self.designs[0].sets, self.designs[-1].sets, []
+        for sets in dict.fromkeys(d.sets for d in self.designs):
+            values, _, corrections = _ladder(
+                plug if sets is first else np.zeros(len(sets.fold)),
+                [(a, u, f) for d, a, (u, f) in zip(self.designs, held_a, held) if d.sets is sets])
+            spread = np.abs(held_a[-1]) * self.spread if sets is last else np.zeros(len(values))
+            weights = np.ones(len(values)) if sets.weights is None else sets.weights
+            samples.append([_UnitScores.scaled(values[a:b], corrections[:, a:b], weights[a:b],
+                                               sets.fold[a:b], spread[a:b], scale)
+                            for a, b, scale in zip(sets.spans[:-1], sets.spans[1:],
+                                                   self.scales.tolist())])
+        means = train_means.reshape(len(self.scales), -1, len(held)) / self.scales[:, None, None]
+        return list(zip(zip(*samples), means))
 
     def riesz(self) -> tuple[list[NDArray], list[NDArray]]:
         """The forward pass of `fit_recursive_riesz` for every training set: per
@@ -426,7 +455,7 @@ class _Stages:
         held = [np.empty(len(d.codes)) for d in self.designs]
         rhs = first.sets.means(self.code_weights[0], first.basis)
         for t, design in enumerate(self.designs, start=1):
-            coefs.append(design.solve(rhs, self.names[t - 1][0])[0])
+            coefs.append(design.solve(rhs)[0])
             parts = []
             for run in design.sets.runs:
                 a = design.pick(design.values(coefs[-1], self.cfg.clip, run))
@@ -465,7 +494,7 @@ class _Stages:
             if clever:
                 b, de = (design.sets.joined(parts) for parts in zip(*borders))
                 border = (b, *de[..., 0].T)
-            coefs[t - 1], gammas[t - 1] = design.solve(rhs, self.names[t - 1][1], border)
+            coefs[t - 1], gammas[t - 1] = design.solve(rhs, border)
             if clever:  # the mean of a (u - f) on the training rows
                 b, d, e = border
                 train_means[:, t - 1] = (e - np.einsum("skj,skj->s", b, coefs[t - 1])
@@ -479,7 +508,8 @@ class _Stages:
                 if clever:
                     values += image.sets.spread(gammas[t - 1], run)[:, None] * image.values(
                         representers[t - 1], self.cfg.clip, run)
-                u = self.moment(t, values)  # u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
+                # m_t(Z; g) on the image's units: u_{t-1}, or the plug-in m_1(Z; f_1) at t = 1
+                u = np.einsum("kn,...kn->...n", self.code_weights[t - 1], values)
                 if image is design:
                     design.own(values, run, held[t - 1][1])
                 del values  # before the previous period's packed right-hand side
@@ -518,8 +548,7 @@ def _panel_stages(units: _Units, plan: TreatmentPlan, cfg: FitConfig,
     designs = [_Design(phi, units, t - 1, sets, cfg, t, f"period {t}")
                for t, phi in enumerate(cfg.feature_maps, start=1)]
     del view  # the designs exist: the Grams need no stacked codes
-    return _Stages(designs, designs, code_weights,
-                   [(f"period {t}",) * 2 for t in range(1, len(designs) + 1)], units, cfg)
+    return _Stages(designs, designs, code_weights, units, cfg)
 
 
 def stack_units(parts: Sequence[_Units]) -> _Units:
@@ -556,27 +585,13 @@ def panel_units(
 def cross_fit(
     units: _Units, plan: TreatmentPlan, cfg: FitConfig, q_folds: int,
     clever: bool = False,
-) -> list[tuple[_UnitScores, NDArray]]:
+) -> list[tuple[tuple[_UnitScores], NDArray]]:
     """Fit both nuisance sequences once per fold of each replicate, given the
     replicates' stacked units (`stack_units`, each folded in q_folds folds),
     on its units outside it, and score the fold's units with them, in one
     pass of the stage engine; each replicate gets the estimate it gets alone,
-    up to rounding. A unit's score is `core._ladder` of its held-out plug-in
-    and (a_t, u_t, f_t), u_M its mean outcome: its rows' mean score, their
-    spread |a_M| times its outcomes' spread, both in the replicate's outcome
-    scale (`_units`). Returns per replicate its `_UnitScores` and, with
-    `clever`, per fold and period (Q, M) the mean correction a_t (u_t - f_t)
-    over the fold's training rows."""
-    stages = _panel_stages(units, plan, cfg, q_folds)
-    representers, held_a = stages.riesz()
-    _, _, held, train_means, plug = stages.regressions(representers if clever else None)
-    values, _, corrections = _ladder(plug, ((a, u, f) for a, (u, f) in zip(held_a, held)))
-    sets, spread = stages.designs[0].sets, np.abs(held_a[-1]) * units.spread
-    weights = np.ones(len(values)) if sets.weights is None else sets.weights
-    spans = zip(sets.spans[:-1], sets.spans[1:],
-                train_means.reshape(len(units.scale), -1, len(held)), stages.scales.tolist())
-    return [(_UnitScores.scaled(values[a:b], corrections[:, a:b], weights[a:b], sets.fold[a:b],
-                                spread[a:b], scale), means / scale) for a, b, means, scale in spans]
+    up to rounding: per replicate, `_Stages.scores` of its one sample."""
+    return _panel_stages(units, plan, cfg, q_folds).scores(clever)
 
 
 def fit_nested_regressions(
@@ -584,7 +599,7 @@ def fit_nested_regressions(
 ) -> list[LinearFn]:
     """Backward pass t = M..1; pseudo-outcome is Y at the horizon, else the
     next period's moment evaluated at the already-fitted regression."""
-    return _regression_fns(_panel_stages(panel_units(data, plan, cfg), plan, cfg), None, ())
+    return _panel_stages(panel_units(data, plan, cfg), plan, cfg).fit()[0]
 
 
 def riesz_loss(
@@ -621,8 +636,7 @@ def fit_recursive_riesz(
     closed form, (E_n[phi phi'] + lam I) beta = E_n[prev * Phi_t(Z)], where
     Phi_t(Z) = sum_k w_k(Z) phi_t(S_t, d_k(Z)) is the feature image of the
     period moment, so m_t(Z; a_beta) = Phi_t(Z) . beta."""
-    stages = _panel_stages(panel_units(data, plan, cfg), plan, cfg)
-    return [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, stages.riesz()[0])]
+    return _panel_stages(panel_units(data, plan, cfg), plan, cfg).fit()[1]
 
 
 def fit_nuisances(
@@ -635,25 +649,7 @@ def fit_nuisances(
     equals the debiased estimate: period t's fit is CombinedFn(((1.0,
     LinearFn(phi_t, w)), (gamma, a_t))), gamma 0 where a_t lies in phi_t's span
     (`_Design.solve`), as an unclipped one does at zero ridge."""
-    stages = _panel_stages(panel_units(data, plan, cfg), plan, cfg)
-    coefs = stages.riesz()[0]
-    representers = [design.fn(coef[0], cfg.clip) for design, coef in zip(stages.designs, coefs)]
-    return _regression_fns(stages, coefs if clever else None, representers), representers
-
-
-def _regression_fns(
-    stages: _Stages, coefs: Sequence[NDArray] | None, representers: Sequence[Fn],
-) -> list:
-    """The one-set backward pass as functions, clever given the representers'
-    coefficients `coefs` (`_Stages.regressions`): then period t's is
-    CombinedFn(((1.0, linear part), (gamma, representers[t-1])))."""
-    fitted, gammas = stages.regressions(coefs)[:2]
-    scale = stages.scales[0]  # the fits are linear in the scaled outcome
-    fns = [design.fn(coef[0] / scale) for design, coef in zip(stages.designs, fitted)]
-    if coefs is None:
-        return fns
-    return [CombinedFn(((1.0, f), (float(g[0] / scale), a)))
-            for f, g, a in zip(fns, gammas, representers)]
+    return _panel_stages(panel_units(data, plan, cfg), plan, cfg).fit(clever)
 
 
 class _Units(NamedTuple):
@@ -673,16 +669,17 @@ class _Units(NamedTuple):
     weights: NDArray | None
     scale: NDArray
 
-    def replicates(self, q_folds: int) -> list[_Units]:
-        """Each stacked replicate's own units (views; `stack_units` undone, but
-        rows as units keep the weights 1 it gave them, which fit alike)."""
-        ends = np.cumsum(self.counts.reshape(-1, q_folds).sum(axis=1)).tolist()
-        return [_Units(*([None if c is None else c[a:b] for c in field]
-                         for field in (self.states, self.codes, self.cells)),
-                       self.outcome[a:b], self.spread[a:b],
-                       self.counts[r * q_folds:(r + 1) * q_folds],
-                       None if self.weights is None else self.weights[a:b], self.scale[r:r + 1])
-                for r, (a, b) in enumerate(zip([0] + ends[:-1], ends))]
+    def halves(self, q_folds: int) -> tuple[_Units, _Units]:
+        """The stacked replicates' units in two halves, R // 2 replicates first
+        (views; `stack_units` undone, rows as units keep their weights 1)."""
+        half = len(self.scale) // 2  # (units, folds, replicates) of the first half
+        cuts = (int(self.counts[:half * q_folds].sum()), half * q_folds, half)
+        return tuple(_Units(*([None if c is None else c[rows] for c in field]
+                              for field in (self.states, self.codes, self.cells)),
+                            self.outcome[rows], self.spread[rows], self.counts[folds],
+                            None if self.weights is None else self.weights[rows], self.scale[reps])
+                     for rows, folds, reps in ([slice(c) for c in cuts],
+                                               [slice(c, None) for c in cuts]))
 
 
 class _UnitScores(NamedTuple):

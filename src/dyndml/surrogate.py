@@ -10,15 +10,15 @@ the short sample, and the change-of-measure representer a2(S, X), trained
 under the long-sample norm against a short-sample functional, on the long
 sample.
 
-`surrogate_fit` and `surrogate_estimate` share one engine, `_cross_fit`: a
-two-period recursion on the panel's stage engine (`nuisance._Stages`). Each
-sample becomes its units as a panel does (`nuisance._units`: distinct (fold,
-x, t, s) rows when all-tabular), with a `nuisance._TrainingSets` per sample.
-Period 1 is phi_tx(X, T) on the short units, its code weights the contrast
-W = [-1, +1]: a1 = a_1 and g = f_1. Period 2 is phi_sx(S, X) fitted on the
-long units, its moment h(S, X) formed on the short units (W = 1 at code 0):
-h = f_2 and a2 = a_2. Each sample is scored on its units as a panel is
-(`nuisance._UnitScores`), a2 (y - h) standing for a_M.
+`surrogate_fit` and `surrogate_estimate` take the `fit` and `scores` of one
+engine, `_stages`: a two-period recursion on the panel's `nuisance._Stages`.
+Each sample becomes its units as a panel does (`nuisance._units`: distinct
+(fold, x, t, s) rows when all-tabular), with a `nuisance._TrainingSets` per
+sample. Period 1 is phi_tx(X, T) on the short units, its code weights the
+contrast W = [-1, +1]: a1 = a_1 and g = f_1. Period 2 is phi_sx(S, X) fitted
+on the long units, its moment h(S, X) formed on the short units (W = 1 at
+code 0): h = f_2 and a2 = a_2. Each sample is scored on its units as a panel
+is (`nuisance._UnitScores`), a2 (y - h) standing for a_M.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .core import (
 )
 from .inference import (EstimateReport, _check_fold_scores, _config_echo, _fold_labels,
                         _fold_sizes)
-from .nuisance import (FitConfig, _check_tabular_cells, _Design, _regression_fns, _Stages,
-                       _TrainingSets, _UnitScores, _units)
+from .nuisance import FitConfig, _check_tabular_cells, _Design, _Stages, _TrainingSets, _units
 from .oracle import mix_seed
 
 
@@ -111,22 +110,20 @@ class SurrogateNuisances:
     a2: Fn
 
 
-def _cross_fit(
+def _stages(
     data: SurrogatePair, cfg: FitConfig, q_folds: int | None = None,
     fold_s: NDArray | None = None, fold_l: NDArray | None = None,
-) -> SurrogateNuisances | tuple[_UnitScores, _UnitScores]:
-    """All four nuisances for every pair (short set s, long set s) of training
-    sets: the module's two-period recursion on `nuisance._Stages`, over three
-    factored designs built once on the samples' units (`nuisance._units`).
-    Without folds, the nuisances fitted on the whole samples; with each
-    sample's row folds (fold_s, fold_l, of q_folds), the held-out scores of
-    each sample's units (`nuisance._UnitScores`), a long unit's at its mean
-    y, both samples' in the long outcome's scale.
+) -> _Stages:
+    """The module's two-period recursion on `nuisance._Stages`, over three
+    factored designs built once on the samples' units (`nuisance._units`):
+    with each sample's row folds (fold_s, fold_l, of q_folds), one training
+    set per pair (short fold q's complement, long fold q's), else the one
+    set of the whole samples. Both samples are in the long outcome's scale.
 
     a1 minimizes E_s[a(T,X)^2 - 2(a(1,X) - a(0,X))]; a2 minimizes the
     cross-sample risk E_l[a(S,X)^2] - 2 E_s[a1(T,X) a(S,X)], each with a ridge
-    penalty on the normalized Gram. The backward pass runs first, as it needs
-    no representers: the stages are solved h, g, a1, a2.
+    penalty on the normalized Gram. The short sample (X, T) Gram is checked
+    first, then the long sample (S, X) one.
     """
     if len(cfg.feature_maps) != 2:
         raise ValidationError(
@@ -139,60 +136,37 @@ def _cross_fit(
     phi_tx, phi_sx = cfg.feature_maps
     names = ("short sample (X, T)", "short sample (S, X)", "long sample (S, X)")
     zeros_s, zeros_l = (np.zeros(n, dtype=np.int64) for n in (data.n_short, data.n_long))
-    q = q_folds or 1
     su = _units([(phi_tx, data.short_x, data.short_t), (phi_sx, data.short_sx, zeros_s)],
-                np.zeros(data.n_short), fold_s, q, names[:2])  # no outcome: no spread
-    lu = _units([(phi_sx, data.long_sx, zeros_l)], data.long_y, fold_l, q, names[2:])
+                np.zeros(data.n_short), fold_s, q_folds or 1, names[:2])  # no outcome: no spread
+    lu = _units([(phi_sx, data.long_sx, zeros_l)], data.long_y, fold_l, q_folds or 1, names[2:])
     short = _TrainingSets(su.counts, su.weights, q_folds)
     long = _TrainingSets(lu.counts, lu.weights, q_folds)
-    x_tx = _Design(phi_tx, su, 0, short, cfg, 1, names[0])
-    x_long = _Design(phi_sx, lu, 0, long, cfg, 2, names[2])
-    n = len(su.codes[0])
-    stages = _Stages(
-        [x_tx, x_long], [x_tx, _Design(phi_sx, su, 1, short, cfg, 2, names[1])],
+    x_tx, n = _Design(phi_tx, su, 0, short, cfg, 1, names[0]), len(su.codes[0])
+    return _Stages(
+        [x_tx, _Design(phi_sx, lu, 0, long, cfg, 2, names[2])],
+        [x_tx, _Design(phi_sx, su, 1, short, cfg, 2, names[1])],
         [np.broadcast_to(np.array([[-1.0], [1.0]]), (2, n)),
-         np.broadcast_to(np.eye(phi_sx.arity, 1), (phi_sx.arity, n))],
-        [("a1 (treatment representer)", "g (short-sample projection)"),
-         ("a2 (surrogate score)", "h (long-sample regression)")], lu, cfg)
-    if q_folds is None:
-        g, h = _regression_fns(stages, None, ())
-        a1, a2 = (d.fn(c[0], cfg.clip) for d, c in zip(stages.designs, stages.riesz()[0]))
-        return SurrogateNuisances(h=h, g=g, a1=a1, a2=a2)
-    _, _, (short_held, long_held), _, plug = stages.regressions(None)
-    a1, a2 = stages.riesz()[1]
-    s, y = _two_sample_scores(plug, (a1, *short_held), (a2, *long_held))
-    scale = float(lu.scale[0])
-    w_s, w_l = (np.ones(len(v)) if w is None else w for v, w in ((s, su.weights), (y, lu.weights)))
-    return (_UnitScores.scaled(s, np.empty((0, len(s))), w_s, short.fold, su.spread,  # no corrections
-                               scale),
-            _UnitScores.scaled(y, np.empty((0, len(y))), w_l, long.fold,
-                               np.abs(a2) * lu.spread, scale))
+         np.broadcast_to(np.eye(phi_sx.arity, 1), (phi_sx.arity, n))], lu, cfg)
 
 
 def surrogate_fit(data: SurrogatePair, cfg: FitConfig) -> SurrogateNuisances:
-    """Fit all four nuisances on the given samples: `_cross_fit`'s one-set case."""
-    return _cross_fit(data, cfg)
+    """Fit all four nuisances on the given samples: `_stages`' one-set fit."""
+    (g, h), (a1, a2) = _stages(data, cfg).fit()
+    return SurrogateNuisances(h=h, g=g, a1=a1, a2=a2)
 
 
 def surrogate_scores(
     data: SurrogatePair, nuisances: SurrogateNuisances
 ) -> tuple[NDArray, NDArray]:
-    """Per-record score contributions: (short-sample terms, long-sample terms)."""
-    x, t, g = data.short_x, data.short_t, nuisances.g
+    """Per-record score contributions by `core._ladder`: short-sample terms
+    g(1, X) - g(0, X) + a1 (h - g), and long-sample terms a2 (y - h)."""
+    x, t, g, h = data.short_x, data.short_t, nuisances.g, nuisances.h
     ones, zeros = np.ones(data.n_short, dtype=np.int64), np.zeros(data.n_short, dtype=np.int64)
     long_zeros = np.zeros(data.n_long, dtype=np.int64)
-    return _two_sample_scores(
-        g.batch(x, ones) - g.batch(x, zeros),
-        (nuisances.a1.batch(x, t), nuisances.h.batch(data.short_sx, zeros), g.batch(x, t)),
-        (nuisances.a2.batch(data.long_sx, long_zeros), data.long_y,
-         nuisances.h.batch(data.long_sx, long_zeros)))
-
-
-def _two_sample_scores(contrast: NDArray, short: tuple, long: tuple) -> tuple[NDArray, NDArray]:
-    """The two-sample score of evaluated nuisances by `core._ladder`: short-sample
-    terms g(1, X) - g(0, X) + a1 (h - g) from the contrast and (a1, h, g), and
-    long-sample terms a2 (y - h) from a zero plug-in and (a2, y, h)."""
-    return _ladder(contrast, [short])[0], _ladder(np.zeros(len(long[1])), [long])[0]
+    return (_ladder(g.batch(x, ones) - g.batch(x, zeros),
+                    [(nuisances.a1.batch(x, t), h.batch(data.short_sx, zeros), g.batch(x, t))])[0],
+            _ladder(np.zeros(data.n_long), [(nuisances.a2.batch(data.long_sx, long_zeros),
+                                             data.long_y, h.batch(data.long_sx, long_zeros))])[0])
 
 
 def surrogate_estimate(
@@ -203,7 +177,7 @@ def surrogate_estimate(
     Each sample is split into Q folds independently (the samples share no
     units); fold q of the short sample reuses the h trained on the
     complement of fold q of the long sample; the designs are built once and
-    solved for every fold (`_cross_fit`). The two samples are treated as
+    solved for every fold (`_stages`). The two samples are treated as
     independent for the variance: the reported sigma^2 is
     V_short + V_long * n_short/n_long under the single-sqrt(n_short) report
     convention, so sigma^2 / n_short = V_s/n_s + V_l/n_l.
@@ -212,7 +186,7 @@ def surrogate_estimate(
     sizes_l = _fold_sizes(data.n_long, q_folds, "long sample: ")
     fold_s = _fold_labels(data.n_short, q_folds, seed)
     fold_l = _fold_labels(data.n_long, q_folds, mix_seed(seed, 1))
-    short, long = _cross_fit(data, cfg, q_folds, fold_s, fold_l)
+    (short, long), _ = _stages(data, cfg, q_folds, fold_s, fold_l).scores()[0]
     means_s, means_l = short.fold_means(sizes_s)[0], long.fold_means(sizes_l)[0]
     _check_fold_scores(means_s, means_l)
     per_fold = [{"fold": q, "short_size": sizes_s[q], "long_size": sizes_l[q],

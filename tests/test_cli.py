@@ -208,6 +208,23 @@ class TestEstimate:
         assert rc == 2
         assert "t2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, plan_text, message", [
+        ("estimate", "kind = fixed\ntreatments = 1\n", "data has 2 periods but the plan covers 1"),
+        ("mc", "kind = fixed\ntreatments = 1 1 1\n", "plan covers 3 periods, process has 2"),
+    ])
+    def test_plan_and_data_period_counts_differ_exit_2(self, files, capsys, command, plan_text,
+                                                       message):
+        data, plan = files["dir"] / "d.csv", files["dir"] / "plan.cfg"
+        main(["simulate", "--dgp", files["dgp2"], "--n", "100", "--seed", "1", "--out", str(data)])
+        plan.write_text(plan_text)
+        capsys.readouterr()
+        argv = [command, "--plan", str(plan), "--out", str(files["dir"] / "r.out")] + {
+            "estimate": ["--data", str(data)],
+            "mc": ["--dgp", files["dgp2"], "--reps", "2", "--n", "100"]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_clever_covariate_diagnostics(self, files):
         data = files["dir"] / "d.csv"
         main(["simulate", "--dgp", files["dgp2"], "--n", "3000", "--seed", "4", "--out", str(data)])
@@ -274,6 +291,7 @@ class TestEstimate:
         ("ridge = inf", "ridge penalty must be finite, got inf"),
         ("ridge = 1e-3 inf", "ridge penalty must be finite, got inf"),
         ("clip = nan", "clip bound must be positive"),
+        ("ridge = 1e308", "fold 0: period 1: ridge penalty 1e+308 swamps the Gram"),
     ])
     def test_non_finite_settings_exit_2(self, files, capsys, setting, message):
         data = files["dir"] / "d.csv"
@@ -283,7 +301,8 @@ class TestEstimate:
         argv = ["estimate", "--data", str(data), "--plan", files["plan11"], "--config", str(cfg),
                 "--out", str(files["dir"] / "r.json")]
         assert main(argv) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["polynomial", "fourier"])
     def test_nonparametric_feature_kinds(self, files, kind, capsys):
@@ -719,6 +738,8 @@ class TestCsvSchemaErrors:
             ("x_1,t,s_1,y\n0,1,2,3\n", "x_1,s_1,y\n0,1,2\n", "short", "unrecognized column 'y'"),
             ("x_1,t,s_1\n0,99999999999999999999,2\n", "x_1,s_1,y\n0,1,2\n", "short",
              "line 2, column 't': '99999999999999999999' is outside the int64 range"),
+            ("x_1,s_1\n0,2\n", "x_1,s_1,y\n0,1,2\n", "short", "missing column t"),
+            ("x_1,t,s_1\n0,1,2\n", "x_1,s_1\n0,1\n", "long", "missing column y"),
         ],
     )
     def test_surrogate_schema_errors_exit_2(self, files, capsys, short_text, long_text, bad, message):
@@ -729,7 +750,7 @@ class TestCsvSchemaErrors:
                 "--out", "r.json"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert message in err and str(paths[bad]) in err
+        assert message in err and str(paths[bad]) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [None, b"s1_1,t1,y\n0,1,\xff\n"])
     def test_unreadable_data_file_exit_2(self, files, capsys, content):
@@ -787,9 +808,9 @@ def test_distinct_rows_match_numpy_unique(rows):
 
 
 class TestSettings:
-    def mc_argv(self, files, plan=None, config=None):
+    def mc_argv(self, files, plan=None, config=None, dgp=None):
         return ["mc", "--reps", "2", "--n", "100", "--out", str(files["dir"] / "mc.csv"),
-                "--dgp", files["dgp2"], "--plan", plan or files["plan11"],
+                "--dgp", dgp or files["dgp2"], "--plan", plan or files["plan11"],
                 "--config", config or files["config"]]
 
     @pytest.mark.parametrize(
@@ -801,6 +822,11 @@ class TestSettings:
             ("--plan", "kind = fixed\ntreatments = 1.7 1\n",
              "key 'treatments': '1.7' is not an integer"),
             ("--config", "Q = 3 4\n", "key 'Q' needs 1 values, got 2"),
+            ("--config", '{"Q": 3,}\n', "invalid JSON"),
+            ("--config", "Q = 3\nridge 0.1\n", ":2: expected `key = value`"),
+            ("--config", "features = splines\n", "unknown feature kind 'splines'"),
+            ("--dgp", "periods = 0\n", "periods must be >= 1"),
+            ("--plan", "kind = policy\n", "policy plan needs policy_1, policy_2, ..."),
         ],
     )
     def test_malformed_file_exit_2(self, files, capsys, flag, text, message):
@@ -809,7 +835,7 @@ class TestSettings:
         argv = self.mc_argv(files, **{flag[2:]: str(bad)})
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert message in err and str(bad) in err
+        assert message in err and str(bad) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "env, extra, message",

@@ -593,7 +593,7 @@ def test_surrogate_clip_is_active_in_the_equivalence_cases(features):
 
 def test_surrogate_zero_ridge_fails_the_fold_missing_a_long_cell():
     # Every long record of one (S, X) cell falls in long fold 1, so fold 1's
-    # complement has no mass on that cell's column and its h stage is singular.
+    # complement has no mass on that cell's column and its long Gram is singular.
     tsd = two_sample_ref()
     data = tsd.simulate(600, 500, 3)
     fold = np.zeros(data.n_long, dtype=bool)
@@ -604,14 +604,14 @@ def test_surrogate_zero_ridge_fails_the_fold_missing_a_long_cell():
     long_s[cell & ~fold] = 1.0
     data = SurrogatePair(data.short_x, data.short_t, data.short_s, data.long_x, long_s, data.long_y)
     cfg = FitConfig(feature_maps=tsd.feature_maps(), ridge=0.0)
-    with pytest.raises(SolverError, match=r"^fold 1: h \(long-sample regression\): singular"):
+    with pytest.raises(SolverError, match=r"^fold 1: long sample \(S, X\): singular"):
         surrogate_estimate(data, cfg, 3, 5)
 
 
 def test_surrogate_zero_ridge_fails_the_fold_missing_a_short_cell():
     # Every treated short record with X = 1 falls in short fold 1, so fold 1's
-    # complement has no mass on that (X, T) column. g and a1 share the short
-    # Gram; the backward pass runs first, so g is the stage that fails.
+    # complement has no mass on that (X, T) column: g and a1 share the short
+    # Gram, which is checked once, as the stages are built.
     tsd = two_sample_ref()
     data = tsd.simulate(600, 500, 3)
     fold = np.zeros(data.n_short, dtype=bool)
@@ -622,7 +622,7 @@ def test_surrogate_zero_ridge_fails_the_fold_missing_a_short_cell():
     short_t[cell & ~fold] = 0
     data = SurrogatePair(data.short_x, short_t, data.short_s, data.long_x, data.long_s, data.long_y)
     cfg = FitConfig(feature_maps=tsd.feature_maps(), ridge=0.0)
-    with pytest.raises(SolverError, match=r"^fold 1: g \(short-sample projection\): singular "
+    with pytest.raises(SolverError, match=r"^fold 1: short sample \(X, T\): singular "
                                           r"system with zero penalty: design column 3 has no mass "
                                           r"\(rank deficient\)$"):
         surrogate_estimate(data, cfg, 3, 5)

@@ -101,6 +101,7 @@ class TestFolds:
         (3.0, 0, "the fold count must be an integer, got 3.0"),
         (3, -1, "seed must be a non-negative integer, got -1"),
         (3, 1.0, "seed must be a non-negative integer, got 1.0"),
+        (1, 0, "need at least two folds"),
     ])
     def test_fold_count_and_seed_must_be_integers(self, dgp2, plan2, q_folds, seed, message):
         with pytest.raises(ValidationError, match=message):
@@ -420,7 +421,8 @@ class TestMonteCarlo:
 class TestStackedReplicates:
     """`mc_experiment` fits a chunk of up to MC_CHUNK_UNITS units of replicates
     in one stage-engine pass; every replicate still gets what dml_estimate
-    gives it alone, and a chunk that fails is rerun one replicate at a time."""
+    gives it alone, and a chunk that fails is split in halves until each
+    failing replicate is fitted alone."""
 
     @staticmethod
     def alone(dgp, plan, cfg, n, q, seed, r, shift=None):
@@ -471,7 +473,9 @@ class TestStackedReplicates:
         plan, cfg = FixedSequence((1,)), tabular_config(dgp)
         seen = spy_chunks(monkeypatch)
         result = mc_experiment(dgp, plan, cfg, 5, 30, 3, seed=12)
-        assert [k for k, _ in seen] == [5, 1, 1, 1, 1, 1]  # the chunk, then each alone
+        # the chunk, then halves until replicate 3 stands alone: [0, 1] and
+        # [2, 3, 4], then [2] and [3, 4], then [3] and [4]
+        assert [k for k, _ in seen] == [5, 2, 3, 1, 2, 1, 1]
         assert [row.failed for row in result.rows] == [0, 0, 0, 1, 0]
         with pytest.raises(PositivityError) as alone:
             self.alone(dgp, plan, cfg, 30, 3, 12, 3)
@@ -479,6 +483,27 @@ class TestStackedReplicates:
             "period 1: the plan targets treatment code 1, which no row has")
         for r in (0, 1, 2, 4):
             assert result.rows[r].theta_hat == self.alone(dgp, plan, cfg, 30, 3, 12, r).theta_hat
+
+    def test_a_failing_chunk_is_halved_down_to_its_failures(self, monkeypatch):
+        # P(T = 1) = 0.0015 at n = 2000: 2 of 100 replicates, one chunk, have
+        # no code-1 row. Halving finds them in at most 1 + 2 k ceil(log2 R)
+        # fits (25 here), where refitting each replicate alone took 101.
+        dgp = DiscreteDGP(initial=np.array([0.5, 0.5]),
+                          propensities=(np.array([[0.9985, 0.0015], [0.9985, 0.0015]]),),
+                          transitions=(), outcome_mean=np.array([[0.0, 1.0], [1.0, 2.0]]),
+                          sigma_y=1.0)
+        plan, cfg = FixedSequence((1,)), tabular_config(dgp)
+        seen = spy_chunks(monkeypatch)
+        result = mc_experiment(dgp, plan, cfg, 100, 2000, 3, seed=1)
+        failed = [row.rep for row in result.rows if row.failed]
+        assert seen[0][0] == 100 and len(failed) == 2
+        assert len(seen) <= 1 + 2 * len(failed) * math.ceil(math.log2(100))
+        for r in failed:
+            with pytest.raises(PositivityError) as alone:
+                self.alone(dgp, plan, cfg, 2000, 3, 1, r)
+            assert result.rows[r].message == str(alone.value)
+        threads = mc_experiment(dgp, plan, cfg, 100, 2000, 3, seed=1, jobs=2)
+        assert threads.rows == result.rows
 
     def test_a_singular_replicate_leaves_the_others_estimates(self):
         # A zero penalty: of replicates 0-5 only replicate 3 has an empty cell.
@@ -615,6 +640,42 @@ class TestTypedFoldErrors:
                 SolverError, match="^fold 2: non-finite held-out scores$"):
             dml_estimate(data, plan2, tabular_config(dgp2), 5, 0)
 
+    @pytest.mark.parametrize("plan, periods, message", [
+        (FixedSequence((1,)), 2, "^plan covers 1 periods, data has 2$"),
+        (FixedSequence((1, 1)), 1, "^need one feature map per period$"),
+    ], ids=["plan", "maps"])
+    def test_a_setup_with_another_period_count_is_rejected(self, dgp2, plan, periods, message):
+        cfg = FitConfig(feature_maps=tabular_config(dgp2).feature_maps[:periods])
+        with pytest.raises(ValidationError, match=message):
+            dml_estimate(simulate(dgp2, 200, 1), plan, cfg, 5, 0)
+
+    @pytest.mark.parametrize("ridge, period", [(1e308, 1), ((1e-3, 1e308), 2)],
+                             ids=["scalar", "per-period"])
+    def test_a_ridge_that_swamps_the_gram_is_rejected(self, dgp2, plan2, ridge, period):
+        # Every Gram diagonal entry g (a cell's share, at most 1) has
+        # g + ridge == ridge: the fit would be 0, and theta_hat 0 with a
+        # zero-width interval.
+        cfg = tabular_config(dgp2, ridge=ridge)
+        message = (f"^fold 0: period {period}: ridge penalty 1e\\+308 swamps the Gram "
+                   r"\(every diagonal entry g has g \+ ridge == ridge\)")
+        for clever in (False, True):
+            with pytest.raises(ValidationError, match=message):
+                dml_estimate(simulate(dgp2, 500, 2), plan2, cfg, 5, 0, clever=clever)
+        with pytest.raises(ValidationError, match=message):
+            mc_experiment(dgp2, plan2, cfg, 3, 500, 5, seed=0)
+
+    @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+    def test_each_design_is_checked_once(self, monkeypatch, dgp2, plan2, clever):
+        calls, positive_definite = [], nuisance._positive_definite
+
+        def spy(a):
+            calls.append(a.shape)
+            return positive_definite(a)
+
+        monkeypatch.setattr(nuisance, "_positive_definite", spy)
+        dml_estimate(simulate(dgp2, 500, 2), plan2, tabular_config(dgp2), 5, 0, clever=clever)
+        assert calls == [(5, 2, 2, 2)] * 2  # one stack of 5 sets x 2 codes per period
+
     def test_mc_raises_caller_mistakes(self, dgp2, plan2):
         with pytest.raises(ValidationError, match="cannot split 3 observations into 5 folds"):
             mc_experiment(dgp2, plan2, tabular_config(dgp2), 3, 3, 5, seed=0)
@@ -695,6 +756,17 @@ class TestUnitScores:
         assert reports[0].sigma_hat == pytest.approx(z.std(), rel=1e-14)
         assert reports[1].theta_hat == 2.0 ** 1023 * reports[0].theta_hat
         assert reports[1].sigma_hat == 2.0 ** 1023 * reports[0].sigma_hat
+
+    def test_an_interval_past_the_float_range_is_a_numerical_failure(self, dgp2, plan2):
+        # Each row's score is its own Y, below the largest float, as are
+        # theta_hat and sigma_hat; theta_hat + 1.96 sigma_hat / 2 is not.
+        y = np.array([1.999, 1.999, 1.999, 1.0]) * 2.0 ** 1023
+        data = PanelDataset((np.zeros((4, 1)),) * 2, np.ones((4, 2), dtype=np.int64), y, (2, 2))
+        truth = NuisanceSet(regressions=(ConstantFn(0.0), ConstantFn(0.0)),
+                            representers=(ConstantFn(1.0), ConstantFn(1.0)))
+        with pytest.raises(SolverError, match=r"^theta_hat 1\.57231e\+308 with sigma_hat "
+                                              r"3\.88823e\+307: the held-out scores overflow$"):
+            dml_estimate(data, plan2, tabular_config(dgp2), 2, 0, nuisances=truth)
 
     def test_injected_oracle_with_an_outcome_near_the_float_range(self, dgp2, plan2):
         # With the oracle's nuisances and Y x 2^1000, each score is

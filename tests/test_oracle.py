@@ -4,18 +4,26 @@ import numpy as np
 from numpy.typing import NDArray
 import pytest
 
+from conftest import one_ulp_off, tabular_config
 from dyndml import (
     CombinedFn,
     ConstantFn,
     Contrast,
     DiscreteDGP,
+    DynamicPolicy,
     FixedSequence,
     NuisanceSet,
+    PanelDataset,
     PlanError,
     PositivityError,
+    SolverError,
     ValidationError,
+    dml_estimate,
+    grid_policy,
+    mc_experiment,
     mix_seed,
     moment_batch,
+    moment_scores,
     oracle_nested_regressions,
     oracle_nuisances,
     oracle_riesz,
@@ -27,6 +35,8 @@ from dyndml import (
     simulate,
     tabular_fn,
 )
+from dyndml import inference
+from dyndml.inference import _fold_labels
 
 
 class TestSimulate:
@@ -359,3 +369,128 @@ class TestPopulationMoment:
             representers=(CombinedFn(((0.0, ConstantFn(1.0)),)),),
         )
         assert population_moment(dgp1, plan1, zeroed) == pytest.approx(1.5, abs=1e-13)
+
+
+def empirical_law(data: PanelDataset, dgp: DiscreteDGP) -> DiscreteDGP:
+    """The empirical law of a panel on dgp's grids (states are grid indices):
+    its initial, propensity and transition tables are the panel's
+    frequencies, a uniform row wherever a row has no mass, and its outcome
+    table is the panel's cell means of Y (0 in an empty cell)."""
+    s = [states[:, 0].astype(np.int64) for states in data.states]
+    t, g, k = data.treatments, dgp.state_arities, dgp.treatment_arities
+
+    def rows(key: NDArray, shape: tuple[int, ...]) -> NDArray:
+        counts = np.bincount(key, minlength=int(np.prod(shape))).reshape(shape).astype(float)
+        total = counts.sum(axis=-1, keepdims=True)
+        return np.where(total > 0, counts / np.maximum(total, 1.0), 1.0 / shape[-1])
+
+    cells = [s[i] * k[i] + t[:, i] for i in range(data.num_periods)]
+    last = np.bincount(cells[-1], minlength=g[-1] * k[-1])
+    mu = np.bincount(cells[-1], data.outcome, last.shape[0]) / np.maximum(last, 1)
+    return DiscreteDGP(
+        initial=rows(s[0], (g[0],)),
+        propensities=tuple(rows(cells[i], (g[i], k[i])) for i in range(data.num_periods)),
+        transitions=tuple(rows(cells[i] * g[i + 1] + s[i + 1], (g[i], k[i], g[i + 1]))
+                          for i in range(data.num_periods - 1)),
+        outcome_mean=mu.reshape(g[-1], k[-1]), check_positivity=False)
+
+
+def oracle_cross_fit(data: PanelDataset, dgp: DiscreteDGP, plan, q_folds: int, seed: int):
+    """theta, sigma and per fold (score mean, correction means) of the scores
+    `moment_scores` gives each held-out fold under `oracle_nuisances` of its
+    complement's empirical law, the folds those `dml_estimate` draws."""
+    fold = _fold_labels(data.n_units, q_folds, seed)
+    scores, per_fold = np.empty(data.n_units), []
+    for q in range(q_folds):
+        law = empirical_law(data.subset(np.flatnonzero(fold != q)), dgp)
+        values, _, corrections = moment_scores(data.subset(np.flatnonzero(fold == q)), plan,
+                                               oracle_nuisances(law, plan))
+        scores[fold == q] = values
+        per_fold.append((values.mean(), corrections.mean(axis=1)))
+    return scores.mean(), scores.std(), per_fold
+
+
+def assert_matches_oracle(report, oracle) -> None:
+    theta, sigma, per_fold = oracle
+
+    def close(got, want):
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-10 * (1.0 + np.abs(want)))
+
+    close(report.theta_hat, theta)
+    close(report.sigma_hat, sigma)
+    for got, (mean, corrections) in zip(report.per_fold, per_fold, strict=True):
+        close(got["score_mean"], mean)
+        close(got["correction_means"], corrections)
+
+
+def random_plan(rng: np.random.Generator, dgp: DiscreteDGP, kind: str):
+    m = dgp.num_periods
+    if kind == "fixed":
+        return FixedSequence(tuple(int(c) for c in rng.integers(0, 2, m)))
+    if kind == "policy":
+        return DynamicPolicy(tuple(grid_policy(rng.integers(0, 2, g).tolist())
+                                   for g in dgp.state_arities))
+    return Contrast.of_sequences([1.0, -1.0], [(1,) * m, (0,) * m])
+
+
+CASES = [(m, kind) for m in (1, 2, 3) for kind in ("fixed", "policy")] + [
+    (2, "contrast"), (3, "contrast")]
+
+
+class TestFiniteSampleOracle:
+    """At ridge 0, no clip and saturated tabular maps, each training set's
+    fitted nuisances are the enumeration oracles' on its empirical law, so the
+    engine's estimate is the oracle's scores of each held-out fold: an
+    arbiter of the engine (units, block sums, stacking) that shares none of
+    its fitting code."""
+
+    @staticmethod
+    def case(m: int, kind: str, seed: int):
+        rng = np.random.Generator(np.random.PCG64(700 + 10 * m + len(kind)))
+        dgp = random_dgp(rng, m, sigma_y=1.0)
+        return dgp, random_plan(rng, dgp, kind), simulate(dgp, 3000, seed)
+
+    @pytest.mark.parametrize("m, kind", CASES)
+    @pytest.mark.parametrize("path", ["distinct", "per-row", "clever"])
+    def test_cross_fit_is_the_oracle_of_each_training_sets_empirical_law(self, m, kind, path):
+        dgp, plan, data = self.case(m, kind, 31)
+        panel = one_ulp_off(data) if path == "per-row" else data
+        report = dml_estimate(panel, plan, tabular_config(dgp, ridge=0.0), 3, 8,
+                              clever=path == "clever")
+        assert_matches_oracle(report, oracle_cross_fit(data, dgp, plan, 3, 8))
+
+    @pytest.mark.parametrize("m, kind", [(2, "policy"), (3, "contrast")])
+    def test_stacked_replicates_each_match_their_own_oracle(self, monkeypatch, m, kind):
+        dgp, plan, _ = self.case(m, kind, 0)
+        chunks, cross_fit = [], inference.cross_fit
+
+        def spy(units, *args, **kwargs):
+            chunks.append(len(units.scale))
+            return cross_fit(units, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "cross_fit", spy)
+        result = mc_experiment(dgp, plan, tabular_config(dgp, ridge=0.0), 4, 3000, 3, seed=6)
+        assert chunks == [4]
+        for row in result.rows:
+            seed = mix_seed(6, row.rep)  # the replicate's panel, then its folds
+            theta, sigma, _ = oracle_cross_fit(simulate(dgp, 3000, seed), dgp, plan, 3,
+                                               mix_seed(seed, 1))
+            assert abs(row.theta_hat - theta) <= 1e-10 * (1.0 + abs(theta))
+            assert abs(row.sigma_hat - sigma) <= 1e-10 * sigma
+
+    def test_a_targeted_cell_empty_in_a_training_set_is_refused_by_both(self):
+        # Every row of the targeted cell (state 0, code 1) lies in fold 0, so
+        # fold 0's complement has no mass there: the engine's Gram is singular
+        # and the oracle's representer does not exist.
+        dgp, plan, data = self.case(1, "fixed", 31)
+        plan = FixedSequence((1,))
+        fold = _fold_labels(data.n_units, 3, 8)
+        codes = data.treatments.copy()
+        codes[(data.states[0][:, 0] == 0.0) & (codes[:, 0] == 1) & (fold != 0), 0] = 0
+        data = PanelDataset(data.states, codes, data.outcome, data.treatment_arities)
+        with pytest.raises(SolverError, match="^fold 0: period 1: singular system with zero "
+                                              "penalty: design column 1 has no mass"):
+            dml_estimate(data, plan, tabular_config(dgp, ridge=0.0), 3, 8)
+        with pytest.raises(PositivityError, match="^positivity violation at period 1, state 0: "
+                                                  "targeted treatment 1 has zero probability$"):
+            oracle_cross_fit(data, dgp, plan, 3, 8)

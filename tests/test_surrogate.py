@@ -55,6 +55,19 @@ class TestSurrogatePair:
             )
 
 
+    @pytest.mark.parametrize("field, shape, message", [
+        ("long_x", (10, 2), "^control dimensions differ across samples$"),
+        ("long_s", (10, 2), "^surrogate dimensions differ across samples$"),
+        ("long_y", (10, 1), "^long outcome must be one value per record$"),
+    ])
+    def test_shape_mismatches_are_rejected(self, tsd, field, shape, message):
+        data = tsd.simulate(10, 10, 0)
+        arrays = {f: getattr(data, f) for f in
+                  ("short_x", "short_t", "short_s", "long_x", "long_s", "long_y")}
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(ValidationError, match=message):
+            SurrogatePair(**arrays)
+
     @pytest.mark.parametrize(
         "field, row, col, named",
         [("short_x", 3, 0, "short sample x_1"), ("short_s", 0, 0, "short sample s_1"),
@@ -246,6 +259,15 @@ class TestSurrogateEstimate:
         cfg = FitConfig(feature_maps=tsd.feature_maps()[:1])
         with pytest.raises(ValidationError, match="^surrogate fits need two feature maps"):
             surrogate_estimate(data, cfg, 3, 0)
+
+    def test_a_treatment_map_of_another_arity_is_rejected(self, tsd):
+        phi_tx, phi_sx = tsd.feature_maps()
+        cfg = FitConfig(feature_maps=(TabularFeatures(phi_tx.grid, 3), phi_sx))
+        for fit in (lambda: surrogate_estimate(tsd.simulate(100, 100, 5), cfg, 3, 0),
+                    lambda: surrogate_fit(tsd.simulate(100, 100, 5), cfg)):
+            with pytest.raises(ValidationError,
+                               match=r"^the \(T, X\) feature map must have treatment arity 2$"):
+                fit()
 
     def test_off_grid_surrogate_state_names_its_sample(self, tsd):
         data = tsd.simulate(100, 100, 5)
