@@ -204,7 +204,7 @@ class FixedSequence:
 
     def period_terms(self, period: int) -> tuple[EvalTerm, ...]:
         _check_period(period, self.num_periods)
-        return (_prefix_term(1.0, (), self.treatments[period - 1]),)
+        return (_code_term(1.0, self.treatments[period - 1]),)
 
 
 Policy = Callable[[NDArray], NDArray]
@@ -357,10 +357,7 @@ class Contrast:
                         "contrast structure mixes resolved and unresolved plans on one "
                         "edge; encode treatment history into the states instead"
                     )
-                if t == 0:
-                    period_terms.append(_prefix_term(gamma, (), code))
-                else:
-                    period_terms.append(_prefix_term(gamma, (prev,), code, lookback=t - 1))
+                period_terms.append(_code_term(gamma, code, None if t == 0 else (t - 1, prev)))
             all_terms.append(tuple(period_terms))
         if not all(applied):
             raise PlanError(
@@ -371,18 +368,15 @@ class Contrast:
         return Contrast(terms=tuple(all_terms), component_plans=comps)
 
 
-def _prefix_term(
-    scale: float, prefix_codes: tuple[int, ...], code: int, lookback: int = 0
-) -> EvalTerm:
-    """Term with weight scale * 1{T_{lookback+1}..T_{lookback+len} == prefix_codes}
-    and a constant target; `lookback` is the 0-based index of the first
-    treatment the indicator inspects."""
+def _code_term(scale: float, code: int, after: tuple[int, int] | None = None) -> EvalTerm:
+    """Term with the constant target `code` and weight `scale`, times
+    1{T_{p+1} == c} when `after` = (p, c) conditions on the 0-based period p's
+    code (a negative scale gives -0.0 on the rows it excludes)."""
 
-    def weight_batch(d: PanelDataset, pre=prefix_codes, s=scale, off=lookback) -> NDArray:
-        ok = np.ones(d.n_units, dtype=bool)
-        for k, c in enumerate(pre):
-            ok &= d.treatments[:, off + k] == c
-        return s * ok.astype(float)
+    def weight_batch(d: PanelDataset) -> NDArray:
+        ok = (np.ones(d.n_units, dtype=bool) if after is None
+              else d.treatments[:, after[0]] == after[1])
+        return scale * ok.astype(float)
 
     return EvalTerm(weight_batch=weight_batch,
                     target_batch=lambda d: np.full(d.n_units, code, dtype=np.int64))

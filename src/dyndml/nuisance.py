@@ -320,25 +320,37 @@ class _Design:
         out[..., self.flat] = v
         return out.reshape(v.shape[:-1] + (self.phi.arity, -1))
 
+    def where(self, s: int) -> str:
+        """The design's name, after set s's fold when the sets are folds."""
+        return (f"fold {s % self.sets.q}: " if self.sets.folded else "") + self.name
+
     def systems(self) -> NDArray:
         """Every set's penalized Gram blocks G_s + lam_s I (S, K, q, q), lam_s
         resolved from G_s by cfg.stage_ridge: formed and checked once, as
         `_Stages` is built. The first failing set (then code), named by its fold
-        and the design, raises a ValidationError if lam_s swamps the Gram (every
-        diagonal entry g has g + lam_s == lam_s: the fit would be 0), else a
-        SolverError under a zero penalty for its first column with no mass, else
-        for failing the Cholesky check (one call checks every block)."""
+        and the design, raises a ValidationError if its Gram or lam_s is not
+        finite (the state basis's sums overflow), else if lam_s swamps the Gram
+        (every diagonal entry g has g + lam_s == lam_s: the fit would be 0), else
+        a SolverError under a zero penalty for its first column with no mass,
+        else for failing the Cholesky check (one call checks every block)."""
         if self._systems is None:
-            grams, sizes = self.sets.grams(self.basis, self.codes, self.phi.arity), self.sets.sizes
-            lam = np.broadcast_to(self.cfg.stage_ridge(self.period, grams, sizes), sizes.shape)
-            diag = np.diagonal(grams, axis1=-2, axis2=-1)
-            top = diag.max(axis=(1, 2))
-            swamped = (top > 0.0) & (top + lam == lam)  # then so is every smaller entry
-            empty = (lam[:, None, None] == 0.0) & (diag <= 0.0)
-            a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
-            if swamped.any() or empty.any() or not _positive_definite(a):
+            sizes = self.sets.sizes
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                grams = self.sets.grams(self.basis, self.codes, self.phi.arity)
+                lam = np.broadcast_to(self.cfg.stage_ridge(self.period, grams, sizes), sizes.shape)
+                diag = np.diagonal(grams, axis1=-2, axis2=-1)
+                top = diag.max(axis=(1, 2))
+                swamped = (top > 0.0) & (top + lam == lam)  # then so is every smaller entry
+                empty = (lam[:, None, None] == 0.0) & (diag <= 0.0)
+                a = grams + lam[:, None, None, None] * np.eye(grams.shape[-1])
+            overflow = ~np.isfinite(a).all(axis=(1, 2, 3))
+            if overflow.any() or swamped.any() or empty.any() or not _positive_definite(a):
                 for s, k in np.ndindex(a.shape[:2]):
-                    where = (f"fold {s % self.sets.q}: " if self.sets.folded else "") + self.name
+                    where = self.where(s)
+                    if overflow[s]:
+                        raise ValidationError(
+                            f"{where}: the state basis's Gram overflows the float range, so "
+                            "the fit is undefined; rescale the states")
                     if swamped[s]:
                         raise ValidationError(
                             f"{where}: ridge penalty {lam[s]:g} swamps the Gram (every diagonal "
@@ -367,6 +379,11 @@ class _Design:
         give c'(u - X beta) = 0 there. Returns (beta, gamma), gamma 0 without a
         border."""
         a = self.systems()
+        finite = np.isfinite(rhs).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(
+                f"{self.where(int(np.argmin(finite)))}: the plan's weights overflow the "
+                "fit's right-hand side past the float range; rescale them")
         if border is None:
             return np.linalg.solve(a, rhs[..., None])[..., 0], np.zeros(len(rhs))
         b, d, e = border
@@ -414,10 +431,10 @@ class _Stages:
         coefs = self.riesz()[0]
         representers = [d.fn(c[0], self.cfg.clip) for d, c in zip(self.designs, coefs)]
         fitted, gammas = self.regressions(coefs if clever else None)[:2]
-        scale = self.scales[0]  # the fits are linear in the scaled outcome
-        fns = [d.fn(c[0] / scale) for d, c in zip(self.designs, fitted)]
+        scale = int(self.scales[0])  # the fits are linear in the scaled outcome
+        fns = [d.fn(np.ldexp(c[0], -scale)) for d, c in zip(self.designs, fitted)]
         if clever:
-            fns = [CombinedFn(((1.0, f), (float(g[0] / scale), a)))
+            fns = [CombinedFn(((1.0, f), (float(np.ldexp(g[0], -scale)), a)))
                    for f, g, a in zip(fns, gammas, representers)]
         return fns, representers
 
@@ -442,9 +459,11 @@ class _Stages:
                                                sets.fold[a:b], spread[a:b], scale)
                             for a, b, scale in zip(sets.spans[:-1], sets.spans[1:],
                                                    self.scales.tolist())])
-        means = train_means.reshape(len(self.scales), -1, len(held)) / self.scales[:, None, None]
+        means = np.ldexp(train_means.reshape(len(self.scales), -1, len(held)),
+                         -self.scales[:, None, None])
         return list(zip(zip(*samples), means))
 
+    @np.errstate(over="ignore", invalid="ignore")  # the weights enter here; `solve` refuses inf
     def riesz(self) -> tuple[list[NDArray], list[NDArray]]:
         """The forward pass of `fit_recursive_riesz` for every training set: per
         period the (S, K, q) coefficients, and held[t-1], each unit's
@@ -657,8 +676,8 @@ class _Units(NamedTuple):
     and grid rows (None unless tabular); then the mean outcome, its rows'
     spread about it (root of sum (Y_i - mean)^2), both times `scale`, the unit
     count per fold, the weights (None when the units are the rows) and
-    `scale`, the power of two the outcome was scaled by, (1,) (one per
-    replicate once stacked)."""
+    `scale`, the exponent of the power of two the outcome was scaled by, (1,)
+    integers (one per replicate once stacked)."""
 
     states: list[NDArray]
     codes: list[NDArray]
@@ -683,31 +702,35 @@ class _Units(NamedTuple):
 
 
 class _UnitScores(NamedTuple):
-    """A sample's held-out scores on its units, times `scale`: unit u stands
+    """A sample's held-out scores on its units, times 2^scale: unit u stands
     for weights[u] rows of fold fold[u] whose scores have mean values[u]
     (corrections[:, u] per period) and root sum of squared deviations
     spread[u] about it. Made by `scaled`, whose power-of-two scale puts every
-    entry below 1 in magnitude; the means and sd are divided by it last."""
+    entry below 1 in magnitude; the means and sd are divided by it last. The
+    scale is carried as its exponent, an int, so that no scale overflows: a
+    subnormal outcome is scaled up past 2^1023."""
 
     values: NDArray
     corrections: NDArray
     weights: NDArray
     fold: NDArray
     spread: NDArray
-    scale: float
+    scale: int
 
     @classmethod
     def scaled(cls, values: NDArray, corrections: NDArray, weights: NDArray, fold: NDArray,
-               spread: NDArray, scale: float = 1.0) -> "_UnitScores":
-        """The scores (times `scale`, the outcome's, `_units`) times `_scale` of
-        them all, folded into `scale`: exact, once per sample."""
+               spread: NDArray, scale: int = 0) -> "_UnitScores":
+        """The scores (times 2^scale, the outcome's, `_units`) times 2^`_scale`
+        of them all, folded into `scale`: exact, once per sample."""
         s = _scale(values, corrections, spread)
-        return cls(values * s, corrections * s, weights, fold, spread * s, scale * s)
+        return cls(np.ldexp(values, s), np.ldexp(corrections, s), weights, fold,
+                   np.ldexp(spread, s), scale + s)
 
     def fold_means(self, sizes: Sequence[int]) -> NDArray:
         """(1 + M, Q): per fold, the mean score and corrections over its sizes[q] rows."""
-        return np.array([np.bincount(self.fold, self.weights * v, len(sizes))
-                         for v in (self.values, *self.corrections)]) / sizes / self.scale
+        sums = np.array([np.bincount(self.fold, self.weights * v, len(sizes))
+                         for v in (self.values, *self.corrections)])
+        return np.ldexp(sums / sizes, -self.scale)
 
     def mean_sd(self) -> tuple[float, float]:
         """The mean and standard deviation of the n = sum w rows' scores:
@@ -716,15 +739,18 @@ class _UnitScores(NamedTuple):
         mean = (self.weights * self.values).sum() / n
         dev = self.values - mean
         var = ((self.weights * dev * dev).sum() + (self.spread * self.spread).sum()) / n
-        return float(mean) / self.scale, math.sqrt(var) / self.scale
+        with np.errstate(over="ignore"):  # past the float range: the report refuses inf
+            return tuple(np.ldexp([float(mean), math.sqrt(var)], -self.scale).tolist())
 
 
-def _scale(*arrays: NDArray) -> float:
-    """The power of two that puts every entry of the arrays below 1 in magnitude
-    (1 if one is not finite). Scaling by it is exact, so sums and squares of
-    the scaled entries overflow only where their result is not representable."""
+def _scale(*arrays: NDArray) -> int:
+    """The exponent e of the power of two 2^e that puts every entry of the arrays
+    below 1 in magnitude (0 if one is not finite); e passes 1023 for subnormal
+    entries, so it is applied with `np.ldexp`, never formed as a float. Scaling
+    is exact, so sums and squares of the scaled entries overflow only where
+    their result is not representable."""
     top = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
-    return math.ldexp(1.0, -int(np.frexp(top)[1])) if math.isfinite(top) else 1.0
+    return -int(np.frexp(top)[1]) if math.isfinite(top) else 0
 
 
 def _units(
@@ -773,11 +799,11 @@ def _units(
         counts = np.bincount(key, minlength=math.prod(shape))
         units = np.flatnonzero(counts)
         held, *digits = np.unravel_index(units, shape)
-        mean = np.bincount(key, outcome * scale, counts.shape[0])
+        mean = np.bincount(key, np.ldexp(outcome, scale), counts.shape[0])
         np.divide(mean, counts, out=mean, where=counts > 0)
-        dev = (mean / scale)[key]  # Y - mean, then scaled: exact, and one n-array
+        dev = np.ldexp(mean, -scale)[key]  # Y - mean, then scaled: exact, and one n-array
         np.subtract(outcome, dev, out=dev)
-        dev *= scale
+        np.ldexp(dev, scale, out=dev)
         spread = np.sqrt(np.bincount(key, np.square(dev, out=dev), counts.shape[0])[units])
         return _Units(
             [phi.grid[c] for (phi, _, _), c in zip(columns, digits[::2])], digits[1::2],
@@ -790,7 +816,7 @@ def _units(
         return None if a is None else np.take(a.T, order, axis=-1).T
 
     y = rows(outcome)
-    y *= scale
+    np.ldexp(y, scale, out=y)
     return _Units([rows(c[1]) for c in columns], [rows(c[2]) for c in columns],
                   list(map(rows, cells)), y, np.zeros(n),
                   np.array([n]) if fold is None else np.bincount(fold, minlength=q_folds),

@@ -13,7 +13,7 @@ expectation `population_moment` is the probability-weighted mean of
 
 from __future__ import annotations
 
-import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -121,12 +121,12 @@ class DiscreteDGP:
             raise ValidationError("outcome table: wrong shape")
         if self.check_positivity:
             for t, (mass, p) in enumerate(zip(self.state_marginals(), self.propensities), start=1):
-                for s in np.flatnonzero(mass > 0):
-                    if p[s].min() <= 0.0:
-                        raise ValidationError(
-                            f"positivity violated: zero propensity on positive-mass state "
-                            f"(period {t}, state {int(s)})"
-                        )
+                bad = np.flatnonzero((mass > 0) & (p.min(axis=1) <= 0.0))
+                if bad.size:
+                    raise ValidationError(
+                        f"positivity violated: zero propensity on positive-mass state "
+                        f"(period {t}, state {int(bad[0])})"
+                    )
 
     @property
     def num_periods(self) -> int:
@@ -134,10 +134,7 @@ class DiscreteDGP:
 
     @property
     def state_arities(self) -> tuple[int, ...]:
-        arities = [self.initial.shape[0]]
-        for q in self.transitions:
-            arities.append(q.shape[-1])
-        return tuple(arities)
+        return (self.initial.shape[0], *(q.shape[-1] for q in self.transitions))
 
     @property
     def treatment_arities(self) -> tuple[int, ...]:
@@ -178,16 +175,10 @@ class PathLaw:
 
 def _enumerate_paths(dgp: DiscreteDGP) -> PathLaw:
     m = dgp.num_periods
-    combos = list(
-        itertools.product(*[range(g * k) for g, k in zip(dgp.state_arities, dgp.treatment_arities)])
-    )
-    n_paths = len(combos)
-    states = np.zeros((n_paths, m), dtype=np.int64)
-    treats = np.zeros((n_paths, m), dtype=np.int64)
-    for t, k_t in enumerate(dgp.treatment_arities):
-        col = np.array([c[t] for c in combos], dtype=np.int64)
-        states[:, t] = col // k_t
-        treats[:, t] = col % k_t
+    # Paths in C order over (G_1, K_1, ..., G_M, K_M): the last period's code varies fastest.
+    shape = tuple(x for pair in zip(dgp.state_arities, dgp.treatment_arities) for x in pair)
+    cells = np.unravel_index(np.arange(math.prod(shape)), shape)
+    states, treats = np.stack(cells[0::2], axis=1), np.stack(cells[1::2], axis=1)
     prob = dgp.initial[states[:, 0]].copy()
     for t in range(m):
         prob *= dgp.propensities[t][states[:, t], treats[:, t]]
@@ -276,9 +267,7 @@ def oracle_nested_regressions(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDA
         num = np.zeros((dgp.state_arities[t - 1], dgp.treatment_arities[t - 1]))
         np.add.at(num, (paths.states[:, t - 1], paths.treatments[:, t - 1]), paths.prob * vals)
         den = paths.cell_mass(t, *num.shape)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tbl = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        tables[t - 1] = tbl
+        tables[t - 1] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return tables
 
 
@@ -342,26 +331,22 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
     targeted = np.zeros((g_s, k_s), dtype=bool)
     np.logical_or.at(targeted, s_col, weights != 0.0)
     den = paths.cell_mass(period, g_s, k_s)
-    table = np.zeros((g_s, k_s))
-    zero_mass: list[tuple[int, int]] = []
-    for s in range(g_s):
-        for k in range(k_s):
-            if den[s, k] > 0:
-                table[s, k] = num[s, k] / den[s, k]
-            elif abs(num[s, k]) > 1e-300:
-                raise PositivityError(
-                    f"positivity violation at period {period}, state {s}: targeted treatment "
-                    f"{k} has zero probability"
-                )
-            elif targeted[s, k]:
-                zero_mass.append((s, k))
+    # Both masks are read in row-major order, so the first blocked cell is the one raised.
+    blocked = np.argwhere(~(den > 0) & (np.abs(num) > 1e-300)).tolist()
+    if blocked:
+        s, k = blocked[0]
+        raise PositivityError(
+            f"positivity violation at period {period}, state {s}: targeted treatment "
+            f"{k} has zero probability"
+        )
+    zero_mass = [tuple(cell) for cell in np.argwhere(~(den > 0) & targeted).tolist()]
     if zero_mass:
         warnings.warn(
             f"period {period}: zero-mass cells {zero_mass} assigned minimum-norm value 0",
             RuntimeWarning,
             stacklevel=2,
         )
-    return table
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def oracle_riesz(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDArray]:

@@ -164,6 +164,45 @@ class TestEstimate:
         assert report["config"]["clip"] == "inf"
         assert 1e159 < report["sigma_hat"] < math.inf
 
+    def test_subnormal_outcomes_estimate_to_strict_json(self, files, capsys):
+        # Y of order 1e-320 is subnormal: the outcome's scale, a power of two
+        # past 2^1023, is carried as an exponent, so the estimate exits 0.
+        data = files["dir"] / "d.csv"
+        main(["simulate", "--dgp", files["dgp2"], "--n", "600", "--seed", "0", "--out", str(data)])
+        panel = read_panel_csv(str(data))
+        write_panel_csv(PanelDataset(panel.states, panel.treatments, panel.outcome * 1e-320,
+                                     panel.treatment_arities), str(data))
+        out = files["dir"] / "report.json"
+        rc, err = _exit_code(["estimate", "--data", str(data), "--plan", files["plan11"],
+                              "--out", str(out)])
+        assert rc == 0, err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert 0.0 < report["sigma_hat"] < 2.0 ** -1022
+        assert report["ci_lower"] < report["theta_hat"] < report["ci_upper"]
+
+    @pytest.mark.parametrize("scale, config, plan, message", [
+        (1.0, "", "kind = contrast\ncoefficients = 1e308 -1e308\nsequence_1 = 1 1\n"
+                  "sequence_2 = 0 0\n",
+         "fold 0: period 1: the plan's weights overflow the fit's right-hand side"),
+        (1e60, "features = polynomial\ndegree = 3\n", PLAN_FIXED_11,
+         "fold 0: period 1: the state basis's Gram overflows the float range"),
+    ], ids=["plan-weights", "state-gram"])
+    def test_an_overflowing_fit_exit_2(self, files, scale, config, plan, message):
+        data, cfg, plan_file = (files["dir"] / name for name in ("d.csv", "c.cfg", "p.cfg"))
+        main(["simulate", "--dgp", files["dgp2"], "--n", "2000", "--seed", "0", "--out", str(data)])
+        panel = read_panel_csv(str(data))
+        write_panel_csv(PanelDataset(tuple(s * scale for s in panel.states), panel.treatments,
+                                     panel.outcome, panel.treatment_arities), str(data))
+        cfg.write_text(config)
+        plan_file.write_text(plan)
+        rc, err = _exit_code(["estimate", "--data", str(data), "--plan", str(plan_file),
+                              "--config", str(cfg), "--out", str(files["dir"] / "r.json")])
+        assert rc == 2 and message in err and "Traceback" not in err
+
     def test_target_outside_the_panels_levels_exit_2(self, files, capsys):
         # The panel's period 2 has codes 0 and 1; the plan targets code 2.
         data, plan = files["dir"] / "d.csv", files["dir"] / "plan12.cfg"

@@ -454,6 +454,29 @@ class TestStackedReplicates:
                 got, expected = getattr(row, key), getattr(want, key)
                 assert abs(got - expected) <= 1e-12 * abs(expected)
 
+    def test_a_chunk_mixes_distinct_history_and_per_row_replicates(self, monkeypatch):
+        # State 1 is 1e-12 off its grid row: a replicate with a state-1 row is
+        # fitted row by row (40 unweighted units), one without on its distinct
+        # histories (at most 3 * 2 weighted units). The chunk stacks both, so
+        # the per-row replicates' units count once (`stack_units`' weights 1).
+        dgp = DiscreteDGP(initial=np.array([0.97, 0.03]),
+                          propensities=(np.array([[0.5, 0.5], [0.5, 0.5]]),), transitions=(),
+                          outcome_mean=np.array([[0.0, 1.0], [1.0, 2.0]]), sigma_y=1.0)
+        plan = FixedSequence((1,))
+        cfg = FitConfig(feature_maps=(TabularFeatures(grid=np.array([0.0, 1.0 + 1e-12]), arity=2),))
+        per_row = [r for r in range(12)
+                   if simulate(dgp, 40, mix_seed(4, r)).states[0].max() == 1.0]
+        assert len(per_row) == 6
+        seen = spy_chunks(monkeypatch)
+        result = mc_experiment(dgp, plan, cfg, 12, 40, 3, seed=4)
+        assert seen == [(12, 6 * 40 + 6 * 3 * 2)] and result.n_failed == 0
+        for r, row in enumerate(result.rows):
+            want = self.alone(dgp, plan, cfg, 40, 3, 4, r)
+            for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+                got, expected = getattr(row, key), getattr(want, key)
+                assert abs(got - expected) <= 1e-12 * abs(expected)
+        assert mc_experiment(dgp, plan, cfg, 12, 40, 3, seed=4, jobs=2).rows == result.rows
+
     def test_tabular_cells_are_checked_against_a_replicates_rows(self):
         # Eight replicates of 3 rows stack to 24 rows, but each replicate has
         # 3 rows for a map of 4 cells.
@@ -665,6 +688,29 @@ class TestTypedFoldErrors:
             mc_experiment(dgp2, plan2, cfg, 3, 500, 5, seed=0)
 
     @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+    def test_plan_weights_that_overflow_the_fit_are_rejected(self, dgp2, clever):
+        # Each weight is finite, but a training set's sum of them is not: the
+        # first right-hand side, B'W over period 1's units, overflows.
+        plan = Contrast.of_sequences([1e308, -1e308], [(1, 1), (0, 0)])
+        with pytest.raises(ValidationError, match=r"^fold 0: period 1: the plan's weights "
+                                                  r"overflow the fit's right-hand side past the "
+                                                  r"float range; rescale them$"):
+            dml_estimate(simulate(dgp2, 2000, 0), plan, tabular_config(dgp2), 5, 0,
+                         clever=clever)
+
+    def test_states_whose_gram_overflows_are_rejected(self, dgp2, plan2):
+        # Cubic features of states near 1e60 are finite; their squares in the
+        # Gram are not, so no ridge can be resolved from it.
+        data = simulate(dgp2, 2000, 0)
+        big = PanelDataset(tuple(s * 1e60 for s in data.states), data.treatments, data.outcome,
+                           data.treatment_arities)
+        cfg = FitConfig(feature_maps=(PolynomialFeatures(1, 3, 2),) * 2)
+        with pytest.raises(ValidationError, match=r"^fold 0: period 1: the state basis's Gram "
+                                                  r"overflows the float range, so the fit is "
+                                                  r"undefined; rescale the states$"):
+            dml_estimate(big, plan2, cfg, 5, 0)
+
+    @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
     def test_each_design_is_checked_once(self, monkeypatch, dgp2, plan2, clever):
         calls, positive_definite = [], nuisance._positive_definite
 
@@ -740,6 +786,48 @@ class TestUnitScores:
         for got, want in zip(big.per_fold, base.per_fold):
             for key in ("score_mean", "correction_means", "clever_correction_means"):
                 assert np.array_equal(got.get(key, 0.0), factor * np.array(want.get(key, 0.0)))
+
+    @pytest.mark.parametrize("k", [1027, 1060], ids=["2^-1027", "2^-1060"])
+    @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+    @pytest.mark.parametrize("shift", [False, True], ids=["distinct", "per-row"])
+    def test_subnormal_outcomes_scale_exactly(self, dgp2, plan2, shift, clever, k):
+        # Below 2^-1024 the outcome's scale, a power of two past 2^1023, is not
+        # a float; it is carried as an exponent. The scaled outcomes are those
+        # of y x 2^k, so the estimate is that one's times 2^-k, rounded once,
+        # and the interval is formed from it in subnormal arithmetic.
+        data = simulate(dgp2, 600, 0)
+        states = tuple(np.nextafter(s, np.inf) for s in data.states) if shift else data.states
+        y = np.ldexp(data.outcome, -k)
+
+        def estimate(outcome):
+            panel = PanelDataset(states, data.treatments, outcome, data.treatment_arities)
+            return dml_estimate(panel, plan2, tabular_config(dgp2), 5, 0, clever=clever)
+
+        tiny, base = estimate(y), estimate(np.ldexp(y, k))
+        assert 0.0 < abs(tiny.theta_hat) < 2.0 ** -1022 and tiny.sigma_hat > 0.0
+        assert tiny.theta_hat == np.ldexp(base.theta_hat, -k)
+        assert tiny.sigma_hat == np.ldexp(base.sigma_hat, -k)
+        for key in ("ci_lower", "ci_upper"):
+            assert abs(getattr(tiny, key) - np.ldexp(getattr(base, key), -k)) <= 4 * 2.0 ** -1074
+        for got, want in zip(tiny.per_fold, base.per_fold):
+            assert got["score_mean"] == np.ldexp(want["score_mean"], -k)
+
+    def test_injected_nuisances_with_a_subnormal_outcome(self, dgp2, plan2):
+        # Injected nuisances make each row's score its own Y, subnormal here:
+        # the scores' scale passes 2^1023 and is carried as an exponent.
+        data = simulate(dgp2, 600, 0)
+        truth = NuisanceSet(regressions=(ConstantFn(0.0), ConstantFn(0.0)),
+                            representers=(ConstantFn(1.0), ConstantFn(1.0)))
+        y = np.ldexp(data.outcome, -1060)
+
+        def estimate(outcome):
+            panel = PanelDataset(data.states, data.treatments, outcome, data.treatment_arities)
+            return dml_estimate(panel, plan2, tabular_config(dgp2), 5, 1, nuisances=truth)
+
+        tiny, base = estimate(y), estimate(np.ldexp(y, 1060))
+        assert 0.0 < tiny.sigma_hat < 2.0 ** -1022
+        assert tiny.theta_hat == np.ldexp(base.theta_hat, -1060)
+        assert tiny.sigma_hat == np.ldexp(base.sigma_hat, -1060)
 
     def test_sigma_of_scores_near_the_float_range(self, dgp2, plan2):
         # Injected nuisances make each row's score its own Y, close to the

@@ -212,6 +212,25 @@ class TestSurrogateEstimate:
         assert big.theta_hat == pytest.approx(factor * base.theta_hat, rel=1e-14, abs=0)
         assert big.sigma_hat == pytest.approx(factor * base.sigma_hat, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("shift", [False, True], ids=["distinct", "per-row"])
+    def test_estimate_with_a_subnormal_long_outcome(self, tsd, shift):
+        # y x 2^-1060 is subnormal: its scale passes 2^1023 and is carried as
+        # an exponent, so each sample's mean and sd are those of y x 2^-1060 x
+        # 2^1060 times 2^-1060; their sum and hypot round in subnormal steps.
+        data = tsd.simulate(600, 500, 3)
+        up = (lambda a: np.nextafter(a, np.inf)) if shift else (lambda a: a)
+        y = np.ldexp(data.long_y, -1060)
+
+        def estimate(long_y):
+            pair = SurrogatePair(up(data.short_x), data.short_t, up(data.short_s),
+                                 up(data.long_x), up(data.long_s), long_y)
+            return surrogate_estimate(pair, fit_cfg(tsd), 3, 5)
+
+        tiny, base = estimate(y), estimate(np.ldexp(y, 1060))
+        assert 0.0 < tiny.sigma_hat < 2.0 ** -1022
+        for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+            assert abs(getattr(tiny, key) - np.ldexp(getattr(base, key), -1060)) <= 4 * 2.0 ** -1074
+
     def test_one_arm_short_sample_is_a_positivity_error(self, tsd):
         # The contrast targets both arms; with no treated record a1 does not exist.
         data = tsd.simulate(400, 400, 19)
