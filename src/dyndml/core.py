@@ -312,60 +312,48 @@ class Contrast:
         split again later are not expressible this way (branch identity is
         not recoverable from (S_t, T_t)) and are rejected; encode treatment
         history into the states to estimate such contrasts.
+
+        Hence any two (merged) sequences j, k differ on one run of 0-based
+        periods [a_jk, b_jk], and j's edge at t is its alone exactly when t
+        lies in [a_jk, b_jk + 1] for every k. These intervals meet pairwise
+        (two that miss would make k and l differ, agree, then differ again),
+        so j's coefficient goes on its edge at t_j = max_k a_jk (0 when j
+        stands alone), the first period it holds alone; every other edge
+        weighs 1.
         """
         if len(coefficients) != len(sequences) or not sequences:
             raise PlanError("need one coefficient per sequence")
         m = len(sequences[0])
         if any(len(s) != m for s in sequences):
             raise PlanError("all sequences must share the period count")
+        if m == 0:
+            raise PlanError("contrast needs at least one period")
         merged: dict[tuple[int, ...], float] = {}
         for c, s in zip(coefficients, sequences):
             key = tuple(int(v) for v in s)
             merged[key] = merged.get(key, 0.0) + float(c)
         seqs = list(merged)
-        coefs = [merged[s] for s in seqs]
-        n_plans = len(seqs)
+        alone = [0] * len(seqs)  # t_j, the first period at which j holds its edge alone
+        for (j, u), (k, v) in itertools.combinations(enumerate(seqs), 2):
+            diff = [t for t in range(m) if u[t] != v[t]]
+            if any(u[t] == v[t] for t in range(diff[0], diff[-1] + 1)):
+                raise PlanError(
+                    f"sequences {u} and {v} merge to a shared treatment "
+                    "and split again; such contrasts need history-augmented states"
+                )
+            alone[j], alone[k] = max(alone[j], diff[0]), max(alone[k], diff[0])
 
-        for j in range(n_plans):
-            for k in range(j + 1, n_plans):
-                diff = [t for t in range(m) if seqs[j][t] != seqs[k][t]]
-                if diff and any(
-                    seqs[j][t] == seqs[k][t] for t in range(diff[0], diff[-1] + 1)
-                ):
-                    raise PlanError(
-                        f"sequences {seqs[j]} and {seqs[k]} merge to a shared treatment "
-                        "and split again; such contrasts need history-augmented states"
-                    )
+        def edge(s: tuple[int, ...], t: int) -> tuple[int, int]:
+            return (s[t - 1] if t else -1, s[t])
 
-        applied = [False] * n_plans
-        all_terms: list[tuple[EvalTerm, ...]] = []
-        for t in range(m):
-            edges: dict[tuple[int, int], list[int]] = {}
-            for j, s in enumerate(seqs):
-                prev = -1 if t == 0 else s[t - 1]
-                edges.setdefault((prev, s[t]), []).append(j)
-            period_terms: list[EvalTerm] = []
-            for (prev, code), members in sorted(edges.items()):
-                unapplied = [j for j in members if not applied[j]]
-                if len(members) == 1 and len(unapplied) == 1:
-                    gamma = coefs[members[0]]
-                    applied[members[0]] = True
-                elif len(unapplied) in (0, len(members)):
-                    gamma = 1.0
-                else:
-                    raise PlanError(
-                        "contrast structure mixes resolved and unresolved plans on one "
-                        "edge; encode treatment history into the states instead"
-                    )
-                period_terms.append(_code_term(gamma, code, None if t == 0 else (t - 1, prev)))
-            all_terms.append(tuple(period_terms))
-        if not all(applied):
-            raise PlanError(
-                "some sequences never separate from the rest; their coefficients cannot "
-                "be placed (encode treatment history into the states instead)"
-            )
-        comps = tuple((c, FixedSequence(s)) for c, s in zip(coefs, seqs))
-        return Contrast(terms=tuple(all_terms), component_plans=comps)
+        placed = {(t, edge(s, t)): merged[s] for s, t in zip(seqs, alone)}
+        terms = tuple(
+            tuple(_code_term(placed.get((t, (prev, code)), 1.0), code,
+                             (t - 1, prev) if t else None)
+                  for prev, code in sorted({edge(s, t) for s in seqs}))
+            for t in range(m))
+        comps = tuple((c, FixedSequence(s)) for s, c in merged.items())
+        return Contrast(terms=terms, component_plans=comps)
 
 
 def _code_term(scale: float, code: int, after: tuple[int, int] | None = None) -> EvalTerm:
@@ -754,11 +742,20 @@ def _code_weights(
 def moment_batch(plan: TreatmentPlan, period: int, data: PanelDataset, g: Fn) -> NDArray:
     """Vectorized m_period(Z_i; g) = sum_c W_c(Z_i) g(S_period, c) over the codes
     c that carry weight, W from `_code_weights`; linear in g. Targets must lie
-    below g's arity, or the data's when g has none."""
+    below g's arity, or the data's when g has none. A row whose sum leaves the
+    float range though g is finite on it is a ValidationError naming the
+    period; a non-finite value of g itself passes through."""
     weights = _code_weights(plan, period, data, getattr(g, "arity", None))
     s, out = data.states[period - 1], np.zeros(data.n_units)
+    finite = np.ones(data.n_units, dtype=bool)
     for c in np.flatnonzero(weights.any(axis=0)):
-        out += weights[:, c] * g.batch(s, np.full(data.n_units, c))
+        values = g.batch(s, np.full(data.n_units, c))
+        finite &= np.isfinite(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            out += weights[:, c] * values
+    if not np.isfinite(out[finite]).all():
+        raise ValidationError(f"period {period}: the plan's weights overflow the moment "
+                              "past the float range; rescale them")
     return out
 
 

@@ -269,8 +269,9 @@ class _Design:
         self.phi, self.sets, self.cfg, self.period, self.name = phi, sets, cfg, period, name
         self.codes = units.codes[column].astype(np.min_scalar_type(phi.arity - 1))
         cells = units.cells[column]
-        self.basis = np.asfortranarray(phi.basis(units.states[column]) if cells is None
-                                       else _one_hot(cells, phi.grid.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # `systems` refuses its Gram
+            self.basis = np.asfortranarray(phi.basis(units.states[column]) if cells is None
+                                           else _one_hot(cells, phi.grid.shape[0]))
         self.flat = np.multiply(self.codes, self.codes.shape[0], dtype=np.intp)
         self.flat += np.arange(self.codes.shape[0])
         self.layout = _code_blocks(phi, np.arange(phi.dim))

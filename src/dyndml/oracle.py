@@ -319,18 +319,22 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
     Solves the finite linear system over indicator functions: for each cell,
     a_t(s, k) P(S_t=s, T_t=k) = E[prev(S_{t-1}, T_{t-1}) * m_t(Z; 1_{(s,k)})].
     Raises when a targeted cell has zero mass but nonzero numerator; cells
-    with zero mass and zero numerator get the minimum-norm value 0.
+    with zero mass and zero numerator get the minimum-norm value 0. A table
+    that leaves the float range though prev is finite is a ValidationError
+    naming the period.
     """
     _check_plan(dgp, plan)
     paths = dgp.paths()
     g_s, k_s = dgp.state_arities[period - 1], dgp.treatment_arities[period - 1]
     weights = _code_weights(plan, period, paths.data, k_s)
     s_col = paths.states[:, period - 1]
-    num = np.zeros((g_s, k_s))
-    np.add.at(num, s_col, (paths.prob * _prev_values(paths.data, period, prev))[:, None] * weights)
+    prev_values = _prev_values(paths.data, period, prev)
+    num, den = np.zeros((g_s, k_s)), paths.cell_mass(period, g_s, k_s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        np.add.at(num, s_col, (paths.prob * prev_values)[:, None] * weights)
+        table = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     targeted = np.zeros((g_s, k_s), dtype=bool)
     np.logical_or.at(targeted, s_col, weights != 0.0)
-    den = paths.cell_mass(period, g_s, k_s)
     # Both masks are read in row-major order, so the first blocked cell is the one raised.
     blocked = np.argwhere(~(den > 0) & (np.abs(num) > 1e-300)).tolist()
     if blocked:
@@ -346,7 +350,10 @@ def riesz_step(dgp: DiscreteDGP, plan: TreatmentPlan, period: int, prev: Fn) -> 
             RuntimeWarning,
             stacklevel=2,
         )
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    if np.isfinite(prev_values).all() and not np.isfinite(table).all():
+        raise ValidationError(f"period {period}: the plan's weights overflow the representer "
+                              "past the float range; rescale them")
+    return table
 
 
 def oracle_riesz(dgp: DiscreteDGP, plan: TreatmentPlan) -> list[NDArray]:

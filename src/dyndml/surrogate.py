@@ -230,8 +230,9 @@ def _split_columns(path: str, header: list[str], other: str) -> tuple[list[str],
 def read_surrogate_csvs(short_path: str, long_path: str) -> SurrogatePair:
     short_header, short_cells, ns = _read_csv(short_path)
     long_header, long_cells, nl = _read_csv(long_path)
-    if not ns or not nl:
-        raise ValidationError("surrogate samples must be nonempty")
+    for path, n in ((short_path, ns), (long_path, nl)):
+        if not n:
+            raise ValidationError(f"{path}: no data rows")
     xs, ss = _split_columns(short_path, short_header, "t")
     xl, sl = _split_columns(long_path, long_header, "y")
     short = _columns(short_path, short_header, short_cells, ns)

@@ -190,7 +190,9 @@ class TestEstimate:
          "fold 0: period 1: the plan's weights overflow the fit's right-hand side"),
         (1e60, "features = polynomial\ndegree = 3\n", PLAN_FIXED_11,
          "fold 0: period 1: the state basis's Gram overflows the float range"),
-    ], ids=["plan-weights", "state-gram"])
+        (1e110, "features = polynomial\ndegree = 3\n", PLAN_FIXED_11,
+         "fold 0: period 1: the state basis's Gram overflows the float range"),
+    ], ids=["plan-weights", "state-gram", "state-basis"])
     def test_an_overflowing_fit_exit_2(self, files, scale, config, plan, message):
         data, cfg, plan_file = (files["dir"] / name for name in ("d.csv", "c.cfg", "p.cfg"))
         main(["simulate", "--dgp", files["dgp2"], "--n", "2000", "--seed", "0", "--out", str(data)])
@@ -752,6 +754,9 @@ class TestCsvSchemaErrors:
              "line 2, column 't1': '123456789012345678901234567890' is outside the int64 range"),
             ("s1_1,t1,y\n" + "0,0,1.0\n" * 39 + "1,9223372036854775807,2.0\n",
              "column t1: treatment code 9223372036854775807 implies"),
+            ("s1_1,s2_1,t2,y\n0,1,1,2\n", "missing column t1"),
+            ("s1_1,t1,t2,y\n0,1,1,2\n", "missing columns s2_*"),
+            ("s1_1,t1,y\n", "no data rows"),
         ],
     )
     def test_panel_schema_errors_exit_2(self, files, capsys, text, message):
@@ -779,6 +784,8 @@ class TestCsvSchemaErrors:
              "line 2, column 't': '99999999999999999999' is outside the int64 range"),
             ("x_1,s_1\n0,2\n", "x_1,s_1,y\n0,1,2\n", "short", "missing column t"),
             ("x_1,t,s_1\n0,1,2\n", "x_1,s_1\n0,1\n", "long", "missing column y"),
+            ("x_1,t,s_1\n", "x_1,s_1,y\n0,1,2\n", "short", "no data rows"),
+            ("x_1,t,s_1\n0,1,2\n", "x_1,s_1,y\n", "long", "no data rows"),
         ],
     )
     def test_surrogate_schema_errors_exit_2(self, files, capsys, short_text, long_text, bad, message):
@@ -883,6 +890,7 @@ class TestSettings:
             ({"DYNDML_Q": "abc"}, [], "environment DYNDML_Q: 'abc' is not an integer"),
             ({"DYNDML_JOBS": "abc"}, [], "environment DYNDML_JOBS: 'abc' is not an integer"),
             ({}, ["--jobs", "0"], "jobs must be >= 1"),
+            ({}, ["--reps", "0"], "need at least one replicate"),
         ],
     )
     def test_malformed_jobs_or_environment_exit_2(
@@ -908,6 +916,15 @@ class TestSettings:
         assert main([command, *argv]) == 2
         err = capsys.readouterr().err
         assert "seed must be a non-negative integer, got -" in err and "Traceback" not in err
+
+    def test_mc_plan_weights_that_overflow_the_truth_exit_2(self, files):
+        # The oracle truth's moment of 1e308 weights overflows before any fit.
+        plan = files["dir"] / "p.cfg"
+        plan.write_text("kind = contrast\ncoefficients = 1e308 -1e308\nsequence_1 = 1 1\n"
+                        "sequence_2 = 0 0\n")
+        rc, err = _exit_code(self.mc_argv(files, plan=str(plan)))
+        assert rc == 2 and "Traceback" not in err
+        assert "period 1: the plan's weights overflow the moment past the float range" in err
 
     def test_mc_mixes_any_integer_seed(self, files):
         # mc's seed only reaches a generator through mix_seed's 64-bit mask.

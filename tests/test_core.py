@@ -122,6 +122,25 @@ class TestEvaluateMoment:
         with pytest.raises(PlanError, match="period 1, term 0"):
             moment_batch(plan, 1, z, g)
 
+    def test_plan_longer_than_the_data_rejected(self):
+        z = one_row([0.0], [0])
+        with pytest.raises(PlanError, match="^data has 1 periods, plan asks for 2$"):
+            moment_batch(FixedSequence((1, 1)), 2, z, ConstantFn(0.0))
+
+    def test_weights_that_overflow_the_moment_are_rejected(self, dgp2):
+        # Finite weights times a finite function leave the float range: a
+        # ValidationError naming the period; a function that is itself
+        # infinite passes through (its score is a numerical failure later).
+        plan = Contrast.of_sequences([1e308, -1e308], [(1, 1), (0, 0)])
+        data, g = simulate(dgp2, 50, 1), tabular_fn(np.arange(4.0).reshape(2, 2))
+        with pytest.raises(ValidationError, match=r"^period 1: the plan's weights overflow the "
+                                                  r"moment past the float range; rescale them$"):
+            moment_batch(plan, 1, data, g)
+        # period 2's edges weigh 1: g at the period-1 code
+        np.testing.assert_array_equal(moment_batch(plan, 2, data, g),
+                                      g.batch(data.states[1], data.treatments[:, 0]))
+        assert np.isinf(moment_batch(FixedSequence((1, 1)), 1, data, ConstantFn(np.inf))).all()
+
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.floats(-3, 3, allow_nan=False),
@@ -295,6 +314,40 @@ class TestPlans:
         direct = sum(
             c * oracle_theta_potential(dgp, FixedSequence(s)) for c, s in zip(coefs, seqs)
         )
+        assert oracle_theta(dgp, plan) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("coefs, seqs, message", [
+        ([1.0], [(1,), (0,)], "^need one coefficient per sequence$"),
+        ([], [], "^need one coefficient per sequence$"),
+        ([1.0, -1.0], [(1,), (1, 0)], "^all sequences must share the period count$"),
+        ([1.0], [()], "^contrast needs at least one period$"),
+        ([1.0, 2.0], [(), ()], "^contrast needs at least one period$"),
+        # pairs are checked in order: (0, 1) passes, (0, 2) is the first to fail
+        ([1.0, 1.0, 1.0], [(1, 1, 1), (1, 1, 0), (0, 1, 0)],
+         r"^sequences \(1, 1, 1\) and \(0, 1, 0\) merge to a shared treatment"),
+    ], ids=["count", "none", "lengths", "empty", "empties", "first-pair"])
+    def test_malformed_sequence_sets_rejected(self, coefs, seqs, message):
+        with pytest.raises(PlanError, match=message):
+            Contrast.of_sequences(coefs, seqs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 3), m=st.integers(1, 3), seed=st.integers(0, 2**32))
+    def test_any_sequence_set_is_rejected_or_matches_potential_outcomes(self, data, k, m, seed):
+        # Each coefficient sits on its sequence's edge at the first period where
+        # that edge is the sequence's alone; the recursion then sums the
+        # sequences' potential outcomes whatever the set, unless it merges and
+        # splits again.
+        seqs = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * m), min_size=1,
+                                  max_size=5))
+        coefs = data.draw(st.lists(st.floats(-3, 3), min_size=len(seqs), max_size=len(seqs)))
+        try:
+            plan = Contrast.of_sequences(coefs, seqs)
+        except PlanError as exc:
+            assert "merge to a shared treatment and split again" in str(exc)
+            return
+        dgp = random_dgp(np.random.default_rng(seed), periods=m, max_states=3, treatment_arity=k)
+        direct = sum(c * oracle_theta_potential(dgp, FixedSequence(s))
+                     for c, s in zip(coefs, seqs))
         assert oracle_theta(dgp, plan) == pytest.approx(direct, abs=1e-12)
 
     def test_merge_and_resplit_contrast_rejected(self):

@@ -41,7 +41,26 @@ from dyndml import (
 )
 from dyndml import inference, nuisance
 from dyndml.inference import _failure_cause
-from dyndml.nuisance import fit_nuisances
+from dyndml.nuisance import fit_nuisances, panel_units, stack_units
+
+
+def assert_reports_close(got, want, rel=1e-12):
+    """theta_hat, sigma_hat, the interval and every per-fold mean of `got`
+    within `rel` of `want`'s; every other entry equal."""
+    a, b = got.to_dict(), want.to_dict()
+    numbers = ("theta_hat", "sigma_hat", "ci_lower", "ci_upper", "per_fold")
+    assert {k: v for k, v in a.items() if k not in numbers} == {
+        k: v for k, v in b.items() if k not in numbers}
+    pairs = [(a[k], b[k]) for k in numbers[:4]]
+    assert len(a["per_fold"]) == len(b["per_fold"])
+    for fa, fb in zip(a["per_fold"], b["per_fold"]):
+        assert fa.keys() == fb.keys() and (fa["fold"], fa["size"]) == (fb["fold"], fb["size"])
+        pairs += [(fa["score_mean"], fb["score_mean"])]
+        for key in ("correction_means", "clever_correction_means"):
+            assert len(fa[key]) == len(fb[key])
+            pairs += list(zip(fa[key], fb[key]))
+    for x, y in pairs:
+        assert abs(x - y) <= rel * abs(y), (x, y)
 
 
 def spy_chunks(monkeypatch, shift=None):
@@ -239,6 +258,14 @@ class TestDmlEstimate:
             2 * z99 * report.sigma_hat / math.sqrt(500), rel=1e-12
         )
         assert lo99 < report.ci_lower and hi99 > report.ci_upper
+
+    @pytest.mark.parametrize("level", [1.5, 0.0])
+    def test_a_confidence_level_outside_0_1_is_rejected(self, level):
+        report = EstimateReport(theta_hat=1.0, sigma_hat=1.0, ci_lower=1 - 0.196,
+                                ci_upper=1 + 0.196, n=100, Q=2, seed=0, per_fold=[], config={})
+        with pytest.raises(ValidationError, match="^confidence level must lie strictly between "
+                                                  "0 and 1$"):
+            report.interval(level)
 
     def test_three_period_estimation(self):
         rng = np.random.Generator(np.random.PCG64(2718))
@@ -477,6 +504,36 @@ class TestStackedReplicates:
                 assert abs(got - expected) <= 1e-12 * abs(expected)
         assert mc_experiment(dgp, plan, cfg, 12, 40, 3, seed=4, jobs=2).rows == result.rows
 
+    @pytest.mark.parametrize("shift, cap", [(None, 4 * 48), (one_ulp_off, 4 * 300)],
+                             ids=["distinct-histories", "per-row"])
+    def test_stacked_clever_fits_match_their_own_estimates(self, monkeypatch, shift, cap):
+        # With `clever`, each set's training-row correction means come back
+        # (sets, M) from the stacked fit and go to their own replicate and
+        # fold: every number of each report, clever_correction_means too, is
+        # the one the replicate gets alone. A chunk holds 4 replicates (cap
+        # units: 48, Q * 16 Gram entries, on distinct histories; 300 rows).
+        dgp, plan = dgp_ref_2(), Contrast.of_sequences([1.0, -1.0], [(1, 1), (0, 1)])
+        cfg, n, q, reps, seed = tabular_config(dgp, clip=2.0), 300, 3, 8, 40
+        panels = [simulate(dgp, n, mix_seed(seed, r)) for r in range(reps)]
+        panels = panels if shift is None else list(map(shift, panels))
+        folds = [mix_seed(mix_seed(seed, r), 1) for r in range(reps)]
+        alone = [dml_estimate(p, plan, cfg, q, s, clever=True) for p, s in zip(panels, folds)]
+        units = stack_units([panel_units(p, plan, cfg, inference._fold_labels(n, q, s), q)
+                             for p, s in zip(panels, folds)])
+        for got, want in zip(inference._estimates(units, n, plan, cfg, q, folds, clever=True),
+                             alone):
+            assert_reports_close(got, want)
+        seen = spy_chunks(monkeypatch, shift)
+        monkeypatch.setattr(inference, "MC_CHUNK_UNITS", cap)
+        result = mc_experiment(dgp, plan, cfg, reps, n, q, seed=seed, clever=True)
+        assert [k for k, _ in seen] == [4, 4] and result.n_failed == 0
+        for row, want in zip(result.rows, alone):
+            for key in ("theta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+                got, expected = getattr(row, key), getattr(want, key)
+                assert abs(got - expected) <= 1e-12 * abs(expected)
+        threads = mc_experiment(dgp, plan, cfg, reps, n, q, seed=seed, clever=True, jobs=2)
+        assert threads.rows == result.rows
+
     def test_tabular_cells_are_checked_against_a_replicates_rows(self):
         # Eight replicates of 3 rows stack to 24 rows, but each replicate has
         # 3 rows for a map of 4 cells.
@@ -697,6 +754,37 @@ class TestTypedFoldErrors:
                                                   r"float range; rescale them$"):
             dml_estimate(simulate(dgp2, 2000, 0), plan, tabular_config(dgp2), 5, 0,
                          clever=clever)
+
+    def test_plan_weights_that_overflow_the_oracle_are_rejected(self, dgp2, plan2):
+        # The Monte Carlo truth and injected oracle nuisances form the moment
+        # m_1 of the 1e308 weights: a ValidationError naming the period, not
+        # an overflow warning or a fold's non-finite scores.
+        plan = Contrast.of_sequences([1e308, -1e308], [(1, 1), (0, 0)])
+        message = (r"^period 1: the plan's weights overflow the moment past the float range; "
+                   r"rescale them$")
+        for jobs in (1, 2):
+            with pytest.raises(ValidationError, match=message):
+                mc_experiment(dgp2, plan, tabular_config(dgp2), 3, 500, 5, seed=0, jobs=jobs)
+        with pytest.raises(ValidationError, match=message):
+            dml_estimate(simulate(dgp2, 2000, 0), plan, tabular_config(dgp2), 5, 0,
+                         nuisances=oracle_nuisances(dgp2, plan2))
+
+    @pytest.mark.parametrize("clever", [False, True], ids=["plain", "clever"])
+    def test_states_whose_basis_overflows_are_rejected(self, dgp2, plan2, clever):
+        # Cubic features of states near 1e110 overflow in the basis itself;
+        # the Gram check names it, with no overflow warning first.
+        data = simulate(dgp2, 2000, 0)
+        big = PanelDataset(tuple(s * 1e110 for s in data.states), data.treatments, data.outcome,
+                           data.treatment_arities)
+        cfg = FitConfig(feature_maps=(PolynomialFeatures(1, 3, 2),) * 2)
+        with pytest.raises(ValidationError, match=r"^fold 0: period 1: the state basis's Gram "
+                                                  r"overflows the float range"):
+            dml_estimate(big, plan2, cfg, 5, 0, clever=clever)
+
+    def test_a_nuisance_set_of_another_length_is_rejected(self, dgp2, plan2):
+        one = NuisanceSet(regressions=(ConstantFn(0.0),), representers=(ConstantFn(1.0),))
+        with pytest.raises(ValidationError, match="^nuisance set does not cover every period$"):
+            moment_scores(simulate(dgp2, 50, 1), plan2, one)
 
     def test_states_whose_gram_overflows_are_rejected(self, dgp2, plan2):
         # Cubic features of states near 1e60 are finite; their squares in the

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import tabular_config, value_table
 from dyndml import (
+    ConstantFn,
     Contrast,
     DiscreteDGP,
     FitConfig,
@@ -176,6 +177,11 @@ class TestRieszLoss:
         assert population_riesz_loss(dgp1, plan1, 1, a1, None) == pytest.approx(-3.0, abs=1e-12)
         data = simulate(dgp1, 200_000, 2)
         assert riesz_loss(a1, data, plan1, 1, None) == pytest.approx(-3.0, abs=0.1)
+
+    def test_a_later_period_needs_the_previous_representer(self, dgp2, plan2):
+        with pytest.raises(ValidationError, match="^periods after the first need the previous "
+                                                  "representer$"):
+            riesz_loss(ConstantFn(1.0), simulate(dgp2, 50, 1), plan2, 2, None)
 
     def test_quadratic_identity_around_truth(self, dgp2, plan2):
         # population L(a) - L(a_true) == ||a - a_true||^2 when the previous

@@ -174,6 +174,12 @@ class TestTheta:
         plan = Contrast.of_sequences([1.0, -1.0], [(1, 1), (1, 1)])
         assert oracle_theta(dgp2, plan) == pytest.approx(0.0, abs=1e-14)
 
+    def test_potential_outcomes_need_component_plans(self, dgp2, plan2):
+        raw = Contrast(terms=Contrast.of_plan(plan2).terms)
+        with pytest.raises(ValidationError, match="^potential-outcome enumeration needs a plan "
+                                                  "with counterfactual semantics$"):
+            oracle_theta_potential(dgp2, raw)
+
     def test_potential_outcome_crosscheck_randomized(self):
         rng = np.random.Generator(np.random.PCG64(99))
         for _ in range(20):
@@ -261,6 +267,17 @@ class TestRiesz:
         prev = tabular_fn(oracle_riesz(dgp2, FixedSequence((1, 1)))[0])
         with pytest.raises(PlanError, match="period 2, term 0"):
             riesz_step(dgp2, Contrast.of_plan(FixedSequence((1, 2))), 2, prev)
+
+    def test_plan_weights_that_overflow_the_representer_are_rejected(self, dgp2, plan2):
+        # Finite weights over a cell's mass leave the float range: a
+        # ValidationError naming the period; an infinite prev passes through.
+        plan = Contrast.of_sequences([1e308, -1e308], [(1, 1), (0, 0)])
+        message = (r"^period 1: the plan's weights overflow the representer past the float "
+                   r"range; rescale them$")
+        for call in (lambda: oracle_riesz(dgp2, plan), lambda: oracle_nuisances(dgp2, plan)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+        assert np.isinf(riesz_step(dgp2, plan2, 2, ConstantFn(np.inf))).any()
 
     def test_zero_mass_cells_flagged(self):
         # state 2 at period 2 is unreachable; its cells carry no mass
